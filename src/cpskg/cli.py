@@ -18,11 +18,10 @@ from .errors import CpskgError
 from .evaluator import evaluate, load_bindings
 from .infix import print_infix
 from .manifest import compile_manifest, load_manifest
-from .mapper import om_to_rdf, rdf_to_om
+from .mapper import fragment_variables, om_to_rdf, rdf_to_om
 from .om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from .rdf import (
     RDF,
-    XSD,
     Graph,
     Iri,
     Literal,
@@ -32,6 +31,7 @@ from .rdf import (
     Var,
     from_ntriples,
     match,
+    nt_term,
     serialize,
 )
 from .validator import validate
@@ -144,13 +144,7 @@ def _parse_term(token: str, prefixes: dict[str, str]):
 
 
 def _render_node(node: NodeRef) -> str:
-    if isinstance(node, Iri):
-        return node.value
-    if node.lang is not None:
-        return f'"{node.lexical}"@{node.lang}'
-    if node.datatype != XSD.string:
-        return f'"{node.lexical}"^^<{node.datatype.value}>'
-    return f'"{node.lexical}"'
+    return node.value if isinstance(node, Iri) else nt_term(node)
 
 
 def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
@@ -182,7 +176,7 @@ def cmd_export(args: argparse.Namespace, cfg: ToolConfig) -> int:
     for wrapper in wrappers:
         expr = rdf_to_om(graph, wrapper, om=v.om, cd_base=v.cd_base, strict=cfg.strict)
         lines.append(print_infix(expr, registry=cfg.registry))
-        variables.update(_fragment_variables(graph, wrapper, v))
+        variables.update(fragment_variables(graph, graph.objects(wrapper, v.om.root), v.om))
     rows = []
     for var in variables:
         names = [o.lexical for o in graph.objects(var, v.om.name) if isinstance(o, Literal)]
@@ -198,20 +192,6 @@ def cmd_export(args: argparse.Namespace, cfg: ToolConfig) -> int:
         for name, element, description in sorted(set(rows)):
             sys.stdout.write(f"{name}\t{element}\t{description}\n")
     return EXIT_OK
-
-
-def _fragment_variables(graph: Graph, wrapper: Iri, v) -> list[Iri]:
-    edges = (v.om.root, v.om.operator, v.om.arguments, RDF.first, RDF.rest)
-    seen: set[NodeRef] = set()
-    stack: list[NodeRef] = [wrapper]
-    while stack:
-        node = stack.pop()
-        if node in seen or isinstance(node, Literal):
-            continue
-        seen.add(node)
-        for predicate in edges:
-            stack.extend(graph.objects(node, predicate))
-    return [n for n in seen if isinstance(n, Iri) and v.om.Variable in graph.objects(n, RDF.type)]
 
 
 def cmd_eval(args: argparse.Namespace, cfg: ToolConfig) -> int:
@@ -292,7 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         _err(str(exc))
         return EXIT_IO
-    except (CpskgError, ZeroDivisionError, OverflowError) as exc:
+    except (CpskgError, RecursionError, ZeroDivisionError, OverflowError) as exc:
         _err(str(exc))
         return EXIT_DOMAIN
 

@@ -17,6 +17,8 @@ from typing import Optional, Sequence, Union
 import jsonschema
 
 from .builder import (
+    _LEVEL_RANK,
+    _STATE_KINDS,
     DataElementSpec,
     EquationSpec,
     ModelBuilder,
@@ -69,7 +71,7 @@ MANIFEST_SCHEMA: dict = {
             "additionalProperties": False,
             "properties": {
                 "id": {"$ref": "#/$defs/id"},
-                "level": {"enum": ["MechatronicSystem", "Module", "Component"]},
+                "level": {"enum": list(_LEVEL_RANK)},
                 "children": {"type": "array", "items": {"$ref": "#/$defs/resource"}},
                 "dataElements": {"type": "array", "items": {"$ref": "#/$defs/dataElement"}},
             },
@@ -101,7 +103,7 @@ MANIFEST_SCHEMA: dict = {
             "additionalProperties": False,
             "properties": {
                 "id": {"$ref": "#/$defs/id"},
-                "kind": {"enum": ["Product", "Energy", "Information"]},
+                "kind": {"enum": list(_STATE_KINDS)},
                 "dataElements": {"type": "array", "items": {"$ref": "#/$defs/dataElement"}},
             },
         },
@@ -267,18 +269,17 @@ def _check_references(m: CpsManifest) -> list[tuple[str, str]]:
     for i, set_id in enumerate(m.information_sets):
         declare(set_id, f"$.lifecycleRecord.informationSets[{i}]")
 
-    rank = {"MechatronicSystem": 0, "Module": 1, "Component": 2}
     resource_ids: set[str] = set()
 
     def visit(node: StructureNode, path: str, parent_rank: Optional[int]) -> None:
         declare(node.id, f"{path}.id")
         resource_ids.add(node.id)
-        if parent_rank is not None and rank[node.level] < parent_rank:
+        if parent_rank is not None and _LEVEL_RANK[node.level] < parent_rank:
             problems.append((f"{path}.level", f"{node.level} cannot be nested inside a lower level"))
         for di, de in enumerate(node.data_elements):
             declare(de.id, f"{path}.dataElements[{di}].id")
         for ci, child in enumerate(node.children):
-            visit(child, f"{path}.children[{ci}]", rank[node.level])
+            visit(child, f"{path}.children[{ci}]", _LEVEL_RANK[node.level])
 
     visit(m.structure, "$.structure", None)
 

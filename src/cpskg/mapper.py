@@ -20,17 +20,19 @@ via ``om:root`` and is the attachment point for behavior links.
 The backward direction reconstructs the tree and rejects malformed shapes:
 cyclic or dangling argument lists, applications without exactly one
 operator and argument list, nodes with ambiguous typing, and (in strict
-mode) operator IRIs outside the configured CD base.
+mode) operator IRIs outside the configured CD base. The validator and the
+CLI reuse :func:`read_list` and :func:`fragment_variables` rather than
+walking the fragment themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import CpskgError
 from .om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
-from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, Triple
+from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, Triple, nt_term
 from .vocab import DEFAULT_CD_BASE, DEFAULT_NAMESPACES
 
 __all__ = [
@@ -40,16 +42,24 @@ __all__ = [
     "MappingResult",
     "UnknownSymbolIriError",
     "create_rdf_list",
+    "fragment_variables",
     "om_to_rdf",
     "parse_symbol_iri",
     "process_node",
     "rdf_to_om",
+    "read_list",
     "symbol_iri",
 ]
 
 
 class MalformedListError(CpskgError):
-    """An argument chain that is cyclic, dangling, or not single-valued."""
+    """An argument chain that is cyclic, dangling, or not single-valued;
+    ``node`` is the cell where reading stopped and ``reason`` says why."""
+
+    def __init__(self, node: NodeRef, reason: str):
+        super().__init__(f"{reason}: {nt_term(node)}")
+        self.node = node
+        self.reason = reason
 
 
 class MalformedNodeError(CpskgError):
@@ -187,6 +197,46 @@ def om_to_rdf(
 # --- inverse ------------------------------------------------------------------
 
 
+def read_list(graph: Graph, head: NodeRef) -> list[NodeRef]:
+    """The items of the RDF collection starting at ``head``, in order.
+    Raises :class:`MalformedListError` at the first cell that is a literal,
+    repeats an earlier cell, or lacks exactly one rdf:first and rdf:rest."""
+    items: list[NodeRef] = []
+    seen: set[NodeRef] = set()
+    node = head
+    while node != RDF.nil:
+        if isinstance(node, Literal):
+            raise MalformedListError(node, "argument list continues into a literal")
+        if node in seen:
+            raise MalformedListError(node, "argument list is cyclic")
+        seen.add(node)
+        firsts = graph.objects(node, RDF.first)
+        rests = graph.objects(node, RDF.rest)
+        if len(firsts) != 1 or len(rests) != 1:
+            raise MalformedListError(node, f"cons cell must have exactly one rdf:first and rdf:rest, found {len(firsts)}/{len(rests)}")
+        items.append(firsts[0])
+        node = rests[0]
+    return items
+
+
+def fragment_variables(graph: Graph, roots: Iterable[NodeRef], om: Namespace) -> list[Iri]:
+    """The ``om:Variable`` nodes reachable from ``roots`` over om:operator,
+    om:arguments, rdf:first and rdf:rest, in serialization order. Unlike
+    :func:`rdf_to_om` it accepts malformed shapes, so rules can use it."""
+    edges = (om.operator, om.arguments, RDF.first, RDF.rest)
+    seen: set[NodeRef] = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node in seen or isinstance(node, Literal):
+            continue
+        seen.add(node)
+        for predicate in edges:
+            stack.extend(graph.objects(node, predicate))
+    variable_type = om.Variable
+    return sorted((n for n in seen if variable_type in graph.objects(n, RDF.type)), key=nt_term)
+
+
 class _Reader:
     def __init__(self, graph: Graph, om: Namespace, cd_base: str, strict: bool):
         self.graph = graph
@@ -199,26 +249,6 @@ class _Reader:
         if len(values) != 1:
             raise MalformedNodeError(f"{node} must have exactly one {what}, found {len(values)}")
         return values[0]
-
-    def read_list(self, head: NodeRef) -> list[NodeRef]:
-        items: list[NodeRef] = []
-        seen: set[NodeRef] = set()
-        node = head
-        while node != RDF.nil:
-            if isinstance(node, Literal):
-                raise MalformedListError(f"argument list continues into a literal: {node!r}")
-            if node in seen:
-                raise MalformedListError(f"argument list is cyclic at {node}")
-            seen.add(node)
-            firsts = self.graph.objects(node, RDF.first)
-            rests = self.graph.objects(node, RDF.rest)
-            if len(firsts) != 1 or len(rests) != 1:
-                raise MalformedListError(
-                    f"cons cell {node} must have exactly one rdf:first and rdf:rest, found {len(firsts)}/{len(rests)}"
-                )
-            items.append(firsts[0])
-            node = rests[0]
-        return items
 
     def read(self, node: NodeRef, active: frozenset[NodeRef]) -> OMExpression:
         om = self.om
@@ -236,7 +266,7 @@ class _Reader:
             inner = active | {node}
             operator = self.read(self._one(node, om.operator, "om:operator"), inner)
             head = self._one(node, om.arguments, "om:arguments")
-            arguments = tuple(self.read(item, inner) for item in self.read_list(head))
+            arguments = tuple(self.read(item, inner) for item in read_list(self.graph, head))
             return Application(operator, arguments)
         if om.Variable in om_types:
             name = self._one(node, om.name, "om:name")

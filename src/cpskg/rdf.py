@@ -17,6 +17,7 @@ from .errors import CpskgError
 
 __all__ = [
     "Graph",
+    "InvalidIriError",
     "InvalidTripleError",
     "Iri",
     "Literal",
@@ -31,6 +32,7 @@ __all__ = [
     "XSD",
     "from_ntriples",
     "match",
+    "nt_term",
     "serialize",
     "to_ntriples",
     "to_turtle",
@@ -40,6 +42,10 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 _PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_\-]*$")
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
+
+
+class InvalidIriError(CpskgError, ValueError):
+    """A string that is not an absolute IRI or holds forbidden characters."""
 
 
 class InvalidTripleError(CpskgError):
@@ -66,9 +72,9 @@ class Iri:
 
     def __post_init__(self) -> None:
         if not _SCHEME_RE.match(self.value):
-            raise ValueError(f"IRI must be absolute: {self.value!r}")
+            raise InvalidIriError(f"IRI must be absolute: {self.value!r}")
         if _BAD_IRI_CHARS.search(self.value):
-            raise ValueError(f"IRI contains forbidden characters: {self.value!r}")
+            raise InvalidIriError(f"IRI contains forbidden characters: {self.value!r}")
 
     def __str__(self) -> str:
         return self.value
@@ -140,7 +146,9 @@ def _escape_literal(text: str) -> str:
     return "".join(out)
 
 
-def _nt_term(node: NodeRef) -> str:
+def nt_term(node: NodeRef) -> str:
+    """The N-Triples form of a term; also the sort key of every lookup and
+    serialization."""
     if isinstance(node, Iri):
         return f"<{node.value}>"
     if isinstance(node, Literal):
@@ -170,7 +178,7 @@ class Triple:
             raise InvalidTripleError(f"triple object must be an IRI or literal: {self.object!r}")
 
     def sort_key(self) -> tuple[str, str, str]:
-        return (_nt_term(self.subject), _nt_term(self.predicate), _nt_term(self.object))
+        return (nt_term(self.subject), nt_term(self.predicate), nt_term(self.object))
 
 
 class Graph:
@@ -259,7 +267,7 @@ class Graph:
 
     def subjects(self, predicate: Optional[Iri] = None, object: Optional[NodeRef] = None) -> list[NodeRef]:
         seen = {t.subject for t in self._triples if (predicate is None or t.predicate == predicate) and (object is None or t.object == object)}
-        return sorted(seen, key=_nt_term)
+        return sorted(seen, key=nt_term)
 
 
 # --- pattern matching --------------------------------------------------------
@@ -333,7 +341,7 @@ def match(graph: Graph, query: PatternQuery) -> list[dict[str, NodeRef]]:
                     next_rows.append(extended)
         rows = next_rows
 
-    unique = {tuple(sorted((k, _nt_term(v)) for k, v in row.items())): row for row in rows}
+    unique = {tuple(sorted((k, nt_term(v)) for k, v in row.items())): row for row in rows}
     return [unique[key] for key in sorted(unique)]
 
 
@@ -342,7 +350,7 @@ def match(graph: Graph, query: PatternQuery) -> list[dict[str, NodeRef]]:
 
 def to_ntriples(graph: Graph) -> str:
     """Canonical N-Triples: one statement per line, lines sorted, LF endings."""
-    lines = sorted(f"{_nt_term(t.subject)} {_nt_term(t.predicate)} {_nt_term(t.object)} ." for t in graph)
+    lines = sorted(f"{nt_term(t.subject)} {nt_term(t.predicate)} {nt_term(t.object)} ." for t in graph)
     return "".join(line + "\n" for line in lines)
 
 
@@ -366,16 +374,13 @@ def to_turtle(graph: Graph) -> str:
     def term(node: NodeRef) -> str:
         if isinstance(node, Iri):
             return _pname(node, prefix_order)
-        body = f'"{_escape_literal(node.lexical)}"'
-        if node.lang is not None:
-            return f"{body}@{node.lang}"
-        if node.datatype != XSD.string:
-            return f"{body}^^{_pname(node.datatype, prefix_order)}"
-        return body
+        if node.lang is None and node.datatype != XSD.string:
+            return f'"{_escape_literal(node.lexical)}"^^{_pname(node.datatype, prefix_order)}'
+        return nt_term(node)
 
     by_subject: dict[str, tuple[NodeRef, dict[Iri, list[NodeRef]]]] = {}
     for t in graph:
-        key = _nt_term(t.subject)
+        key = nt_term(t.subject)
         _, preds = by_subject.setdefault(key, (t.subject, {}))
         preds.setdefault(t.predicate, []).append(t.object)
 
@@ -383,11 +388,11 @@ def to_turtle(graph: Graph) -> str:
         subject, preds = by_subject[key]
         if out:
             out.append("")
-        pred_keys = sorted(preds, key=lambda p: ("0" if p == RDF.type else "1" + _nt_term(p)))
+        pred_keys = sorted(preds, key=lambda p: ("0" if p == RDF.type else "1" + nt_term(p)))
         lines = []
         for predicate in pred_keys:
             rendered = "a" if predicate == RDF.type else term(predicate)
-            objects = ", ".join(term(o) for o in sorted(preds[predicate], key=_nt_term))
+            objects = ", ".join(term(o) for o in sorted(preds[predicate], key=nt_term))
             lines.append(f"{rendered} {objects}")
         block = f"{term(subject)} " + " ;\n    ".join(lines) + " ."
         out.append(block)

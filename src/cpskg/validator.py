@@ -23,8 +23,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .mapper import MalformedListError, fragment_variables, read_list
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
-from .rdf import RDF, Graph, Iri, Literal, NodeRef
+from .rdf import RDF, Graph, Iri, NodeRef, nt_term
 from .vocab import CpsVocabulary
 
 __all__ = ["Finding", "ValidationReport", "validate"]
@@ -68,31 +69,12 @@ class ValidationReport:
         return "".join(line + "\n" for line in lines)
 
 
-def _node_key(node: NodeRef) -> str:
-    return node.value if isinstance(node, Iri) else f'"{node.lexical}"'
-
-
 def _check_argument_lists(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    heads = sorted({t.object for t in graph.triples(None, v.om.arguments)}, key=_node_key)
-    for head in heads:
-        node = head
-        seen: set[NodeRef] = set()
-        while node != RDF.nil:
-            if isinstance(node, Literal):
-                out.append(Finding("V1", "error", node, "argument list continues into a literal"))
-                break
-            if node in seen:
-                out.append(Finding("V1", "error", node, "argument list is cyclic"))
-                break
-            seen.add(node)
-            firsts = graph.objects(node, RDF.first)
-            rests = graph.objects(node, RDF.rest)
-            if len(firsts) != 1 or len(rests) != 1:
-                out.append(
-                    Finding("V1", "error", node, f"cons cell must have exactly one rdf:first and rdf:rest, found {len(firsts)}/{len(rests)}")
-                )
-                break
-            node = rests[0]
+    for head in sorted({t.object for t in graph.triples(None, v.om.arguments)}, key=nt_term):
+        try:
+            read_list(graph, head)
+        except MalformedListError as exc:
+            out.append(Finding("V1", "error", exc.node, exc.reason))
 
 
 def _check_application_shape(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
@@ -111,30 +93,12 @@ def _check_operator_assignment(graph: Graph, v: CpsVocabulary, out: list[Finding
             out.append(Finding("V3", "warning", node, "process operator is not assigned to a technical resource"))
 
 
-def _reachable_variables(graph: Graph, v: CpsVocabulary) -> list[NodeRef]:
+def _check_variable_links(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
     roots: list[NodeRef] = []
     for t in graph.triples(None, v.cpsmod.processOperatorBehaviorModel):
         for wrapper in graph.objects(t.object, v.cpsmod.hasOMObject):
             roots.extend(graph.objects(wrapper, v.om.root))
-    edges = (v.om.operator, v.om.arguments, RDF.first, RDF.rest)
-    seen: set[NodeRef] = set()
-    stack = sorted(roots, key=_node_key)
-    while stack:
-        node = stack.pop()
-        if node in seen or isinstance(node, Literal):
-            continue
-        seen.add(node)
-        for predicate in edges:
-            stack.extend(graph.objects(node, predicate))
-    variable_type = v.om.Variable
-    return sorted(
-        (n for n in seen if isinstance(n, Iri) and variable_type in graph.objects(n, RDF.type)),
-        key=_node_key,
-    )
-
-
-def _check_variable_links(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    for node in _reachable_variables(graph, v):
+    for node in fragment_variables(graph, roots, v.om):
         if not graph.objects(node, v.cpsmod.isDataFor):
             out.append(Finding("V4", "warning", node, "equation variable is not linked to a data element"))
 
@@ -156,7 +120,7 @@ def _check_type_descriptions(graph: Graph, v: CpsVocabulary, out: list[Finding])
 
 def _check_symbol_cds(graph: Graph, v: CpsVocabulary, registry: SymbolRegistry, out: list[Finding]) -> None:
     prefix = v.cd_base.rstrip("/") + "/"
-    targets = sorted({t.object for t in graph.triples(None, v.om.operator)}, key=_node_key)
+    targets = sorted({t.object for t in graph.triples(None, v.om.operator)}, key=nt_term)
     for target in targets:
         if not isinstance(target, Iri):
             continue
@@ -189,5 +153,5 @@ def validate(
     _check_type_descriptions(graph, v, findings)
     if strict:
         _check_symbol_cds(graph, v, registry, findings)
-    findings.sort(key=lambda f: (f.rule, _node_key(f.node), f.message))
+    findings.sort(key=lambda f: (f.rule, nt_term(f.node), f.message))
     return ValidationReport(findings)

@@ -4,7 +4,8 @@ import json
 
 from cpskg.infix import parse_infix
 from cpskg.om.xmlio import parse_openmath_xml
-from cpskg.rdf import RDF, Triple, from_ntriples, to_ntriples
+from cpskg.rdf import RDF, Graph, Iri, Literal, Triple, from_ntriples, to_ntriples
+from cpskg.validator import validate
 from conftest import EHSA_BASE, FIXTURES
 
 MANIFEST = str(FIXTURES / "manifest.json")
@@ -158,6 +159,37 @@ def test_query_no_match_is_empty_success(run_cli):
     assert result.stdout == ""
 
 
+def test_query_escapes_literals_in_rows(run_cli, tmp_path):
+    graph = Graph()
+    graph.add(Triple(Iri(f"{EHSA_BASE}/s"), Iri(f"{EHSA_BASE}/p"), Literal('two\nlines\tand "quotes"')))
+    path = tmp_path / "literal.nt"
+    path.write_text(to_ntriples(graph), encoding="utf-8")
+    result = run_cli("query", "--in", str(path), "--pattern", "?a ?b ?c")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f'{EHSA_BASE}/s\t{EHSA_BASE}/p\t"two\\nlines\\tand \\"quotes\\""']
+
+
+def test_non_absolute_base_exits_1(run_cli):
+    for args in (
+        ("om2rdf", "--in", EQ1_XML, "--base", "not-an-iri"),
+        ("query", "--in", GOLDEN, "--base", "not-an-iri", "--pattern", "ex:LinearMotionExecution ?p ?o"),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 1, args
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+
+def test_om2rdf_deep_chain_exits_1(run_cli, tmp_path):
+    depth = 3000
+    deep = tmp_path / "deep.xml"
+    deep.write_text("<OMOBJ>" + '<OMA><OMS cd="arith1" name="unary_minus"/>' * depth + '<OMV name="x"/>' + "</OMA>" * depth + "</OMOBJ>", encoding="utf-8")
+    result = run_cli("om2rdf", "--in", str(deep))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_query_malformed_pattern_exits_1(run_cli):
     result = run_cli("query", "--in", GOLDEN, "--pattern", "?x only-two-terms")
     assert result.returncode == 1
@@ -175,6 +207,24 @@ def test_export_listing_and_table(run_cli, eq1_tree):
         name, element, description = row.split("\t")
         assert element.startswith(EHSA_BASE)
         assert description.startswith(EHSA_BASE)
+
+
+def test_export_table_agrees_with_v4(run_cli, tmp_path, ehsa_graph, vocab):
+    """Export and rule V4 walk a fragment with the same code: unlinking one
+    variable drops exactly its row and makes V4 warn on exactly that node."""
+    operator = f"{EHSA_BASE}/LinearMotionExecution"
+    before = run_cli("export", "--in", GOLDEN, "--operator", operator)
+    (victim,) = ehsa_graph.triples(None, vocab.cpsmod.isDataFor, Iri(f"{EHSA_BASE}/Q1_DE"))
+    mutated = ehsa_graph.copy()
+    mutated.discard(victim)
+    path = tmp_path / "unlinked.nt"
+    path.write_text(to_ntriples(mutated), encoding="utf-8")
+    after = run_cli("export", "--in", str(path), "--operator", operator)
+    assert before.returncode == after.returncode == 0
+    left = set(before.stdout.splitlines()) - set(after.stdout.splitlines())
+    assert [row.split("\t")[1] for row in left] == [victim.object.value]
+    assert set(after.stdout.splitlines()) <= set(before.stdout.splitlines())
+    assert [(f.rule, f.node) for f in validate(mutated).findings] == [("V4", victim.subject)]
 
 
 def test_export_without_behavior_model(run_cli):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
-from cpskg.mapper import symbol_iri
+import pytest
+
+from cpskg.mapper import MalformedListError, rdf_to_om, symbol_iri
 from cpskg.om.tree import Symbol
-from cpskg.rdf import RDF, Graph, Iri, Triple
+from cpskg.rdf import RDF, Graph, Iri, Literal, Triple
 from cpskg.validator import validate
 from cpskg.vocab import CpsVocabulary
 
@@ -28,22 +30,33 @@ def _single_finding(report):
     return report.findings[0]
 
 
-def test_v1_broken_list(ehsa_graph):
+# Each mutation edits the last cons cell of one argument list: (new triples, message).
+LIST_MUTATIONS = {
+    "dangling": (lambda cell: [], "cons cell must have exactly one rdf:first and rdf:rest, found 1/0"),
+    "cyclic": (lambda cell: [Triple(cell, RDF.rest, cell)], "argument list is cyclic"),
+    "literal_tail": (lambda cell: [Triple(cell, RDF.rest, Literal("tail"))], "argument list continues into a literal"),
+    "two_firsts": (
+        lambda cell: [Triple(cell, RDF.rest, RDF.nil), Triple(cell, RDF.first, Iri(f"{EHSA}/extra"))],
+        "cons cell must have exactly one rdf:first and rdf:rest, found 2/1",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(LIST_MUTATIONS))
+def test_v1_malformed_list(ehsa_graph, mutation):
+    """V1 and the mapper read lists with one reader, so they stop at the same node."""
+    added, message = LIST_MUTATIONS[mutation]
     mutated = ehsa_graph.copy()
     victim = mutated.triples(None, RDF.rest, RDF.nil)[0]
     mutated.discard(victim)
+    mutated.add_all(added(victim.subject))
     finding = _single_finding(validate(mutated))
-    assert (finding.rule, finding.severity) == ("V1", "error")
-    assert finding.node == victim.subject
-
-
-def test_v1_cyclic_list(ehsa_graph):
-    mutated = ehsa_graph.copy()
-    victim = mutated.triples(None, RDF.rest, RDF.nil)[0]
-    mutated.discard(victim)
-    mutated.add(Triple(victim.subject, RDF.rest, victim.subject))
-    finding = _single_finding(validate(mutated))
-    assert (finding.rule, finding.severity) == ("V1", "error")
+    assert (finding.rule, finding.severity, finding.message) == ("V1", "error", message)
+    wrapper = Iri(victim.subject.value.rpartition("/")[0])
+    with pytest.raises(MalformedListError) as raised:
+        rdf_to_om(mutated, wrapper)
+    expected = Literal("tail") if mutation == "literal_tail" else victim.subject
+    assert finding.node == raised.value.node == expected
 
 
 def test_v2_missing_operator(ehsa_graph):
