@@ -32,6 +32,7 @@ from .rdf import (
     from_ntriples,
     match,
     nt_term,
+    parse_literal,
     serialize,
 )
 from .validator import validate
@@ -106,7 +107,9 @@ def cmd_validate(args: argparse.Namespace, cfg: ToolConfig) -> int:
     return EXIT_OK
 
 
-_PATTERN_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"(?:\^\^<[^<>\s]*>)?|\S+')
+# a quoted literal with its datatype or language suffix (parse_literal checks
+# it), or any other word
+_PATTERN_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"(?:\^\^<[^<>\s]*>|@[A-Za-z0-9-]+)?|\S+')
 
 
 def _parse_pattern(text: str, prefixes: dict[str, str]) -> PatternQuery:
@@ -132,11 +135,10 @@ def _parse_term(token: str, prefixes: dict[str, str]):
     if token.startswith("<") and token.endswith(">"):
         return _term_iri(token)
     if token.startswith('"'):
-        m = re.fullmatch(r'"((?:[^"\\]|\\.)*)"(?:\^\^<([^<>\s]*)>)?', token)
-        if m is None:
-            raise MalformedQueryError(f"invalid literal token: {token}")
-        lex = m.group(1).replace('\\"', '"').replace("\\\\", "\\")
-        return Literal(lex, Iri(m.group(2))) if m.group(2) else Literal(lex)
+        try:
+            return parse_literal(token)
+        except CpskgError as exc:
+            raise MalformedQueryError(f"invalid literal token: {token}") from exc
     prefix, sep, local = token.partition(":")
     if sep and prefix in prefixes:
         return Iri(prefixes[prefix] + local)

@@ -33,6 +33,7 @@ __all__ = [
     "from_ntriples",
     "match",
     "nt_term",
+    "parse_literal",
     "serialize",
     "to_ntriples",
     "to_turtle",
@@ -181,6 +182,10 @@ class Triple:
         return (nt_term(self.subject), nt_term(self.predicate), nt_term(self.object))
 
 
+# outer key -> inner key -> the triples holding both
+_Index = dict[NodeRef, dict[NodeRef, set[Triple]]]
+
+
 class Graph:
     """A duplicate-free set of triples plus prefix bindings.
 
@@ -188,13 +193,20 @@ class Graph:
     Iteration is always in serialization order, so callers cannot pick up a
     dependence on set ordering by accident. Equality compares triple sets
     only; prefixes are serialization hints, not graph content.
+
+    Lookups go through two indexes, subject -> predicate -> triples and
+    predicate -> object -> triples (two of the six Hexastore orders). They
+    are built on the first lookup and kept in step by every later change,
+    so a graph that is only written and serialized never pays for them.
     """
 
-    __slots__ = ("_triples", "_prefixes")
+    __slots__ = ("_triples", "_prefixes", "_spo", "_pos")
 
     def __init__(self, prefixes: Optional[Mapping[str, str]] = None):
         self._triples: set[Triple] = set()
         self._prefixes: dict[str, str] = {}
+        self._spo: Optional[_Index] = None
+        self._pos: Optional[_Index] = None
         for prefix, base in (prefixes or {}).items():
             self.bind(prefix, base)
 
@@ -211,6 +223,8 @@ class Graph:
     def add(self, triple: Triple) -> None:
         if not isinstance(triple, Triple):
             raise InvalidTripleError(f"not a triple: {triple!r}")
+        if self._spo is not None and triple not in self._triples:
+            self._index(triple)
         self._triples.add(triple)
 
     def add_all(self, triples: Iterable[Triple]) -> None:
@@ -218,14 +232,29 @@ class Graph:
             self.add(triple)
 
     def discard(self, triple: Triple) -> None:
-        self._triples.discard(triple)
+        if triple not in self._triples:
+            return
+        self._triples.remove(triple)
+        if self._spo is not None:
+            for index, outer, inner in ((self._spo, triple.subject, triple.predicate), (self._pos, triple.predicate, triple.object)):
+                by_inner = index[outer]
+                by_inner[inner].remove(triple)
+                if not by_inner[inner]:
+                    del by_inner[inner]
+                    if not by_inner:
+                        del index[outer]
 
     def update(self, other: "Graph") -> None:
+        if self._spo is not None:
+            for triple in other._triples - self._triples:
+                self._index(triple)
         self._triples |= other._triples
         for prefix, base in other._prefixes.items():
             self._prefixes.setdefault(prefix, base)
 
     def copy(self) -> "Graph":
+        """An independent graph with the same triples; it indexes itself on
+        its own first lookup."""
         clone = Graph(self._prefixes)
         clone._triples = set(self._triples)
         return clone
@@ -245,6 +274,29 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self._triples)} triples, {len(self._prefixes)} prefixes)"
 
+    def _index(self, triple: Triple) -> None:
+        self._spo.setdefault(triple.subject, {}).setdefault(triple.predicate, set()).add(triple)  # type: ignore[union-attr]
+        self._pos.setdefault(triple.predicate, {}).setdefault(triple.object, set()).add(triple)  # type: ignore[union-attr]
+
+    def _indexes(self) -> tuple[_Index, _Index]:
+        if self._spo is None:
+            self._spo, self._pos = {}, {}
+            for triple in self._triples:
+                self._index(triple)
+        return self._spo, self._pos  # type: ignore[return-value]
+
+    def _select(self, subject: Optional[NodeRef], predicate: Optional[Iri], object: Optional[NodeRef]) -> Iterable[Triple]:
+        """The triples matching the given constant positions, unordered."""
+        if subject is None and predicate is None:
+            return self._triples if object is None else [t for t in self._triples if t.object == object]
+        spo, pos = self._indexes()
+        if subject is None:
+            by_object = pos.get(predicate, {})
+            return by_object.get(object, ()) if object is not None else [t for ts in by_object.values() for t in ts]
+        by_predicate = spo.get(subject, {})
+        found = by_predicate.get(predicate, ()) if predicate is not None else [t for ts in by_predicate.values() for t in ts]
+        return found if object is None else [t for t in found if t.object == object]
+
     def triples(
         self,
         subject: Optional[NodeRef] = None,
@@ -252,22 +304,14 @@ class Graph:
         object: Optional[NodeRef] = None,
     ) -> list[Triple]:
         """Triples matching the given constant positions, in sorted order."""
-        found = [
-            t
-            for t in self._triples
-            if (subject is None or t.subject == subject)
-            and (predicate is None or t.predicate == predicate)
-            and (object is None or t.object == object)
-        ]
-        found.sort(key=Triple.sort_key)
-        return found
+        return sorted(self._select(subject, predicate, object), key=Triple.sort_key)
 
     def objects(self, subject: NodeRef, predicate: Iri) -> list[NodeRef]:
-        return [t.object for t in self.triples(subject, predicate)]
+        found = self._indexes()[0].get(subject, {}).get(predicate, ())
+        return sorted((t.object for t in found), key=nt_term)
 
     def subjects(self, predicate: Optional[Iri] = None, object: Optional[NodeRef] = None) -> list[NodeRef]:
-        seen = {t.subject for t in self._triples if (predicate is None or t.predicate == predicate) and (object is None or t.object == object)}
-        return sorted(seen, key=nt_term)
+        return sorted({t.subject for t in self._select(None, predicate, object)}, key=nt_term)
 
 
 # --- pattern matching --------------------------------------------------------
@@ -350,7 +394,7 @@ def match(graph: Graph, query: PatternQuery) -> list[dict[str, NodeRef]]:
 
 def to_ntriples(graph: Graph) -> str:
     """Canonical N-Triples: one statement per line, lines sorted, LF endings."""
-    lines = sorted(f"{nt_term(t.subject)} {nt_term(t.predicate)} {nt_term(t.object)} ." for t in graph)
+    lines = sorted(f"{nt_term(t.subject)} {nt_term(t.predicate)} {nt_term(t.object)} ." for t in graph._triples)
     return "".join(line + "\n" for line in lines)
 
 
@@ -412,6 +456,7 @@ def serialize(graph: Graph, fmt: str) -> str:
 _IRI_PAT = r"<([^\x00-\x20<>\"{}|^`\\]*)>"
 _LIT_PAT = r'"((?:[^"\\\r\n]|\\.)*)"(?:\^\^' + _IRI_PAT + r"|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?"
 _LINE_RE = re.compile(rf"^{_IRI_PAT}\s+{_IRI_PAT}\s+(?:{_IRI_PAT}|{_LIT_PAT})\s*\.$")
+_LITERAL_RE = re.compile(_LIT_PAT)
 _UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 _UNESCAPE_MAP = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
@@ -430,11 +475,36 @@ def _unescape(text: str, line: int) -> str:
     return _UNESCAPE_RE.sub(repl, text)
 
 
+def _literal(lexical: str, datatype: Optional[str], lang: Optional[str], line: int) -> Literal:
+    text = _unescape(lexical, line)
+    if lang is not None:
+        return Literal(text, lang=lang)
+    if datatype is not None:
+        return Literal(text, Iri(datatype))
+    return Literal(text)
+
+
+def parse_literal(text: str) -> Literal:
+    """One literal in N-Triples syntax, such as ``"a\\nb"`` or ``"x"@en``;
+    the inverse of :func:`nt_term` on literals."""
+    m = _LITERAL_RE.fullmatch(text)
+    if m is None:
+        raise NTriplesSyntaxError(f"not an N-Triples literal: {text!r}", 1)
+    try:
+        return _literal(*m.groups(), 1)
+    except ValueError as exc:
+        raise NTriplesSyntaxError(str(exc), 1) from exc
+
+
 def from_ntriples(data: Union[str, bytes]) -> Graph:
     """Parse an N-Triples document; inverse of :func:`to_ntriples` on
     canonical output. Blank lines and ``#`` comment lines are skipped."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise NTriplesSyntaxError(f"invalid UTF-8 byte 0x{data[exc.start]:02X}", line) from exc
     graph = Graph()
     for lineno, raw in enumerate(data.split("\n"), 1):
         line = raw.strip()
@@ -447,14 +517,7 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
         try:
             subject = Iri(s_iri)
             predicate = Iri(p_iri)
-            if o_iri is not None:
-                obj: NodeRef = Iri(o_iri)
-            elif o_lang is not None:
-                obj = Literal(_unescape(o_lex, lineno), lang=o_lang)
-            elif o_dt is not None:
-                obj = Literal(_unescape(o_lex, lineno), Iri(o_dt))
-            else:
-                obj = Literal(_unescape(o_lex, lineno))
+            obj = Iri(o_iri) if o_iri is not None else _literal(o_lex, o_dt, o_lang, lineno)
             graph.add(Triple(subject, predicate, obj))
         except (ValueError, InvalidTripleError) as exc:
             raise NTriplesSyntaxError(str(exc), lineno) from exc

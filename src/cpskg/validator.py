@@ -39,8 +39,7 @@ class Finding:
     message: str
 
     def render(self) -> str:
-        node = f"<{self.node.value}>" if isinstance(self.node, Iri) else repr(self.node)
-        return f"{self.rule} {self.severity} {node} {self.message}"
+        return f"{self.rule} {self.severity} {nt_term(self.node)} {self.message}"
 
 
 @dataclass

@@ -169,6 +169,31 @@ def test_query_escapes_literals_in_rows(run_cli, tmp_path):
     assert result.stdout.splitlines() == [f'{EHSA_BASE}/s\t{EHSA_BASE}/p\t"two\\nlines\\tand \\"quotes\\""']
 
 
+def test_query_rows_paste_back_as_patterns(run_cli, tmp_path):
+    """A literal that query prints is valid pattern syntax for that literal."""
+    graph = Graph()
+    graph.add(Triple(Iri(f"{EHSA_BASE}/s1"), Iri(f"{EHSA_BASE}/p"), Literal("a\nb")))
+    graph.add(Triple(Iri(f"{EHSA_BASE}/s2"), Iri(f"{EHSA_BASE}/p"), Literal("x", lang="en")))
+    path = tmp_path / "literals.nt"
+    path.write_text(to_ntriples(graph), encoding="utf-8")
+    rows = run_cli("query", "--in", str(path), "--pattern", "?a ?b ?c").stdout.splitlines()
+    assert [row.split("\t")[2] for row in rows] == ['"a\\nb"', '"x"@en']
+    for row in rows:
+        subject, predicate, literal = row.split("\t")
+        result = run_cli("query", "--in", str(path), "--pattern", f"?a ?b {literal}")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [f"{subject}\t{predicate}"]
+
+
+def test_validate_non_utf8_input_exits_1(run_cli, tmp_path):
+    path = tmp_path / "utf16.nt"
+    path.write_bytes("<http://example.org/s> <http://example.org/p> <http://example.org/o> .\n".encode("utf-16"))
+    result = run_cli("validate", "--in", str(path))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: line 1: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_non_absolute_base_exits_1(run_cli):
     for args in (
         ("om2rdf", "--in", EQ1_XML, "--base", "not-an-iri"),

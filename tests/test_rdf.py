@@ -21,6 +21,7 @@ from cpskg.rdf import (
     Var,
     from_ntriples,
     match,
+    nt_term,
     serialize,
     to_ntriples,
     to_turtle,
@@ -114,6 +115,12 @@ def test_parse_garbage_line_reports_line_number():
     with pytest.raises(NTriplesSyntaxError) as excinfo:
         from_ntriples("this is not ntriples\n")
     assert excinfo.value.line == 1
+
+
+def test_parse_non_utf8_names_line_of_first_bad_byte():
+    with pytest.raises(NTriplesSyntaxError) as excinfo:
+        from_ntriples(b"# ok\n\n<http://example.org/\xe9> <http://example.org/p> <http://example.org/o> .\n")
+    assert excinfo.value.line == 3
 
 
 def test_parse_blank_node_rejected():
@@ -271,3 +278,75 @@ def test_serialization_ignores_insertion_order(triples, rnd):
         g2.add(x)
     assert to_ntriples(g1) == to_ntriples(g2)
     assert to_turtle(g1) == to_turtle(g2)
+
+
+# --- lookup indexes ---------------------------------------------------------
+
+# A small term universe, so that adds, discards and lookups hit the same keys.
+_few_iris = st.sampled_from([EX.term(x) for x in "abc"])
+_few_triples = st.builds(Triple, _few_iris, _few_iris, st.one_of(_few_iris, st.sampled_from([Literal("x"), Literal("x", lang="en")])))
+_graph_ops = st.one_of(
+    st.tuples(st.just("add"), _few_triples),
+    st.tuples(st.just("discard"), _few_triples),
+    st.tuples(st.just("update"), st.lists(_few_triples, max_size=4), st.booleans()),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("lookup"), _few_triples),
+)
+
+
+def _check_lookups(graph: Graph, probe: Triple) -> None:
+    """Every lookup shape agrees with a filter over the graph's triple set."""
+    everything = set(graph)
+
+    def select(s, p, o) -> list[Triple]:
+        return [
+            x
+            for x in everything
+            if (s is None or x.subject == s) and (p is None or x.predicate == p) and (o is None or x.object == o)
+        ]
+
+    for s, p, o in itertools.product((probe.subject, None), (probe.predicate, None), (probe.object, None)):
+        assert graph.triples(s, p, o) == sorted(select(s, p, o), key=Triple.sort_key)
+    for p, o in itertools.product((probe.predicate, None), (probe.object, None)):
+        assert graph.subjects(p, o) == sorted({x.subject for x in select(None, p, o)}, key=nt_term)
+    assert graph.objects(probe.subject, probe.predicate) == sorted((x.object for x in select(probe.subject, probe.predicate, None)), key=nt_term)
+
+
+@given(st.lists(_graph_ops, max_size=30), _few_triples)
+def test_indexed_lookups_match_brute_force(ops, probe):
+    """Lookups interleaved with changes build the indexes mid-sequence; every
+    later change must keep them in step, and a copy must stay independent."""
+    graph = Graph()
+    copied: list[tuple[Graph, set[Triple]]] = []
+    for op, *args in ops:
+        if op == "add":
+            graph.add(args[0])
+        elif op == "discard":
+            graph.discard(args[0])
+        elif op == "update":
+            other = Graph()
+            other.add_all(args[0])
+            if args[1]:
+                other.objects(EX.a, EX.a)  # index the other side too
+            graph.update(other)
+        elif op == "copy":
+            copied.append((graph, set(graph)))
+            graph = graph.copy()
+        else:
+            _check_lookups(graph, args[0])
+    _check_lookups(graph, probe)
+    for original, triples in copied:
+        assert set(original) == triples
+        _check_lookups(original, probe)
+
+
+def test_discarding_the_last_triple_of_a_key_leaves_no_trace():
+    g = Graph()
+    g.add(t("s", "p", "o"))
+    assert g.objects(EX.s, EX.p) == [EX.o]  # builds the indexes
+    g.discard(t("s", "p", "o"))
+    assert g.triples(EX.s) == g.triples(None, EX.p) == g.triples(None, EX.p, EX.o) == []
+    assert g.objects(EX.s, EX.p) == g.subjects(EX.p) == g.subjects(EX.p, EX.o) == []
+    g.add(t("s", "q", "o"))
+    assert g.triples(EX.s) == g.triples(None, None, EX.o) == [t("s", "q", "o")]
+    assert g.subjects(EX.p) == g.subjects(EX.p, EX.o) == []

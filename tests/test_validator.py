@@ -57,6 +57,9 @@ def test_v1_malformed_list(ehsa_graph, mutation):
         rdf_to_om(mutated, wrapper)
     expected = Literal("tail") if mutation == "literal_tail" else victim.subject
     assert finding.node == raised.value.node == expected
+    if mutation == "literal_tail":
+        rendered = finding.render()
+        assert '"tail"' in rendered and "Literal(" not in rendered
 
 
 def test_v2_missing_operator(ehsa_graph):
