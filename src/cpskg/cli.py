@@ -203,7 +203,7 @@ def cmd_eval(args: argparse.Namespace, cfg: ToolConfig) -> int:
     else:
         expr = parse_openmath_xml(Path(args.in_path).read_bytes(), strict=cfg.strict)
     bindings = load_bindings(args.bindings)
-    value = evaluate(expr, bindings, registry=cfg.registry)
+    value = evaluate(expr, bindings)
     print(f"{value:.12g}")
     return EXIT_OK
 

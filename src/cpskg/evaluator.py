@@ -6,18 +6,24 @@ evaluate; differential, integral, and statistics operators raise
 :class:`UnsupportedOperatorError`. Equality evaluates to the residual
 ``|lhs - rhs|`` so tests can assert that a binding satisfies an equation
 without solving anything.
+
+The ``_RULES`` table below is the only record of which symbols evaluate and
+with how many arguments; the symbol registry plays no part, so a symbol that
+a configuration file adds is never evaluable.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import CpskgError
-from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
+from .om.registry import DIVIDE, EQUALS, MINUS, PLUS, POWER, TIMES, UNARY_MINUS
 from .om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
 
 __all__ = [
@@ -78,7 +84,7 @@ def load_bindings(path: Union[str, Path]) -> dict[str, float]:
     """Read a JSON object mapping variable names to numbers."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
         raise EvaluationError(f"invalid JSON in bindings file: {exc}") from exc
     if not isinstance(data, dict):
         raise EvaluationError("bindings file must contain a JSON object")
@@ -90,20 +96,49 @@ def load_bindings(path: Union[str, Path]) -> dict[str, float]:
     return out
 
 
-def _arity(args: list[float], n: int, symbol: Symbol) -> None:
-    if len(args) != n:
-        raise EvaluationError(f"{symbol.cd}#{symbol.name} expects {n} argument(s), got {len(args)}")
+def _power(base: float, exponent: float) -> float:
+    if base == 0.0 and exponent < 0.0:
+        raise ZeroDivisionError(f"0.0 raised to the negative power {exponent}")
+    try:
+        # math.pow stays real; the ** operator would go complex here
+        return math.pow(base, exponent)
+    except ValueError as exc:
+        raise DomainError(f"power outside the real domain: {base}^{exponent}") from exc
 
 
-def evaluate(expr: OMExpression, bindings: Bindings, *, registry: SymbolRegistry = DEFAULT_REGISTRY) -> float:
+def _ln(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"ln of a non-positive value: {x}")
+    return math.log(x)
+
+
+# symbol -> (argument count, or None for "at least one"; rule). A symbol
+# missing here is not numerically evaluable.
+_RULES: dict[Symbol, tuple[Optional[int], Callable[..., float]]] = {
+    PLUS: (None, lambda *xs: functools.reduce(operator.add, xs)),
+    TIMES: (None, lambda *xs: functools.reduce(operator.mul, xs)),
+    MINUS: (2, operator.sub),
+    DIVIDE: (2, operator.truediv),
+    POWER: (2, _power),
+    UNARY_MINUS: (1, operator.neg),
+    EQUALS: (2, lambda lhs, rhs: abs(lhs - rhs)),
+    Symbol("transc1", "sin"): (1, math.sin),
+    Symbol("transc1", "cos"): (1, math.cos),
+    Symbol("transc1", "tan"): (1, math.tan),
+    Symbol("transc1", "exp"): (1, math.exp),
+    Symbol("transc1", "ln"): (1, _ln),
+}
+
+
+def evaluate(expr: OMExpression, bindings: Bindings) -> float:
     """Recursively evaluate ``expr`` under ``bindings`` to a double.
 
     Division by zero surfaces as the builtin :class:`ZeroDivisionError`.
     """
-    return _eval(expr, binding_map(bindings), registry)
+    return _eval(expr, binding_map(bindings))
 
 
-def _eval(expr: OMExpression, bindings: dict[str, float], registry: SymbolRegistry) -> float:
+def _eval(expr: OMExpression, bindings: dict[str, float]) -> float:
     if isinstance(expr, Variable):
         try:
             return bindings[expr.name]
@@ -120,62 +155,14 @@ def _eval(expr: OMExpression, bindings: dict[str, float], registry: SymbolRegist
     op = expr.operator
     if not isinstance(op, Symbol):
         raise EvaluationError("operator must be a content-dictionary symbol")
-    info = registry.info(op)
-    if info is None or not info.evaluable:
+    rule = _RULES.get(op)
+    if rule is None:
         raise UnsupportedOperatorError(op.cd, op.name)
-    args = [_eval(a, bindings, registry) for a in expr.arguments]
-
-    if op.cd == "arith1":
-        if op.name == "plus":
-            if not args:
-                raise EvaluationError("arith1#plus expects at least one argument")
-            result = args[0]
-            for value in args[1:]:
-                result += value
-            return result
-        if op.name == "times":
-            if not args:
-                raise EvaluationError("arith1#times expects at least one argument")
-            result = args[0]
-            for value in args[1:]:
-                result *= value
-            return result
-        if op.name == "minus":
-            _arity(args, 2, op)
-            return args[0] - args[1]
-        if op.name == "divide":
-            _arity(args, 2, op)
-            return args[0] / args[1]
-        if op.name == "power":
-            _arity(args, 2, op)
-            base, exponent = args
-            if base == 0.0 and exponent < 0.0:
-                raise ZeroDivisionError(f"0.0 raised to the negative power {exponent}")
-            try:
-                # math.pow stays real; the ** operator would go complex here
-                return math.pow(base, exponent)
-            except ValueError as exc:
-                raise DomainError(f"power outside the real domain: {base}^{exponent}") from exc
-        if op.name == "unary_minus":
-            _arity(args, 1, op)
-            return -args[0]
-    if op == Symbol("relation1", "eq"):
-        _arity(args, 2, op)
-        return abs(args[0] - args[1])
-    if op.cd == "transc1":
-        _arity(args, 1, op)
-        x = args[0]
-        if op.name == "sin":
-            return math.sin(x)
-        if op.name == "cos":
-            return math.cos(x)
-        if op.name == "tan":
-            return math.tan(x)
-        if op.name == "exp":
-            return math.exp(x)
-        if op.name == "ln":
-            if x <= 0.0:
-                raise DomainError(f"ln of a non-positive value: {x}")
-            return math.log(x)
-    # marked evaluable (e.g. via configuration) but no rule here
-    raise UnsupportedOperatorError(op.cd, op.name)
+    arity, apply = rule
+    args = [_eval(a, bindings) for a in expr.arguments]
+    if arity is None:
+        if not args:
+            raise EvaluationError(f"{op.cd}#{op.name} expects at least one argument")
+    elif len(args) != arity:
+        raise EvaluationError(f"{op.cd}#{op.name} expects {arity} argument(s), got {len(args)}")
+    return apply(*args)

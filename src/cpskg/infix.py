@@ -26,20 +26,21 @@ from .om.registry import (
     MINUS,
     PLUS,
     POWER,
-    PREC_ADD,
-    PREC_EQ,
-    PREC_MUL,
-    PREC_POW,
-    PREC_UNARY,
     TIMES,
     UNARY_MINUS,
-    SymbolInfo,
     SymbolRegistry,
 )
 from .om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
 
 __all__ = ["LexError", "ParseError", "UnknownFunctionError", "parse_infix", "print_infix"]
 
+# binding strength of operators and of rendered forms, for parsing and
+# for deciding parenthesization when printing
+PREC_EQ = 1
+PREC_ADD = 2
+PREC_MUL = 3
+PREC_UNARY = 4
+PREC_POW = 5
 _ATOM = 10
 
 
@@ -97,12 +98,11 @@ def _lex(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], registry: SymbolRegistry, strict: bool, default_cd: str):
+    def __init__(self, tokens: list[_Token], registry: SymbolRegistry, strict: bool):
         self.tokens = tokens
         self.i = 0
         self.registry = registry
         self.strict = strict
-        self.default_cd = default_cd
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -176,7 +176,7 @@ class _Parser:
             if symbol is None:
                 if self.strict:
                     raise UnknownFunctionError(f"unknown function {tok.text!r}")
-                symbol = Symbol(self.default_cd, tok.text)
+                symbol = Symbol("user1", tok.text)
             return Application(symbol, tuple(self.arguments()))
         return Variable(tok.text)
 
@@ -192,22 +192,17 @@ class _Parser:
         return args
 
 
-def parse_infix(
-    text: str,
-    *,
-    registry: SymbolRegistry = DEFAULT_REGISTRY,
-    strict: bool = True,
-    default_cd: str = "user1",
-) -> OMExpression:
+def parse_infix(text: str, *, registry: SymbolRegistry = DEFAULT_REGISTRY, strict: bool = True) -> OMExpression:
     """Parse infix text into an expression tree.
 
     ``=`` may appear once, at statement level, and produces an application
     of ``relation1.eq``. Numbers without a decimal point or exponent become
-    integer literals, all others doubles.
+    integer literals, all others doubles. With ``strict=False`` a function
+    name the registry does not resolve becomes a ``user1`` symbol.
     """
     if not text.strip():
         raise ParseError("empty input")
-    parser = _Parser(_lex(text), registry, strict, default_cd)
+    parser = _Parser(_lex(text), registry, strict)
     expr = parser.expression(0)
     if parser.peek().text == "=":
         parser.advance()
@@ -228,71 +223,51 @@ def _is_numeric_literal(expr: OMExpression) -> bool:
     return isinstance(expr, (IntLiteral, FloatLiteral))
 
 
-def _display_prec(expr: OMExpression, registry: SymbolRegistry) -> int:
-    """Binding strength of the rendered form, used to decide parenthesization."""
-    if isinstance(expr, IntLiteral):
-        return PREC_UNARY if expr.value < 0 else _ATOM
-    if isinstance(expr, FloatLiteral):
-        return PREC_UNARY if repr(expr.value).startswith("-") else _ATOM
-    if isinstance(expr, Application) and isinstance(expr.operator, Symbol):
-        op = expr.operator
-        if op == UNARY_MINUS and len(expr.arguments) == 1 and not _is_numeric_literal(expr.arguments[0]):
-            return PREC_UNARY
-        entry = _BINARY.get((registry.info(op) or _NO_INFO).token or "")
-        if entry is not None and entry[0] == op and len(expr.arguments) == 2:
-            return entry[1]
-    return _ATOM
-
-
-_NO_INFO = SymbolInfo()
-
-
 def _fmt(expr: OMExpression, min_prec: int, registry: SymbolRegistry) -> str:
-    rendered = _fmt_raw(expr, registry)
-    if _display_prec(expr, registry) < min_prec:
-        return f"({rendered})"
-    return rendered
+    rendered, prec = _render(expr, registry)
+    return f"({rendered})" if prec < min_prec else rendered
 
 
 def _call(head: str, arguments: tuple[OMExpression, ...], registry: SymbolRegistry) -> str:
     return f"{head}({', '.join(_fmt(a, 0, registry) for a in arguments)})"
 
 
-def _fmt_raw(expr: OMExpression, registry: SymbolRegistry) -> str:
+def _render(expr: OMExpression, registry: SymbolRegistry) -> tuple[str, int]:
+    """Render ``expr`` unparenthesized, with the binding strength of that form."""
     if isinstance(expr, Variable):
-        return expr.name
+        return expr.name, _ATOM
     if isinstance(expr, IntLiteral):
-        return str(expr.value)
+        return str(expr.value), PREC_UNARY if expr.value < 0 else _ATOM
     if isinstance(expr, FloatLiteral):
-        return repr(expr.value)
+        text = repr(expr.value)
+        return text, PREC_UNARY if text.startswith("-") else _ATOM
     if isinstance(expr, Symbol):
-        return f"{expr.cd}.{expr.name}"
-    if isinstance(expr, Application):
-        op = expr.operator
-        if isinstance(op, Symbol):
-            info = registry.info(op)
-            token = info.token if info else None
-            if op == UNARY_MINUS and len(expr.arguments) == 1:
-                arg = expr.arguments[0]
-                if not _is_numeric_literal(arg):
-                    return f"-{_fmt(arg, PREC_UNARY, registry)}"
-                # "-3" would re-parse as a negative literal, not an application
-                return _call(f"{op.cd}.{op.name}", expr.arguments, registry)
-            entry = _BINARY.get(token or "")
-            if entry is not None and entry[0] == op and len(expr.arguments) == 2:
-                prec, assoc = entry[1], entry[2]
-                left_min = prec if assoc == "left" else prec + 1
-                right_min = prec + 1 if assoc == "left" else prec
-                sep = token if token in _TIGHT else f" {token} "
-                left = _fmt(expr.arguments[0], left_min, registry)
-                right = _fmt(expr.arguments[1], right_min, registry)
-                return f"{left}{sep}{right}"
-            if token and (token[0].isalpha() or token[0] == "_") and registry.function_symbol(token) == op:
-                return _call(token, expr.arguments, registry)
-            return _call(f"{op.cd}.{op.name}", expr.arguments, registry)
+        return f"{expr.cd}.{expr.name}", _ATOM
+    if not isinstance(expr, Application):
+        raise TypeError(f"not an expression node: {expr!r}")
+    op = expr.operator
+    if not isinstance(op, Symbol):
         # non-symbol operator: readable but outside the grammar
-        return _call(_fmt(op, _ATOM, registry), expr.arguments, registry)
-    raise TypeError(f"not an expression node: {expr!r}")
+        return _call(_fmt(op, _ATOM, registry), expr.arguments, registry), _ATOM
+    if op == UNARY_MINUS and len(expr.arguments) == 1:
+        arg = expr.arguments[0]
+        if not _is_numeric_literal(arg):
+            return f"-{_fmt(arg, PREC_UNARY, registry)}", PREC_UNARY
+        # "-3" would re-parse as a negative literal, not an application
+        return _call(f"{op.cd}.{op.name}", expr.arguments, registry), _ATOM
+    token = registry.token(op)
+    entry = _BINARY.get(token or "")
+    if entry is not None and entry[0] == op and len(expr.arguments) == 2:
+        _, prec, assoc = entry
+        left_min = prec if assoc == "left" else prec + 1
+        right_min = prec + 1 if assoc == "left" else prec
+        sep = token if token in _TIGHT else f" {token} "
+        left = _fmt(expr.arguments[0], left_min, registry)
+        right = _fmt(expr.arguments[1], right_min, registry)
+        return f"{left}{sep}{right}", prec
+    if token and registry.function_symbol(token) == op:
+        return _call(token, expr.arguments, registry), _ATOM
+    return _call(f"{op.cd}.{op.name}", expr.arguments, registry), _ATOM
 
 
 def print_infix(expr: OMExpression, *, registry: SymbolRegistry = DEFAULT_REGISTRY) -> str:

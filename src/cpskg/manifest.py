@@ -325,7 +325,7 @@ def load_manifest(path: Union[str, Path]) -> CpsManifest:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
         raise ManifestError([("$", f"invalid JSON: {exc}")]) from exc
     if not isinstance(data, dict):
         raise ManifestError([("$", "manifest must be a JSON object")])

@@ -1,6 +1,6 @@
 """Expression layer: trees, the content-dictionary registry, and XML I/O."""
 
-from .registry import DEFAULT_REGISTRY, SymbolInfo, SymbolRegistry
+from .registry import DEFAULT_REGISTRY, SymbolRegistry
 from .tree import (
     Application,
     FloatLiteral,
@@ -24,7 +24,6 @@ __all__ = [
     "OMExpression",
     "OmStructureError",
     "Symbol",
-    "SymbolInfo",
     "SymbolRegistry",
     "Variable",
     "XmlSyntaxError",

@@ -1,14 +1,16 @@
 """Content-dictionary symbol registry.
 
-Records, per ``(cd, name)`` pair: an advisory arity, whether the evaluator
-may compute it numerically, its infix spelling (operator character or
-function-call name), and its binary precedence. The registry is immutable;
+Maps each known ``(cd, name)`` pair to its infix spelling (an operator
+character or a function-call name), or to ``None`` when the symbol has no
+infix spelling. Its readers use it for membership, rule V7's ``knows_cd``,
+the parser's ``function_symbol`` and the printer's ``token``. Which symbols
+evaluate, and with how many arguments, is recorded by the evaluator alone;
+operator precedence by the infix module alone. The registry is immutable;
 ``extended`` returns a widened copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .tree import Symbol
@@ -23,23 +25,10 @@ __all__ = [
     "PARTIALDIFF",
     "PLUS",
     "POWER",
-    "PREC_ADD",
-    "PREC_EQ",
-    "PREC_MUL",
-    "PREC_POW",
-    "PREC_UNARY",
-    "SymbolInfo",
     "SymbolRegistry",
     "TIMES",
     "UNARY_MINUS",
 ]
-
-# Binary/unary operator binding strength, shared by the infix parser and printer.
-PREC_EQ = 1
-PREC_ADD = 2
-PREC_MUL = 3
-PREC_UNARY = 4
-PREC_POW = 5
 
 PLUS = Symbol("arith1", "plus")
 MINUS = Symbol("arith1", "minus")
@@ -53,77 +42,61 @@ PARTIALDIFF = Symbol("weylalgebra1", "partialdiff")
 INTEGRAL = Symbol("calculus1", "int")
 
 
-@dataclass(frozen=True)
-class SymbolInfo:
-    """Registry entry. ``arity`` is advisory and never enforced by parsers."""
-
-    arity: Optional[int] = None
-    evaluable: bool = False
-    token: Optional[str] = None
-    precedence: Optional[int] = None
-
-
 class SymbolRegistry:
-    """Immutable lookup table from ``(cd, name)`` to :class:`SymbolInfo`."""
+    """Immutable lookup table from ``(cd, name)`` to its infix token or ``None``."""
 
-    def __init__(self, entries: Mapping[tuple[str, str], SymbolInfo]):
-        self._entries = dict(entries)
+    def __init__(self, entries: Mapping[tuple[str, str], Optional[str]]):
+        self._tokens = dict(entries)
         self._functions: dict[str, Symbol] = {}
-        for (cd, name), info in sorted(self._entries.items()):
-            token = info.token
+        for (cd, name), token in sorted(self._tokens.items()):
             if token and (token[0].isalpha() or token[0] == "_"):
                 self._functions.setdefault(token, Symbol(cd, name))
 
-    def get(self, cd: str, name: str) -> Optional[SymbolInfo]:
-        return self._entries.get((cd, name))
-
-    def info(self, symbol: Symbol) -> Optional[SymbolInfo]:
-        return self.get(symbol.cd, symbol.name)
+    def token(self, symbol: Symbol) -> Optional[str]:
+        """The symbol's infix spelling, or ``None`` if it has none or is unknown."""
+        return self._tokens.get((symbol.cd, symbol.name))
 
     def knows_cd(self, cd: str) -> bool:
-        return any(entry_cd == cd for entry_cd, _ in self._entries)
+        return any(entry_cd == cd for entry_cd, _ in self._tokens)
 
     def function_symbol(self, token: str) -> Optional[Symbol]:
         """Resolve a function-call spelling (``sin``, ``diff``, ...) to its symbol."""
         return self._functions.get(token)
 
-    def extended(self, extra: Mapping[tuple[str, str], SymbolInfo]) -> "SymbolRegistry":
-        merged = dict(self._entries)
+    def extended(self, extra: Mapping[tuple[str, str], Optional[str]]) -> "SymbolRegistry":
+        merged = dict(self._tokens)
         merged.update(extra)
         return SymbolRegistry(merged)
 
     def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._entries
+        return key in self._tokens
 
-    def __iter__(self) -> Iterator[tuple[tuple[str, str], SymbolInfo]]:
-        return iter(sorted(self._entries.items()))
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def __iter__(self) -> Iterator[tuple[tuple[str, str], Optional[str]]]:
+        return iter(sorted(self._tokens.items()))
 
 
-_DEFAULT_ENTRIES: dict[tuple[str, str], SymbolInfo] = {
-    ("arith1", "plus"): SymbolInfo(2, True, "+", PREC_ADD),
-    ("arith1", "minus"): SymbolInfo(2, True, "-", PREC_ADD),
-    ("arith1", "times"): SymbolInfo(2, True, "*", PREC_MUL),
-    ("arith1", "divide"): SymbolInfo(2, True, "/", PREC_MUL),
-    ("arith1", "power"): SymbolInfo(2, True, "^", PREC_POW),
-    ("arith1", "unary_minus"): SymbolInfo(1, True, "-", PREC_UNARY),
-    ("relation1", "eq"): SymbolInfo(2, True, "=", PREC_EQ),
-    ("weylalgebra1", "diff"): SymbolInfo(2, False, "diff", None),
-    ("weylalgebra1", "partialdiff"): SymbolInfo(None, False, "partialdiff", None),
-    ("calculus1", "int"): SymbolInfo(1, False, "int", None),
-    ("transc1", "sin"): SymbolInfo(1, True, "sin", None),
-    ("transc1", "cos"): SymbolInfo(1, True, "cos", None),
-    ("transc1", "tan"): SymbolInfo(1, True, "tan", None),
-    ("transc1", "exp"): SymbolInfo(1, True, "exp", None),
-    ("transc1", "ln"): SymbolInfo(1, True, "ln", None),
-    ("stats1", "mean"): SymbolInfo(None, False, None, None),
-    ("stats1", "sdev"): SymbolInfo(None, False, None, None),
-    ("stats1", "variance"): SymbolInfo(None, False, None, None),
-    ("stats1", "median"): SymbolInfo(None, False, None, None),
-    ("stats1", "mode"): SymbolInfo(None, False, None, None),
-    ("stats1", "moment"): SymbolInfo(None, False, None, None),
-}
-
-DEFAULT_REGISTRY = SymbolRegistry(_DEFAULT_ENTRIES)
+DEFAULT_REGISTRY = SymbolRegistry(
+    {
+        ("arith1", "plus"): "+",
+        ("arith1", "minus"): "-",
+        ("arith1", "times"): "*",
+        ("arith1", "divide"): "/",
+        ("arith1", "power"): "^",
+        ("arith1", "unary_minus"): "-",
+        ("relation1", "eq"): "=",
+        ("weylalgebra1", "diff"): "diff",
+        ("weylalgebra1", "partialdiff"): "partialdiff",
+        ("calculus1", "int"): "int",
+        ("transc1", "sin"): "sin",
+        ("transc1", "cos"): "cos",
+        ("transc1", "tan"): "tan",
+        ("transc1", "exp"): "exp",
+        ("transc1", "ln"): "ln",
+        ("stats1", "mean"): None,
+        ("stats1", "sdev"): None,
+        ("stats1", "variance"): None,
+        ("stats1", "median"): None,
+        ("stats1", "mode"): None,
+        ("stats1", "moment"): None,
+    }
+)

@@ -2,9 +2,8 @@
 
 All vocabulary namespaces except rdf/xsd/sosa are repo-local defaults and
 can be overridden through one JSON configuration file (see
-docs/namespaces.md). The configuration also controls strictness, the
-default content dictionary for lenient function resolution, the CD base
-IRI used for symbol nodes, and registry extensions.
+docs/namespaces.md). The configuration also sets strictness, the CD base
+IRI used for symbol nodes, and symbols added to the registry.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from .errors import CpskgError
-from .om.registry import DEFAULT_REGISTRY, SymbolInfo, SymbolRegistry
+from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
 from .rdf import Namespace
 
 __all__ = [
@@ -99,47 +98,56 @@ class ToolConfig:
 
     vocab: CpsVocabulary = field(default_factory=CpsVocabulary.default)
     strict: bool = True
-    default_cd: str = "user1"
     registry: SymbolRegistry = DEFAULT_REGISTRY
 
 
 def load_config(path: Union[str, Path, None]) -> ToolConfig:
     """Load a JSON configuration file; ``None`` yields the defaults.
 
-    Recognized keys: ``namespaces`` (prefix to IRI overrides), ``cdBase``,
-    ``strict``, ``defaultCd``, ``symbols`` (registry extensions, each with
-    ``cd``, ``name`` and optional ``arity``/``evaluable``/``token``/
-    ``precedence``).
+    The keys read are ``namespaces`` (an object of prefix to IRI overrides),
+    ``cdBase`` (a string), ``strict`` (a boolean) and ``symbols`` (a list of
+    registry additions, each an object with non-empty string ``cd`` and
+    ``name`` and an optional string ``token``, the infix spelling). A value
+    of the wrong type is a :class:`ConfigError` naming its key; other keys
+    are ignored.
     """
     if path is None:
         return ToolConfig()
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
         raise ConfigError(f"invalid JSON in configuration file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("configuration file must contain a JSON object")
+    namespaces = data.get("namespaces", {})
+    if not isinstance(namespaces, dict) or not all(isinstance(v, str) for v in namespaces.values()):
+        raise ConfigError("configuration key 'namespaces' must be an object of strings")
+    cd_base = data.get("cdBase", DEFAULT_CD_BASE)
+    if not isinstance(cd_base, str):
+        raise ConfigError("configuration key 'cdBase' must be a string")
+    strict = data.get("strict", True)
+    if not isinstance(strict, bool):
+        raise ConfigError("configuration key 'strict' must be a boolean")
+    symbols = data.get("symbols", [])
+    if not isinstance(symbols, list):
+        raise ConfigError("configuration key 'symbols' must be a list")
+    extra: dict[tuple[str, str], Optional[str]] = {}
+    for i, entry in enumerate(symbols):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("cd"), str)
+            and isinstance(entry.get("name"), str)
+            and entry["cd"]
+            and entry["name"]
+            and isinstance(entry.get("token", ""), str)
+        ):
+            raise ConfigError(
+                f"configuration key 'symbols' entry {i} must be an object with non-empty string "
+                f"'cd' and 'name' and an optional string 'token': {entry!r}"
+            )
+        extra[(entry["cd"], entry["name"])] = entry.get("token")
     try:
-        vocab = CpsVocabulary.from_mapping(data.get("namespaces", {}), data.get("cdBase"))
+        vocab = CpsVocabulary.from_mapping(namespaces, cd_base)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    registry = DEFAULT_REGISTRY
-    extra: dict[tuple[str, str], SymbolInfo] = {}
-    for entry in data.get("symbols", []):
-        try:
-            extra[(entry["cd"], entry["name"])] = SymbolInfo(
-                arity=entry.get("arity"),
-                evaluable=bool(entry.get("evaluable", False)),
-                token=entry.get("token"),
-                precedence=entry.get("precedence"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"invalid symbol entry: {entry!r}") from exc
-    if extra:
-        registry = registry.extended(extra)
-    return ToolConfig(
-        vocab=vocab,
-        strict=bool(data.get("strict", True)),
-        default_cd=str(data.get("defaultCd", "user1")),
-        registry=registry,
-    )
+    return ToolConfig(vocab=vocab, strict=strict, registry=DEFAULT_REGISTRY.extended(extra))

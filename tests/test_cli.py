@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from cpskg.infix import parse_infix
 from cpskg.om.xmlio import parse_openmath_xml
 from cpskg.rdf import RDF, Graph, Iri, Literal, Triple, from_ntriples, to_ntriples
 from cpskg.validator import validate
 from conftest import EHSA_BASE, FIXTURES
+from test_manifest import minimal_manifest
 
 MANIFEST = str(FIXTURES / "manifest.json")
 EQ1_XML = str(FIXTURES / "chamber1_pressure_rate.om.xml")
@@ -302,3 +305,38 @@ def test_config_overrides_namespace(run_cli, tmp_path):
     result = run_cli("--config", str(config), "om2rdf", "--in", EQ1_XML, "--base", EHSA_BASE, "--id", "e")
     assert result.returncode == 0
     assert "http://custom.example/om#" in result.stdout
+
+
+@pytest.mark.parametrize("flag", ["--manifest", "--config", "--bindings"])
+def test_non_utf8_json_input_exits_1(run_cli, tmp_path, flag):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes("{}".encode("utf-16"))
+    args = {
+        "--manifest": ("build", "--manifest", str(bad)),
+        "--config": ("--config", str(bad), "build", "--manifest", MANIFEST),
+        "--bindings": ("eval", "--in", EQ1_RHS_XML, "--bindings", str(bad)),
+    }[flag]
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_config_symbols_extend_the_registry(run_cli, tmp_path):
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["equations"] = [{"id": "hyperbolic", "infix": "y = cosh(x)"}]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"symbols": [{"cd": "transc1", "name": "cosh", "token": "cosh"}]}), encoding="utf-8")
+
+    rejected = run_cli("build", "--manifest", str(manifest))
+    assert rejected.returncode == 1
+    assert "unknown function" in rejected.stderr
+
+    graph = tmp_path / "graph.nt"
+    built = run_cli("--config", str(config), "build", "--manifest", str(manifest), "--out", str(graph))
+    assert built.returncode == 0, built.stderr
+    exported = run_cli("--config", str(config), "export", "--in", str(graph), "--operator", f"{data['instanceBase']}/Doubler")
+    assert exported.returncode == 0, exported.stderr
+    assert exported.stdout.splitlines()[0] == "y = cosh(x)"

@@ -106,7 +106,7 @@ def test_lex_error():
 def test_unknown_function_strict_vs_lenient():
     with pytest.raises(UnknownFunctionError):
         parse_infix("foo(x)")
-    assert parse_infix("foo(x)", strict=False, default_cd="user1") == app(Symbol("user1", "foo"), X)
+    assert parse_infix("foo(x)", strict=False) == app(Symbol("user1", "foo"), X)
 
 
 def test_print_simple():

@@ -193,7 +193,7 @@ def test_registry_closure_on_ehsa_equations(ehsa_manifest):
                 else:
                     tree = parse_openmath_xml((ehsa_manifest.base_dir / eq.xml_path).read_bytes())
                 for symbol in symbols_used(tree):
-                    assert DEFAULT_REGISTRY.info(symbol) is not None, symbol
+                    assert (symbol.cd, symbol.name) in DEFAULT_REGISTRY, symbol
 
 
 def test_referential_closure_of_variable_links(ehsa_graph):

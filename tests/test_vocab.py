@@ -1,0 +1,48 @@
+from __future__ import annotations
+
+import json
+import re
+
+import pytest
+
+from cpskg.om.tree import Symbol
+from cpskg.vocab import ConfigError, ToolConfig, load_config
+from conftest import REPO
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"namespaces": []}, "namespaces"),
+        ({"symbols": 5}, "symbols"),
+        ({"symbols": [{"cd": 1, "name": "x"}]}, "symbols"),
+        ({"strict": "false"}, "strict"),
+        ({"cdBase": 5}, "cdBase"),
+    ],
+    ids=["namespaces_list", "symbols_number", "symbol_cd_number", "strict_string", "cdBase_number"],
+)
+def test_malformed_config_value_names_its_key(tmp_path, data, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(path)
+
+
+def test_config_doc_example_is_in_sync(tmp_path):
+    """Every key the example in docs/namespaces.md shows is read and takes effect."""
+    doc = (REPO / "docs" / "namespaces.md").read_text(encoding="utf-8")
+    example = json.loads(re.search(r"## Configuration file\s+```json\n(.*?)```", doc, re.S).group(1))
+    assert set(example) == {"namespaces", "cdBase", "strict", "symbols"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(example), encoding="utf-8")
+    cfg = load_config(path)
+    default = ToolConfig()
+
+    for prefix, iri in example["namespaces"].items():
+        assert getattr(cfg.vocab, prefix).base == iri != getattr(default.vocab, prefix).base
+    assert cfg.vocab.cd_base == example["cdBase"] != default.vocab.cd_base
+    assert cfg.strict is example["strict"] is not default.strict
+    for entry in example["symbols"]:
+        assert set(entry) <= {"cd", "name", "token"}
+        assert default.registry.function_symbol(entry["token"]) is None
+        assert cfg.registry.function_symbol(entry["token"]) == Symbol(entry["cd"], entry["name"])
