@@ -35,7 +35,7 @@ def main() -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ehsa.nt").write_text(to_ntriples(graph), encoding="utf-8", newline="\n")
-    (out_dir / "ehsa.ttl").write_text(to_turtle(graph), encoding="utf-8", newline="\n")
+    (out_dir / "ehsa.ttl").write_text(to_turtle(graph, vocab.prefixes(manifest.instance_base)), encoding="utf-8", newline="\n")
 
     report = validate(graph, strict=True)
     operators = match(graph, PatternQuery.of((Var("op"), RDF.type, vocab.vdi3682.ProcessOperator)))
@@ -54,7 +54,7 @@ def main() -> int:
     print("equations of LinearMotionExecution:")
     for row in sorted(equations, key=lambda r: r["w"].value):
         if row["op"].value.endswith("/LinearMotionExecution"):
-            tree = rdf_to_om(graph, row["w"], om=vocab.om, cd_base=vocab.cd_base)
+            tree = rdf_to_om(graph, row["w"], vocab=vocab)
             print(f"  {print_infix(tree)}")
     return 0 if report.ok() else 1
 

@@ -39,6 +39,7 @@ __all__ = [
     "StructureNode",
     "TypeMismatchError",
     "UnresolvedReferenceError",
+    "check_timestamp",
     "slugify",
 ]
 
@@ -91,6 +92,17 @@ def slugify(text: str) -> str:
     """Reduce free text to a deterministic IRI path segment."""
     slug = re.sub(r"[^A-Za-z0-9]+", "_", text.strip()).strip("_").lower()
     return slug or "x"
+
+
+def check_timestamp(timestamp: str) -> None:
+    """Raise :class:`InvalidTimestampError` unless ``timestamp`` is an
+    xsd:dateTime value naming a real date and time."""
+    if not _TIMESTAMP_RE.match(timestamp):
+        raise InvalidTimestampError(f"not an xsd:dateTime value: {timestamp!r}")
+    try:
+        datetime.fromisoformat(timestamp.replace("Z", "+00:00"))
+    except ValueError as exc:
+        raise InvalidTimestampError(f"not a valid timestamp: {timestamp!r}") from exc
 
 
 @dataclass
@@ -153,8 +165,7 @@ class ModelBuilder:
     def __init__(self, instance_base: str, vocab: Optional[CpsVocabulary] = None):
         self.vocab = vocab or CpsVocabulary.default()
         self.instance_base = instance_base.rstrip("/")
-        self.graph = Graph(self.vocab.prefixes())
-        self.graph.bind("ex", self.instance_base + "/")
+        self.graph = Graph()
         self._lifecycle_ids: set[str] = set()
         self._observation_count = 0
 
@@ -316,12 +327,7 @@ class ModelBuilder:
         """
         if not self.graph.triples(feature):
             raise UnresolvedReferenceError(f"observation feature does not exist in the graph: {feature}")
-        if not _TIMESTAMP_RE.match(timestamp):
-            raise InvalidTimestampError(f"not an xsd:dateTime value: {timestamp!r}")
-        try:
-            datetime.fromisoformat(timestamp.replace("Z", "+00:00"))
-        except ValueError as exc:
-            raise InvalidTimestampError(f"not a valid timestamp: {timestamp!r}") from exc
+        check_timestamp(timestamp)
         v = self.vocab
         observation = self.node_iri("obs", str(self._observation_count))
         self._observation_count += 1

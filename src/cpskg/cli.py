@@ -73,17 +73,14 @@ def _term_iri(raw: str) -> Iri:
 
 def cmd_om2rdf(args: argparse.Namespace, cfg: ToolConfig) -> int:
     expr = parse_openmath_xml(Path(args.in_path).read_bytes(), strict=cfg.strict)
-    result = om_to_rdf(expr, args.base.rstrip("/"), args.id, om=cfg.vocab.om, cd_base=cfg.vocab.cd_base)
-    graph = Graph(cfg.vocab.prefixes())
-    graph.bind("ex", args.base.rstrip("/") + "/")
-    graph.update(result.graph)
-    _write_output(serialize(graph, args.format), args.out)
+    result = om_to_rdf(expr, args.base.rstrip("/"), args.id, vocab=cfg.vocab)
+    _write_output(serialize(result.graph, args.format, cfg.vocab.prefixes(args.base)), args.out)
     return EXIT_OK
 
 
 def cmd_rdf2om(args: argparse.Namespace, cfg: ToolConfig) -> int:
     graph = _load_graph(args.in_path)
-    expr = rdf_to_om(graph, _term_iri(args.root), om=cfg.vocab.om, cd_base=cfg.vocab.cd_base, strict=cfg.strict)
+    expr = rdf_to_om(graph, _term_iri(args.root), vocab=cfg.vocab, strict=cfg.strict)
     _write_output(serialize_openmath_xml(expr), args.out)
     return EXIT_OK
 
@@ -94,7 +91,7 @@ def cmd_build(args: argparse.Namespace, cfg: ToolConfig) -> int:
     if args.check_only:
         print(f"manifest OK: {len(graph)} triples", file=sys.stderr)
         return EXIT_OK
-    _write_output(serialize(graph, args.format), args.out)
+    _write_output(serialize(graph, args.format, cfg.vocab.prefixes(manifest.instance_base)), args.out)
     return EXIT_OK
 
 
@@ -151,10 +148,7 @@ def _render_node(node: NodeRef) -> str:
 
 def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
     graph = _load_graph(args.in_path)
-    prefixes = cfg.vocab.prefixes()
-    if args.base:
-        prefixes["ex"] = args.base.rstrip("/") + "/"
-    query = _parse_pattern(args.pattern, prefixes)
+    query = _parse_pattern(args.pattern, cfg.vocab.prefixes(args.base or None))
     for row in match(graph, query):
         print("\t".join(_render_node(row[name]) for name in sorted(row)))
     return EXIT_OK
@@ -176,7 +170,7 @@ def cmd_export(args: argparse.Namespace, cfg: ToolConfig) -> int:
     lines = []
     variables: set[Iri] = set()
     for wrapper in wrappers:
-        expr = rdf_to_om(graph, wrapper, om=v.om, cd_base=v.cd_base, strict=cfg.strict)
+        expr = rdf_to_om(graph, wrapper, vocab=v, strict=cfg.strict)
         lines.append(print_infix(expr, registry=cfg.registry))
         variables.update(fragment_variables(graph, graph.objects(wrapper, v.om.root), v.om))
     rows = []
@@ -199,7 +193,7 @@ def cmd_export(args: argparse.Namespace, cfg: ToolConfig) -> int:
 def cmd_eval(args: argparse.Namespace, cfg: ToolConfig) -> int:
     if args.root:
         graph = _load_graph(args.in_path)
-        expr = rdf_to_om(graph, _term_iri(args.root), om=cfg.vocab.om, cd_base=cfg.vocab.cd_base, strict=cfg.strict)
+        expr = rdf_to_om(graph, _term_iri(args.root), vocab=cfg.vocab, strict=cfg.strict)
     else:
         expr = parse_openmath_xml(Path(args.in_path).read_bytes(), strict=cfg.strict)
     bindings = load_bindings(args.bindings)

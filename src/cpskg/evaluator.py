@@ -165,4 +165,7 @@ def _eval(expr: OMExpression, bindings: dict[str, float]) -> float:
             raise EvaluationError(f"{op.cd}#{op.name} expects at least one argument")
     elif len(args) != arity:
         raise EvaluationError(f"{op.cd}#{op.name} expects {arity} argument(s), got {len(args)}")
-    return apply(*args)
+    try:
+        return apply(*args)
+    except ValueError as exc:  # math's "domain error", e.g. sin(inf)
+        raise DomainError(f"{op.cd}#{op.name} is undefined at {', '.join(map(repr, args))}") from exc

@@ -21,12 +21,14 @@ from .builder import (
     _STATE_KINDS,
     DataElementSpec,
     EquationSpec,
+    InvalidTimestampError,
     ModelBuilder,
     ObservationSpec,
     OperatorSpec,
     ProcessSpec,
     StateSpec,
     StructureNode,
+    check_timestamp,
 )
 from .errors import CpskgError
 from .infix import parse_infix
@@ -82,7 +84,7 @@ MANIFEST_SCHEMA: dict = {
             "additionalProperties": False,
             "properties": {
                 "id": {"$ref": "#/$defs/id"},
-                "typeDescription": {"type": "string", "minLength": 1},
+                "typeDescription": {"type": "string", "pattern": "\\S"},
                 "instanceDescriptions": {"type": "array", "items": {"type": "string", "minLength": 1}},
                 "variableName": {"type": "string", "pattern": _VARIABLE_PATTERN},
             },
@@ -317,6 +319,10 @@ def _check_references(m: CpsManifest) -> list[tuple[str, str]]:
     for bi, obs in enumerate(m.observations):
         if obs.feature not in ids:
             problems.append((f"$.observations[{bi}].feature", f"unknown instance id {obs.feature!r}"))
+        try:
+            check_timestamp(obs.timestamp)
+        except InvalidTimestampError as exc:
+            problems.append((f"$.observations[{bi}].timestamp", str(exc)))
 
     return problems
 
@@ -388,7 +394,7 @@ def compile_manifest(
                     for name in missing:
                         problems.append((epath, f"variable {name!r} is not declared by any data element in scope"))
                     continue
-                result = om_to_rdf(expr, manifest.instance_base, eq.id, om=vocab.om, cd_base=vocab.cd_base)
+                result = om_to_rdf(expr, manifest.instance_base, eq.id, vocab=vocab)
                 builder.graph.update(result.graph)
                 builder.attach_behavior_model(builder.iri(op.id), result.object_node)
                 for name in sorted(result.variables):

@@ -6,7 +6,8 @@ Forward direction, per node kind:
   ``om:operator`` link (first child) and one ``om:arguments`` link to an
   RDF collection (``rdf:first``/``rdf:rest`` cons cells ending in
   ``rdf:nil``) holding the remaining children in order;
-* symbol       -> the IRI ``{cdBase}/{cd}#{name}``, no triples;
+* symbol       -> the IRI ``{cdBase}/{cd}#{name}`` (:func:`symbol_iri`),
+  no triples;
 * variable     -> node typed ``om:Variable`` with ``om:name``, one node per
   distinct name per equation (occurrences share it);
 * int/double   -> node typed ``om:Literal`` with a typed ``om:value``.
@@ -33,7 +34,7 @@ from typing import Iterable, Optional
 from .errors import CpskgError
 from .om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
 from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, Triple, nt_term
-from .vocab import DEFAULT_CD_BASE, DEFAULT_NAMESPACES
+from .vocab import DEFAULT_CD_BASE, CpsVocabulary
 
 __all__ = [
     "MalformedListError",
@@ -70,18 +71,13 @@ class UnknownSymbolIriError(CpskgError):
     """An operator IRI that cannot be resolved to a content-dictionary symbol."""
 
 
-def _default_om() -> Namespace:
-    return Namespace(DEFAULT_NAMESPACES["om"])
-
-
 @dataclass
 class MappingContext:
     """Per-equation state: skolem numbering and the variable scope."""
 
     instance_base: str
     equation_id: str
-    om: Namespace = field(default_factory=_default_om)
-    cd_base: str = DEFAULT_CD_BASE
+    vocab: CpsVocabulary = field(default_factory=CpsVocabulary.default)
     variables: dict[str, Iri] = field(default_factory=dict)
     _counter: int = field(default=0, init=False)
 
@@ -100,10 +96,10 @@ def symbol_iri(symbol: Symbol, cd_base: str = DEFAULT_CD_BASE) -> Iri:
 
 
 def parse_symbol_iri(iri: Iri, cd_base: str = DEFAULT_CD_BASE, *, strict: bool = True) -> Symbol:
-    """Invert :func:`symbol_iri`. In lenient mode, foreign IRIs are split on
-    their last ``/`` and ``#`` as a best effort."""
+    """Invert :func:`symbol_iri` for the same ``cd_base``. In lenient mode,
+    foreign IRIs are split on their last ``/`` and ``#`` as a best effort."""
     value = iri.value
-    prefix = cd_base.rstrip("/") + "/"
+    prefix = cd_base + "/"
     if value.startswith(prefix):
         cd, sep, name = value[len(prefix):].partition("#")
         if sep and cd and name and "/" not in cd:
@@ -119,19 +115,19 @@ def parse_symbol_iri(iri: Iri, cd_base: str = DEFAULT_CD_BASE, *, strict: bool =
 
 
 def create_rdf_list(nodes: list[NodeRef], ctx: MappingContext, graph: Graph) -> NodeRef:
-    """Build an RDF collection over ``nodes``; the empty list is ``rdf:nil``."""
-    if not nodes:
-        return RDF.nil
-    head = ctx.next_node()
-    graph.add(Triple(head, RDF.first, nodes[0]))
-    graph.add(Triple(head, RDF.rest, create_rdf_list(nodes[1:], ctx, graph)))
-    return head
+    """Build an RDF collection over ``nodes``, its cells numbered in list
+    order; the empty list is ``rdf:nil``."""
+    cells = [ctx.next_node() for _ in nodes]
+    for cell, item, rest in zip(cells, nodes, [*cells[1:], RDF.nil]):
+        graph.add(Triple(cell, RDF.first, item))
+        graph.add(Triple(cell, RDF.rest, rest))
+    return cells[0] if cells else RDF.nil
 
 
 def process_node(expr: OMExpression, ctx: MappingContext, graph: Graph) -> NodeRef:
     """Map one expression node (and its subtree) into ``graph``; returns the
     node standing for ``expr``."""
-    om = ctx.om
+    om = ctx.vocab.om
     if isinstance(expr, Application):
         node = ctx.next_node()
         graph.add(Triple(node, RDF.type, om.Application))
@@ -140,7 +136,7 @@ def process_node(expr: OMExpression, ctx: MappingContext, graph: Graph) -> NodeR
         graph.add(Triple(node, om.arguments, create_rdf_list(arguments, ctx, graph)))
         return node
     if isinstance(expr, Symbol):
-        return symbol_iri(expr, ctx.cd_base)
+        return symbol_iri(expr, ctx.vocab.cd_base)
     if isinstance(expr, Variable):
         existing = ctx.variables.get(expr.name)
         if existing is not None:
@@ -179,18 +175,18 @@ def om_to_rdf(
     instance_base: str,
     equation_id: str,
     *,
-    om: Optional[Namespace] = None,
-    cd_base: str = DEFAULT_CD_BASE,
+    vocab: Optional[CpsVocabulary] = None,
 ) -> MappingResult:
     """Map a whole expression into a fresh graph fragment, adding the
     ``om:Object`` wrapper. Deterministic: identical inputs give identical
     fragments."""
-    ctx = MappingContext(instance_base, equation_id, om=om or _default_om(), cd_base=cd_base)
+    ctx = MappingContext(instance_base, equation_id, vocab or CpsVocabulary.default())
     graph = Graph()
     root = process_node(expr, ctx, graph)
     wrapper = ctx.object_node
-    graph.add(Triple(wrapper, RDF.type, ctx.om.Object))
-    graph.add(Triple(wrapper, ctx.om.root, root))
+    om = ctx.vocab.om
+    graph.add(Triple(wrapper, RDF.type, om.Object))
+    graph.add(Triple(wrapper, om.root, root))
     return MappingResult(graph, wrapper, root, dict(ctx.variables))
 
 
@@ -238,10 +234,10 @@ def fragment_variables(graph: Graph, roots: Iterable[NodeRef], om: Namespace) ->
 
 
 class _Reader:
-    def __init__(self, graph: Graph, om: Namespace, cd_base: str, strict: bool):
+    def __init__(self, graph: Graph, vocab: CpsVocabulary, strict: bool):
         self.graph = graph
-        self.om = om
-        self.cd_base = cd_base
+        self.om = vocab.om
+        self.cd_base = vocab.cd_base
         self.strict = strict
 
     def _one(self, node: Iri, predicate: Iri, what: str) -> NodeRef:
@@ -295,10 +291,9 @@ def rdf_to_om(
     graph: Graph,
     root: NodeRef,
     *,
-    om: Optional[Namespace] = None,
-    cd_base: str = DEFAULT_CD_BASE,
+    vocab: Optional[CpsVocabulary] = None,
     strict: bool = True,
 ) -> OMExpression:
     """Reconstruct the expression rooted at ``root`` (an ``om:Object``
     wrapper or any expression node). Inverse of :func:`om_to_rdf`."""
-    return _Reader(graph, om or _default_om(), cd_base, strict).read(root, frozenset())
+    return _Reader(graph, vocab or CpsVocabulary.default(), strict).read(root, frozenset())

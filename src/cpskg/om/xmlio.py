@@ -14,7 +14,6 @@ import re
 import struct
 import warnings
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape
 
 from ..errors import CpskgError
 from .tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
@@ -138,7 +137,8 @@ def _format_float(value: float) -> str:
 
 
 def _attr(value: str) -> str:
-    return escape(value, {'"': "&quot;"})
+    # by hand: xml.sax.saxutils would pull urllib and email into every import
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 def _emit(expr: OMExpression, depth: int, lines: list[str]) -> None:

@@ -187,12 +187,12 @@ _Index = dict[NodeRef, dict[NodeRef, set[Triple]]]
 
 
 class Graph:
-    """A duplicate-free set of triples plus prefix bindings.
+    """A duplicate-free set of triples.
 
     Single-writer construction; reads are safe to share once built.
     Iteration is always in serialization order, so callers cannot pick up a
-    dependence on set ordering by accident. Equality compares triple sets
-    only; prefixes are serialization hints, not graph content.
+    dependence on set ordering by accident. Prefixes are serialization
+    hints, not graph content: :func:`to_turtle` takes them as an argument.
 
     Lookups go through two indexes, subject -> predicate -> triples and
     predicate -> object -> triples (two of the six Hexastore orders). They
@@ -200,25 +200,12 @@ class Graph:
     so a graph that is only written and serialized never pays for them.
     """
 
-    __slots__ = ("_triples", "_prefixes", "_spo", "_pos")
+    __slots__ = ("_triples", "_spo", "_pos")
 
-    def __init__(self, prefixes: Optional[Mapping[str, str]] = None):
+    def __init__(self) -> None:
         self._triples: set[Triple] = set()
-        self._prefixes: dict[str, str] = {}
         self._spo: Optional[_Index] = None
         self._pos: Optional[_Index] = None
-        for prefix, base in (prefixes or {}).items():
-            self.bind(prefix, base)
-
-    def bind(self, prefix: str, base: str) -> None:
-        if not _PREFIX_RE.match(prefix):
-            raise ValueError(f"invalid prefix name: {prefix!r}")
-        Iri(base)  # validate
-        self._prefixes[prefix] = base
-
-    @property
-    def prefixes(self) -> dict[str, str]:
-        return dict(self._prefixes)
 
     def add(self, triple: Triple) -> None:
         if not isinstance(triple, Triple):
@@ -249,13 +236,11 @@ class Graph:
             for triple in other._triples - self._triples:
                 self._index(triple)
         self._triples |= other._triples
-        for prefix, base in other._prefixes.items():
-            self._prefixes.setdefault(prefix, base)
 
     def copy(self) -> "Graph":
         """An independent graph with the same triples; it indexes itself on
         its own first lookup."""
-        clone = Graph(self._prefixes)
+        clone = Graph()
         clone._triples = set(self._triples)
         return clone
 
@@ -272,7 +257,7 @@ class Graph:
         return isinstance(other, Graph) and other._triples == self._triples
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._triples)} triples, {len(self._prefixes)} prefixes)"
+        return f"Graph({len(self._triples)} triples)"
 
     def _index(self, triple: Triple) -> None:
         self._spo.setdefault(triple.subject, {}).setdefault(triple.predicate, set()).add(triple)  # type: ignore[union-attr]
@@ -407,13 +392,17 @@ def _pname(iri: Iri, prefix_order: list[tuple[str, str]]) -> str:
     return f"<{iri.value}>"
 
 
-def to_turtle(graph: Graph) -> str:
+def to_turtle(graph: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str:
     """Deterministic pretty Turtle: sorted prefixes, subjects grouped, sorted
-    predicates (rdf:type first, rendered ``a``) and objects."""
-    prefix_order = sorted(((base, prefix) for prefix, base in graph.prefixes.items()), key=lambda x: (-len(x[0]), x[1]))
-    out: list[str] = []
-    for prefix, base in sorted(graph.prefixes.items()):
-        out.append(f"@prefix {prefix}: <{base}> .")
+    predicates (rdf:type first, rendered ``a``) and objects. ``prefixes``
+    maps prefix names to namespace IRIs; each is checked before use."""
+    prefixes = prefixes or {}
+    for prefix, base in prefixes.items():
+        if not _PREFIX_RE.match(prefix):
+            raise ValueError(f"invalid prefix name: {prefix!r}")
+        Iri(base)  # validate
+    prefix_order = sorted(((base, prefix) for prefix, base in prefixes.items()), key=lambda x: (-len(x[0]), x[1]))
+    out = [f"@prefix {prefix}: <{base}> ." for prefix, base in sorted(prefixes.items())]
 
     def term(node: NodeRef) -> str:
         if isinstance(node, Iri):
@@ -443,12 +432,13 @@ def to_turtle(graph: Graph) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def serialize(graph: Graph, fmt: str) -> str:
-    """Serialize to ``"ntriples"`` or ``"turtle"``; output is byte-stable."""
+def serialize(graph: Graph, fmt: str, prefixes: Optional[Mapping[str, str]] = None) -> str:
+    """Serialize to ``"ntriples"`` or ``"turtle"``; output is byte-stable.
+    N-Triples has no prefixes, so only Turtle reads ``prefixes``."""
     if fmt == "ntriples":
         return to_ntriples(graph)
     if fmt == "turtle":
-        return to_turtle(graph)
+        return to_turtle(graph, prefixes)
     raise ValueError(f"unknown serialization format: {fmt!r}")
 
 

@@ -13,8 +13,9 @@ contextualization is finished.
               a data element
   V5 warning  every process operator has at least one input and one output
   V6 error    every data element has exactly one type description
-  V7 warning  (strict mode only) every operator symbol IRI belongs to a
-              registered content dictionary
+  V7 warning  (strict mode only) every operator symbol IRI has the form
+              {cdBase}/{cd}#{name} and names a registered content
+              dictionary
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .mapper import MalformedListError, fragment_variables, read_list
+from .mapper import MalformedListError, UnknownSymbolIriError, fragment_variables, parse_symbol_iri, read_list
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
 from .rdf import RDF, Graph, Iri, NodeRef, nt_term
 from .vocab import CpsVocabulary
@@ -118,19 +119,19 @@ def _check_type_descriptions(graph: Graph, v: CpsVocabulary, out: list[Finding])
 
 
 def _check_symbol_cds(graph: Graph, v: CpsVocabulary, registry: SymbolRegistry, out: list[Finding]) -> None:
-    prefix = v.cd_base.rstrip("/") + "/"
     targets = sorted({t.object for t in graph.triples(None, v.om.operator)}, key=nt_term)
     for target in targets:
         if not isinstance(target, Iri):
             continue
         if graph.objects(target, RDF.type):
             continue  # a nested expression node, not a symbol
-        if not target.value.startswith(prefix):
-            out.append(Finding("V7", "warning", target, f"operator symbol IRI is not under the CD base {v.cd_base}"))
+        try:
+            symbol = parse_symbol_iri(target, v.cd_base)
+        except UnknownSymbolIriError as exc:
+            out.append(Finding("V7", "warning", target, str(exc)))
             continue
-        cd = target.value[len(prefix):].partition("#")[0]
-        if not registry.knows_cd(cd):
-            out.append(Finding("V7", "warning", target, f"content dictionary {cd!r} is not registered"))
+        if not registry.knows_cd(symbol.cd):
+            out.append(Finding("V7", "warning", target, f"content dictionary {symbol.cd!r} is not registered"))
 
 
 def validate(

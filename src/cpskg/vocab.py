@@ -8,6 +8,7 @@ IRI used for symbol nodes, and symbols added to the registry.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +16,7 @@ from typing import Mapping, Optional, Union
 
 from .errors import CpskgError
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
-from .rdf import Namespace
+from .rdf import RDF, XSD, Namespace
 
 __all__ = [
     "ConfigError",
@@ -45,7 +46,8 @@ class ConfigError(CpskgError):
 
 @dataclass(frozen=True)
 class CpsVocabulary:
-    """Term namespaces for the modeling stack plus the CD base IRI."""
+    """Term namespaces for the modeling stack plus the CD base IRI, and the
+    one source of prefix bindings: graphs carry none of their own."""
 
     om: Namespace
     cpsmod: Namespace
@@ -57,39 +59,34 @@ class CpsVocabulary:
     cd_base: str = DEFAULT_CD_BASE
 
     @classmethod
+    @functools.cache
     def default(cls) -> "CpsVocabulary":
+        """The default vocabulary; one shared instance, as it is immutable."""
         return cls.from_mapping({})
 
     @classmethod
     def from_mapping(cls, namespaces: Mapping[str, str], cd_base: Optional[str] = None) -> "CpsVocabulary":
+        """The default namespaces with ``namespaces`` overriding some of
+        them; a trailing ``/`` on ``cd_base`` is dropped."""
         merged = dict(DEFAULT_NAMESPACES)
         for key, value in namespaces.items():
             if key not in merged:
                 raise ConfigError(f"unknown namespace key: {key!r}")
             merged[key] = value
         return cls(
-            om=Namespace(merged["om"]),
-            cpsmod=Namespace(merged["cpsmod"]),
-            vdi3682=Namespace(merged["vdi3682"]),
-            vdi2206=Namespace(merged["vdi2206"]),
-            dinen61360=Namespace(merged["dinen61360"]),
-            din77005=Namespace(merged["din77005"]),
-            sosa=Namespace(merged["sosa"]),
-            cd_base=cd_base or DEFAULT_CD_BASE,
+            **{key: Namespace(value) for key, value in merged.items()},
+            cd_base=(cd_base or DEFAULT_CD_BASE).rstrip("/"),
         )
 
-    def prefixes(self) -> dict[str, str]:
-        return {
-            "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
-            "xsd": "http://www.w3.org/2001/XMLSchema#",
-            "om": self.om.base,
-            "cpsmod": self.cpsmod.base,
-            "vdi3682": self.vdi3682.base,
-            "vdi2206": self.vdi2206.base,
-            "dinen61360": self.dinen61360.base,
-            "din77005": self.din77005.base,
-            "sosa": self.sosa.base,
-        }
+    def prefixes(self, instance_base: Optional[str] = None) -> dict[str, str]:
+        """Prefix bindings for Turtle output and query patterns: ``rdf``,
+        ``xsd`` and the vocabulary namespaces, plus ``ex`` for the instance
+        base when one is given."""
+        out = {"rdf": RDF.base, "xsd": XSD.base}
+        out.update((key, getattr(self, key).base) for key in DEFAULT_NAMESPACES)
+        if instance_base is not None:
+            out["ex"] = instance_base.rstrip("/") + "/"
+        return out
 
 
 @dataclass(frozen=True)

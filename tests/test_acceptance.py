@@ -225,7 +225,7 @@ def test_criterion_3_case_study(ehsa_graph):
 @criterion(4, "numeric check of the chamber-1 rate equation")
 def test_criterion_4_numeric(ehsa_graph):
     wrapper = Iri(f"{EHSA_BASE}/expr/chamber1_pressure_rate")
-    equation = rdf_to_om(ehsa_graph, wrapper, om=OM)
+    equation = rdf_to_om(ehsa_graph, wrapper, vocab=V)
     rhs = equation.arguments[1]
     bindings = json.loads((FIXTURES / "bindings_chamber1.json").read_text(encoding="utf-8"))
     value = evaluate(rhs, bindings)

@@ -162,8 +162,8 @@ def test_attach_behavior_model_three_then_one_triples(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     builder.add_process(ProcessSpec("P", operators=[OperatorSpec("Op", "Ram")]))
     op = builder.iri("Op")
-    first = om_to_rdf(app(Symbol("arith1", "plus"), Variable("x"), Variable("y")), BASE, "e1", om=V.om)
-    second = om_to_rdf(Variable("z"), BASE, "e2", om=V.om)
+    first = om_to_rdf(app(Symbol("arith1", "plus"), Variable("x"), Variable("y")), BASE, "e1", vocab=V)
+    second = om_to_rdf(Variable("z"), BASE, "e2", vocab=V)
     builder.graph.update(first.graph)
     builder.graph.update(second.graph)
 
@@ -180,7 +180,7 @@ def test_attach_behavior_model_three_then_one_triples(builder):
 def test_attach_requires_operator_and_wrapper(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     builder.add_process(ProcessSpec("P", operators=[OperatorSpec("Op", "Ram")]))
-    result = om_to_rdf(Variable("x"), BASE, "e", om=V.om)
+    result = om_to_rdf(Variable("x"), BASE, "e", vocab=V)
     builder.graph.update(result.graph)
     with pytest.raises(NotAnOperatorError):
         builder.attach_behavior_model(builder.iri("Ram"), result.object_node)
@@ -191,7 +191,7 @@ def test_attach_requires_operator_and_wrapper(builder):
 def test_link_variable_to_data_element(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     element = builder.add_data_element(builder.iri("Ram"), DataElementSpec("Q1_DE", "volume flow"))
-    result = om_to_rdf(Variable("Q1"), BASE, "e", om=V.om)
+    result = om_to_rdf(Variable("Q1"), BASE, "e", vocab=V)
     builder.graph.update(result.graph)
     var_node = result.variables["Q1"]
 
@@ -207,7 +207,7 @@ def test_link_type_mismatches(builder):
     element = builder.add_data_element(builder.iri("Ram"), DataElementSpec("D", "quantity"))
     with pytest.raises(TypeMismatchError):
         builder.link_variable_to_data_element(Literal("x"), element)
-    result = om_to_rdf(Variable("x"), BASE, "e", om=V.om)
+    result = om_to_rdf(Variable("x"), BASE, "e", vocab=V)
     builder.graph.update(result.graph)
     with pytest.raises(TypeMismatchError):
         builder.link_variable_to_data_element(result.variables["x"], builder.iri("Ram"))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from cpskg.infix import parse_infix
 from cpskg.om.xmlio import parse_openmath_xml
 from cpskg.rdf import RDF, Graph, Iri, Literal, Triple, from_ntriples, to_ntriples
 from cpskg.validator import validate
-from conftest import EHSA_BASE, FIXTURES
+from conftest import EHSA_BASE, FIXTURES, REPO
 from test_manifest import minimal_manifest
 
 MANIFEST = str(FIXTURES / "manifest.json")
@@ -35,6 +38,14 @@ def test_om2rdf_ntriples_round_trips(run_cli, tmp_path, eq1_tree):
     assert back.returncode == 0, back.stderr
     assert parse_openmath_xml(back.stdout) == eq1_tree
     assert len(graph) == 101
+
+
+def test_import_leaves_network_and_mail_modules_unloaded():
+    probe = "import sys, cpskg.cli; print(sorted({'urllib.request', 'http.client', 'email'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_om2rdf_missing_file_exits_2(run_cli):
@@ -297,6 +308,34 @@ def test_eval_unsupported_operator_exits_1(run_cli):
     result = run_cli("eval", "--in", EQ1_XML, "--bindings", BINDINGS)
     assert result.returncode == 1
     assert "not numerically evaluable" in result.stderr
+
+
+def test_eval_sin_of_infinity_exits_1(run_cli, tmp_path):
+    xml = tmp_path / "sin.xml"
+    xml.write_text('<OMOBJ><OMA><OMS cd="transc1" name="sin"/><OMV name="x"/></OMA></OMOBJ>', encoding="utf-8")
+    bindings = tmp_path / "inf.json"
+    bindings.write_text('{"x": 1e400}', encoding="utf-8")  # JSON reads it as inf
+    result = run_cli("eval", "--in", str(xml), "--bindings", str(bindings))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: transc1#sin is undefined at inf")
+    assert "Traceback" not in result.stderr
+
+
+def test_cd_base_with_trailing_slash_changes_nothing(run_cli, tmp_path, golden_text):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cdBase": "http://www.openmath.org/cd/"}), encoding="utf-8")
+    graph = tmp_path / "ehsa.nt"
+    built = run_cli("--config", str(config), "build", "--manifest", MANIFEST, "--out", str(graph))
+    assert built.returncode == 0, built.stderr
+    assert graph.read_text(encoding="utf-8") == golden_text
+    for args in (
+        ("export", "--in", str(graph), "--operator", f"{EHSA_BASE}/LinearMotionExecution"),
+        ("rdf2om", "--in", str(graph), "--root", f"{EHSA_BASE}/expr/chamber1_pressure_rate"),
+        ("validate", "--in", str(graph), "--strict"),
+    ):
+        with_slash = run_cli("--config", str(config), *args)
+        assert with_slash.returncode == 0, (args, with_slash.stderr)
+        assert with_slash.stdout == run_cli(*args).stdout, args
 
 
 def test_config_overrides_namespace(run_cli, tmp_path):

@@ -92,6 +92,13 @@ def test_power_domain_error():
         evaluate(parse_infix("(0 - 2)^0.5"), {})
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["sin", "cos", "tan"])
+def test_trig_at_infinity_is_a_domain_error(name, x):
+    with pytest.raises(DomainError, match=f"transc1#{name} is undefined at"):
+        evaluate(app(Symbol("transc1", name), Variable("x")), {"x": x})
+
+
 def test_bare_symbol_has_no_value():
     with pytest.raises(EvaluationError):
         evaluate(Symbol("transc1", "sin"), {})

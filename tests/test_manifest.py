@@ -160,6 +160,23 @@ def test_observation_feature_must_resolve():
     assert "$.observations[0].feature" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("timestamp", ["2024-13-40T99:00:00Z", "yesterday"])
+def test_observation_timestamp_problem_names_its_path(timestamp):
+    data = minimal_manifest()
+    data["observations"] = [{"feature": "Plant", "value": 1.0, "timestamp": timestamp}]
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert [path for path, _ in excinfo.value.problems] == ["$.observations[0].timestamp"]
+
+
+def test_blank_type_description_problem_names_its_path():
+    data = minimal_manifest()
+    data["processes"][0]["states"][0]["dataElements"][0]["typeDescription"] = " \t "
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert [path for path, _ in excinfo.value.problems] == ["$.processes[0].states[0].dataElements[0].typeDescription"]
+
+
 def test_equation_requires_exactly_one_source():
     data = minimal_manifest()
     data["processes"][0]["operators"][0]["equations"] = [{"id": "e", "infix": "y = x", "xmlPath": "a.xml"}]

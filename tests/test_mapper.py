@@ -171,6 +171,19 @@ def test_parse_symbol_iri_round_trip():
     assert parse_symbol_iri(symbol_iri(sym)) == sym
 
 
+@pytest.mark.parametrize("cd_base", ["http://www.openmath.org/cd", "http://www.openmath.org/cd/", "urn:cd"])
+def test_parse_symbol_iri_inverts_symbol_iri_for_any_base(cd_base):
+    sym = Symbol("transc1", "sin")
+    assert parse_symbol_iri(symbol_iri(sym, cd_base), cd_base) == sym
+
+
+def test_wide_argument_list_maps_and_round_trips():
+    tree = app(PLUS, *(IntLiteral(i) for i in range(5000)))
+    result = om_to_rdf(tree, BASE, "e")
+    assert fragment_size(result) == 3 + 2 * 5000 + 2 * 5000
+    assert rdf_to_om(result.graph, result.object_node) == tree
+
+
 def test_operator_position_may_be_any_expression():
     tree = Application(app(Symbol("stats1", "mean"), X), (Y,))
     result = om_to_rdf(tree, BASE, "e")

@@ -108,6 +108,16 @@ def test_attribute_order_cd_before_name():
     assert line.index('cd="') < line.index('name="')
 
 
+def test_markup_characters_in_attributes_are_escaped_and_round_trip():
+    tree = app(Symbol('a&b<c>"d', "n&1"), Variable('v<&>"w'))
+    lines = serialize_openmath_xml(tree).splitlines()
+    assert lines[3:5] == [
+        '    <OMS cd="a&amp;b&lt;c&gt;&quot;d" name="n&amp;1"/>',
+        '    <OMV name="v&lt;&amp;&gt;&quot;w"/>',
+    ]
+    assert parse_openmath_xml(serialize_openmath_xml(tree)) == tree
+
+
 @given(trees_any_operator())
 def test_round_trip(tree):
     assert parse_openmath_xml(serialize_openmath_xml(tree)) == tree

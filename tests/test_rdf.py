@@ -70,13 +70,6 @@ def test_relative_iri_rejected():
         Iri("not-absolute/path")
 
 
-def test_graph_equality_ignores_prefixes():
-    g1, g2 = Graph({"ex": EX.base}), Graph()
-    g1.add(t("s", "p", "o"))
-    g2.add(t("s", "p", "o"))
-    assert g1 == g2
-
-
 def test_ntriples_deterministic_across_insertion_orders():
     triples = [t("s", "p", f"o{i}") for i in range(8)] + [t("a", "q", Literal("x\ny"))]
     g1, g2 = Graph(), Graph()
@@ -138,30 +131,36 @@ def test_golden_file_reserializes_byte_identically(golden_text):
 
 
 def test_turtle_groups_subjects_and_uses_prefixes():
-    g = Graph({"ex": EX.base})
+    g = Graph()
     g.add(t("s", "p", "o1"))
     g.add(t("s", "p", "o2"))
     g.add(Triple(EX.s, RDF.type, EX.T))
-    ttl = to_turtle(g)
+    ttl = to_turtle(g, {"ex": EX.base})
     assert "@prefix ex: <http://example.org/> ." in ttl
     assert "ex:s a ex:T ;" in ttl
     assert "ex:p ex:o1, ex:o2 ." in ttl
 
 
 def test_turtle_deterministic():
-    g1, g2 = Graph({"ex": EX.base}), Graph({"ex": EX.base})
+    g1, g2 = Graph(), Graph()
     triples = [t("s", "p", f"o{i}") for i in range(5)]
     for x in triples:
         g1.add(x)
     for x in reversed(triples):
         g2.add(x)
-    assert to_turtle(g1) == to_turtle(g2)
+    assert to_turtle(g1, {"ex": EX.base}) == to_turtle(g2, {"ex": EX.base})
 
 
 def test_turtle_falls_back_to_full_iri_for_bad_locals():
-    g = Graph({"ex": EX.base})
+    g = Graph()
     g.add(Triple(EX.term("a/b"), EX.p, EX.o))
-    assert "<http://example.org/a/b>" in to_turtle(g)
+    assert "<http://example.org/a/b>" in to_turtle(g, {"ex": EX.base})
+
+
+@pytest.mark.parametrize("prefixes", [{"1ex": EX.base}, {"e x": EX.base}, {"ex": "not-absolute/"}, {"ex": "http://example.org/a b/"}])
+def test_turtle_rejects_bad_prefix_bindings(prefixes):
+    with pytest.raises(ValueError):
+        serialize(Graph(), "turtle", prefixes)
 
 
 def test_serialize_unknown_format():

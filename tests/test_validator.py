@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from cpskg.mapper import MalformedListError, rdf_to_om, symbol_iri
+from cpskg.mapper import MalformedListError, UnknownSymbolIriError, rdf_to_om, symbol_iri
 from cpskg.om.tree import Symbol
 from cpskg.rdf import RDF, Graph, Iri, Literal, Triple
 from cpskg.validator import validate
@@ -112,6 +114,28 @@ def test_v7_unregistered_content_dictionary(ehsa_graph):
     finding = _single_finding(validate(mutated, strict=True))
     assert (finding.rule, finding.severity) == ("V7", "warning")
     assert not validate(mutated).findings  # V7 only runs in strict mode
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("http://www.openmath.org/cd/arith1", "IRI under CD base is not of the form cd#name: http://www.openmath.org/cd/arith1"),
+        ("http://elsewhere.example/cd/arith1#plus", "operator IRI is not under the CD base http://www.openmath.org/cd: http://elsewhere.example/cd/arith1#plus"),
+    ],
+    ids=["no_name", "foreign_base"],
+)
+def test_v7_reports_what_rdf_to_om_rejects(ehsa_graph, target, message):
+    """V7 and rdf_to_om parse operator IRIs with the same function, so a
+    graph that strict validation calls clean also exports."""
+    mutated = ehsa_graph.copy()
+    victim = mutated.triples(None, V.om.operator, symbol_iri(Symbol("relation1", "eq")))[0]
+    mutated.discard(victim)
+    mutated.add(Triple(victim.subject, V.om.operator, Iri(target)))
+    finding = _single_finding(validate(mutated, strict=True))
+    assert (finding.rule, finding.severity, finding.node, finding.message) == ("V7", "warning", Iri(target), message)
+    (wrapper,) = mutated.subjects(V.om.root, victim.subject)
+    with pytest.raises(UnknownSymbolIriError, match=re.escape(message)):
+        rdf_to_om(mutated, wrapper)
 
 
 def test_v7_accepts_registered_cds(ehsa_graph):

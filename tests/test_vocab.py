@@ -6,7 +6,8 @@ import re
 import pytest
 
 from cpskg.om.tree import Symbol
-from cpskg.vocab import ConfigError, ToolConfig, load_config
+from cpskg.rdf import RDF, XSD
+from cpskg.vocab import DEFAULT_CD_BASE, DEFAULT_NAMESPACES, ConfigError, CpsVocabulary, ToolConfig, load_config
 from conftest import REPO
 
 
@@ -46,3 +47,16 @@ def test_config_doc_example_is_in_sync(tmp_path):
         assert set(entry) <= {"cd", "name", "token"}
         assert default.registry.function_symbol(entry["token"]) is None
         assert cfg.registry.function_symbol(entry["token"]) == Symbol(entry["cd"], entry["name"])
+
+
+def test_prefixes_come_from_the_vocabulary():
+    vocab = CpsVocabulary.from_mapping({"om": "http://my.org/om#"})
+    prefixes = vocab.prefixes()
+    assert list(prefixes) == ["rdf", "xsd", *DEFAULT_NAMESPACES]
+    assert (prefixes["rdf"], prefixes["xsd"], prefixes["om"]) == (RDF.base, XSD.base, "http://my.org/om#")
+    for base in ("http://example.org/m", "http://example.org/m/"):
+        assert vocab.prefixes(base) == {**prefixes, "ex": "http://example.org/m/"}
+
+
+def test_cd_base_drops_a_trailing_slash():
+    assert CpsVocabulary.from_mapping({}, DEFAULT_CD_BASE + "/").cd_base == DEFAULT_CD_BASE
