@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import jsonschema
-
 from .builder import (
     _LEVEL_RANK,
     _STATE_KINDS,
@@ -85,7 +83,7 @@ MANIFEST_SCHEMA: dict = {
             "properties": {
                 "id": {"$ref": "#/$defs/id"},
                 "typeDescription": {"type": "string", "pattern": "\\S"},
-                "instanceDescriptions": {"type": "array", "items": {"type": "string", "minLength": 1}},
+                "instanceDescriptions": {"type": "array", "items": {"type": "string", "pattern": "[A-Za-z0-9]"}},
                 "variableName": {"type": "string", "pattern": _VARIABLE_PATTERN},
             },
         },
@@ -199,6 +197,9 @@ def _structure(data: dict) -> StructureNode:
 def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManifest:
     """Validate ``data`` against the schema plus referential rules and build
     the typed manifest. Raises :class:`ManifestError` with JSON paths."""
+    # Imported here: it is slow to import, and only manifest loading needs it.
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
     schema_problems = [
         (error.json_path, error.message)

@@ -239,6 +239,9 @@ class _Reader:
         self.om = vocab.om
         self.cd_base = vocab.cd_base
         self.strict = strict
+        # The applications on the path from the root to the node being read;
+        # a shared subexpression may be read again, an enclosing one may not.
+        self.active: set[NodeRef] = set()
 
     def _one(self, node: Iri, predicate: Iri, what: str) -> NodeRef:
         values = self.graph.objects(node, predicate)
@@ -246,7 +249,7 @@ class _Reader:
             raise MalformedNodeError(f"{node} must have exactly one {what}, found {len(values)}")
         return values[0]
 
-    def read(self, node: NodeRef, active: frozenset[NodeRef]) -> OMExpression:
+    def read(self, node: NodeRef) -> OMExpression:
         om = self.om
         if isinstance(node, Literal):
             raise MalformedNodeError(f"a literal term cannot stand for an expression: {node!r}")
@@ -255,14 +258,15 @@ class _Reader:
         if len(om_types) > 1:
             raise MalformedNodeError(f"{node} has ambiguous expression typing: {sorted(t.value for t in om_types)}")
         if om.Object in om_types:
-            return self.read(self._one(node, om.root, "om:root"), active)
+            return self.read(self._one(node, om.root, "om:root"))
         if om.Application in om_types:
-            if node in active:
+            if node in self.active:
                 raise MalformedNodeError(f"application structure is cyclic at {node}")
-            inner = active | {node}
-            operator = self.read(self._one(node, om.operator, "om:operator"), inner)
+            self.active.add(node)
+            operator = self.read(self._one(node, om.operator, "om:operator"))
             head = self._one(node, om.arguments, "om:arguments")
-            arguments = tuple(self.read(item, inner) for item in read_list(self.graph, head))
+            arguments = tuple(self.read(item) for item in read_list(self.graph, head))
+            self.active.remove(node)
             return Application(operator, arguments)
         if om.Variable in om_types:
             name = self._one(node, om.name, "om:name")
@@ -296,4 +300,4 @@ def rdf_to_om(
 ) -> OMExpression:
     """Reconstruct the expression rooted at ``root`` (an ``om:Object``
     wrapper or any expression node). Inverse of :func:`om_to_rdf`."""
-    return _Reader(graph, vocab or CpsVocabulary.default(), strict).read(root, frozenset())
+    return _Reader(graph, vocab or CpsVocabulary.default(), strict).read(root)

@@ -5,12 +5,19 @@ There are no blank nodes anywhere in this toolchain; anonymous nodes are
 minted as deterministic IRIs by their producers, so graphs serialize
 byte-identically across runs and platforms. N-Triples output is one sorted
 line per triple; Turtle output groups by subject with sorted predicates.
+
+Terms compare and hash by value: an :class:`Iri` hashes as its string, and a
+:class:`Triple` hashes its terms once, when it is made. Equal terms are
+interchangeable however they were obtained, but sharing one object per term
+saves building, checking and memory: a parsed document holds one ``Iri``
+per distinct IRI, and a :class:`Namespace` keeps each attribute term it
+hands out.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import CpskgError
@@ -65,7 +72,7 @@ class NTriplesSyntaxError(CpskgError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     """An absolute IRI."""
 
@@ -77,12 +84,19 @@ class Iri:
         if _BAD_IRI_CHARS.search(self.value):
             raise InvalidIriError(f"IRI contains forbidden characters: {self.value!r}")
 
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def __str__(self) -> str:
         return self.value
 
 
 class Namespace:
-    """Attribute-style term factory: ``Namespace(base).someTerm -> Iri``."""
+    """Attribute-style term factory: ``Namespace(base).someTerm -> Iri``.
+
+    An attribute term is built once and then kept on the instance, so the
+    cache holds only names the code spells out. :meth:`term` and ``[]``
+    build a new term each call, as their names may come from input."""
 
     def __init__(self, base: str):
         Iri(base)  # validate
@@ -98,7 +112,8 @@ class Namespace:
     def __getattr__(self, name: str) -> Iri:
         if name.startswith("_"):
             raise AttributeError(name)
-        return self.term(name)
+        iri = self.__dict__[name] = self.term(name)
+        return iri
 
     def __getitem__(self, name: str) -> Iri:
         return self.term(name)
@@ -117,7 +132,7 @@ RDF = Namespace("http://www.w3.org/1999/02/22-rdf-syntax-ns#")
 XSD = Namespace("http://www.w3.org/2001/XMLSchema#")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """An RDF literal; datatype defaults to xsd:string."""
 
@@ -162,11 +177,12 @@ def nt_term(node: NodeRef) -> str:
     raise TypeError(f"not an RDF term: {node!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: NodeRef
     predicate: Iri
     object: NodeRef
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.subject, Literal):
@@ -177,6 +193,14 @@ class Triple:
             raise InvalidTripleError(f"triple predicate must be an IRI: {self.predicate!r}")
         if not isinstance(self.object, (Iri, Literal)):
             raise InvalidTripleError(f"triple object must be an IRI or literal: {self.object!r}")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are salted per process, so a copy rebuilds its hash.
+        return Triple, (self.subject, self.predicate, self.object)
 
     def sort_key(self) -> tuple[str, str, str]:
         return (nt_term(self.subject), nt_term(self.predicate), nt_term(self.object))
@@ -465,12 +489,20 @@ def _unescape(text: str, line: int) -> str:
     return _UNESCAPE_RE.sub(repl, text)
 
 
-def _literal(lexical: str, datatype: Optional[str], lang: Optional[str], line: int) -> Literal:
+class _Iris(dict[str, Iri]):
+    """One document's IRIs: each distinct string is built and checked once."""
+
+    def __missing__(self, value: str) -> Iri:
+        iri = self[value] = Iri(value)
+        return iri
+
+
+def _literal(lexical: str, datatype: Optional[str], lang: Optional[str], line: int, iris: _Iris) -> Literal:
     text = _unescape(lexical, line)
     if lang is not None:
         return Literal(text, lang=lang)
     if datatype is not None:
-        return Literal(text, Iri(datatype))
+        return Literal(text, iris[datatype])
     return Literal(text)
 
 
@@ -481,14 +513,18 @@ def parse_literal(text: str) -> Literal:
     if m is None:
         raise NTriplesSyntaxError(f"not an N-Triples literal: {text!r}", 1)
     try:
-        return _literal(*m.groups(), 1)
+        return _literal(*m.groups(), 1, _Iris())
     except ValueError as exc:
         raise NTriplesSyntaxError(str(exc), 1) from exc
 
 
 def from_ntriples(data: Union[str, bytes]) -> Graph:
     """Parse an N-Triples document; inverse of :func:`to_ntriples` on
-    canonical output. Blank lines and ``#`` comment lines are skipped."""
+    canonical output. Blank lines and ``#`` comment lines are skipped.
+
+    The graph shares one :class:`Iri` per distinct IRI of the document, in
+    every position; each is checked once, where it first occurs. Nothing is
+    kept between calls."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -496,6 +532,7 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             line = data.count(b"\n", 0, exc.start) + 1
             raise NTriplesSyntaxError(f"invalid UTF-8 byte 0x{data[exc.start]:02X}", line) from exc
     graph = Graph()
+    iris = _Iris()
     for lineno, raw in enumerate(data.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -505,9 +542,9 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             raise NTriplesSyntaxError(f"not a valid N-Triples statement: {raw!r}", lineno)
         s_iri, p_iri, o_iri, o_lex, o_dt, o_lang = m.groups()
         try:
-            subject = Iri(s_iri)
-            predicate = Iri(p_iri)
-            obj = Iri(o_iri) if o_iri is not None else _literal(o_lex, o_dt, o_lang, lineno)
+            subject = iris[s_iri]
+            predicate = iris[p_iri]
+            obj = iris[o_iri] if o_iri is not None else _literal(o_lex, o_dt, o_lang, lineno, iris)
             graph.add(Triple(subject, predicate, obj))
         except (ValueError, InvalidTripleError) as exc:
             raise NTriplesSyntaxError(str(exc), lineno) from exc

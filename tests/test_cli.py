@@ -41,7 +41,7 @@ def test_om2rdf_ntriples_round_trips(run_cli, tmp_path, eq1_tree):
 
 
 def test_import_leaves_network_and_mail_modules_unloaded():
-    probe = "import sys, cpskg.cli; print(sorted({'urllib.request', 'http.client', 'email'} & set(sys.modules)))"
+    probe = "import sys, cpskg.cli; print(sorted({'urllib.request', 'http.client', 'email', 'jsonschema'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr

@@ -177,6 +177,16 @@ def test_blank_type_description_problem_names_its_path():
     assert [path for path, _ in excinfo.value.problems] == ["$.processes[0].states[0].dataElements[0].typeDescription"]
 
 
+def test_instance_description_without_slug_character_names_its_path():
+    # "  " and "!!" both slugify to "x", so they would be one instance node.
+    data = minimal_manifest()
+    data["processes"][0]["states"][0]["dataElements"][0]["instanceDescriptions"] = ["first", "  ", "!!"]
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    path = "$.processes[0].states[0].dataElements[0].instanceDescriptions"
+    assert [path for path, _ in excinfo.value.problems] == [f"{path}[1]", f"{path}[2]"]
+
+
 def test_equation_requires_exactly_one_source():
     data = minimal_manifest()
     data["processes"][0]["operators"][0]["equations"] = [{"id": "e", "infix": "y = x", "xmlPath": "a.xml"}]

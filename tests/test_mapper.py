@@ -141,6 +141,38 @@ def test_cyclic_list_detected():
         rdf_to_om(g, result.object_node)
 
 
+def _argument_cells(graph, application):
+    """The cells of an application's argument list, in order."""
+    cells = [graph.objects(application, OM.arguments)[0]]
+    while (rest := graph.objects(cells[-1], RDF.rest)[0]) != RDF.nil:
+        cells.append(rest)
+    return cells
+
+
+def _set_item(graph, cell, node):
+    for old in graph.triples(cell, RDF.first):
+        graph.discard(old)
+    graph.add(Triple(cell, RDF.first, node))
+
+
+def test_application_in_its_own_arguments_is_cyclic():
+    result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
+    g = result.graph
+    application = g.objects(result.object_node, OM.root)[0]
+    _set_item(g, _argument_cells(g, application)[1], application)
+    with pytest.raises(MalformedNodeError, match=f"^application structure is cyclic at {application}$"):
+        rdf_to_om(g, result.object_node)
+
+
+def test_shared_subexpression_reads_back_twice():
+    inner = app(PLUS, X, Y)
+    result = om_to_rdf(app(PLUS, inner, Y), BASE, "e")
+    g = result.graph
+    cells = _argument_cells(g, g.objects(result.object_node, OM.root)[0])
+    _set_item(g, cells[1], g.objects(cells[0], RDF.first)[0])
+    assert rdf_to_om(g, result.object_node) == app(PLUS, inner, inner)
+
+
 def test_dangling_list_detected():
     result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
     g = result.graph

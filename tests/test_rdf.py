@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -26,6 +30,8 @@ from cpskg.rdf import (
     to_ntriples,
     to_turtle,
 )
+
+from conftest import REPO
 
 EX = Namespace("http://example.org/")
 
@@ -124,6 +130,40 @@ def test_parse_blank_node_rejected():
 def test_parse_skips_comments_and_blank_lines():
     text = "# a comment\n\n<http://example.org/s> <http://example.org/p> <http://example.org/o> .\n"
     assert len(from_ntriples(text)) == 1
+
+
+@pytest.mark.parametrize("position", ["subject", "predicate", "object", "datatype"])
+def test_parse_relative_iri_names_its_line(position):
+    """Line 1 holds every other IRI of line 2, so a check skipped for a
+    known IRI would let line 2 through."""
+    valid = {
+        "subject": "<http://example.org/s>",
+        "predicate": "<http://example.org/p>",
+        "object": "<http://example.org/o>",
+        "datatype": "<http://www.w3.org/2001/XMLSchema#integer>",
+    }
+
+    def line(terms: dict[str, str]) -> str:
+        obj = f'"1"^^{terms["datatype"]}' if position == "datatype" else terms["object"]
+        return f"{terms['subject']} {terms['predicate']} {obj} .\n"
+
+    text = line(valid) + line({**valid, position: "<relative>"})
+    with pytest.raises(NTriplesSyntaxError, match=r"^line 2: IRI must be absolute: 'relative'$") as excinfo:
+        from_ntriples(text)
+    assert excinfo.value.line == 2
+
+
+def test_namespace_keeps_attribute_terms_only():
+    assert RDF.type is RDF.type
+    assert RDF["type"] == RDF.type == RDF.term("type")
+    ns = Namespace("http://example.org/ns#")
+    with pytest.raises(AttributeError):
+        ns._x
+    ns.term("from_input")
+    ns["also_from_input"]
+    assert "from_input" not in vars(ns) and "also_from_input" not in vars(ns)
+    assert ns.a is ns.a
+    assert ns.base == "http://example.org/ns#"
 
 
 def test_golden_file_reserializes_byte_identically(golden_text):
@@ -277,6 +317,45 @@ def test_serialization_ignores_insertion_order(triples, rnd):
         g2.add(x)
     assert to_ntriples(g1) == to_ntriples(g2)
     assert to_turtle(g1) == to_turtle(g2)
+
+
+# Local names a Namespace hands out as attributes ("base" and "term" are its own).
+_local_names = st.from_regex(r"[a-z][a-z0-9]{0,4}", fullmatch=True).filter(lambda n: not hasattr(Namespace, n))
+
+
+@given(st.lists(st.tuples(_local_names, _local_names, st.one_of(_local_names, _literals)), min_size=1, max_size=8))
+def test_equal_terms_hash_equal_however_built(rows):
+    """Terms and triples hash by value: built directly, parsed from
+    N-Triples or taken from a Namespace, equal ones hash equal."""
+    ns = Namespace(EX.base)
+
+    def build(make, s, p, o) -> Triple:
+        return Triple(make(s), make(p), o if isinstance(o, Literal) else make(o))
+
+    direct = [build(lambda n: Iri(EX.base + n), *row) for row in rows]
+    named = [build(lambda n: getattr(ns, n), *row) for row in rows]
+    graph = Graph()
+    graph.add_all(direct)
+    parsed = {x: x for x in from_ntriples(to_ntriples(graph))}
+    for x, y, z in zip(direct, named, (parsed[d] for d in direct)):
+        for other in (y, z):
+            pairs = [(x, other), (x.subject, other.subject), (x.predicate, other.predicate), (x.object, other.object)]
+            if isinstance(x.object, Literal):
+                pairs.append((x.object.datatype, other.object.datatype))
+            for a, b in pairs:
+                assert a == b and hash(a) == hash(b)
+    for iri in {x.subject for x in direct}:
+        assert hash(iri) == hash(iri.value)
+        assert iri != iri.value and iri != Literal(iri.value)
+
+
+def test_triple_pickled_in_another_process_hashes_in_this_one():
+    """A triple caches its hash, and string hashes are salted per process."""
+    probe = "import pickle, sys; from cpskg.rdf import Iri, Literal, Triple; sys.stdout.buffer.write(pickle.dumps(Triple(Iri('http://example.org/s'), Iri('http://example.org/p'), Literal('x'))))"
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert pickle.loads(result.stdout) in {Triple(EX.s, EX.p, Literal("x"))}
 
 
 # --- lookup indexes ---------------------------------------------------------
