@@ -168,6 +168,11 @@ class ModelBuilder:
         self.graph = Graph()
         self._lifecycle_ids: set[str] = set()
         self._observation_count = 0
+        # What this builder wrote, so that the checks made while the graph
+        # grows never look it up, which would index it: every subject, and
+        # each operator's model.
+        self._subjects: set[Iri] = set()
+        self._models: dict[Iri, Iri] = {}
 
     def iri(self, local_id: str) -> Iri:
         return Iri(f"{self.instance_base}/{local_id}")
@@ -175,8 +180,9 @@ class ModelBuilder:
     def node_iri(self, context: str, key: str) -> Iri:
         return Iri(f"{self.instance_base}/node/{context}/{key}")
 
-    def _add(self, subject: NodeRef, predicate: Iri, obj: NodeRef) -> None:
+    def _add(self, subject: Iri, predicate: Iri, obj: NodeRef) -> None:
         self.graph.add(Triple(subject, predicate, obj))
+        self._subjects.add(subject)
 
     def _has_type(self, node: NodeRef, rdf_class: Iri) -> bool:
         return isinstance(node, Iri) and Triple(node, RDF.type, rdf_class) in self.graph
@@ -271,7 +277,7 @@ class ModelBuilder:
         Type and instance description texts are encoded in deterministic
         node IRIs (shared per slug), keeping the emitted shape minimal.
         """
-        if not self.graph.triples(owner):
+        if owner not in self._subjects:
             raise UnresolvedReferenceError(f"data-element owner does not exist in the graph: {owner}")
         if not spec.type_description or not spec.type_description.strip():
             raise MissingTypeDescriptionError(f"data element {spec.id!r} has no type description")
@@ -298,13 +304,9 @@ class ModelBuilder:
             raise NotAnOperatorError(f"not a process operator: {operator_node}")
         if not self._has_type(object_node, v.om.Object):
             raise NotAnObjectError(f"not an expression wrapper node: {object_node}")
-        models = self.graph.objects(operator_node, v.cpsmod.processOperatorBehaviorModel)
-        if models:
-            model = models[0]
-            if not isinstance(model, Iri):
-                raise TypeMismatchError(f"behavior model of {operator_node} is not an IRI")
-        else:
-            model = Iri(f"{operator_node.value}/model")
+        model = self._models.get(operator_node)
+        if model is None:
+            model = self._models[operator_node] = Iri(f"{operator_node.value}/model")
             self._add(model, RDF.type, v.vdi2206.MathematicalModel)
             self._add(operator_node, v.cpsmod.processOperatorBehaviorModel, model)
         self._add(model, v.cpsmod.hasOMObject, object_node)
@@ -325,6 +327,9 @@ class ModelBuilder:
         The unit is part of the manifest/binding vocabulary, not the graph;
         the simple result is a plain xsd:double.
         """
+        # A feature may be any node of the graph, such as an expression node
+        # merged in from om_to_rdf, so this check asks the graph. Observations
+        # come last in compile_manifest, so its graph is indexed only then.
         if not self.graph.triples(feature):
             raise UnresolvedReferenceError(f"observation feature does not exist in the graph: {feature}")
         check_timestamp(timestamp)

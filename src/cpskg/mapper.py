@@ -239,9 +239,15 @@ class _Reader:
         self.om = vocab.om
         self.cd_base = vocab.cd_base
         self.strict = strict
-        # The applications on the path from the root to the node being read;
-        # a shared subexpression may be read again, an enclosing one may not.
+        # The wrappers and applications on the path from the root to the node
+        # being read; a shared subexpression may be read again, an enclosing
+        # one may not.
         self.active: set[NodeRef] = set()
+
+    def _enter(self, node: NodeRef, structure: str) -> None:
+        if node in self.active:
+            raise MalformedNodeError(f"{structure} is cyclic at {node}")
+        self.active.add(node)
 
     def _one(self, node: Iri, predicate: Iri, what: str) -> NodeRef:
         values = self.graph.objects(node, predicate)
@@ -258,11 +264,12 @@ class _Reader:
         if len(om_types) > 1:
             raise MalformedNodeError(f"{node} has ambiguous expression typing: {sorted(t.value for t in om_types)}")
         if om.Object in om_types:
-            return self.read(self._one(node, om.root, "om:root"))
+            self._enter(node, "om:root chain")
+            expr = self.read(self._one(node, om.root, "om:root"))
+            self.active.remove(node)
+            return expr
         if om.Application in om_types:
-            if node in self.active:
-                raise MalformedNodeError(f"application structure is cyclic at {node}")
-            self.active.add(node)
+            self._enter(node, "application structure")
             operator = self.read(self._one(node, om.operator, "om:operator"))
             head = self._one(node, om.arguments, "om:arguments")
             arguments = tuple(self.read(item) for item in read_list(self.graph, head))

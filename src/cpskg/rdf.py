@@ -7,18 +7,19 @@ byte-identically across runs and platforms. N-Triples output is one sorted
 line per triple; Turtle output groups by subject with sorted predicates.
 
 Terms compare and hash by value: an :class:`Iri` hashes as its string, and a
-:class:`Triple` hashes its terms once, when it is made. Equal terms are
-interchangeable however they were obtained, but sharing one object per term
-saves building, checking and memory: a parsed document holds one ``Iri``
-per distinct IRI, and a :class:`Namespace` keeps each attribute term it
-hands out.
+:class:`Triple` hashes its terms once, when it is made. A :class:`Graph`
+keys every term by its N-Triples text (:func:`nt_term`), which is
+one-to-one with term equality and sorts in serialization order, so storing,
+indexing and sorting work on plain strings. One table per graph maps each
+text back to a single term object, and lookups hand out those objects. A
+:class:`Namespace` keeps each attribute term it hands out.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import CpskgError
 
@@ -148,18 +149,12 @@ class Literal:
 NodeRef = Union[Iri, Literal]
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# canonical form: no raw control characters
+_ESCAPE_TABLE = str.maketrans({**{chr(c): f"\\u{c:04X}" for c in range(0x20)}, **_ESCAPES})
 
 
 def _escape_literal(text: str) -> str:
-    out = []
-    for c in text:
-        if c in _ESCAPES:
-            out.append(_ESCAPES[c])
-        elif ord(c) < 0x20:  # canonical form: no raw control characters
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+    return text.translate(_ESCAPE_TABLE)
 
 
 def nt_term(node: NodeRef) -> str:
@@ -206,8 +201,18 @@ class Triple:
         return (nt_term(self.subject), nt_term(self.predicate), nt_term(self.object))
 
 
-# outer key -> inner key -> the triples holding both
-_Index = dict[NodeRef, dict[NodeRef, set[Triple]]]
+# A triple as the N-Triples texts of its terms: (subject, predicate, object).
+_Key = tuple[str, str, str]
+# outer text -> inner text -> the texts completing the triple
+_Index = dict[str, dict[str, set[str]]]
+
+
+def _text(node: Optional[NodeRef]) -> Optional[str]:
+    return None if node is None else nt_term(node)
+
+
+def _put(index: _Index, outer: str, inner: str, leaf: str) -> None:
+    index.setdefault(outer, {}).setdefault(inner, set()).add(leaf)
 
 
 class Graph:
@@ -218,93 +223,136 @@ class Graph:
     dependence on set ordering by accident. Prefixes are serialization
     hints, not graph content: :func:`to_turtle` takes them as an argument.
 
-    Lookups go through two indexes, subject -> predicate -> triples and
-    predicate -> object -> triples (two of the six Hexastore orders). They
-    are built on the first lookup and kept in step by every later change,
-    so a graph that is only written and serialized never pays for them.
+    Each triple is stored as the key ``(nt_term(s), nt_term(p),
+    nt_term(o))``, a tuple of three strings, and a term table maps every
+    text to one term object. Keys hash and compare in C, sort as plain
+    tuples in :meth:`Triple.sort_key` order, and serialize by joining. The
+    table keeps the terms of discarded triples; they are never handed out
+    again unless re-added.
+
+    Lookups go through two indexes over the texts, subject -> predicate ->
+    objects and predicate -> object -> subjects (two of the six Hexastore
+    orders). Each is built on the first lookup that needs it and kept in
+    step by every later change, so a graph that is only written and
+    serialized never pays for them.
     """
 
-    __slots__ = ("_triples", "_spo", "_pos")
+    __slots__ = ("_keys", "_terms", "_spo", "_pos")
 
     def __init__(self) -> None:
-        self._triples: set[Triple] = set()
+        self._keys: set[_Key] = set()
+        self._terms: dict[str, NodeRef] = {}
         self._spo: Optional[_Index] = None
         self._pos: Optional[_Index] = None
 
     def add(self, triple: Triple) -> None:
         if not isinstance(triple, Triple):
             raise InvalidTripleError(f"not a triple: {triple!r}")
-        if self._spo is not None and triple not in self._triples:
-            self._index(triple)
-        self._triples.add(triple)
-
-    def add_all(self, triples: Iterable[Triple]) -> None:
-        for triple in triples:
-            self.add(triple)
+        key = triple.sort_key()
+        if key in self._keys:
+            return
+        self._keys.add(key)
+        terms = self._terms
+        s, p, o = key
+        if s not in terms:
+            terms[s] = triple.subject
+        if p not in terms:
+            terms[p] = triple.predicate
+        if o not in terms:
+            terms[o] = triple.object
+        if self._spo is not None or self._pos is not None:
+            self._index(key)
 
     def discard(self, triple: Triple) -> None:
-        if triple not in self._triples:
+        if triple not in self:
             return
-        self._triples.remove(triple)
-        if self._spo is not None:
-            for index, outer, inner in ((self._spo, triple.subject, triple.predicate), (self._pos, triple.predicate, triple.object)):
-                by_inner = index[outer]
-                by_inner[inner].remove(triple)
-                if not by_inner[inner]:
-                    del by_inner[inner]
-                    if not by_inner:
-                        del index[outer]
+        key = triple.sort_key()
+        self._keys.remove(key)
+        s, p, o = key
+        for index, outer, inner, leaf in ((self._spo, s, p, o), (self._pos, p, o, s)):
+            if index is None:
+                continue
+            by_inner = index[outer]
+            leaves = by_inner[inner]
+            leaves.remove(leaf)
+            if not leaves:
+                del by_inner[inner]
+                if not by_inner:
+                    del index[outer]
 
     def update(self, other: "Graph") -> None:
-        if self._spo is not None:
-            for triple in other._triples - self._triples:
-                self._index(triple)
-        self._triples |= other._triples
+        new = other._keys - self._keys
+        self._keys |= new
+        for text, term in other._terms.items():
+            self._terms.setdefault(text, term)
+        if self._spo is not None or self._pos is not None:
+            for key in new:
+                self._index(key)
 
     def copy(self) -> "Graph":
         """An independent graph with the same triples; it indexes itself on
         its own first lookup."""
         clone = Graph()
-        clone._triples = set(self._triples)
+        clone._keys = set(self._keys)
+        clone._terms = dict(self._terms)
         return clone
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return len(self._keys)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        return isinstance(triple, Triple) and triple.sort_key() in self._keys
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=Triple.sort_key))
+        return iter(self._triples(sorted(self._keys)))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and other._triples == self._triples
+        return isinstance(other, Graph) and other._keys == self._keys
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._triples)} triples)"
+        return f"Graph({len(self._keys)} triples)"
 
-    def _index(self, triple: Triple) -> None:
-        self._spo.setdefault(triple.subject, {}).setdefault(triple.predicate, set()).add(triple)  # type: ignore[union-attr]
-        self._pos.setdefault(triple.predicate, {}).setdefault(triple.object, set()).add(triple)  # type: ignore[union-attr]
+    def _triples(self, keys: Iterable[_Key]) -> list[Triple]:
+        terms = self._terms
+        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in keys]  # type: ignore[arg-type]
 
-    def _indexes(self) -> tuple[_Index, _Index]:
+    def _index(self, key: _Key) -> None:
+        s, p, o = key
+        if self._spo is not None:
+            _put(self._spo, s, p, o)
+        if self._pos is not None:
+            _put(self._pos, p, o, s)
+
+    def _by_subject(self) -> _Index:
         if self._spo is None:
-            self._spo, self._pos = {}, {}
-            for triple in self._triples:
-                self._index(triple)
-        return self._spo, self._pos  # type: ignore[return-value]
+            self._spo = {}
+            for s, p, o in self._keys:
+                _put(self._spo, s, p, o)
+        return self._spo
 
-    def _select(self, subject: Optional[NodeRef], predicate: Optional[Iri], object: Optional[NodeRef]) -> Iterable[Triple]:
-        """The triples matching the given constant positions, unordered."""
-        if subject is None and predicate is None:
-            return self._triples if object is None else [t for t in self._triples if t.object == object]
-        spo, pos = self._indexes()
-        if subject is None:
-            by_object = pos.get(predicate, {})
-            return by_object.get(object, ()) if object is not None else [t for ts in by_object.values() for t in ts]
-        by_predicate = spo.get(subject, {})
-        found = by_predicate.get(predicate, ()) if predicate is not None else [t for ts in by_predicate.values() for t in ts]
-        return found if object is None else [t for t in found if t.object == object]
+    def _by_predicate(self) -> _Index:
+        if self._pos is None:
+            self._pos = {}
+            for s, p, o in self._keys:
+                _put(self._pos, p, o, s)
+        return self._pos
+
+    def _select(self, s: Optional[str], p: Optional[str], o: Optional[str]) -> Iterable[_Key]:
+        """The keys matching the given constant texts, unordered."""
+        if s is None and p is None:
+            return self._keys if o is None else [k for k in self._keys if k[2] == o]
+        if s is None:
+            by_object = self._by_predicate().get(p, {})  # type: ignore[arg-type]
+            if o is not None:
+                return [(x, p, o) for x in by_object.get(o, ())]  # type: ignore[misc]
+            return [(x, p, y) for y, xs in by_object.items() for x in xs]  # type: ignore[misc]
+        by_predicate = self._by_subject().get(s, {})
+        if p is not None:
+            found = by_predicate.get(p, ())
+            if o is None:
+                return [(s, p, y) for y in found]
+            return [(s, p, o)] if o in found else []
+        return [(s, q, y) for q, ys in by_predicate.items() for y in ys if o is None or y == o]
 
     def triples(
         self,
@@ -313,14 +361,16 @@ class Graph:
         object: Optional[NodeRef] = None,
     ) -> list[Triple]:
         """Triples matching the given constant positions, in sorted order."""
-        return sorted(self._select(subject, predicate, object), key=Triple.sort_key)
+        return self._triples(sorted(self._select(_text(subject), _text(predicate), _text(object))))
 
     def objects(self, subject: NodeRef, predicate: Iri) -> list[NodeRef]:
-        found = self._indexes()[0].get(subject, {}).get(predicate, ())
-        return sorted((t.object for t in found), key=nt_term)
+        found = self._by_subject().get(nt_term(subject), {}).get(nt_term(predicate), ())
+        terms = self._terms
+        return [terms[o] for o in sorted(found)]
 
     def subjects(self, predicate: Optional[Iri] = None, object: Optional[NodeRef] = None) -> list[NodeRef]:
-        return sorted({t.subject for t in self._select(None, predicate, object)}, key=nt_term)
+        terms = self._terms
+        return [terms[s] for s in sorted({k[0] for k in self._select(None, _text(predicate), _text(object))})]
 
 
 # --- pattern matching --------------------------------------------------------
@@ -403,7 +453,7 @@ def match(graph: Graph, query: PatternQuery) -> list[dict[str, NodeRef]]:
 
 def to_ntriples(graph: Graph) -> str:
     """Canonical N-Triples: one statement per line, lines sorted, LF endings."""
-    lines = sorted(f"{nt_term(t.subject)} {nt_term(t.predicate)} {nt_term(t.object)} ." for t in graph._triples)
+    lines = sorted(f"{s} {p} {o} ." for s, p, o in graph._keys)
     return "".join(line + "\n" for line in lines)
 
 
@@ -435,23 +485,21 @@ def to_turtle(graph: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str
             return f'"{_escape_literal(node.lexical)}"^^{_pname(node.datatype, prefix_order)}'
         return nt_term(node)
 
-    by_subject: dict[str, tuple[NodeRef, dict[Iri, list[NodeRef]]]] = {}
-    for t in graph:
-        key = nt_term(t.subject)
-        _, preds = by_subject.setdefault(key, (t.subject, {}))
-        preds.setdefault(t.predicate, []).append(t.object)
-
-    for key in sorted(by_subject):
-        subject, preds = by_subject[key]
+    # keys in sorted order, so subjects, and each predicate's objects, stay sorted
+    by_subject: dict[str, dict[str, list[str]]] = {}
+    for s, p, o in sorted(graph._keys):
+        by_subject.setdefault(s, {}).setdefault(p, []).append(o)
+    terms = graph._terms
+    rdf_type = nt_term(RDF.type)
+    for subject, preds in by_subject.items():
         if out:
             out.append("")
-        pred_keys = sorted(preds, key=lambda p: ("0" if p == RDF.type else "1" + nt_term(p)))
         lines = []
-        for predicate in pred_keys:
-            rendered = "a" if predicate == RDF.type else term(predicate)
-            objects = ", ".join(term(o) for o in sorted(preds[predicate], key=nt_term))
+        for predicate in sorted(preds, key=lambda p: (p != rdf_type, p)):
+            rendered = "a" if predicate == rdf_type else term(terms[predicate])
+            objects = ", ".join(term(terms[o]) for o in preds[predicate])
             lines.append(f"{rendered} {objects}")
-        block = f"{term(subject)} " + " ;\n    ".join(lines) + " ."
+        block = f"{term(terms[subject])} " + " ;\n    ".join(lines) + " ."
         out.append(block)
     return "\n".join(out) + ("\n" if out else "")
 
@@ -489,20 +537,12 @@ def _unescape(text: str, line: int) -> str:
     return _UNESCAPE_RE.sub(repl, text)
 
 
-class _Iris(dict[str, Iri]):
-    """One document's IRIs: each distinct string is built and checked once."""
-
-    def __missing__(self, value: str) -> Iri:
-        iri = self[value] = Iri(value)
-        return iri
-
-
-def _literal(lexical: str, datatype: Optional[str], lang: Optional[str], line: int, iris: _Iris) -> Literal:
+def _literal(lexical: str, datatype: Optional[str], lang: Optional[str], line: int, iri: Callable[[str], Iri]) -> Literal:
     text = _unescape(lexical, line)
     if lang is not None:
         return Literal(text, lang=lang)
     if datatype is not None:
-        return Literal(text, iris[datatype])
+        return Literal(text, iri(datatype))
     return Literal(text)
 
 
@@ -513,7 +553,7 @@ def parse_literal(text: str) -> Literal:
     if m is None:
         raise NTriplesSyntaxError(f"not an N-Triples literal: {text!r}", 1)
     try:
-        return _literal(*m.groups(), 1, _Iris())
+        return _literal(*m.groups(), 1, Iri)
     except ValueError as exc:
         raise NTriplesSyntaxError(str(exc), 1) from exc
 
@@ -522,8 +562,10 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
     """Parse an N-Triples document; inverse of :func:`to_ntriples` on
     canonical output. Blank lines and ``#`` comment lines are skipped.
 
-    The graph shares one :class:`Iri` per distinct IRI of the document, in
-    every position; each is checked once, where it first occurs. Nothing is
+    Each distinct IRI, and each distinct literal as written, is checked and
+    rendered to its canonical N-Triples text once, where it first occurs;
+    the graph shares one term object per text. Literal escapes are
+    canonicalised, so ``"\\u0041"`` and ``"A"`` are one term. Nothing is
     kept between calls."""
     if isinstance(data, bytes):
         try:
@@ -532,7 +574,20 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             line = data.count(b"\n", 0, exc.start) + 1
             raise NTriplesSyntaxError(f"invalid UTF-8 byte 0x{data[exc.start]:02X}", line) from exc
     graph = Graph()
-    iris = _Iris()
+    keys, terms = graph._keys, graph._terms
+    iri_texts: dict[str, str] = {}  # IRI value -> its text
+    literal_texts: dict[tuple[str, Optional[str], Optional[str]], str] = {}  # literal groups -> its text
+
+    def iri_text(value: str) -> str:
+        """Check, render and enter an IRI not seen before in this document."""
+        iri = Iri(value)
+        text = iri_texts[value] = nt_term(iri)
+        terms[text] = iri
+        return text
+
+    def datatype(value: str) -> Iri:
+        return terms[iri_texts.get(value) or iri_text(value)]  # type: ignore[return-value]
+
     for lineno, raw in enumerate(data.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -542,10 +597,18 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             raise NTriplesSyntaxError(f"not a valid N-Triples statement: {raw!r}", lineno)
         s_iri, p_iri, o_iri, o_lex, o_dt, o_lang = m.groups()
         try:
-            subject = iris[s_iri]
-            predicate = iris[p_iri]
-            obj = iris[o_iri] if o_iri is not None else _literal(o_lex, o_dt, o_lang, lineno, iris)
-            graph.add(Triple(subject, predicate, obj))
-        except (ValueError, InvalidTripleError) as exc:
+            subject = iri_texts.get(s_iri) or iri_text(s_iri)
+            predicate = iri_texts.get(p_iri) or iri_text(p_iri)
+            if o_iri is not None:
+                obj = iri_texts.get(o_iri) or iri_text(o_iri)
+            else:
+                written = (o_lex, o_dt, o_lang)
+                obj = literal_texts.get(written)  # type: ignore[assignment]
+                if obj is None:
+                    literal = _literal(o_lex, o_dt, o_lang, lineno, datatype)
+                    obj = literal_texts[written] = nt_term(literal)
+                    terms.setdefault(obj, literal)
+        except ValueError as exc:
             raise NTriplesSyntaxError(str(exc), lineno) from exc
+        keys.add((subject, predicate, obj))
     return graph

@@ -66,6 +66,18 @@ def test_rdf2om_unknown_root_exits_1(run_cli):
     assert result.returncode == 1
 
 
+def test_rdf2om_wrapper_rooted_at_itself_exits_1(run_cli, tmp_path, ehsa_graph, vocab):
+    wrapper = Iri(f"{EHSA_BASE}/expr/chamber1_pressure_rate")
+    graph = ehsa_graph.copy()
+    graph.discard(graph.triples(wrapper, vocab.om.root)[0])
+    graph.add(Triple(wrapper, vocab.om.root, wrapper))
+    broken = tmp_path / "broken.nt"
+    broken.write_text(to_ntriples(graph), encoding="utf-8")
+    result = run_cli("rdf2om", "--in", str(broken), "--root", wrapper.value)
+    assert result.returncode == 1
+    assert result.stderr == f"error: om:root chain is cyclic at {wrapper.value}\n"
+
+
 def test_rdf2om_cyclic_list_exits_1(run_cli, tmp_path):
     graph = from_ntriples(open(GOLDEN, "rb").read())
     tail = graph.triples(None, RDF.rest, RDF.nil)[0]

@@ -164,6 +164,35 @@ def test_application_in_its_own_arguments_is_cyclic():
         rdf_to_om(g, result.object_node)
 
 
+def test_wrapper_rooted_at_itself_is_cyclic():
+    result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
+    g = result.graph
+    wrapper = result.object_node
+    g.discard(Triple(wrapper, OM.root, g.objects(wrapper, OM.root)[0]))
+    g.add(Triple(wrapper, OM.root, wrapper))
+    with pytest.raises(MalformedNodeError, match=f"^om:root chain is cyclic at {wrapper}$"):
+        rdf_to_om(g, wrapper)
+
+
+def test_two_wrappers_rooted_at_each_other_are_cyclic():
+    first, second = Iri(f"{BASE}/expr/a"), Iri(f"{BASE}/expr/b")
+    g = Graph()
+    for wrapper, root in ((first, second), (second, first)):
+        g.add(Triple(wrapper, RDF.type, OM.Object))
+        g.add(Triple(wrapper, OM.root, root))
+    with pytest.raises(MalformedNodeError, match=f"^om:root chain is cyclic at {first}$"):
+        rdf_to_om(g, first)
+
+
+def test_wrapper_of_a_wrapper_reads_back():
+    result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
+    g = result.graph
+    outer = Iri(f"{BASE}/expr/outer")
+    g.add(Triple(outer, RDF.type, OM.Object))
+    g.add(Triple(outer, OM.root, result.object_node))
+    assert rdf_to_om(g, outer) == app(PLUS, X, Y)
+
+
 def test_shared_subexpression_reads_back_twice():
     inner = app(PLUS, X, Y)
     result = om_to_rdf(app(PLUS, inner, Y), BASE, "e")

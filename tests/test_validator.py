@@ -51,7 +51,8 @@ def test_v1_malformed_list(ehsa_graph, mutation):
     mutated = ehsa_graph.copy()
     victim = mutated.triples(None, RDF.rest, RDF.nil)[0]
     mutated.discard(victim)
-    mutated.add_all(added(victim.subject))
+    for triple in added(victim.subject):
+        mutated.add(triple)
     finding = _single_finding(validate(mutated))
     assert (finding.rule, finding.severity, finding.message) == ("V1", "error", message)
     wrapper = Iri(victim.subject.value.rpartition("/")[0])
