@@ -6,7 +6,6 @@ data elements, lifecycle record, observations) -> deterministic N-Triples
 or Turtle, with shape validation and numeric spot-evaluation on the side.
 """
 
-from .builder import ModelBuilder
 from .evaluator import evaluate, load_bindings
 from .infix import parse_infix, print_infix
 from .manifest import compile_manifest, load_manifest, manifest_from_dict
@@ -37,7 +36,6 @@ __all__ = [
     "Iri",
     "Literal",
     "MappingResult",
-    "ModelBuilder",
     "Namespace",
     "OMExpression",
     "PatternQuery",

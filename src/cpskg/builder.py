@@ -7,13 +7,17 @@ at ``{base}/node/{context}/{key}``, behavior models at
 records, the mechatronic structure tree, process operators with their
 input/output states, data elements, behavior-model attachment, variable
 links, and timestamped observations.
+
+Every operation trusts its spec: the manifest check
+(``manifest.manifest_from_dict``) is the one home of every manifest rule,
+and the builder checks none of them again. ``add_observation`` alone asks
+the graph, because a feature may be any node of it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Optional, Sequence
 
 from .errors import CpskgError
@@ -22,69 +26,24 @@ from .vocab import CpsVocabulary
 
 __all__ = [
     "BuildError",
-    "CyclicStructureError",
     "DataElementSpec",
-    "DuplicateIdError",
     "EquationSpec",
-    "InvalidTimestampError",
-    "LevelInversionError",
-    "MissingTypeDescriptionError",
     "ModelBuilder",
-    "NotAnObjectError",
-    "NotAnOperatorError",
     "ObservationSpec",
     "OperatorSpec",
     "ProcessSpec",
     "StateSpec",
     "StructureNode",
-    "TypeMismatchError",
     "UnresolvedReferenceError",
-    "check_timestamp",
     "slugify",
 ]
-
-_LEVEL_RANK = {"MechatronicSystem": 0, "Module": 1, "Component": 2}
-_STATE_KINDS = ("Product", "Energy", "Information")
-_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?(Z|[+-]\d{2}:\d{2})?$")
 
 
 class BuildError(CpskgError):
     """Base for graph-construction failures."""
 
 
-class DuplicateIdError(BuildError):
-    pass
-
-
-class CyclicStructureError(BuildError):
-    pass
-
-
-class LevelInversionError(BuildError):
-    pass
-
-
 class UnresolvedReferenceError(BuildError):
-    pass
-
-
-class MissingTypeDescriptionError(BuildError):
-    pass
-
-
-class NotAnOperatorError(BuildError):
-    pass
-
-
-class NotAnObjectError(BuildError):
-    pass
-
-
-class TypeMismatchError(BuildError):
-    pass
-
-
-class InvalidTimestampError(BuildError):
     pass
 
 
@@ -92,17 +51,6 @@ def slugify(text: str) -> str:
     """Reduce free text to a deterministic IRI path segment."""
     slug = re.sub(r"[^A-Za-z0-9]+", "_", text.strip()).strip("_").lower()
     return slug or "x"
-
-
-def check_timestamp(timestamp: str) -> None:
-    """Raise :class:`InvalidTimestampError` unless ``timestamp`` is an
-    xsd:dateTime value naming a real date and time."""
-    if not _TIMESTAMP_RE.match(timestamp):
-        raise InvalidTimestampError(f"not an xsd:dateTime value: {timestamp!r}")
-    try:
-        datetime.fromisoformat(timestamp.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise InvalidTimestampError(f"not a valid timestamp: {timestamp!r}") from exc
 
 
 @dataclass
@@ -160,18 +108,17 @@ class ObservationSpec:
 
 
 class ModelBuilder:
-    """Accumulates one model graph; see module docstring for IRI rules."""
+    """Accumulates one model graph from specs that passed the manifest
+    check: it mints IRIs and writes triples. See the module docstring for
+    the IRI rules."""
 
     def __init__(self, instance_base: str, vocab: Optional[CpsVocabulary] = None):
         self.vocab = vocab or CpsVocabulary.default()
         self.instance_base = instance_base.rstrip("/")
         self.graph = Graph()
-        self._lifecycle_ids: set[str] = set()
         self._observation_count = 0
-        # What this builder wrote, so that the checks made while the graph
-        # grows never look it up, which would index it: every subject, and
-        # each operator's model.
-        self._subjects: set[Iri] = set()
+        # each operator's model node, so that attaching never looks up the
+        # graph, which would index it
         self._models: dict[Iri, Iri] = {}
 
     def iri(self, local_id: str) -> Iri:
@@ -182,20 +129,12 @@ class ModelBuilder:
 
     def _add(self, subject: Iri, predicate: Iri, obj: NodeRef) -> None:
         self.graph.add(Triple(subject, predicate, obj))
-        self._subjects.add(subject)
-
-    def _has_type(self, node: NodeRef, rdf_class: Iri) -> bool:
-        return isinstance(node, Iri) and Triple(node, RDF.type, rdf_class) in self.graph
 
     # --- lifecycle -------------------------------------------------------
 
     def add_lifecycle_record(self, record_id: str, information_set_ids: Sequence[str]) -> Iri:
         """Create the record and its information sets; the first set doubles
         as the system-model node."""
-        for local_id in (record_id, *information_set_ids):
-            if local_id in self._lifecycle_ids:
-                raise DuplicateIdError(f"lifecycle id reused: {local_id!r}")
-            self._lifecycle_ids.add(local_id)
         v = self.vocab
         record = self.iri(record_id)
         self._add(record, RDF.type, v.din77005.LifeCycleRecord)
@@ -212,26 +151,17 @@ class ModelBuilder:
     def add_structure(self, root: StructureNode) -> Iri:
         """Type every node per its level and link parents to children via
         ``vdi2206:consistsOf``; declared data elements are added as well."""
-        seen: set[str] = set()
 
-        def visit(node: StructureNode, parent_rank: Optional[int]) -> Iri:
-            if node.level not in _LEVEL_RANK:
-                raise BuildError(f"unknown structure level: {node.level!r}")
-            rank = _LEVEL_RANK[node.level]
-            if parent_rank is not None and rank < parent_rank:
-                raise LevelInversionError(f"{node.level} nested inside a lower level at {node.id!r}")
-            if node.id in seen:
-                raise CyclicStructureError(f"structure node appears twice: {node.id!r}")
-            seen.add(node.id)
+        def visit(node: StructureNode) -> Iri:
             node_iri = self.iri(node.id)
             self._add(node_iri, RDF.type, self.vocab.vdi2206.term(node.level))
             for de in node.data_elements:
                 self.add_data_element(node_iri, de)
             for child in node.children:
-                self._add(node_iri, self.vocab.vdi2206.consistsOf, visit(child, rank))
+                self._add(node_iri, self.vocab.vdi2206.consistsOf, visit(child))
             return node_iri
 
-        return visit(root, None)
+        return visit(root)
 
     # --- processes -------------------------------------------------------
 
@@ -241,12 +171,8 @@ class ModelBuilder:
         v = self.vocab
         process = self.iri(spec.id)
         self._add(process, RDF.type, v.vdi3682.Process)
-        state_nodes: dict[str, Iri] = {}
         for state in spec.states:
-            if state.kind not in _STATE_KINDS:
-                raise UnresolvedReferenceError(f"state kind must be one of {_STATE_KINDS}: {state.kind!r}")
             node = self.iri(state.id)
-            state_nodes[state.id] = node
             self._add(node, RDF.type, v.vdi3682.term(state.kind))
             for de in state.data_elements:
                 self.add_data_element(node, de)
@@ -255,18 +181,12 @@ class ModelBuilder:
             self._add(op_node, RDF.type, v.vdi3682.ProcessOperator)
             self._add(process, v.vdi3682.consistsOf, op_node)
             resource = self.iri(op.assigned_resource)
-            if not any(self._has_type(resource, v.vdi2206.term(level)) for level in _LEVEL_RANK):
-                raise UnresolvedReferenceError(f"assigned resource is not a declared structure node: {op.assigned_resource!r}")
             self._add(op_node, v.vdi3682.isAssignedTo, resource)
             self._add(resource, RDF.type, v.vdi3682.TechnicalResource)
             for state_id in op.inputs:
-                if state_id not in state_nodes:
-                    raise UnresolvedReferenceError(f"operator input is not a declared state: {state_id!r}")
-                self._add(op_node, v.vdi3682.hasInput, state_nodes[state_id])
+                self._add(op_node, v.vdi3682.hasInput, self.iri(state_id))
             for state_id in op.outputs:
-                if state_id not in state_nodes:
-                    raise UnresolvedReferenceError(f"operator output is not a declared state: {state_id!r}")
-                self._add(op_node, v.vdi3682.hasOutput, state_nodes[state_id])
+                self._add(op_node, v.vdi3682.hasOutput, self.iri(state_id))
         return process
 
     # --- data elements ---------------------------------------------------
@@ -277,10 +197,6 @@ class ModelBuilder:
         Type and instance description texts are encoded in deterministic
         node IRIs (shared per slug), keeping the emitted shape minimal.
         """
-        if owner not in self._subjects:
-            raise UnresolvedReferenceError(f"data-element owner does not exist in the graph: {owner}")
-        if not spec.type_description or not spec.type_description.strip():
-            raise MissingTypeDescriptionError(f"data element {spec.id!r} has no type description")
         v = self.vocab
         element = self.iri(spec.id)
         self._add(owner, v.dinen61360.hasDataElement, element)
@@ -300,10 +216,6 @@ class ModelBuilder:
         """Link an equation wrapper to an operator through one mathematical-
         model node per operator (fan-out for further equations)."""
         v = self.vocab
-        if not self._has_type(operator_node, v.vdi3682.ProcessOperator):
-            raise NotAnOperatorError(f"not a process operator: {operator_node}")
-        if not self._has_type(object_node, v.om.Object):
-            raise NotAnObjectError(f"not an expression wrapper node: {object_node}")
         model = self._models.get(operator_node)
         if model is None:
             model = self._models[operator_node] = Iri(f"{operator_node.value}/model")
@@ -313,10 +225,6 @@ class ModelBuilder:
         return model
 
     def link_variable_to_data_element(self, variable_node: NodeRef, data_element_node: NodeRef) -> None:
-        if not self._has_type(variable_node, self.vocab.om.Variable):
-            raise TypeMismatchError(f"not a variable node: {variable_node!r}")
-        if not self._has_type(data_element_node, self.vocab.dinen61360.DataElement):
-            raise TypeMismatchError(f"not a data element: {data_element_node!r}")
         self._add(variable_node, self.vocab.cpsmod.isDataFor, data_element_node)
 
     # --- observations ----------------------------------------------------
@@ -332,7 +240,6 @@ class ModelBuilder:
         # come last in compile_manifest, so its graph is indexed only then.
         if not self.graph.triples(feature):
             raise UnresolvedReferenceError(f"observation feature does not exist in the graph: {feature}")
-        check_timestamp(timestamp)
         v = self.vocab
         observation = self.node_iri("obs", str(self._observation_count))
         self._observation_count += 1

@@ -15,6 +15,7 @@ literal, so the printer renders that pattern in call syntax instead.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -152,12 +153,24 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.kind == "number":
-            if "." in tok.text or "e" in tok.text or "E" in tok.text:
-                return FloatLiteral(float(tok.text))
-            return IntLiteral(int(tok.text))
+            return self.number(tok)
         if tok.kind == "ident":
             return self.name(tok)
         raise ParseError(f"unexpected {self._show(tok)} at position {tok.pos}")
+
+    @staticmethod
+    def number(tok: _Token) -> OMExpression:
+        if "." in tok.text or "e" in tok.text or "E" in tok.text:
+            value = float(tok.text)
+            # An overflowing decimal reads as inf, which no xsd:double
+            # lexical form or infix text can carry; an underflow reads as 0.0.
+            if not math.isfinite(value):
+                raise ParseError(f"decimal literal at position {tok.pos} is out of double range")
+            return FloatLiteral(value)
+        try:
+            return IntLiteral(int(tok.text))
+        except ValueError:  # Python's limit on integer-string conversion
+            raise ParseError(f"integer literal at position {tok.pos} is too long to convert: {len(tok.text)} digits") from None
 
     def name(self, tok: _Token) -> OMExpression:
         if self.peek().text == ".":

@@ -5,28 +5,34 @@ tree with its characteristics, processes with operators/states/data
 elements, equations (inline infix text or referenced OpenMath XML files),
 and optional observations. ``compile_manifest`` turns it into a graph in a
 fixed order, so identical manifests yield byte-identical N-Triples.
+
+This module is the one home of every manifest rule. ``manifest_from_dict``
+checks the schema (``MANIFEST_SCHEMA``) and then the rules a schema cannot
+state (ids, references, level order, observation values and timestamps),
+and reports each problem with its JSON path. ``compile_manifest`` adds the
+equation rules. The ``ModelBuilder`` it drives writes the checked specs
+and checks none of these rules again.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
+from datetime import datetime
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .builder import (
-    _LEVEL_RANK,
-    _STATE_KINDS,
     DataElementSpec,
     EquationSpec,
-    InvalidTimestampError,
     ModelBuilder,
     ObservationSpec,
     OperatorSpec,
     ProcessSpec,
     StateSpec,
     StructureNode,
-    check_timestamp,
 )
 from .errors import CpskgError
 from .infix import parse_infix
@@ -41,6 +47,9 @@ __all__ = ["CpsManifest", "MANIFEST_SCHEMA", "ManifestError", "compile_manifest"
 
 _ID_PATTERN = "^[A-Za-z_][A-Za-z0-9_.-]*$"
 _VARIABLE_PATTERN = "^[A-Za-z_][A-Za-z0-9_]*$"
+_LEVEL_RANK = {"MechatronicSystem": 0, "Module": 1, "Component": 2}
+_STATE_KINDS = ("Product", "Energy", "Information")
+_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?(Z|[+-]\d{2}:\d{2})?$")
 
 MANIFEST_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -243,7 +252,7 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
         observations=[
             ObservationSpec(
                 feature=obs["feature"],
-                value=float(obs["value"]),
+                value=obs["value"],
                 unit=obs.get("unit", ""),
                 timestamp=obs["timestamp"],
             )
@@ -320,12 +329,37 @@ def _check_references(m: CpsManifest) -> list[tuple[str, str]]:
     for bi, obs in enumerate(m.observations):
         if obs.feature not in ids:
             problems.append((f"$.observations[{bi}].feature", f"unknown instance id {obs.feature!r}"))
-        try:
-            check_timestamp(obs.timestamp)
-        except InvalidTimestampError as exc:
-            problems.append((f"$.observations[{bi}].timestamp", str(exc)))
+        if problem := _value_problem(obs.value):
+            problems.append((f"$.observations[{bi}].value", problem))
+        if problem := _timestamp_problem(obs.timestamp):
+            problems.append((f"$.observations[{bi}].timestamp", problem))
 
     return problems
+
+
+def _value_problem(value: float) -> Optional[str]:
+    """The problem with an observation value that is not a finite
+    xsd:double, such as the ``1e400``, ``NaN`` and ``-Infinity`` that
+    ``json`` reads, or an integer too large for a double."""
+    try:
+        number = float(value)
+    except OverflowError:
+        return "integer too large for an xsd:double value"
+    if not math.isfinite(number):
+        return f"not a finite xsd:double value: {number!r}"
+    return None
+
+
+def _timestamp_problem(timestamp: str) -> Optional[str]:
+    """The problem with ``timestamp`` unless it is an xsd:dateTime value
+    naming a real date and time."""
+    if not _TIMESTAMP_RE.match(timestamp):
+        return f"not an xsd:dateTime value: {timestamp!r}"
+    try:
+        datetime.fromisoformat(timestamp.replace("Z", "+00:00"))
+    except ValueError:
+        return f"not a valid timestamp: {timestamp!r}"
+    return None
 
 
 def load_manifest(path: Union[str, Path]) -> CpsManifest:

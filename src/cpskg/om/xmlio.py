@@ -94,7 +94,10 @@ def _parse_element(elem: ET.Element, strict: bool) -> OMExpression | None:
         text = "".join(elem.itertext()).strip()
         if not _INT_RE.match(text):
             raise OmStructureError(f"invalid OMI value: {text!r}")
-        return IntLiteral(int(text))
+        try:
+            return IntLiteral(int(text))
+        except ValueError:  # Python's limit on integer-string conversion
+            raise OmStructureError(f"OMI value is too long to convert: {len(text.lstrip('+-'))} digits") from None
     if tag == "OMF":
         return FloatLiteral(_float_from_attrs(elem))
     if tag in _UNSUPPORTED:

@@ -4,24 +4,16 @@ import pytest
 
 from cpskg.builder import (
     DataElementSpec,
-    DuplicateIdError,
-    InvalidTimestampError,
-    LevelInversionError,
-    MissingTypeDescriptionError,
     ModelBuilder,
-    NotAnObjectError,
-    NotAnOperatorError,
     OperatorSpec,
     ProcessSpec,
     StateSpec,
     StructureNode,
-    TypeMismatchError,
-    UnresolvedReferenceError,
     slugify,
 )
 from cpskg.mapper import om_to_rdf
 from cpskg.om.tree import Symbol, Variable, app
-from cpskg.rdf import RDF, Literal, PatternQuery, Triple, Var, match
+from cpskg.rdf import RDF, PatternQuery, Triple, Var, match
 from cpskg.vocab import CpsVocabulary
 
 BASE = "http://example.org/unit"
@@ -53,12 +45,6 @@ def test_lifecycle_record_zero_sets_is_one_triple(builder):
     assert len(builder.graph) == 1
 
 
-def test_lifecycle_duplicate_id(builder):
-    builder.add_lifecycle_record("Record", ["S1"])
-    with pytest.raises(DuplicateIdError):
-        builder.add_lifecycle_record("Record", ["S2"])
-
-
 def test_structure_counts_for_module_with_six_components(builder):
     builder.add_structure(ehsa_structure())
     assert len(builder.graph) == 13  # 7 type triples + 6 consistsOf
@@ -69,18 +55,6 @@ def test_structure_counts_for_module_with_six_components(builder):
 def test_structure_single_component_is_one_triple(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     assert len(builder.graph) == 1
-
-
-def test_structure_level_inversion(builder):
-    bad = StructureNode("C", "Component", children=[StructureNode("M", "Module")])
-    with pytest.raises(LevelInversionError):
-        builder.add_structure(bad)
-
-
-def test_structure_repeated_node_rejected(builder):
-    bad = StructureNode("S", "Module", children=[StructureNode("S", "Component")])
-    with pytest.raises(Exception):
-        builder.add_structure(bad)
 
 
 def active_mode() -> ProcessSpec:
@@ -118,18 +92,6 @@ def test_process_operator_without_states(builder):
     assert not builder.graph.triples(op, V.vdi3682.hasInput)
 
 
-def test_process_bad_state_kind(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    spec = ProcessSpec("P", states=[StateSpec("S", "Material")], operators=[])
-    with pytest.raises(UnresolvedReferenceError):
-        builder.add_process(spec)
-
-
-def test_process_unknown_resource(builder):
-    with pytest.raises(UnresolvedReferenceError):
-        builder.add_process(ProcessSpec("P", operators=[OperatorSpec("Op", "Ghost")]))
-
-
 def test_data_element_six_triples(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     builder.add_process(ProcessSpec("P", states=[StateSpec("Flow", "Energy")], operators=[]))
@@ -141,12 +103,6 @@ def test_data_element_six_triples(builder):
     assert len(builder.graph) - before == 6
     type_nodes = builder.graph.objects(element, V.dinen61360.hasTypeDescription)
     assert type_nodes == [builder.node_iri("type", slugify("Volume flow into chamber 1"))]
-
-
-def test_data_element_missing_type_description(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    with pytest.raises(MissingTypeDescriptionError):
-        builder.add_data_element(builder.iri("Ram"), DataElementSpec("D", "  "))
 
 
 def test_data_element_two_instance_descriptions(builder):
@@ -177,17 +133,6 @@ def test_attach_behavior_model_three_then_one_triples(builder):
     assert len(builder.graph) - before == 1  # model node reused, one more hasOMObject
 
 
-def test_attach_requires_operator_and_wrapper(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    builder.add_process(ProcessSpec("P", operators=[OperatorSpec("Op", "Ram")]))
-    result = om_to_rdf(Variable("x"), BASE, "e", vocab=V)
-    builder.graph.update(result.graph)
-    with pytest.raises(NotAnOperatorError):
-        builder.attach_behavior_model(builder.iri("Ram"), result.object_node)
-    with pytest.raises(NotAnObjectError):
-        builder.attach_behavior_model(builder.iri("Op"), result.root)
-
-
 def test_link_variable_to_data_element(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     element = builder.add_data_element(builder.iri("Ram"), DataElementSpec("Q1_DE", "volume flow"))
@@ -202,17 +147,6 @@ def test_link_variable_to_data_element(builder):
     assert len(builder.graph) - before == 1  # idempotent
 
 
-def test_link_type_mismatches(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    element = builder.add_data_element(builder.iri("Ram"), DataElementSpec("D", "quantity"))
-    with pytest.raises(TypeMismatchError):
-        builder.link_variable_to_data_element(Literal("x"), element)
-    result = om_to_rdf(Variable("x"), BASE, "e", vocab=V)
-    builder.graph.update(result.graph)
-    with pytest.raises(TypeMismatchError):
-        builder.link_variable_to_data_element(result.variables["x"], builder.iri("Ram"))
-
-
 def test_observation_four_triples(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     feature = builder.add_data_element(builder.iri("Ram"), DataElementSpec("Q1_DE", "volume flow"))
@@ -220,15 +154,6 @@ def test_observation_four_triples(builder):
     obs = builder.add_observation(feature, 2.0, "m^3/s", "2024-01-01T00:00:00Z")
     assert len(builder.graph) - before == 4
     assert Triple(obs, V.sosa.hasFeatureOfInterest, feature) in builder.graph
-
-
-def test_observation_bad_timestamp(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    feature = builder.add_data_element(builder.iri("Ram"), DataElementSpec("D", "quantity"))
-    with pytest.raises(InvalidTimestampError):
-        builder.add_observation(feature, 1.0, "", "yesterday")
-    with pytest.raises(InvalidTimestampError):
-        builder.add_observation(feature, 1.0, "", "2024-13-40T99:00:00Z")
 
 
 def test_two_observations_get_distinct_nodes(builder):

@@ -114,6 +114,26 @@ def test_build_dangling_reference_exits_1(run_cli, tmp_path):
     assert "$.processes[0].operators[0].assignedResource" in result.stderr
 
 
+@pytest.mark.parametrize("source", ["infix", "xmlPath"])
+def test_build_integer_literal_too_long_exits_1(run_cli, tmp_path, source):
+    digits = "9" * 5000
+    (tmp_path / "eq.om.xml").write_text(
+        f'<OMOBJ><OMA><OMS cd="arith1" name="times"/><OMI>{digits}</OMI><OMV name="x"/></OMA></OMOBJ>',
+        encoding="utf-8",
+    )
+    data = minimal_manifest()
+    equation = {"infix": f"y = {digits}*x", "xmlPath": "eq.om.xml"}[source]
+    data["processes"][0]["operators"][0]["equations"] = [{"id": "huge", source: equation}]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("build", "--manifest", str(manifest))
+    assert result.returncode == 1
+    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == ["error: manifest invalid:"]
+    assert "$.processes[0].operators[0].equations[0]" in result.stderr
+    assert "5000 digits" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_validate_golden_graph_clean(run_cli):
     result = run_cli("validate", "--in", GOLDEN)
     assert result.returncode == 0

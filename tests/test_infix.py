@@ -82,6 +82,12 @@ def test_number_classification():
     assert parse_infix("3") == IntLiteral(3)
     assert parse_infix("3.0") == FloatLiteral(3.0)
     assert parse_infix("1e-3") == FloatLiteral(1e-3)
+    assert parse_infix("1e-400") == FloatLiteral(0.0)  # underflow reads as zero
+
+
+def test_integer_literal_too_long_names_its_length():
+    with pytest.raises(ParseError, match="integer literal at position 4 is too long to convert: 5000 digits"):
+        parse_infix("y = " + "9" * 5000 + "*x")
 
 
 def test_qualified_symbol_call():
@@ -92,7 +98,8 @@ def test_empty_call():
     assert parse_infix("sin()") == Application(Symbol("transc1", "sin"), ())
 
 
-@pytest.mark.parametrize("text", ["1 +", "(a", "a)", "a b", "2x", "f(a,)", "", "  ", "* 2", "a = "])
+# "1e400" overflows to inf, which has no xsd:double lexical form and prints as a variable
+@pytest.mark.parametrize("text", ["1 +", "(a", "a)", "a b", "2x", "f(a,)", "", "  ", "* 2", "a = ", "y = 1e400*x", "-1e400"])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_infix(text)

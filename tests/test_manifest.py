@@ -80,11 +80,16 @@ def test_schema_rejects_extra_property():
 
 
 def test_schema_rejects_bad_level():
-    data = minimal_manifest()
-    data["structure"]["level"] = "Widget"
-    with pytest.raises(ManifestError) as excinfo:
-        manifest_from_dict(data)
-    assert "$.structure" in str(excinfo.value)
+    # the level and state-kind decision tables live in the schema's enums
+    bad_level = minimal_manifest()
+    bad_level["structure"]["level"] = "Widget"
+    bad_kind = minimal_manifest()
+    bad_kind["processes"][0]["states"][0]["kind"] = "Material"
+    for data, expected in [(bad_level, "$.structure.level"), (bad_kind, "$.processes[0].states[0].kind")]:
+        with pytest.raises(ManifestError) as excinfo:
+            manifest_from_dict(data)
+        assert [path for path, _ in excinfo.value.problems] == [expected]
+        assert "is not one of" in str(excinfo.value)
 
 
 def test_unresolved_resource_reference_names_path():
@@ -96,19 +101,32 @@ def test_unresolved_resource_reference_names_path():
 
 
 def test_unresolved_state_reference_names_path():
-    data = minimal_manifest()
-    data["processes"][0]["operators"][0]["inputs"] = ["Nowhere"]
-    with pytest.raises(ManifestError) as excinfo:
-        manifest_from_dict(data)
-    assert "$.processes[0].operators[0].inputs[0]" in str(excinfo.value)
+    for field in ("inputs", "outputs"):
+        data = minimal_manifest()
+        data["processes"][0]["operators"][0][field] = ["Nowhere"]
+        with pytest.raises(ManifestError) as excinfo:
+            manifest_from_dict(data)
+        assert excinfo.value.problems == [(f"$.processes[0].operators[0].{field}[0]", "unknown state 'Nowhere'")]
 
 
 def test_duplicate_id_reported():
-    data = minimal_manifest()
-    data["processes"][0]["states"][1]["id"] = "In"
-    with pytest.raises(ManifestError) as excinfo:
-        manifest_from_dict(data)
-    assert "already declared" in str(excinfo.value)
+    state = minimal_manifest()
+    state["processes"][0]["states"][1]["id"] = "In"
+    information_set = minimal_manifest()
+    information_set["lifecycleRecord"]["informationSets"] = ["Record"]
+    structure_node = minimal_manifest()
+    structure_node["structure"] = {"id": "Plant", "level": "Module", "children": [{"id": "Plant", "level": "Component"}]}
+    operator = minimal_manifest()
+    operator["processes"][0]["operators"][0]["id"] = "Plant"
+    for data, problem in [
+        (state, ("$.processes[0].states[1].id", "id 'In' already declared at $.processes[0].states[0].id")),
+        (information_set, ("$.lifecycleRecord.informationSets[0]", "id 'Record' already declared at $.lifecycleRecord.id")),
+        (structure_node, ("$.structure.children[0].id", "id 'Plant' already declared at $.structure.id")),
+        (operator, ("$.processes[0].operators[0].id", "id 'Plant' already declared at $.structure.id")),
+    ]:
+        with pytest.raises(ManifestError) as excinfo:
+            manifest_from_dict(data)
+        assert problem in excinfo.value.problems
 
 
 def test_level_inversion_reported_with_path():
@@ -167,6 +185,25 @@ def test_observation_timestamp_problem_names_its_path(timestamp):
     with pytest.raises(ManifestError) as excinfo:
         manifest_from_dict(data)
     assert [path for path, _ in excinfo.value.problems] == ["$.observations[0].timestamp"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e400", "not a finite xsd:double value: inf"),
+        ("NaN", "not a finite xsd:double value: nan"),
+        ("-Infinity", "not a finite xsd:double value: -inf"),
+        ("9" * 400, "integer too large for an xsd:double value"),
+    ],
+    ids=["1e400", "NaN", "-Infinity", "400-digit-integer"],
+)
+def test_observation_value_must_be_a_finite_double(text, message):
+    # Python's json reads all four; none is an xsd:double value.
+    data = minimal_manifest()
+    data["observations"] = [{"feature": "Plant", "value": json.loads(text), "timestamp": "2024-01-01T00:00:00Z"}]
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert excinfo.value.problems == [("$.observations[0].value", message)]
 
 
 def test_blank_type_description_problem_names_its_path():

@@ -82,6 +82,11 @@ def test_omi_arbitrary_precision():
     assert parse_openmath_xml("<OMOBJ><OMI>-5</OMI></OMOBJ>") == IntLiteral(-5)
 
 
+def test_omi_too_long_to_convert_names_its_length():
+    with pytest.raises(OmStructureError, match="OMI value is too long to convert: 5000 digits"):
+        parse_openmath_xml(f"<OMOBJ><OMI>-{'9' * 5000}</OMI></OMOBJ>")
+
+
 def test_omf_dec_emission_is_shortest_round_trip():
     assert 'dec="0.15"' in serialize_openmath_xml(FloatLiteral(0.15))
 
