@@ -250,7 +250,7 @@ def _render(expr: OMExpression, registry: SymbolRegistry) -> tuple[str, int]:
     if isinstance(expr, Variable):
         return expr.name, _ATOM
     if isinstance(expr, IntLiteral):
-        return str(expr.value), PREC_UNARY if expr.value < 0 else _ATOM
+        return expr.decimal(), PREC_UNARY if expr.value < 0 else _ATOM
     if isinstance(expr, FloatLiteral):
         text = repr(expr.value)
         return text, PREC_UNARY if text.startswith("-") else _ATOM

@@ -154,6 +154,26 @@ MANIFEST_SCHEMA: dict = {
 }
 
 
+def _inline_refs(schema: object, defs: dict) -> object:
+    """A copy of ``schema`` with every ``{"$ref": "#/$defs/..."}`` replaced
+    by that definition, except the recursive resource, which stays a
+    reference."""
+    if isinstance(schema, dict):
+        ref = schema.get("$ref")
+        if len(schema) == 1 and ref is not None and ref != "#/$defs/resource":
+            return _inline_refs(defs[ref.removeprefix("#/$defs/")], defs)
+        return {key: _inline_refs(value, defs) for key, value in schema.items()}
+    if isinstance(schema, list):
+        return [_inline_refs(value, defs) for value in schema]
+    return schema
+
+
+# The schema the check runs on: the same keywords in the same order, so the
+# same errors, but resolving a reference costs jsonschema far more than
+# descending into a subschema.
+_CHECKED_SCHEMA = _inline_refs(MANIFEST_SCHEMA, MANIFEST_SCHEMA["$defs"])
+
+
 class ManifestError(CpskgError):
     """One or more manifest problems, each tagged with its JSON path."""
 
@@ -209,7 +229,7 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
     # Imported here: it is slow to import, and only manifest loading needs it.
     import jsonschema
 
-    validator = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
+    validator = jsonschema.Draft202012Validator(_CHECKED_SCHEMA)
     schema_problems = [
         (error.json_path, error.message)
         for error in sorted(validator.iter_errors(data), key=lambda e: e.json_path)

@@ -28,6 +28,7 @@ walking the fragment themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -149,7 +150,7 @@ def process_node(expr: OMExpression, ctx: MappingContext, graph: Graph) -> NodeR
     if isinstance(expr, IntLiteral):
         node = ctx.next_node()
         graph.add(Triple(node, RDF.type, om.Literal))
-        graph.add(Triple(node, om.value, Literal(str(expr.value), XSD.integer)))
+        graph.add(Triple(node, om.value, Literal(expr.decimal(), XSD.integer)))
         return node
     if isinstance(expr, FloatLiteral):
         node = ctx.next_node()
@@ -291,9 +292,12 @@ class _Reader:
                     raise MalformedNodeError(f"invalid integer lexical value: {value.lexical!r}") from exc
             if value.datatype == XSD.double:
                 try:
-                    return FloatLiteral(float(value.lexical))
+                    number = float(value.lexical)
                 except ValueError as exc:
                     raise MalformedNodeError(f"invalid double lexical value: {value.lexical!r}") from exc
+                if not math.isfinite(number):
+                    raise MalformedNodeError(f"double lexical value is not finite: {value.lexical!r}")
+                return FloatLiteral(number)
             raise MalformedNodeError(f"unsupported om:value datatype: {value.datatype}")
         return parse_symbol_iri(node, self.cd_base, strict=self.strict)
 

@@ -5,6 +5,7 @@ from .tree import (
     Application,
     FloatLiteral,
     IntLiteral,
+    IntLiteralTooLongError,
     OMExpression,
     Symbol,
     Variable,
@@ -21,6 +22,7 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "FloatLiteral",
     "IntLiteral",
+    "IntLiteralTooLongError",
     "OMExpression",
     "OmStructureError",
     "Symbol",

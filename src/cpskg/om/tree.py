@@ -8,13 +8,17 @@ be shared freely between threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Union
+
+from ..errors import CpskgError
 
 __all__ = [
     "Application",
     "FloatLiteral",
     "IntLiteral",
+    "IntLiteralTooLongError",
     "OMExpression",
     "Symbol",
     "Variable",
@@ -51,11 +55,35 @@ class Variable:
             raise ValueError(f"variable name must be non-empty and free of whitespace: {self.name!r}")
 
 
+class IntLiteralTooLongError(CpskgError):
+    """An integer literal with more digits than Python converts to text."""
+
+
 @dataclass(frozen=True)
 class IntLiteral:
     """An arbitrary-precision integer literal."""
 
     value: int
+
+    def decimal(self) -> str:
+        """The value in decimal, the one spelling every writer uses. A value
+        with more digits than ``sys.get_int_max_str_digits()`` raises
+        :class:`IntLiteralTooLongError`."""
+        try:
+            return str(self.value)
+        except ValueError:  # Python's limit on integer-string conversion
+            limit = sys.get_int_max_str_digits()
+            message = f"integer literal is too long to convert: {_digit_count(self.value)} digits, limit {limit}"
+            raise IntLiteralTooLongError(message) from None
+
+
+def _digit_count(value: int) -> int:
+    """The number of decimal digits of ``value``, without converting it."""
+    magnitude = abs(value)
+    digits = int((magnitude.bit_length() - 1) * 0.30102999566398120)  # log10(2); at most the count less one
+    while magnitude >= 10**digits:
+        digits += 1
+    return max(digits, 1)
 
 
 @dataclass(frozen=True)
@@ -117,7 +145,7 @@ def canonical_form(expr: OMExpression) -> str:
     if isinstance(expr, Variable):
         return f"${expr.name}"
     if isinstance(expr, IntLiteral):
-        return str(expr.value)
+        return expr.decimal()
     if isinstance(expr, FloatLiteral):
         return repr(expr.value)
     raise TypeError(f"not an expression node: {expr!r}")

@@ -52,18 +52,25 @@ def _local(elem: ET.Element) -> str:
 
 
 def _float_from_attrs(elem: ET.Element) -> float:
-    dec = elem.get("dec")
+    """The value of an OMF element. It must be a finite double: no
+    xsd:double lexical form or infix text in this toolchain carries INF or
+    NaN, and a decimal such as ``1e400`` overflows to INF."""
+    dec, hexval = elem.get("dec"), elem.get("hex")
     if dec is not None:
         try:
-            return float(dec.strip())
+            value = float(dec.strip())
         except ValueError as exc:
             raise OmStructureError(f"invalid OMF dec value: {dec!r}") from exc
-    hexval = elem.get("hex")
-    if hexval is not None:
+    elif hexval is not None:
         if not _HEX_RE.match(hexval.strip()):
             raise OmStructureError(f"invalid OMF hex value: {hexval!r}")
-        return struct.unpack(">d", bytes.fromhex(hexval.strip()))[0]
-    raise OmStructureError("OMF requires a dec or hex attribute")
+        value = struct.unpack(">d", bytes.fromhex(hexval.strip()))[0]
+    else:
+        raise OmStructureError("OMF requires a dec or hex attribute")
+    if not math.isfinite(value):
+        written = f"dec={dec!r}" if dec is not None else f"hex={hexval!r}"
+        raise OmStructureError(f"OMF value is not a finite double: {written}")
+    return value
 
 
 def _parse_element(elem: ET.Element, strict: bool) -> OMExpression | None:
@@ -157,7 +164,7 @@ def _emit(expr: OMExpression, depth: int, lines: list[str]) -> None:
     elif isinstance(expr, Variable):
         lines.append(f'{pad}<OMV name="{_attr(expr.name)}"/>')
     elif isinstance(expr, IntLiteral):
-        lines.append(f"{pad}<OMI>{expr.value}</OMI>")
+        lines.append(f"{pad}<OMI>{expr.decimal()}</OMI>")
     elif isinstance(expr, FloatLiteral):
         lines.append(f'{pad}<OMF dec="{_format_float(expr.value)}"/>')
     else:

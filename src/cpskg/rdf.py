@@ -7,12 +7,14 @@ byte-identically across runs and platforms. N-Triples output is one sorted
 line per triple; Turtle output groups by subject with sorted predicates.
 
 Terms compare and hash by value: an :class:`Iri` hashes as its string, and a
-:class:`Triple` hashes its terms once, when it is made. A :class:`Graph`
-keys every term by its N-Triples text (:func:`nt_term`), which is
-one-to-one with term equality and sorts in serialization order, so storing,
-indexing and sorting work on plain strings. One table per graph maps each
-text back to a single term object, and lookups hand out those objects. A
-:class:`Namespace` keeps each attribute term it hands out.
+:class:`Triple` hashes its terms the first time it is hashed and keeps the
+result. Each :class:`Iri` and :class:`Literal` renders its N-Triples text
+(:func:`nt_term`) once, when it is made. A :class:`Graph` keys every term by
+that text, which is one-to-one with term equality and sorts in
+serialization order, so storing, indexing and sorting work on plain
+strings, and triples sharing a term object share its string. One table per
+graph maps each text back to a single term object, and lookups hand out
+those objects. A :class:`Namespace` keeps each attribute term it hands out.
 """
 
 from __future__ import annotations
@@ -75,15 +77,17 @@ class NTriplesSyntaxError(CpskgError):
 
 @dataclass(frozen=True, slots=True)
 class Iri:
-    """An absolute IRI."""
+    """An absolute IRI; ``_nt`` is its N-Triples text."""
 
     value: str
+    _nt: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _SCHEME_RE.match(self.value):
             raise InvalidIriError(f"IRI must be absolute: {self.value!r}")
         if _BAD_IRI_CHARS.search(self.value):
             raise InvalidIriError(f"IRI contains forbidden characters: {self.value!r}")
+        object.__setattr__(self, "_nt", f"<{self.value}>")
 
     def __hash__(self) -> int:
         return hash(self.value)
@@ -133,21 +137,6 @@ RDF = Namespace("http://www.w3.org/1999/02/22-rdf-syntax-ns#")
 XSD = Namespace("http://www.w3.org/2001/XMLSchema#")
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """An RDF literal; datatype defaults to xsd:string."""
-
-    lexical: str
-    datatype: Iri = XSD.string
-    lang: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.lang is not None:
-            object.__setattr__(self, "datatype", RDF.langString)
-
-
-NodeRef = Union[Iri, Literal]
-
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 # canonical form: no raw control characters
 _ESCAPE_TABLE = str.maketrans({**{chr(c): f"\\u{c:04X}" for c in range(0x20)}, **_ESCAPES})
@@ -157,18 +146,36 @@ def _escape_literal(text: str) -> str:
     return text.translate(_ESCAPE_TABLE)
 
 
+@dataclass(frozen=True, slots=True)
+class Literal:
+    """An RDF literal; datatype defaults to xsd:string. ``_nt`` is its
+    N-Triples text."""
+
+    lexical: str
+    datatype: Iri = XSD.string
+    lang: Optional[str] = None
+    _nt: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.datatype, Iri):
+            raise TypeError(f"literal datatype must be an Iri: {self.datatype!r}")
+        body = f'"{_escape_literal(self.lexical)}"'
+        if self.lang is not None:
+            object.__setattr__(self, "datatype", RDF.langString)
+            body = f"{body}@{self.lang}"
+        elif self.datatype != XSD.string:
+            body = f"{body}^^{self.datatype._nt}"
+        object.__setattr__(self, "_nt", body)
+
+
+NodeRef = Union[Iri, Literal]
+
+
 def nt_term(node: NodeRef) -> str:
     """The N-Triples form of a term; also the sort key of every lookup and
     serialization."""
-    if isinstance(node, Iri):
-        return f"<{node.value}>"
-    if isinstance(node, Literal):
-        body = f'"{_escape_literal(node.lexical)}"'
-        if node.lang is not None:
-            return f"{body}@{node.lang}"
-        if node.datatype != XSD.string:
-            return f"{body}^^<{node.datatype.value}>"
-        return body
+    if isinstance(node, (Iri, Literal)):
+        return node._nt
     raise TypeError(f"not an RDF term: {node!r}")
 
 
@@ -177,6 +184,7 @@ class Triple:
     subject: NodeRef
     predicate: Iri
     object: NodeRef
+    # unset until the first hash; a graph never hashes its triples
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -188,17 +196,21 @@ class Triple:
             raise InvalidTripleError(f"triple predicate must be an IRI: {self.predicate!r}")
         if not isinstance(self.object, (Iri, Literal)):
             raise InvalidTripleError(f"triple object must be an IRI or literal: {self.object!r}")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.subject, self.predicate, self.object))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __reduce__(self):
-        # String hashes are salted per process, so a copy rebuilds its hash.
+        # String hashes are salted per process, so a copy leaves its hash behind.
         return Triple, (self.subject, self.predicate, self.object)
 
     def sort_key(self) -> tuple[str, str, str]:
-        return (nt_term(self.subject), nt_term(self.predicate), nt_term(self.object))
+        return (self.subject._nt, self.predicate._nt, self.object._nt)
 
 
 # A triple as the N-Triples texts of its terms: (subject, predicate, object).
@@ -215,6 +227,23 @@ def _put(index: _Index, outer: str, inner: str, leaf: str) -> None:
     index.setdefault(outer, {}).setdefault(inner, set()).add(leaf)
 
 
+def _build_index(rows: Iterable[_Key]) -> _Index:
+    """An index of ``(outer, inner, leaf)`` rows, in one pass that makes no
+    throwaway dict or set."""
+    index: _Index = {}
+    for outer, inner, leaf in rows:
+        by_inner = index.get(outer)
+        if by_inner is None:
+            index[outer] = {inner: {leaf}}
+            continue
+        leaves = by_inner.get(inner)
+        if leaves is None:
+            by_inner[inner] = {leaf}
+        else:
+            leaves.add(leaf)
+    return index
+
+
 class Graph:
     """A duplicate-free set of triples.
 
@@ -224,11 +253,11 @@ class Graph:
     hints, not graph content: :func:`to_turtle` takes them as an argument.
 
     Each triple is stored as the key ``(nt_term(s), nt_term(p),
-    nt_term(o))``, a tuple of three strings, and a term table maps every
-    text to one term object. Keys hash and compare in C, sort as plain
-    tuples in :meth:`Triple.sort_key` order, and serialize by joining. The
-    table keeps the terms of discarded triples; they are never handed out
-    again unless re-added.
+    nt_term(o))``, a tuple of the three texts its terms carry, and a term
+    table maps every text to one term object. Keys hash and compare in C,
+    sort as plain tuples in :meth:`Triple.sort_key` order, and serialize by
+    joining. The table keeps the terms of discarded triples; they are never
+    handed out again unless re-added.
 
     Lookups go through two indexes over the texts, subject -> predicate ->
     objects and predicate -> object -> subjects (two of the six Hexastore
@@ -248,18 +277,18 @@ class Graph:
     def add(self, triple: Triple) -> None:
         if not isinstance(triple, Triple):
             raise InvalidTripleError(f"not a triple: {triple!r}")
-        key = triple.sort_key()
+        subject, predicate, obj = triple.subject, triple.predicate, triple.object
+        key = s, p, o = subject._nt, predicate._nt, obj._nt
         if key in self._keys:
             return
         self._keys.add(key)
         terms = self._terms
-        s, p, o = key
         if s not in terms:
-            terms[s] = triple.subject
+            terms[s] = subject
         if p not in terms:
-            terms[p] = triple.predicate
+            terms[p] = predicate
         if o not in terms:
-            terms[o] = triple.object
+            terms[o] = obj
         if self._spo is not None or self._pos is not None:
             self._index(key)
 
@@ -325,16 +354,12 @@ class Graph:
 
     def _by_subject(self) -> _Index:
         if self._spo is None:
-            self._spo = {}
-            for s, p, o in self._keys:
-                _put(self._spo, s, p, o)
+            self._spo = _build_index(self._keys)
         return self._spo
 
     def _by_predicate(self) -> _Index:
         if self._pos is None:
-            self._pos = {}
-            for s, p, o in self._keys:
-                _put(self._pos, p, o, s)
+            self._pos = _build_index((p, o, s) for s, p, o in self._keys)
         return self._pos
 
     def _select(self, s: Optional[str], p: Optional[str], o: Optional[str]) -> Iterable[_Key]:

@@ -61,6 +61,15 @@ def test_om2rdf_malformed_xml_exits_1(run_cli, tmp_path):
     assert result.returncode == 1
 
 
+def test_om2rdf_non_finite_float_exits_1(run_cli, tmp_path):
+    source = tmp_path / "inf.xml"
+    source.write_text('<OMOBJ><OMF dec="INF"/></OMOBJ>', encoding="utf-8")
+    result = run_cli("om2rdf", "--in", str(source))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
 def test_rdf2om_unknown_root_exits_1(run_cli):
     result = run_cli("rdf2om", "--in", GOLDEN, "--root", "http://example.org/ehsa/NoSuchNode")
     assert result.returncode == 1

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -292,3 +294,77 @@ def test_one_variable_node_per_name_per_fragment(ehsa_graph):
 def test_schema_doc_is_in_sync():
     published = json.loads((REPO / "docs" / "manifest.schema.json").read_text(encoding="utf-8"))
     assert published == MANIFEST_SCHEMA
+
+
+# --- the check's schema and the published one report the same errors ----------
+
+_BAD_VALUES = [None, True, 0, -1, 1.5, "", " ", "!!", "x y", "9lives", "Component", "Energy", [], ["x"], {}, {"id": "x"}]
+
+
+def _sites(schema: dict, instance, path: list, owner: str):
+    """Every node of ``instance`` with its path and the ``$defs`` entry that
+    governs it ("$" above the first reference)."""
+    ref = schema.get("$ref")
+    if ref is not None:
+        owner = ref.rsplit("/", 1)[1]
+        schema = MANIFEST_SCHEMA["$defs"][owner]
+    yield path, owner
+    if isinstance(instance, dict):
+        for key, value in instance.items():
+            if key in schema.get("properties", {}):
+                yield from _sites(schema["properties"][key], value, path + [key], owner)
+    elif isinstance(instance, list):
+        for i, value in enumerate(instance):
+            yield from _sites(schema.get("items", {}), value, path + [i], owner)
+
+
+def _mutate(data: dict, rng: random.Random) -> set[str]:
+    """Apply one to three seeded edits to ``data`` in place; the ``$defs``
+    entries of the edited nodes."""
+    owners = set()
+    for _ in range(rng.randint(1, 3)):
+        sites = [site for site in _sites(MANIFEST_SCHEMA, data, [], "$") if site[0]]
+        path, owner = rng.choice(sites)
+        owners.add(owner)
+        *parent_path, key = path
+        parent = data
+        for step in parent_path:
+            parent = parent[step]
+        node = parent[key]
+        edit = rng.choice(["replace", "replace", "drop", "extra", "grow"])
+        if edit == "drop" and isinstance(node, dict) and node:
+            del node[rng.choice(sorted(node))]
+        elif edit == "extra" and isinstance(node, dict):
+            node[rng.choice(["extra", "infix", "xmlPath", "children"])] = copy.deepcopy(rng.choice(_BAD_VALUES))
+        elif edit == "grow" and isinstance(node, list):
+            node.append(copy.deepcopy(rng.choice(node + _BAD_VALUES)))
+        elif edit == "drop" and isinstance(parent, dict):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(rng.choice(_BAD_VALUES))
+    return owners
+
+
+def test_schema_check_reports_what_the_published_schema_reports():
+    """The check runs on a copy of MANIFEST_SCHEMA with its references
+    inlined; on seeded mutants of the EHSA manifest it must report the same
+    ordered (path, message) list as the published schema."""
+    import jsonschema
+
+    reference = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
+    ehsa = json.loads((REPO / "fixtures" / "ehsa" / "manifest.json").read_text(encoding="utf-8"))
+    rng = random.Random(20131)
+    owners: set[str] = set()
+    invalid = 0
+    for _ in range(400):
+        data = copy.deepcopy(ehsa)
+        owners |= _mutate(data, rng)
+        expected = [(e.json_path, e.message) for e in sorted(reference.iter_errors(data), key=lambda e: e.json_path)]
+        if not expected:
+            continue
+        invalid += 1
+        with pytest.raises(ManifestError) as info:
+            manifest_from_dict(data)
+        assert info.value.problems == expected
+    assert owners >= set(MANIFEST_SCHEMA["$defs"])
+    assert invalid >= 300

@@ -15,7 +15,7 @@ from cpskg.mapper import (
     symbol_iri,
 )
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app, walk
-from cpskg.rdf import RDF, Graph, Iri, Literal, Triple
+from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple
 from cpskg.vocab import CpsVocabulary
 from strategies import trees_any_operator
 
@@ -217,6 +217,26 @@ def test_double_operator_detected():
     g.add(Triple(result.root, OM.operator, symbol_iri(Symbol("arith1", "times"))))
     with pytest.raises(MalformedNodeError):
         rdf_to_om(g, result.object_node)
+
+
+def _literal_node(value: Literal) -> tuple[Graph, Iri]:
+    node = Iri(f"{BASE}/expr/e/n0")
+    g = Graph()
+    g.add(Triple(node, RDF.type, OM.Literal))
+    g.add(Triple(node, OM.value, value))
+    return g, node
+
+
+@pytest.mark.parametrize("lexical", ["inf", "-inf", "INF", "Infinity", "NaN", "nan", "1e400"])
+def test_non_finite_double_value_rejected(lexical):
+    g, node = _literal_node(Literal(lexical, XSD.double))
+    with pytest.raises(MalformedNodeError, match="not finite"):
+        rdf_to_om(g, node)
+
+
+def test_finite_double_value_reads_back():
+    g, node = _literal_node(Literal("-1.5e300", XSD.double))
+    assert rdf_to_om(g, node) == FloatLiteral(-1.5e300)
 
 
 def test_unknown_symbol_iri_strict_vs_lenient():

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 
+from cpskg.errors import CpskgError
+from cpskg.infix import print_infix
+from cpskg.mapper import om_to_rdf
 from cpskg.om.tree import (
     Application,
     FloatLiteral,
@@ -14,6 +19,7 @@ from cpskg.om.tree import (
     variable_names,
     walk,
 )
+from cpskg.om.xmlio import serialize_openmath_xml
 from strategies import trees
 
 
@@ -71,3 +77,20 @@ def test_structural_equality_matches_canonical_form(tree):
         reversed_tree = Application(tree.operator, tuple(reversed(tree.arguments)))
         if reversed_tree != tree:
             assert canonical_form(reversed_tree) != canonical_form(tree)
+
+
+@pytest.mark.parametrize("value", [10**5000, -(10**5000 - 1)], ids=["positive", "negative"])
+def test_over_long_int_literal_fails_in_every_writer(value):
+    """An IntLiteral built through the API may hold more digits than Python
+    turns into text; every writer reports it as a CpskgError naming the count."""
+    digits = 5001 if value > 0 else 5000
+    tree = app(Symbol("arith1", "times"), IntLiteral(value), Variable("x"))
+    writers = [print_infix, lambda t: om_to_rdf(t, "http://example.org/m", "e"), serialize_openmath_xml, canonical_form]
+    for write in writers:
+        with pytest.raises(CpskgError, match=f"integer literal is too long to convert: {digits} digits"):
+            write(tree)
+
+
+def test_int_literal_at_the_digit_limit_converts():
+    value = -(10 ** sys.get_int_max_str_digits() - 1)
+    assert IntLiteral(value).decimal() == str(value)

@@ -98,6 +98,25 @@ def test_omf_hex_input_accepted():
     assert parse_openmath_xml(f'<OMOBJ><OMF hex="{hexval}"/></OMOBJ>') == FloatLiteral(0.15)
 
 
+@pytest.mark.parametrize(
+    "attribute",
+    [
+        'dec="INF"',
+        'dec="-INF"',
+        'dec="NaN"',
+        'dec=" inf "',
+        'dec="1e400"',  # overflows to INF
+        'hex="7FF0000000000000"',  # +INF
+        'hex="fff0000000000000"',  # -INF
+        'hex="7FF8000000000000"',  # NaN
+    ],
+)
+def test_omf_non_finite_value_rejected(attribute):
+    """No xsd:double lexical form or infix text here carries INF or NaN."""
+    with pytest.raises(OmStructureError, match="not a finite double"):
+        parse_openmath_xml(f"<OMOBJ><OMF {attribute}/></OMOBJ>")
+
+
 def test_serialize_variable_canonical_bytes():
     expected = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'

@@ -358,6 +358,50 @@ _terms = st.one_of(
 )
 
 
+def _nt_reference(node) -> str:
+    """The renderer each term's carried text replaces: the N-Triples form,
+    built from the term's fields on every call."""
+    if isinstance(node, Iri):
+        return f"<{node.value}>"
+    body = f'"{_escape_reference(node.lexical)}"'
+    if node.lang is not None:
+        return f"{body}@{node.lang}"
+    if node.datatype != XSD.string:
+        return f"{body}^^<{node.datatype.value}>"
+    return body
+
+
+_any_iris = st.builds(Iri, st.from_regex(r"[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>\"{}|^`\\]*", fullmatch=True))
+_any_lexicals = st.one_of(st.text(), st.text(st.characters(max_codepoint=0x7F)), _lexicals)
+_datatypes = st.one_of(st.sampled_from([XSD.string, XSD.integer, XSD.double, RDF.langString]), _any_iris)
+_lang_tags = st.from_regex(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8}){0,2}", fullmatch=True)
+_any_terms = st.one_of(
+    _any_iris,
+    st.builds(Literal, _any_lexicals),
+    st.builds(Literal, _any_lexicals, _datatypes),
+    st.builds(Literal, _any_lexicals, lang=_lang_tags),
+    st.builds(Literal, _any_lexicals, _datatypes, _lang_tags),
+)
+
+
+@given(_any_terms)
+def test_carried_text_matches_the_reference_renderer(term):
+    """Escapes, control characters, language tags, datatypes and an explicit
+    xsd:string all render as the field-by-field renderer does."""
+    expected = _nt_reference(term)
+    assert nt_term(term) == expected
+    triple = Triple(EX.s, EX.p, term) if isinstance(term, Literal) else Triple(term, term, term)
+    assert triple.sort_key()[2] == expected
+    graph = Graph()
+    graph.add(triple)
+    assert to_ntriples(graph).endswith(f" {expected} .\n")
+
+
+def test_literal_datatype_must_be_an_iri():
+    with pytest.raises(TypeError, match="datatype"):
+        Literal("1", XSD.integer.value)  # type: ignore[arg-type]
+
+
 @given(_terms, _terms)
 def test_nt_term_is_one_to_one_with_term_equality(a, b):
     """The graph keys terms by their text, so equal texts must mean equal terms."""
@@ -396,12 +440,34 @@ def test_equal_terms_hash_equal_however_built(rows):
 
 
 def test_triple_pickled_in_another_process_hashes_in_this_one():
-    """A triple caches its hash, and string hashes are salted per process."""
-    probe = "import pickle, sys; from cpskg.rdf import Iri, Literal, Triple; sys.stdout.buffer.write(pickle.dumps(Triple(Iri('http://example.org/s'), Iri('http://example.org/p'), Literal('x'))))"
+    """A triple caches its hash, and string hashes are salted per process.
+    Terms and a hashed triple made there compare and hash equal here, and a
+    graph made here finds them."""
+    probe = (
+        "import pickle, sys; from cpskg.rdf import XSD, Literal, Namespace, Triple; "
+        f"EX = Namespace('{EX.base}'); "
+        "terms = (EX.s, EX.p, Literal('x'), Literal('x', lang='en'), Literal('1', XSD.integer)); "
+        "t = Triple(EX.s, EX.p, Literal('x')); hash(t); "
+        "sys.stdout.buffer.write(pickle.dumps((terms, t)))"
+    )
     env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert pickle.loads(result.stdout) in {Triple(EX.s, EX.p, Literal("x"))}
+    terms, triple = pickle.loads(result.stdout)
+    here = (EX.s, EX.p, Literal("x"), Literal("x", lang="en"), Literal("1", XSD.integer))
+    assert terms == here
+    assert [hash(x) for x in terms] == [hash(x) for x in here]
+    assert [nt_term(x) for x in terms] == [nt_term(x) for x in here]
+    assert triple in {Triple(EX.s, EX.p, Literal("x"))}
+    graph = Graph()
+    for obj in here[2:]:
+        graph.add(Triple(EX.s, EX.p, obj))
+    assert triple in graph
+    s, p, *objects = terms
+    assert graph.objects(s, p) == sorted(objects, key=nt_term)
+    for obj in objects:
+        assert graph.triples(s, p, obj) == [Triple(s, p, obj)]
+        assert graph.subjects(p, obj) == [s]
 
 
 # --- lookup indexes ---------------------------------------------------------
