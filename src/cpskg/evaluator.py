@@ -69,14 +69,21 @@ class VariableBinding:
 Bindings = Union[Mapping[str, float], Iterable[VariableBinding]]
 
 
+def _binding_value(name: str, value: float) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        raise EvaluationError(f"binding {name!r} is out of double range") from None
+
+
 def binding_map(bindings: Bindings) -> dict[str, float]:
     if isinstance(bindings, Mapping):
-        return {str(k): float(v) for k, v in bindings.items()}
+        return {str(k): _binding_value(k, v) for k, v in bindings.items()}
     out: dict[str, float] = {}
     for b in bindings:
         if b.name in out:
             raise EvaluationError(f"binding set names {b.name!r} twice")
-        out[b.name] = float(b.value)
+        out[b.name] = _binding_value(b.name, b.value)
     return out
 
 
@@ -88,12 +95,10 @@ def load_bindings(path: Union[str, Path]) -> dict[str, float]:
         raise EvaluationError(f"invalid JSON in bindings file: {exc}") from exc
     if not isinstance(data, dict):
         raise EvaluationError("bindings file must contain a JSON object")
-    out: dict[str, float] = {}
     for name, value in data.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise EvaluationError(f"binding {name!r} is not a number: {value!r}")
-        out[name] = float(value)
-    return out
+    return binding_map(data)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -145,7 +150,10 @@ def _eval(expr: OMExpression, bindings: dict[str, float]) -> float:
         except KeyError:
             raise UnboundVariableError(expr.name) from None
     if isinstance(expr, IntLiteral):
-        return float(expr.value)
+        try:
+            return float(expr.value)
+        except OverflowError:
+            raise EvaluationError("integer literal is out of double range") from None
     if isinstance(expr, FloatLiteral):
         return expr.value
     if isinstance(expr, Symbol):

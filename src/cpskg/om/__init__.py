@@ -6,6 +6,7 @@ from .tree import (
     FloatLiteral,
     IntLiteral,
     IntLiteralTooLongError,
+    NonFiniteFloatError,
     OMExpression,
     Symbol,
     Variable,
@@ -23,6 +24,7 @@ __all__ = [
     "FloatLiteral",
     "IntLiteral",
     "IntLiteralTooLongError",
+    "NonFiniteFloatError",
     "OMExpression",
     "OmStructureError",
     "Symbol",

@@ -8,6 +8,7 @@ be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -19,6 +20,7 @@ __all__ = [
     "FloatLiteral",
     "IntLiteral",
     "IntLiteralTooLongError",
+    "NonFiniteFloatError",
     "OMExpression",
     "Symbol",
     "Variable",
@@ -86,11 +88,20 @@ def _digit_count(value: int) -> int:
     return max(digits, 1)
 
 
+class NonFiniteFloatError(CpskgError, ValueError):
+    """A float literal that is INF or NaN, which no xsd:double lexical form,
+    OMF value or infix text in this toolchain carries."""
+
+
 @dataclass(frozen=True)
 class FloatLiteral:
-    """An IEEE-754 double literal."""
+    """A finite IEEE-754 double literal."""
 
     value: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise NonFiniteFloatError(f"float literal is not finite: {self.value!r}")
 
 
 @dataclass(frozen=True)

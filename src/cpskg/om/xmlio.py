@@ -138,14 +138,6 @@ def parse_openmath_xml(data: bytes | str, *, strict: bool = True) -> OMExpressio
     return objects[0]
 
 
-def _format_float(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "INF" if value > 0 else "-INF"
-    return repr(value)
-
-
 def _attr(value: str) -> str:
     # by hand: xml.sax.saxutils would pull urllib and email into every import
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
@@ -166,7 +158,7 @@ def _emit(expr: OMExpression, depth: int, lines: list[str]) -> None:
     elif isinstance(expr, IntLiteral):
         lines.append(f"{pad}<OMI>{expr.decimal()}</OMI>")
     elif isinstance(expr, FloatLiteral):
-        lines.append(f'{pad}<OMF dec="{_format_float(expr.value)}"/>')
+        lines.append(f'{pad}<OMF dec="{expr.value!r}"/>')
     else:
         raise TypeError(f"not an expression node: {expr!r}")
 

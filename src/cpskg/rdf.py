@@ -6,9 +6,8 @@ minted as deterministic IRIs by their producers, so graphs serialize
 byte-identically across runs and platforms. N-Triples output is one sorted
 line per triple; Turtle output groups by subject with sorted predicates.
 
-Terms compare and hash by value: an :class:`Iri` hashes as its string, and a
-:class:`Triple` hashes its terms the first time it is hashed and keeps the
-result. Each :class:`Iri` and :class:`Literal` renders its N-Triples text
+Terms and triples compare and hash by value; an :class:`Iri` hashes as its
+string. Each :class:`Iri` and :class:`Literal` renders its N-Triples text
 (:func:`nt_term`) once, when it is made. A :class:`Graph` keys every term by
 that text, which is one-to-one with term equality and sorts in
 serialization order, so storing, indexing and sorting work on plain
@@ -184,8 +183,6 @@ class Triple:
     subject: NodeRef
     predicate: Iri
     object: NodeRef
-    # unset until the first hash; a graph never hashes its triples
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.subject, Literal):
@@ -196,18 +193,6 @@ class Triple:
             raise InvalidTripleError(f"triple predicate must be an IRI: {self.predicate!r}")
         if not isinstance(self.object, (Iri, Literal)):
             raise InvalidTripleError(f"triple object must be an IRI or literal: {self.object!r}")
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.subject, self.predicate, self.object))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __reduce__(self):
-        # String hashes are salted per process, so a copy leaves its hash behind.
-        return Triple, (self.subject, self.predicate, self.object)
 
     def sort_key(self) -> tuple[str, str, str]:
         return (self.subject._nt, self.predicate._nt, self.object._nt)
@@ -422,18 +407,15 @@ class PatternQuery:
         return cls(tuple(tuple(p) for p in patterns))  # type: ignore[arg-type]
 
 
-def _substitute(term: Term, row: dict[str, NodeRef]) -> Optional[NodeRef]:
-    if isinstance(term, Var):
-        return row.get(term.name)
-    return term
-
-
 def match(graph: Graph, query: PatternQuery) -> list[dict[str, NodeRef]]:
     """All variable bindings satisfying every pattern simultaneously.
 
-    Rows are deduplicated and ordered by the serialization order of the
-    bound nodes (variables taken in name order), so results are stable
-    across runs.
+    The join works on the graph's keys: a row binds each variable to the
+    N-Triples text of its value, and a pattern asks the graph for the keys
+    matching its constant texts. Rows are deduplicated and ordered by the
+    serialization order of the bound nodes (variables taken in name order),
+    so results are stable across runs. Each output value is the graph's own
+    term object for its text.
     """
     if not isinstance(query, PatternQuery) or not query.patterns:
         raise MalformedQueryError("query must contain at least one pattern")
@@ -441,36 +423,22 @@ def match(graph: Graph, query: PatternQuery) -> list[dict[str, NodeRef]]:
         if len(pattern) != 3 or not all(isinstance(t, (Iri, Literal, Var)) for t in pattern):
             raise MalformedQueryError(f"invalid pattern: {pattern!r}")
 
-    rows: list[dict[str, NodeRef]] = [{}]
-    for s_term, p_term, o_term in query.patterns:
-        next_rows: list[dict[str, NodeRef]] = []
+    rows: list[dict[str, str]] = [{}]
+    for pattern in query.patterns:
+        names = [t.name if isinstance(t, Var) else None for t in pattern]
+        texts = [None if isinstance(t, Var) else nt_term(t) for t in pattern]
+        next_rows: list[dict[str, str]] = []
         for row in rows:
-            s = _substitute(s_term, row)
-            p = _substitute(p_term, row)
-            o = _substitute(o_term, row)
-            for triple in graph.triples(
-                s,
-                p if isinstance(p, Iri) else None,
-                o,
-            ):
-                if isinstance(p, Literal) or (p is not None and triple.predicate != p):
-                    continue
+            s, p, o = [text if name is None else row.get(name) for name, text in zip(names, texts)]
+            for key in graph._select(s, p, o):
                 extended = dict(row)
-                consistent = True
-                for term, value in ((s_term, triple.subject), (p_term, triple.predicate), (o_term, triple.object)):
-                    if isinstance(term, Var):
-                        bound = extended.get(term.name)
-                        if bound is None:
-                            extended[term.name] = value
-                        elif bound != value:
-                            consistent = False
-                            break
-                if consistent:
+                if all(name is None or extended.setdefault(name, text) == text for name, text in zip(names, key)):
                     next_rows.append(extended)
         rows = next_rows
 
-    unique = {tuple(sorted((k, nt_term(v)) for k, v in row.items())): row for row in rows}
-    return [unique[key] for key in sorted(unique)]
+    unique = {tuple(sorted(row.items())): row for row in rows}
+    terms = graph._terms
+    return [{name: terms[text] for name, text in unique[key].items()} for key in sorted(unique)]
 
 
 # --- serialization ------------------------------------------------------------

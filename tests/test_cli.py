@@ -362,6 +362,14 @@ def test_eval_sin_of_infinity_exits_1(run_cli, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_eval_binding_beyond_double_range_exits_1(run_cli, tmp_path):
+    bindings = tmp_path / "huge.json"
+    bindings.write_text('{"beta": 1' + "0" * 400 + "}", encoding="utf-8")
+    result = run_cli("eval", "--in", EQ1_RHS_XML, "--bindings", str(bindings))
+    assert result.returncode == 1
+    assert result.stderr == "error: binding 'beta' is out of double range\n"
+
+
 def test_cd_base_with_trailing_slash_changes_nothing(run_cli, tmp_path, golden_text):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"cdBase": "http://www.openmath.org/cd/"}), encoding="utf-8")

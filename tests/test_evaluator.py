@@ -16,6 +16,7 @@ from cpskg.evaluator import (
     VariableBinding,
     binding_map,
     evaluate,
+    load_bindings,
 )
 from cpskg.infix import parse_infix
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app
@@ -102,6 +103,25 @@ def test_trig_at_infinity_is_a_domain_error(name, x):
 def test_bare_symbol_has_no_value():
     with pytest.raises(EvaluationError):
         evaluate(Symbol("transc1", "sin"), {})
+
+
+def test_integer_literal_beyond_double_range_is_an_evaluation_error():
+    with pytest.raises(EvaluationError, match="^integer literal is out of double range$"):
+        evaluate(parse_infix("1" + "0" * 400 + "*x"), {"x": 1.0})
+
+
+def test_binding_beyond_double_range_names_the_binding(tmp_path):
+    path = tmp_path / "bindings.json"
+    path.write_text('{"y": 1.0, "x": 1' + "0" * 400 + "}", encoding="utf-8")
+    calls = [
+        lambda: load_bindings(path),
+        lambda: binding_map({"x": 10**400}),
+        lambda: binding_map([VariableBinding("x", 10**400)]),
+        lambda: evaluate(Variable("x"), {"x": -(10**400)}),
+    ]
+    for call in calls:
+        with pytest.raises(EvaluationError, match="^binding 'x' is out of double range$"):
+            call()
 
 
 def test_binding_map_from_variable_bindings():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from cpskg.om.tree import (
     Application,
     FloatLiteral,
     IntLiteral,
+    NonFiniteFloatError,
     Symbol,
     Variable,
     app,
@@ -52,6 +54,14 @@ def test_variable_name_validation(bad):
 def test_symbol_validation(cd, name):
     with pytest.raises(ValueError):
         Symbol(cd, name)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_float_literal_must_be_finite(value):
+    """No writer can spell INF or NaN so that its reader takes it back."""
+    with pytest.raises(NonFiniteFloatError, match="^float literal is not finite: ") as excinfo:
+        FloatLiteral(value)
+    assert isinstance(excinfo.value, CpskgError) and isinstance(excinfo.value, ValueError)
 
 
 def test_arguments_coerced_to_tuple():

@@ -241,7 +241,7 @@ def brute_force_match(graph: Graph, query: PatternQuery) -> list[dict]:
                 break
         if ok:
             rows.append(binding)
-    unique = {tuple(sorted((k, str(v)) for k, v in row.items())): row for row in rows}
+    unique = {tuple(sorted((k, nt_term(v)) for k, v in row.items())): row for row in rows}
     return [unique[k] for k in sorted(unique)]
 
 
@@ -294,6 +294,29 @@ def test_match_rows_are_sorted_and_unique(small_graph):
 def test_malformed_queries(bad):
     with pytest.raises(MalformedQueryError):
         match(Graph(), bad)
+
+
+# n2 sorts before n20 as a value but after it as N-Triples text.
+_match_iris = st.sampled_from([EX.term(x) for x in ("a", "b", "n2", "n20")])
+_match_literals = st.sampled_from([Literal("x"), Literal("1", XSD.integer), Literal("x", lang="en"), Literal("two\nlines")])
+_match_nodes = st.one_of(_match_iris, _match_literals)
+# Constants of either kind in every position, and few names, so that variables
+# repeat within a pattern and across patterns.
+_match_terms = st.one_of(st.sampled_from([Var("x"), Var("y"), Var("z")]), _match_nodes)
+
+
+@given(
+    st.lists(st.builds(Triple, _match_iris, _match_iris, _match_nodes), max_size=8),
+    st.lists(st.tuples(_match_terms, _match_terms, _match_terms), min_size=1, max_size=3),
+)
+def test_match_agrees_with_brute_force(triples, patterns):
+    """The same rows, in the same order, as trying every combination of
+    triples, including literals in subject or predicate position."""
+    graph = Graph()
+    for x in triples:
+        graph.add(x)
+    query = PatternQuery.of(*patterns)
+    assert match(graph, query) == brute_force_match(graph, query)
 
 
 # --- property tests -----------------------------------------------------------
@@ -440,9 +463,8 @@ def test_equal_terms_hash_equal_however_built(rows):
 
 
 def test_triple_pickled_in_another_process_hashes_in_this_one():
-    """A triple caches its hash, and string hashes are salted per process.
-    Terms and a hashed triple made there compare and hash equal here, and a
-    graph made here finds them."""
+    """String hashes are salted per process. Terms and a hashed triple made
+    there compare and hash equal here, and a graph made here finds them."""
     probe = (
         "import pickle, sys; from cpskg.rdf import XSD, Literal, Namespace, Triple; "
         f"EX = Namespace('{EX.base}'); "
