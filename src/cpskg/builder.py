@@ -11,7 +11,9 @@ links, and timestamped observations.
 Every operation trusts its spec: the manifest check
 (``manifest.manifest_from_dict``) is the one home of every manifest rule,
 and the builder checks none of them again. ``add_observation`` alone asks
-the graph, because a feature may be any node of it.
+the graph whether its feature exists. The manifest check already requires
+a feature to be a declared id, and every declared id is a node of the
+graph, so only direct use of the builder can fail that check.
 """
 
 from __future__ import annotations
@@ -235,9 +237,10 @@ class ModelBuilder:
         The unit is part of the manifest/binding vocabulary, not the graph;
         the simple result is a plain xsd:double.
         """
-        # A feature may be any node of the graph, such as an expression node
-        # merged in from om_to_rdf, so this check asks the graph. Observations
-        # come last in compile_manifest, so its graph is indexed only then.
+        # compile_manifest passes only declared ids, which are all in the
+        # graph; this check can fail only for a caller of the builder itself.
+        # Observations come last in compile_manifest, so its graph is indexed
+        # only then.
         if not self.graph.triples(feature):
             raise UnresolvedReferenceError(f"observation feature does not exist in the graph: {feature}")
         v = self.vocab

@@ -268,7 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         _err(str(exc))
         return EXIT_IO
-    except (CpskgError, RecursionError, ZeroDivisionError, OverflowError) as exc:
+    except (CpskgError, RecursionError) as exc:
         _err(str(exc))
         return EXIT_DOMAIN
 

@@ -27,8 +27,10 @@ from .om.registry import DIVIDE, EQUALS, MINUS, PLUS, POWER, TIMES, UNARY_MINUS
 from .om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
 
 __all__ = [
+    "DivisionByZeroError",
     "DomainError",
     "EvaluationError",
+    "ResultOverflowError",
     "UnboundVariableError",
     "UnsupportedOperatorError",
     "VariableBinding",
@@ -57,6 +59,15 @@ class UnsupportedOperatorError(EvaluationError):
 
 class DomainError(EvaluationError):
     """An argument outside the operator's real domain (e.g. ln of <= 0)."""
+
+
+class ResultOverflowError(DomainError, OverflowError):
+    """A result beyond the double range that ``math`` refuses to round to
+    infinity, e.g. ``exp(1000)``."""
+
+
+class DivisionByZeroError(DomainError, ZeroDivisionError):
+    """A division by zero, or zero raised to a negative power."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +149,9 @@ _RULES: dict[Symbol, tuple[Optional[int], Callable[..., float]]] = {
 def evaluate(expr: OMExpression, bindings: Bindings) -> float:
     """Recursively evaluate ``expr`` under ``bindings`` to a double.
 
-    Division by zero surfaces as the builtin :class:`ZeroDivisionError`.
+    Every failure is an :class:`EvaluationError`. Division by zero raises
+    :class:`DivisionByZeroError` and an overflowing ``exp`` or power raises
+    :class:`ResultOverflowError`; each is also the matching builtin.
     """
     return _eval(expr, binding_map(bindings))
 
@@ -176,4 +189,12 @@ def _eval(expr: OMExpression, bindings: dict[str, float]) -> float:
     try:
         return apply(*args)
     except ValueError as exc:  # math's "domain error", e.g. sin(inf)
-        raise DomainError(f"{op.cd}#{op.name} is undefined at {', '.join(map(repr, args))}") from exc
+        raise DomainError(f"{op.cd}#{op.name} is undefined at {_listed(args)}") from exc
+    except ZeroDivisionError as exc:
+        raise DivisionByZeroError(f"{op.cd}#{op.name} divides by zero at {_listed(args)}") from exc
+    except OverflowError as exc:  # math's "range error", e.g. exp(1000)
+        raise ResultOverflowError(f"{op.cd}#{op.name} overflows the double range at {_listed(args)}") from exc
+
+
+def _listed(args: list[float]) -> str:
+    return ", ".join(map(repr, args))

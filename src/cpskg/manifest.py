@@ -12,6 +12,10 @@ state (ids, references, level order, observation values and timestamps),
 and reports each problem with its JSON path. ``compile_manifest`` adds the
 equation rules. The ``ModelBuilder`` it drives writes the checked specs
 and checks none of these rules again.
+
+The schema check is an acceptor compiled from ``MANIFEST_SCHEMA`` at import.
+jsonschema is imported only to report the errors of a manifest the acceptor
+rejects, so every error path and message is jsonschema's.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .builder import (
     DataElementSpec,
@@ -154,24 +158,101 @@ MANIFEST_SCHEMA: dict = {
 }
 
 
-def _inline_refs(schema: object, defs: dict) -> object:
-    """A copy of ``schema`` with every ``{"$ref": "#/$defs/..."}`` replaced
-    by that definition, except the recursive resource, which stays a
-    reference."""
-    if isinstance(schema, dict):
-        ref = schema.get("$ref")
-        if len(schema) == 1 and ref is not None and ref != "#/$defs/resource":
-            return _inline_refs(defs[ref.removeprefix("#/$defs/")], defs)
-        return {key: _inline_refs(value, defs) for key, value in schema.items()}
-    if isinstance(schema, list):
-        return [_inline_refs(value, defs) for value in schema]
-    return schema
+Acceptor = Callable[[object], bool]
+
+# JSON Schema 2020-12 type names: a bool is not a number.
+_TYPES: dict[str, Acceptor] = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+}
+# Keywords that assert nothing; "$defs" is read through "$ref".
+_ANNOTATIONS = frozenset({"$schema", "title", "$defs"})
 
 
-# The schema the check runs on: the same keywords in the same order, so the
-# same errors, but resolving a reference costs jsonschema far more than
-# descending into a subschema.
-_CHECKED_SCHEMA = _inline_refs(MANIFEST_SCHEMA, MANIFEST_SCHEMA["$defs"])
+def _compile_acceptor(root: dict) -> Acceptor:
+    """Compile the JSON Schema ``root`` into a function that answers only
+    whether an instance is valid, with the 2020-12 meaning of each keyword.
+
+    It knows the keywords ``MANIFEST_SCHEMA`` uses and no others, and raises
+    ``ValueError`` on any other keyword, type name or reference, so a schema
+    edit cannot quietly widen what it accepts. A keyword that constrains one
+    type passes values of every other type.
+    """
+    defs = root.get("$defs", {})
+    compiled: dict[str, Acceptor] = {}
+
+    def reference(target: str) -> Acceptor:
+        name = target.removeprefix("#/$defs/")
+        if name == target or name not in defs:
+            raise ValueError(f"cannot compile the reference {target!r}")
+        if name not in compiled:
+            compiled[name] = lambda value: compiled[name](value)  # what a recursive reference sees
+            compiled[name] = schema_check(defs[name])
+        return compiled[name]
+
+    def keyword_check(keyword: str, arg, schema: dict) -> Acceptor:
+        if keyword == "type" and isinstance(arg, str) and arg in _TYPES:
+            return _TYPES[arg]
+        if keyword == "$ref":
+            return reference(arg)
+        if keyword == "properties":
+            checks = {name: schema_check(sub) for name, sub in arg.items()}
+
+            def check_properties(value) -> bool:
+                if isinstance(value, dict):
+                    for name, item in value.items():
+                        if name in checks and not checks[name](item):
+                            return False
+                return True
+
+            return check_properties
+        if keyword == "additionalProperties" and arg is False:
+            known = schema.get("properties", {}).keys()
+            return lambda value: not isinstance(value, dict) or value.keys() <= known
+        if keyword == "required":
+            names = frozenset(arg)
+            return lambda value: not isinstance(value, dict) or value.keys() >= names
+        if keyword == "items":
+            item_check = schema_check(arg)
+            return lambda value: not isinstance(value, list) or all(map(item_check, value))
+        if keyword == "enum" and all(isinstance(member, str) for member in arg):
+            members = frozenset(arg)
+            return lambda value: isinstance(value, str) and value in members
+        if keyword == "pattern":
+            search = re.compile(arg).search
+            return lambda value: not isinstance(value, str) or search(value) is not None
+        if keyword == "minLength":
+            return lambda value: not isinstance(value, str) or len(value) >= arg
+        if keyword == "minItems":
+            return lambda value: not isinstance(value, list) or len(value) >= arg
+        if keyword == "oneOf":
+            branches = [schema_check(sub) for sub in arg]
+            return lambda value: sum(branch(value) for branch in branches) == 1
+        raise ValueError(f"cannot compile the schema keyword {keyword!r}: {arg!r}")
+
+    def schema_check(schema: dict) -> Acceptor:
+        if not isinstance(schema, dict):
+            raise ValueError(f"cannot compile the schema {schema!r}")
+        checks = [keyword_check(k, arg, schema) for k, arg in schema.items() if k not in _ANNOTATIONS]
+        if len(checks) == 1:
+            return checks[0]
+
+        def check_all(value) -> bool:
+            for check in checks:
+                if not check(value):
+                    return False
+            return True
+
+        return check_all
+
+    return schema_check(root)
+
+
+# Whether a manifest is valid; jsonschema, slow to import and to run, reports
+# the errors of one it rejects.
+_accepts_manifest = _compile_acceptor(MANIFEST_SCHEMA)
 
 
 class ManifestError(CpskgError):
@@ -225,17 +306,19 @@ def _structure(data: dict) -> StructureNode:
 
 def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManifest:
     """Validate ``data`` against the schema plus referential rules and build
-    the typed manifest. Raises :class:`ManifestError` with JSON paths."""
-    # Imported here: it is slow to import, and only manifest loading needs it.
-    import jsonschema
+    the typed manifest. Raises :class:`ManifestError` with JSON paths; the
+    schema's are jsonschema's, sorted by path."""
+    if not _accepts_manifest(data):
+        # Imported here: it is slow to import, and only a rejected manifest needs it.
+        import jsonschema
 
-    validator = jsonschema.Draft202012Validator(_CHECKED_SCHEMA)
-    schema_problems = [
-        (error.json_path, error.message)
-        for error in sorted(validator.iter_errors(data), key=lambda e: e.json_path)
-    ]
-    if schema_problems:
-        raise ManifestError(schema_problems)
+        validator = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
+        schema_problems = [
+            (error.json_path, error.message)
+            for error in sorted(validator.iter_errors(data), key=lambda e: e.json_path)
+        ]
+        if schema_problems:
+            raise ManifestError(schema_problems)
 
     manifest = CpsManifest(
         instance_base=data["instanceBase"].rstrip("/"),
@@ -375,8 +458,11 @@ def _timestamp_problem(timestamp: str) -> Optional[str]:
     naming a real date and time."""
     if not _TIMESTAMP_RE.match(timestamp):
         return f"not an xsd:dateTime value: {timestamp!r}"
+    # The seconds' fraction, checked above, is dropped: Python 3.10's
+    # fromisoformat reads only 3- or 6-digit fractions.
+    whole_seconds = timestamp[:19] + timestamp[19:].lstrip(".0123456789")
     try:
-        datetime.fromisoformat(timestamp.replace("Z", "+00:00"))
+        datetime.fromisoformat(whole_seconds.replace("Z", "+00:00"))
     except ValueError:
         return f"not a valid timestamp: {timestamp!r}"
     return None

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from cpskg.infix import parse_infix
-from cpskg.om.xmlio import parse_openmath_xml
+from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from cpskg.rdf import RDF, Graph, Iri, Literal, Triple, from_ntriples, to_ntriples
 from cpskg.validator import validate
 from conftest import EHSA_BASE, FIXTURES, REPO
@@ -40,12 +40,28 @@ def test_om2rdf_ntriples_round_trips(run_cli, tmp_path, eq1_tree):
     assert len(graph) == 101
 
 
+def _probe(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter with src/ on the path."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_import_leaves_network_and_mail_modules_unloaded():
     probe = "import sys, cpskg.cli; print(sorted({'urllib.request', 'http.client', 'email', 'jsonschema'} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert _probe(probe) == "[]\n"
+
+
+def test_build_of_a_valid_manifest_leaves_jsonschema_unloaded(tmp_path, golden_text):
+    out = tmp_path / "ehsa.nt"
+    probe = (
+        "import sys; from cpskg.cli import main; "
+        f"status = main(['build', '--manifest', {MANIFEST!r}, '--out', {str(out)!r}]); "
+        "print(status, 'jsonschema' in sys.modules)"
+    )
+    assert _probe(probe) == "0 False\n"
+    assert out.read_text(encoding="utf-8") == golden_text
 
 
 def test_om2rdf_missing_file_exits_2(run_cli):
@@ -368,6 +384,21 @@ def test_eval_binding_beyond_double_range_exits_1(run_cli, tmp_path):
     result = run_cli("eval", "--in", EQ1_RHS_XML, "--bindings", str(bindings))
     assert result.returncode == 1
     assert result.stderr == "error: binding 'beta' is out of double range\n"
+
+
+@pytest.mark.parametrize(
+    "infix, operator",
+    [("exp(1000)", "transc1#exp"), ("10.0^400", "arith1#power"), ("1/0", "arith1#divide"), ("0.0^(-1)", "arith1#power")],
+)
+def test_eval_overflow_or_division_by_zero_exits_1_naming_the_operator(run_cli, tmp_path, infix, operator):
+    xml = tmp_path / "expr.xml"
+    xml.write_text(serialize_openmath_xml(parse_infix(infix)), encoding="utf-8")
+    bindings = tmp_path / "empty.json"
+    bindings.write_text("{}", encoding="utf-8")
+    result = run_cli("eval", "--in", str(xml), "--bindings", str(bindings))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {operator} ")
+    assert result.stderr.count("\n") == 1
 
 
 def test_cd_base_with_trailing_slash_changes_nothing(run_cli, tmp_path, golden_text):

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from cpskg.errors import CpskgError
 from cpskg.evaluator import (
+    DivisionByZeroError,
     DomainError,
     EvaluationError,
+    ResultOverflowError,
     UnboundVariableError,
     UnsupportedOperatorError,
     VariableBinding,
@@ -61,6 +64,23 @@ def test_division_by_zero_from_eq1_denominator():
     bindings = dict(EQ1_BINDINGS, V0=10.0, xR=-10.0, A=1.0)
     with pytest.raises(ZeroDivisionError):
         evaluate(parse_infix(EQ1_RHS), bindings)
+
+
+@pytest.mark.parametrize(
+    "text, typed, builtin, message",
+    [
+        ("exp(1000)", ResultOverflowError, OverflowError, "transc1#exp overflows the double range at 1000.0"),
+        ("10.0^400", ResultOverflowError, OverflowError, "arith1#power overflows the double range at 10.0, 400.0"),
+        ("1/0", DivisionByZeroError, ZeroDivisionError, "arith1#divide divides by zero at 1.0, 0.0"),
+        ("0.0^(-1)", DivisionByZeroError, ZeroDivisionError, "arith1#power divides by zero at 0.0, -1.0"),
+    ],
+)
+def test_overflow_and_division_by_zero_are_domain_errors_and_builtins(text, typed, builtin, message):
+    with pytest.raises(CpskgError) as excinfo:
+        evaluate(parse_infix(text), {})
+    assert type(excinfo.value) is typed
+    assert isinstance(excinfo.value, DomainError) and isinstance(excinfo.value, builtin)
+    assert str(excinfo.value) == message
 
 
 def test_diff_is_unsupported():

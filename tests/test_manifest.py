@@ -5,9 +5,20 @@ import json
 import random
 from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpskg.manifest import MANIFEST_SCHEMA, ManifestError, compile_manifest, load_manifest, manifest_from_dict
+from cpskg.manifest import (
+    MANIFEST_SCHEMA,
+    ManifestError,
+    _accepts_manifest,
+    _compile_acceptor,
+    compile_manifest,
+    load_manifest,
+    manifest_from_dict,
+)
 from cpskg.rdf import to_ntriples
 from cpskg.validator import validate
 from conftest import REPO
@@ -189,6 +200,23 @@ def test_observation_timestamp_problem_names_its_path(timestamp):
     assert [path for path, _ in excinfo.value.problems] == ["$.observations[0].timestamp"]
 
 
+@pytest.mark.parametrize("fraction", [".1", ".1234567", ".123456789"], ids=["1-digit", "7-digit", "9-digit"])
+def test_observation_timestamp_fraction_may_have_any_length(fraction):
+    # Python 3.10's fromisoformat reads only 3- or 6-digit fractions.
+    data = minimal_manifest()
+    data["observations"] = [
+        {"feature": "Plant", "value": 1.0, "timestamp": f"2024-01-01T00:00:00{fraction}Z"},
+        {"feature": "Plant", "value": 1.0, "timestamp": f"2024-02-30T00:00:00{fraction}+01:00"},
+    ]
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert excinfo.value.problems == [
+        ("$.observations[1].timestamp", f"not a valid timestamp: '2024-02-30T00:00:00{fraction}+01:00'")
+    ]
+    del data["observations"][1]
+    assert manifest_from_dict(data).observations[0].timestamp == f"2024-01-01T00:00:00{fraction}Z"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -346,11 +374,10 @@ def _mutate(data: dict, rng: random.Random) -> set[str]:
 
 
 def test_schema_check_reports_what_the_published_schema_reports():
-    """The check runs on a copy of MANIFEST_SCHEMA with its references
-    inlined; on seeded mutants of the EHSA manifest it must report the same
-    ordered (path, message) list as the published schema."""
-    import jsonschema
-
+    """The check accepts with a compiled acceptor and leaves the report of
+    a rejected manifest to jsonschema; on seeded mutants of the EHSA
+    manifest it must report the same ordered (path, message) list as the
+    published schema."""
     reference = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
     ehsa = json.loads((REPO / "fixtures" / "ehsa" / "manifest.json").read_text(encoding="utf-8"))
     rng = random.Random(20131)
@@ -368,3 +395,147 @@ def test_schema_check_reports_what_the_published_schema_reports():
         assert info.value.problems == expected
     assert owners >= set(MANIFEST_SCHEMA["$defs"])
     assert invalid >= 300
+
+
+# --- the acceptor compiled from the schema agrees with jsonschema ------------
+
+_EHSA = json.loads((REPO / "fixtures" / "ehsa" / "manifest.json").read_text(encoding="utf-8"))
+
+
+def _property_names(schema) -> set[str]:
+    if isinstance(schema, dict):
+        names = set(schema.get("properties", {}))
+        return names.union(*map(_property_names, schema.values()))
+    if isinstance(schema, list):
+        return set().union(*map(_property_names, schema))
+    return set()
+
+
+def _node(data, path: list):
+    for step in path:
+        data = data[step]
+    return data
+
+
+def _role(path: list) -> tuple:
+    """The last two steps of ``path``, any index standing for every index."""
+    return tuple(step if isinstance(step, str) else "[]" for step in path[-2:])
+
+
+def _by_role(manifest: dict) -> tuple[dict[tuple, list], dict[tuple, list]]:
+    """The paths and the values of ``manifest`` by role. The paths are its
+    schema paths, plus each property an object lacks that another object in
+    its role has."""
+    paths: dict[tuple, list] = {}
+    values: dict[tuple, list] = {}
+    keys: dict[tuple, set] = {}
+    sites = [path for path, _ in _sites(MANIFEST_SCHEMA, manifest, [], "$")]
+    for path in sites:
+        node = _node(manifest, path)
+        paths.setdefault(_role(path), []).append(path)
+        values.setdefault(_role(path), []).append(node)
+        if isinstance(node, dict):
+            keys.setdefault(_role(path), set()).update(node)
+    for path in sites:
+        node = _node(manifest, path)
+        if isinstance(node, dict):
+            for key in sorted(keys[_role(path)] - node.keys()):
+                paths.setdefault(_role(path + [key]), []).append(path + [key])
+    return paths, values
+
+
+_PATHS_BY_ROLE, _VALUES_BY_ROLE = _by_role(_EHSA)
+_EDGE_VALUES = [
+    *_BAD_VALUES,
+    False, 1, 1.0, float("nan"), " a", "a ", "_x", "a.b-c", "x:", [" "], ["x", []], {"id": "x", "level": "Module"},
+]
+# Any JSON value Python's json reads, with the schema's property names as keys.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | st.sampled_from(_EDGE_VALUES),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(sorted(_property_names(MANIFEST_SCHEMA))), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _put(manifest: dict, path: list, value):
+    """A copy of ``manifest`` with ``value`` at ``path``."""
+    if not path:
+        return value
+    data = copy.deepcopy(manifest)
+    _node(data, path[:-1])[path[-1]] = value
+    return data
+
+
+def _edits() -> st.SearchStrategy:
+    """A path of the EHSA manifest, drawn role first, and a value to put
+    there: any JSON value, or one the manifest has in that role, which is
+    often valid."""
+    return st.sampled_from(sorted(_PATHS_BY_ROLE)).flatmap(
+        lambda role: st.tuples(
+            st.sampled_from(_PATHS_BY_ROLE[role]),
+            st.sampled_from(_VALUES_BY_ROLE.get(role, [])) | _JSON_VALUES,
+        )
+    )
+
+
+def test_acceptor_agrees_with_jsonschema_on_seeded_mutants():
+    reference = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
+    rng = random.Random(20131)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        data = copy.deepcopy(_EHSA)
+        _mutate(data, rng)
+        valid = reference.is_valid(data)
+        assert _accepts_manifest(data) is valid, data
+        verdicts[valid] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 300
+
+
+def test_acceptor_agrees_with_jsonschema_on_edge_values_in_every_role():
+    reference = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
+    verdicts = {True: 0, False: 0}
+    for role, paths in _PATHS_BY_ROLE.items():
+        for value in _EDGE_VALUES + _VALUES_BY_ROLE.get(role, [])[:2]:
+            data = _put(_EHSA, paths[0], value)
+            valid = reference.is_valid(data)
+            assert _accepts_manifest(data) is valid, (paths[0], value)
+            verdicts[valid] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 500
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edits())
+def test_acceptor_agrees_with_jsonschema_at_every_schema_path(edit):
+    data = _put(_EHSA, *edit)
+    assert _accepts_manifest(data) is jsonschema.Draft202012Validator(MANIFEST_SCHEMA).is_valid(data)
+
+
+def test_acceptor_keeps_the_2020_12_meanings():
+    accepts = _compile_acceptor({"properties": {"n": {"type": "number"}, "s": {"pattern": "b", "minLength": 2}}})
+    assert accepts({"n": 1}) and accepts({"n": 1.0}) and accepts({"n": float("nan")})
+    assert not accepts({"n": True}) and not accepts({"n": "1"})
+    assert accepts({"s": "abc"}) and not accepts({"s": "b"}) and not accepts({"s": "ac"})
+    assert accepts({"s": 7}) and accepts({"s": None}) and accepts([1]) and accepts("b")
+    one_of = _compile_acceptor({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]})
+    assert one_of({"a": 1}) and one_of({"b": 2})
+    assert not one_of({"a": 1, "b": 2}) and not one_of({}) and not one_of([])  # [] meets both branches
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "object", "maxProperties": 3},
+        {"properties": {"n": {"type": "integer"}}},
+        {"type": ["string", "number"]},
+        {"items": {"$ref": "#/$defs/missing"}},
+        {"$ref": "other.json#/$defs/id"},
+        {"enum": ["one", 1]},
+        {"additionalProperties": {"type": "string"}},
+        {"items": True},
+    ],
+    ids=["keyword", "type-name", "type-list", "missing-def", "remote-ref", "non-string-enum", "schema-additional", "boolean-schema"],
+)
+def test_acceptor_refuses_to_compile_what_it_does_not_know(schema):
+    with pytest.raises(ValueError, match="cannot compile"):
+        _compile_acceptor(schema)
