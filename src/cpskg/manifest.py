@@ -489,9 +489,10 @@ def compile_manifest(
     """Compile a manifest into a graph.
 
     Fixed order: lifecycle record, structure (with characteristics),
-    processes with states and data elements, equations (parsed, mapped,
-    attached, variables linked), observations. Equation problems are
-    aggregated into one :class:`ManifestError` naming each JSON path.
+    processes with states and data elements, equations (parsed, mapped
+    straight into the model graph, attached, variables linked),
+    observations. Equation problems are aggregated into one
+    :class:`ManifestError` naming each JSON path.
     """
     vocab = vocab or CpsVocabulary.default()
     builder = ModelBuilder(manifest.instance_base, vocab)
@@ -518,15 +519,17 @@ def compile_manifest(
                 scope[de.variable_name] = de.id
             for ei, eq in enumerate(op.equations):
                 epath = f"{opath}.equations[{ei}]"
+                if eq.infix is None:
+                    try:
+                        xml = ((manifest.base_dir or Path(".")) / (eq.xml_path or "")).read_bytes()
+                    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in xmlPath
+                        problems.append((epath, f"cannot read equation file: {exc}"))
+                        continue
                 try:
                     if eq.infix is not None:
                         expr = parse_infix(eq.infix, registry=registry, strict=strict)
                     else:
-                        xml_file = (manifest.base_dir or Path(".")) / (eq.xml_path or "")
-                        expr = parse_openmath_xml(xml_file.read_bytes(), strict=strict)
-                except OSError as exc:
-                    problems.append((epath, f"cannot read equation file: {exc}"))
-                    continue
+                        expr = parse_openmath_xml(xml, strict=strict)
                 except CpskgError as exc:
                     problems.append((epath, str(exc)))
                     continue
@@ -535,8 +538,7 @@ def compile_manifest(
                     for name in missing:
                         problems.append((epath, f"variable {name!r} is not declared by any data element in scope"))
                     continue
-                result = om_to_rdf(expr, manifest.instance_base, eq.id, vocab=vocab)
-                builder.graph.update(result.graph)
+                result = om_to_rdf(expr, manifest.instance_base, eq.id, vocab=vocab, graph=builder.graph)
                 builder.attach_behavior_model(builder.iri(op.id), result.object_node)
                 for name in sorted(result.variables):
                     builder.link_variable_to_data_element(result.variables[name], builder.iri(scope[name]))

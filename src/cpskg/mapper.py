@@ -162,8 +162,9 @@ def process_node(expr: OMExpression, ctx: MappingContext, graph: Graph) -> NodeR
 
 @dataclass
 class MappingResult:
-    """Outcome of mapping one equation: the fragment graph, the ``om:Object``
-    wrapper, the root expression node, and the variable scope."""
+    """Outcome of mapping one equation: the graph the fragment was written
+    into, the ``om:Object`` wrapper, the root expression node, and the
+    variable scope."""
 
     graph: Graph
     object_node: Iri
@@ -177,12 +178,14 @@ def om_to_rdf(
     equation_id: str,
     *,
     vocab: Optional[CpsVocabulary] = None,
+    graph: Optional[Graph] = None,
 ) -> MappingResult:
-    """Map a whole expression into a fresh graph fragment, adding the
-    ``om:Object`` wrapper. Deterministic: identical inputs give identical
-    fragments."""
+    """Map a whole expression and its ``om:Object`` wrapper into ``graph``,
+    or into a fresh graph when it is omitted; the fragment is added to
+    whatever ``graph`` already holds. Deterministic: identical inputs give
+    identical fragments."""
     ctx = MappingContext(instance_base, equation_id, vocab or CpsVocabulary.default())
-    graph = Graph()
+    graph = Graph() if graph is None else graph
     root = process_node(expr, ctx, graph)
     wrapper = ctx.object_node
     om = ctx.vocab.om

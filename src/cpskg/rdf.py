@@ -13,7 +13,8 @@ that text, which is one-to-one with term equality and sorts in
 serialization order, so storing, indexing and sorting work on plain
 strings, and triples sharing a term object share its string. One table per
 graph maps each text back to a single term object, and lookups hand out
-those objects. A :class:`Namespace` keeps each attribute term it hands out.
+those objects. A graph only grows, through :meth:`Graph.add`. A
+:class:`Namespace` keeps each attribute term it hands out.
 """
 
 from __future__ import annotations
@@ -230,9 +231,11 @@ def _build_index(rows: Iterable[_Key]) -> _Index:
 
 
 class Graph:
-    """A duplicate-free set of triples.
+    """A duplicate-free set of triples that only grows.
 
-    Single-writer construction; reads are safe to share once built.
+    :meth:`add` is the one write: a graph is built by one writer and then
+    read, and an edited graph is a new graph made from the old one's
+    triples. Reads are safe to share once built.
     Iteration is always in serialization order, so callers cannot pick up a
     dependence on set ordering by accident. Prefixes are serialization
     hints, not graph content: :func:`to_turtle` takes them as an argument.
@@ -241,14 +244,13 @@ class Graph:
     nt_term(o))``, a tuple of the three texts its terms carry, and a term
     table maps every text to one term object. Keys hash and compare in C,
     sort as plain tuples in :meth:`Triple.sort_key` order, and serialize by
-    joining. The table keeps the terms of discarded triples; they are never
-    handed out again unless re-added.
+    joining.
 
     Lookups go through two indexes over the texts, subject -> predicate ->
     objects and predicate -> object -> subjects (two of the six Hexastore
     orders). Each is built on the first lookup that needs it and kept in
-    step by every later change, so a graph that is only written and
-    serialized never pays for them.
+    step by every later add, so a graph that is only written and serialized
+    never pays for them.
     """
 
     __slots__ = ("_keys", "_terms", "_spo", "_pos")
@@ -274,42 +276,10 @@ class Graph:
             terms[p] = predicate
         if o not in terms:
             terms[o] = obj
-        if self._spo is not None or self._pos is not None:
-            self._index(key)
-
-    def discard(self, triple: Triple) -> None:
-        if triple not in self:
-            return
-        key = triple.sort_key()
-        self._keys.remove(key)
-        s, p, o = key
-        for index, outer, inner, leaf in ((self._spo, s, p, o), (self._pos, p, o, s)):
-            if index is None:
-                continue
-            by_inner = index[outer]
-            leaves = by_inner[inner]
-            leaves.remove(leaf)
-            if not leaves:
-                del by_inner[inner]
-                if not by_inner:
-                    del index[outer]
-
-    def update(self, other: "Graph") -> None:
-        new = other._keys - self._keys
-        self._keys |= new
-        for text, term in other._terms.items():
-            self._terms.setdefault(text, term)
-        if self._spo is not None or self._pos is not None:
-            for key in new:
-                self._index(key)
-
-    def copy(self) -> "Graph":
-        """An independent graph with the same triples; it indexes itself on
-        its own first lookup."""
-        clone = Graph()
-        clone._keys = set(self._keys)
-        clone._terms = dict(self._terms)
-        return clone
+        if self._spo is not None:
+            _put(self._spo, s, p, o)
+        if self._pos is not None:
+            _put(self._pos, p, o, s)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -329,13 +299,6 @@ class Graph:
     def _triples(self, keys: Iterable[_Key]) -> list[Triple]:
         terms = self._terms
         return [Triple(terms[s], terms[p], terms[o]) for s, p, o in keys]  # type: ignore[arg-type]
-
-    def _index(self, key: _Key) -> None:
-        s, p, o = key
-        if self._spo is not None:
-            _put(self._spo, s, p, o)
-        if self._pos is not None:
-            _put(self._pos, p, o, s)
 
     def _by_subject(self) -> _Index:
         if self._spo is None:

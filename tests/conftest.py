@@ -9,12 +9,23 @@ import pytest
 
 from cpskg.manifest import compile_manifest, load_manifest
 from cpskg.om.xmlio import parse_openmath_xml
+from cpskg.rdf import Graph
 from cpskg.vocab import CpsVocabulary
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures" / "ehsa"
 
 EHSA_BASE = "http://example.org/ehsa"
+
+
+def edited(graph: Graph, drop=(), add=()) -> Graph:
+    """A new graph: the triples of ``graph`` less those in ``drop``, plus
+    those in ``add``. Graphs only grow, so a mutant is built afresh."""
+    dropped = set(drop)
+    out = Graph()
+    for triple in [*(x for x in graph if x not in dropped), *add]:
+        out.add(triple)
+    return out
 
 
 @pytest.fixture(scope="session")

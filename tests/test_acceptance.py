@@ -20,7 +20,7 @@ from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from cpskg.rdf import RDF, Iri, Literal, PatternQuery, Var, match, to_ntriples
 from cpskg.validator import validate
 from cpskg.vocab import CpsVocabulary
-from conftest import EHSA_BASE, FIXTURES
+from conftest import EHSA_BASE, FIXTURES, edited
 from corpus import corpus
 
 V = CpsVocabulary.default()
@@ -268,10 +268,7 @@ def test_criterion_6_mutations(ehsa_graph):
     from cpskg.rdf import Triple
 
     def mutate_delete(predicate, object=None, subject=None):
-        mutated = ehsa_graph.copy()
-        victim = mutated.triples(subject, predicate, object)[0]
-        mutated.discard(victim)
-        return mutated
+        return edited(ehsa_graph, drop=ehsa_graph.triples(subject, predicate, object)[:1])
 
     cases = []
 
@@ -282,10 +279,8 @@ def test_criterion_6_mutations(ehsa_graph):
     cases.append(("V5", "warning", mutate_delete(V.vdi3682.hasInput, subject=Iri(f"{EHSA_BASE}/HydraulicControl")), False))
     cases.append(("V6", "error", mutate_delete(V.dinen61360.hasTypeDescription, subject=Iri(f"{EHSA_BASE}/Q1_DE")), False))
 
-    swapped = ehsa_graph.copy()
-    victim = swapped.triples(None, OM.operator, symbol_iri(Symbol("relation1", "eq")))[0]
-    swapped.discard(victim)
-    swapped.add(Triple(victim.subject, OM.operator, symbol_iri(Symbol("nocd1", "mystery"))))
+    victim = ehsa_graph.triples(None, OM.operator, symbol_iri(Symbol("relation1", "eq")))[0]
+    swapped = edited(ehsa_graph, drop=[victim], add=[Triple(victim.subject, OM.operator, symbol_iri(Symbol("nocd1", "mystery")))])
     cases.append(("V7", "warning", swapped, True))
 
     passed = 0

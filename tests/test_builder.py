@@ -9,6 +9,7 @@ from cpskg.builder import (
     ProcessSpec,
     StateSpec,
     StructureNode,
+    UnresolvedReferenceError,
     slugify,
 )
 from cpskg.mapper import om_to_rdf
@@ -118,10 +119,8 @@ def test_attach_behavior_model_three_then_one_triples(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     builder.add_process(ProcessSpec("P", operators=[OperatorSpec("Op", "Ram")]))
     op = builder.iri("Op")
-    first = om_to_rdf(app(Symbol("arith1", "plus"), Variable("x"), Variable("y")), BASE, "e1", vocab=V)
-    second = om_to_rdf(Variable("z"), BASE, "e2", vocab=V)
-    builder.graph.update(first.graph)
-    builder.graph.update(second.graph)
+    first = om_to_rdf(app(Symbol("arith1", "plus"), Variable("x"), Variable("y")), BASE, "e1", vocab=V, graph=builder.graph)
+    second = om_to_rdf(Variable("z"), BASE, "e2", vocab=V, graph=builder.graph)
 
     before = len(builder.graph)
     model = builder.attach_behavior_model(op, first.object_node)
@@ -136,8 +135,7 @@ def test_attach_behavior_model_three_then_one_triples(builder):
 def test_link_variable_to_data_element(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     element = builder.add_data_element(builder.iri("Ram"), DataElementSpec("Q1_DE", "volume flow"))
-    result = om_to_rdf(Variable("Q1"), BASE, "e", vocab=V)
-    builder.graph.update(result.graph)
+    result = om_to_rdf(Variable("Q1"), BASE, "e", vocab=V, graph=builder.graph)
     var_node = result.variables["Q1"]
 
     before = len(builder.graph)
@@ -154,6 +152,16 @@ def test_observation_four_triples(builder):
     obs = builder.add_observation(feature, 2.0, "m^3/s", "2024-01-01T00:00:00Z")
     assert len(builder.graph) - before == 4
     assert Triple(obs, V.sosa.hasFeatureOfInterest, feature) in builder.graph
+
+
+def test_observation_of_a_feature_not_in_the_graph_is_rejected(builder):
+    """Only direct builder use reaches this check: the manifest check already
+    requires an observation's feature to be a declared id."""
+    builder.add_structure(StructureNode("Ram", "Component"))
+    before = len(builder.graph)
+    with pytest.raises(UnresolvedReferenceError, match="Missing_DE"):
+        builder.add_observation(builder.iri("Missing_DE"), 2.0, "m^3/s", "2024-01-01T00:00:00Z")
+    assert len(builder.graph) == before
 
 
 def test_two_observations_get_distinct_nodes(builder):

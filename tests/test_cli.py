@@ -11,7 +11,7 @@ from cpskg.infix import parse_infix
 from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from cpskg.rdf import RDF, Graph, Iri, Literal, Triple, from_ntriples, to_ntriples
 from cpskg.validator import validate
-from conftest import EHSA_BASE, FIXTURES, REPO
+from conftest import EHSA_BASE, FIXTURES, REPO, edited
 from test_manifest import minimal_manifest
 
 MANIFEST = str(FIXTURES / "manifest.json")
@@ -93,9 +93,7 @@ def test_rdf2om_unknown_root_exits_1(run_cli):
 
 def test_rdf2om_wrapper_rooted_at_itself_exits_1(run_cli, tmp_path, ehsa_graph, vocab):
     wrapper = Iri(f"{EHSA_BASE}/expr/chamber1_pressure_rate")
-    graph = ehsa_graph.copy()
-    graph.discard(graph.triples(wrapper, vocab.om.root)[0])
-    graph.add(Triple(wrapper, vocab.om.root, wrapper))
+    graph = edited(ehsa_graph, drop=ehsa_graph.triples(wrapper, vocab.om.root), add=[Triple(wrapper, vocab.om.root, wrapper)])
     broken = tmp_path / "broken.nt"
     broken.write_text(to_ntriples(graph), encoding="utf-8")
     result = run_cli("rdf2om", "--in", str(broken), "--root", wrapper.value)
@@ -106,8 +104,7 @@ def test_rdf2om_wrapper_rooted_at_itself_exits_1(run_cli, tmp_path, ehsa_graph, 
 def test_rdf2om_cyclic_list_exits_1(run_cli, tmp_path):
     graph = from_ntriples(open(GOLDEN, "rb").read())
     tail = graph.triples(None, RDF.rest, RDF.nil)[0]
-    graph.discard(tail)
-    graph.add(Triple(tail.subject, RDF.rest, tail.subject))
+    graph = edited(graph, drop=[tail], add=[Triple(tail.subject, RDF.rest, tail.subject)])
     broken = tmp_path / "broken.nt"
     broken.write_text(to_ntriples(graph), encoding="utf-8")
     result = run_cli("rdf2om", "--in", str(broken), "--root", f"{EHSA_BASE}/expr/chamber1_pressure_rate")
@@ -166,8 +163,7 @@ def test_validate_golden_graph_clean(run_cli):
 
 
 def test_validate_error_mutation_exits_1(run_cli, tmp_path, ehsa_graph):
-    mutated = ehsa_graph.copy()
-    mutated.discard(mutated.triples(None, RDF.rest, RDF.nil)[0])
+    mutated = edited(ehsa_graph, drop=ehsa_graph.triples(None, RDF.rest, RDF.nil)[:1])
     path = tmp_path / "broken.nt"
     path.write_text(to_ntriples(mutated), encoding="utf-8")
     result = run_cli("validate", "--in", str(path))
@@ -177,8 +173,7 @@ def test_validate_error_mutation_exits_1(run_cli, tmp_path, ehsa_graph):
 
 
 def test_validate_warning_only_strict_flag(run_cli, tmp_path, ehsa_graph, vocab):
-    mutated = ehsa_graph.copy()
-    mutated.discard(mutated.triples(None, vocab.cpsmod.isDataFor)[0])
+    mutated = edited(ehsa_graph, drop=ehsa_graph.triples(None, vocab.cpsmod.isDataFor)[:1])
     path = tmp_path / "warned.nt"
     path.write_text(to_ntriples(mutated), encoding="utf-8")
     relaxed = run_cli("validate", "--in", str(path))
@@ -189,8 +184,7 @@ def test_validate_warning_only_strict_flag(run_cli, tmp_path, ehsa_graph, vocab)
 
 
 def test_validate_json_lines(run_cli, tmp_path, ehsa_graph, vocab):
-    mutated = ehsa_graph.copy()
-    mutated.discard(mutated.triples(None, vocab.cpsmod.isDataFor)[0])
+    mutated = edited(ehsa_graph, drop=ehsa_graph.triples(None, vocab.cpsmod.isDataFor)[:1])
     path = tmp_path / "warned.nt"
     path.write_text(to_ntriples(mutated), encoding="utf-8")
     result = run_cli("validate", "--in", str(path), "--json")
@@ -311,8 +305,7 @@ def test_export_table_agrees_with_v4(run_cli, tmp_path, ehsa_graph, vocab):
     operator = f"{EHSA_BASE}/LinearMotionExecution"
     before = run_cli("export", "--in", GOLDEN, "--operator", operator)
     (victim,) = ehsa_graph.triples(None, vocab.cpsmod.isDataFor, Iri(f"{EHSA_BASE}/Q1_DE"))
-    mutated = ehsa_graph.copy()
-    mutated.discard(victim)
+    mutated = edited(ehsa_graph, drop=[victim])
     path = tmp_path / "unlinked.nt"
     path.write_text(to_ntriples(mutated), encoding="utf-8")
     after = run_cli("export", "--in", str(path), "--operator", operator)

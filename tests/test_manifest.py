@@ -183,6 +183,16 @@ def test_missing_equation_file_reported():
     assert "file not found" in str(excinfo.value)
 
 
+def test_equation_file_name_with_a_nul_byte_reported():
+    """Without ``base_dir`` the manifest check opens no file, so the NUL byte
+    shows when compiling reads the equation."""
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["equations"] = [{"id": "ext", "xmlPath": "a\x00b.xml"}]
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(manifest_from_dict(data))
+    assert excinfo.value.problems == [("$.processes[0].operators[0].equations[0]", "cannot read equation file: embedded null byte")]
+
+
 def test_observation_feature_must_resolve():
     data = minimal_manifest()
     data["observations"] = [{"feature": "Ghost", "value": 1.0, "timestamp": "2024-01-01T00:00:00Z"}]

@@ -17,6 +17,7 @@ from cpskg.mapper import (
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app, walk
 from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple
 from cpskg.vocab import CpsVocabulary
+from conftest import edited
 from strategies import trees_any_operator
 
 BASE = "http://example.org/m"
@@ -60,6 +61,19 @@ def test_shared_variable_nine_triples():
     result = om_to_rdf(app(PLUS, X, X), BASE, "e")
     assert fragment_size(result) == 9
     assert list(result.variables) == ["x"]
+
+
+def test_mapping_into_a_graph_adds_the_fragment_to_what_it_holds():
+    g = om_to_rdf(app(PLUS, X, Y), BASE, "other").graph
+    g.add(Triple(Iri(f"{BASE}/Op"), OM.name, Literal("x")))
+    old = set(g)
+    expr = app(PLUS, X, app(PLUS, IntLiteral(2), FloatLiteral(0.5)))
+    fresh = om_to_rdf(expr, BASE, "e")
+    into = om_to_rdf(expr, BASE, "e", graph=g)
+    assert into.graph is g
+    assert set(g) == old | set(fresh.graph)
+    assert (into.object_node, into.root, into.variables) == (fresh.object_node, fresh.root, fresh.variables)
+    assert rdf_to_om(g, into.object_node) == expr
 
 
 def test_symbol_is_pure_iri():
@@ -117,26 +131,20 @@ def test_argument_order_is_recoverable():
     forward = om_to_rdf(app(PLUS, X, Y), BASE, "e")
     assert rdf_to_om(forward.graph, forward.object_node) == app(PLUS, X, Y)
 
-    backward = Graph()
-    backward.update(forward.graph)
     # swap the two rdf:first links to reverse the argument list
-    firsts = backward.triples(None, RDF.first)
+    firsts = forward.graph.triples(None, RDF.first)
     assert len(firsts) == 2
-    for triple in firsts:
-        backward.discard(triple)
-    backward.add(Triple(firsts[0].subject, RDF.first, firsts[1].object))
-    backward.add(Triple(firsts[1].subject, RDF.first, firsts[0].object))
+    swapped = [Triple(firsts[0].subject, RDF.first, firsts[1].object), Triple(firsts[1].subject, RDF.first, firsts[0].object)]
+    backward = edited(forward.graph, drop=firsts, add=swapped)
     assert rdf_to_om(backward, forward.object_node) == app(PLUS, Y, X)
 
 
 def test_cyclic_list_detected():
     result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
-    g = result.graph
-    rests = g.triples(None, RDF.rest, RDF.nil)
+    rests = result.graph.triples(None, RDF.rest, RDF.nil)
     assert rests
     tail = rests[0]
-    g.discard(tail)
-    g.add(Triple(tail.subject, RDF.rest, tail.subject))
+    g = edited(result.graph, drop=[tail], add=[Triple(tail.subject, RDF.rest, tail.subject)])
     with pytest.raises(MalformedListError):
         rdf_to_om(g, result.object_node)
 
@@ -150,26 +158,23 @@ def _argument_cells(graph, application):
 
 
 def _set_item(graph, cell, node):
-    for old in graph.triples(cell, RDF.first):
-        graph.discard(old)
-    graph.add(Triple(cell, RDF.first, node))
+    """A copy of ``graph`` whose list ``cell`` holds ``node``."""
+    return edited(graph, drop=graph.triples(cell, RDF.first), add=[Triple(cell, RDF.first, node)])
 
 
 def test_application_in_its_own_arguments_is_cyclic():
     result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
     g = result.graph
     application = g.objects(result.object_node, OM.root)[0]
-    _set_item(g, _argument_cells(g, application)[1], application)
+    g = _set_item(g, _argument_cells(g, application)[1], application)
     with pytest.raises(MalformedNodeError, match=f"^application structure is cyclic at {application}$"):
         rdf_to_om(g, result.object_node)
 
 
 def test_wrapper_rooted_at_itself_is_cyclic():
     result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
-    g = result.graph
     wrapper = result.object_node
-    g.discard(Triple(wrapper, OM.root, g.objects(wrapper, OM.root)[0]))
-    g.add(Triple(wrapper, OM.root, wrapper))
+    g = edited(result.graph, drop=result.graph.triples(wrapper, OM.root), add=[Triple(wrapper, OM.root, wrapper)])
     with pytest.raises(MalformedNodeError, match=f"^om:root chain is cyclic at {wrapper}$"):
         rdf_to_om(g, wrapper)
 
@@ -198,15 +203,13 @@ def test_shared_subexpression_reads_back_twice():
     result = om_to_rdf(app(PLUS, inner, Y), BASE, "e")
     g = result.graph
     cells = _argument_cells(g, g.objects(result.object_node, OM.root)[0])
-    _set_item(g, cells[1], g.objects(cells[0], RDF.first)[0])
+    g = _set_item(g, cells[1], g.objects(cells[0], RDF.first)[0])
     assert rdf_to_om(g, result.object_node) == app(PLUS, inner, inner)
 
 
 def test_dangling_list_detected():
     result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
-    g = result.graph
-    tail = g.triples(None, RDF.rest, RDF.nil)[0]
-    g.discard(tail)
+    g = edited(result.graph, drop=result.graph.triples(None, RDF.rest, RDF.nil)[:1])
     with pytest.raises(MalformedListError):
         rdf_to_om(g, result.object_node)
 

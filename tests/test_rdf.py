@@ -494,7 +494,7 @@ def test_triple_pickled_in_another_process_hashes_in_this_one():
 
 # --- lookup indexes ---------------------------------------------------------
 
-# A small term universe, so that adds, discards and lookups hit the same keys.
+# A small term universe, so that adds and lookups hit the same keys.
 # n2, n20 and n2-x share a prefix: as raw values n2 sorts first, but as
 # N-Triples text it sorts last (<...n2-x>, <...n20>, <...n2>), so keying the
 # graph by raw values would change the lookup order.
@@ -502,9 +502,6 @@ _few_iris = st.sampled_from([EX.term(x) for x in ("a", "b", "c", "n2", "n20", "n
 _few_triples = st.builds(Triple, _few_iris, _few_iris, st.one_of(_few_iris, st.sampled_from([Literal("x"), Literal("x", lang="en")])))
 _graph_ops = st.one_of(
     st.tuples(st.just("add"), _few_triples),
-    st.tuples(st.just("discard"), _few_triples),
-    st.tuples(st.just("update"), st.lists(_few_triples, max_size=4), st.booleans()),
-    st.tuples(st.just("copy")),
     st.tuples(st.just("lookup"), _few_triples),
 )
 
@@ -529,40 +526,12 @@ def _check_lookups(graph: Graph, probe: Triple) -> None:
 
 @given(st.lists(_graph_ops, max_size=30), _few_triples)
 def test_indexed_lookups_match_brute_force(ops, probe):
-    """Lookups interleaved with changes build the indexes mid-sequence; every
-    later change must keep them in step, and a copy must stay independent."""
+    """Lookups interleaved with adds build the indexes mid-sequence; every
+    later add must keep them in step."""
     graph = Graph()
-    copied: list[tuple[Graph, set[Triple]]] = []
-    for op, *args in ops:
+    for op, triple in ops:
         if op == "add":
-            graph.add(args[0])
-        elif op == "discard":
-            graph.discard(args[0])
-        elif op == "update":
-            other = Graph()
-            for x in args[0]:
-                other.add(x)
-            if args[1]:
-                other.objects(EX.a, EX.a)  # index the other side too
-            graph.update(other)
-        elif op == "copy":
-            copied.append((graph, set(graph)))
-            graph = graph.copy()
+            graph.add(triple)
         else:
-            _check_lookups(graph, args[0])
+            _check_lookups(graph, triple)
     _check_lookups(graph, probe)
-    for original, triples in copied:
-        assert set(original) == triples
-        _check_lookups(original, probe)
-
-
-def test_discarding_the_last_triple_of_a_key_leaves_no_trace():
-    g = Graph()
-    g.add(t("s", "p", "o"))
-    assert g.objects(EX.s, EX.p) == [EX.o]  # builds the indexes
-    g.discard(t("s", "p", "o"))
-    assert g.triples(EX.s) == g.triples(None, EX.p) == g.triples(None, EX.p, EX.o) == []
-    assert g.objects(EX.s, EX.p) == g.subjects(EX.p) == g.subjects(EX.p, EX.o) == []
-    g.add(t("s", "q", "o"))
-    assert g.triples(EX.s) == g.triples(None, None, EX.o) == [t("s", "q", "o")]
-    assert g.subjects(EX.p) == g.subjects(EX.p, EX.o) == []

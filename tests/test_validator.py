@@ -9,6 +9,7 @@ from cpskg.om.tree import Symbol
 from cpskg.rdf import RDF, Graph, Iri, Literal, Triple
 from cpskg.validator import validate
 from cpskg.vocab import CpsVocabulary
+from conftest import edited
 
 V = CpsVocabulary.default()
 EHSA = "http://example.org/ehsa"
@@ -20,8 +21,7 @@ def test_golden_graph_is_clean(ehsa_graph):
 
 
 def test_report_is_deterministic(ehsa_graph):
-    mutated = ehsa_graph.copy()
-    mutated.discard(ehsa_graph.triples(None, V.cpsmod.isDataFor)[0])
+    mutated = edited(ehsa_graph, drop=ehsa_graph.triples(None, V.cpsmod.isDataFor)[:1])
     first = validate(mutated).to_text()
     second = validate(mutated).to_text()
     assert first == second
@@ -48,11 +48,8 @@ LIST_MUTATIONS = {
 def test_v1_malformed_list(ehsa_graph, mutation):
     """V1 and the mapper read lists with one reader, so they stop at the same node."""
     added, message = LIST_MUTATIONS[mutation]
-    mutated = ehsa_graph.copy()
-    victim = mutated.triples(None, RDF.rest, RDF.nil)[0]
-    mutated.discard(victim)
-    for triple in added(victim.subject):
-        mutated.add(triple)
+    victim = ehsa_graph.triples(None, RDF.rest, RDF.nil)[0]
+    mutated = edited(ehsa_graph, drop=[victim], add=added(victim.subject))
     finding = _single_finding(validate(mutated))
     assert (finding.rule, finding.severity, finding.message) == ("V1", "error", message)
     wrapper = Iri(victim.subject.value.rpartition("/")[0])
@@ -66,52 +63,45 @@ def test_v1_malformed_list(ehsa_graph, mutation):
 
 
 def test_v2_missing_operator(ehsa_graph):
-    mutated = ehsa_graph.copy()
-    victim = mutated.triples(None, V.om.operator)[0]
-    mutated.discard(victim)
+    victim = ehsa_graph.triples(None, V.om.operator)[0]
+    mutated = edited(ehsa_graph, drop=[victim])
     findings = validate(mutated).findings
     assert [f.rule for f in findings] == ["V2"]
     assert findings[0].severity == "error"
 
 
 def test_v3_unassigned_operator(ehsa_graph):
-    mutated = ehsa_graph.copy()
-    victim = mutated.triples(Iri(f"{EHSA}/PressureStabilization"), V.vdi3682.isAssignedTo)[0]
-    mutated.discard(victim)
+    victim = ehsa_graph.triples(Iri(f"{EHSA}/PressureStabilization"), V.vdi3682.isAssignedTo)[0]
+    mutated = edited(ehsa_graph, drop=[victim])
     finding = _single_finding(validate(mutated))
     assert (finding.rule, finding.severity) == ("V3", "warning")
 
 
 def test_v4_unlinked_variable(ehsa_graph):
-    mutated = ehsa_graph.copy()
-    victim = mutated.triples(None, V.cpsmod.isDataFor)[0]
-    mutated.discard(victim)
+    victim = ehsa_graph.triples(None, V.cpsmod.isDataFor)[0]
+    mutated = edited(ehsa_graph, drop=[victim])
     finding = _single_finding(validate(mutated))
     assert (finding.rule, finding.severity) == ("V4", "warning")
     assert finding.node == victim.subject
 
 
 def test_v5_operator_without_input(ehsa_graph):
-    mutated = ehsa_graph.copy()
-    victim = mutated.triples(Iri(f"{EHSA}/HydraulicControl"), V.vdi3682.hasInput)[0]
-    mutated.discard(victim)
+    victim = ehsa_graph.triples(Iri(f"{EHSA}/HydraulicControl"), V.vdi3682.hasInput)[0]
+    mutated = edited(ehsa_graph, drop=[victim])
     finding = _single_finding(validate(mutated))
     assert (finding.rule, finding.severity) == ("V5", "warning")
 
 
 def test_v6_data_element_without_type_description(ehsa_graph):
-    mutated = ehsa_graph.copy()
-    victim = mutated.triples(Iri(f"{EHSA}/Q1_DE"), V.dinen61360.hasTypeDescription)[0]
-    mutated.discard(victim)
+    victim = ehsa_graph.triples(Iri(f"{EHSA}/Q1_DE"), V.dinen61360.hasTypeDescription)[0]
+    mutated = edited(ehsa_graph, drop=[victim])
     finding = _single_finding(validate(mutated))
     assert (finding.rule, finding.severity) == ("V6", "error")
 
 
 def test_v7_unregistered_content_dictionary(ehsa_graph):
-    mutated = ehsa_graph.copy()
-    victim = mutated.triples(None, V.om.operator, symbol_iri(Symbol("relation1", "eq")))[0]
-    mutated.discard(victim)
-    mutated.add(Triple(victim.subject, V.om.operator, symbol_iri(Symbol("nocd1", "mystery"))))
+    victim = ehsa_graph.triples(None, V.om.operator, symbol_iri(Symbol("relation1", "eq")))[0]
+    mutated = edited(ehsa_graph, drop=[victim], add=[Triple(victim.subject, V.om.operator, symbol_iri(Symbol("nocd1", "mystery")))])
     finding = _single_finding(validate(mutated, strict=True))
     assert (finding.rule, finding.severity) == ("V7", "warning")
     assert not validate(mutated).findings  # V7 only runs in strict mode
@@ -128,10 +118,8 @@ def test_v7_unregistered_content_dictionary(ehsa_graph):
 def test_v7_reports_what_rdf_to_om_rejects(ehsa_graph, target, message):
     """V7 and rdf_to_om parse operator IRIs with the same function, so a
     graph that strict validation calls clean also exports."""
-    mutated = ehsa_graph.copy()
-    victim = mutated.triples(None, V.om.operator, symbol_iri(Symbol("relation1", "eq")))[0]
-    mutated.discard(victim)
-    mutated.add(Triple(victim.subject, V.om.operator, Iri(target)))
+    victim = ehsa_graph.triples(None, V.om.operator, symbol_iri(Symbol("relation1", "eq")))[0]
+    mutated = edited(ehsa_graph, drop=[victim], add=[Triple(victim.subject, V.om.operator, Iri(target))])
     finding = _single_finding(validate(mutated, strict=True))
     assert (finding.rule, finding.severity, finding.node, finding.message) == ("V7", "warning", Iri(target), message)
     (wrapper,) = mutated.subjects(V.om.root, victim.subject)
@@ -148,8 +136,7 @@ def test_single_triple_deletions_never_crash(ehsa_graph):
     report, never an exception. Deterministic stride sample for speed."""
     triples = list(ehsa_graph)
     for triple in triples[::4]:
-        mutated = ehsa_graph.copy()
-        mutated.discard(triple)
+        mutated = edited(ehsa_graph, drop=[triple])
         report = validate(mutated, strict=True)
         for finding in report.findings:
             assert finding.rule in {"V1", "V2", "V3", "V4", "V5", "V6", "V7"}
@@ -157,8 +144,7 @@ def test_single_triple_deletions_never_crash(ehsa_graph):
 
 
 def test_report_renders_text_and_jsonl(ehsa_graph):
-    mutated = ehsa_graph.copy()
-    mutated.discard(mutated.triples(None, V.cpsmod.isDataFor)[0])
+    mutated = edited(ehsa_graph, drop=ehsa_graph.triples(None, V.cpsmod.isDataFor)[:1])
     report = validate(mutated)
     assert report.to_text().startswith("V4 warning ")
     assert '"rule": "V4"' in report.to_jsonl()
