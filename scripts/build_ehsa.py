@@ -20,7 +20,7 @@ from cpskg.manifest import compile_manifest, load_manifest  # noqa: E402
 from cpskg.mapper import rdf_to_om  # noqa: E402
 from cpskg.rdf import RDF, PatternQuery, Var, match, to_ntriples, to_turtle  # noqa: E402
 from cpskg.validator import validate  # noqa: E402
-from cpskg.vocab import CpsVocabulary  # noqa: E402
+from cpskg.vocab import DEFAULT_VOCAB  # noqa: E402
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
     parser.add_argument("--out-dir", default=str(REPO / "out"), help="where to write ehsa.nt and ehsa.ttl")
     args = parser.parse_args()
 
-    vocab = CpsVocabulary.default()
+    vocab = DEFAULT_VOCAB
     manifest = load_manifest(REPO / "fixtures" / "ehsa" / "manifest.json")
     graph = compile_manifest(manifest, vocab=vocab)
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import CpskgError
 from .rdf import RDF, XSD, Graph, Iri, Literal, NodeRef, Triple
-from .vocab import CpsVocabulary
+from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = [
     "BuildError",
@@ -106,7 +106,6 @@ class ObservationSpec:
     feature: str
     value: float
     timestamp: str
-    unit: str = ""
 
 
 class ModelBuilder:
@@ -114,8 +113,8 @@ class ModelBuilder:
     check: it mints IRIs and writes triples. See the module docstring for
     the IRI rules."""
 
-    def __init__(self, instance_base: str, vocab: Optional[CpsVocabulary] = None):
-        self.vocab = vocab or CpsVocabulary.default()
+    def __init__(self, instance_base: str, vocab: CpsVocabulary = DEFAULT_VOCAB):
+        self.vocab = vocab
         self.instance_base = instance_base.rstrip("/")
         self.graph = Graph()
         self._observation_count = 0
@@ -231,12 +230,9 @@ class ModelBuilder:
 
     # --- observations ----------------------------------------------------
 
-    def add_observation(self, feature: Iri, value: float, unit: str, timestamp: str) -> Iri:
-        """Record a timestamped observation on a feature of interest.
-
-        The unit is part of the manifest/binding vocabulary, not the graph;
-        the simple result is a plain xsd:double.
-        """
+    def add_observation(self, feature: Iri, value: float, timestamp: str) -> Iri:
+        """Record a timestamped observation on a feature of interest; the
+        simple result is a plain xsd:double."""
         # compile_manifest passes only declared ids, which are all in the
         # graph; this check can fail only for a caller of the builder itself.
         # Observations come last in compile_manifest, so its graph is indexed

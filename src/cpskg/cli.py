@@ -26,12 +26,11 @@ from .rdf import (
     Iri,
     Literal,
     MalformedQueryError,
-    NodeRef,
     PatternQuery,
     Var,
+    display_term,
     from_ntriples,
     match,
-    nt_term,
     parse_literal,
     serialize,
 )
@@ -142,15 +141,11 @@ def _parse_term(token: str, prefixes: dict[str, str]):
     raise MalformedQueryError(f"cannot interpret pattern term: {token!r}")
 
 
-def _render_node(node: NodeRef) -> str:
-    return node.value if isinstance(node, Iri) else nt_term(node)
-
-
 def cmd_query(args: argparse.Namespace, cfg: ToolConfig) -> int:
     graph = _load_graph(args.in_path)
     query = _parse_pattern(args.pattern, cfg.vocab.prefixes(args.base or None))
     for row in match(graph, query):
-        print("\t".join(_render_node(row[name]) for name in sorted(row)))
+        print("\t".join(display_term(row[name]) for name in sorted(row)))
     return EXIT_OK
 
 

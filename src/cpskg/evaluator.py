@@ -18,9 +18,8 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import CpskgError
 from .om.registry import DIVIDE, EQUALS, MINUS, PLUS, POWER, TIMES, UNARY_MINUS
@@ -33,7 +32,6 @@ __all__ = [
     "ResultOverflowError",
     "UnboundVariableError",
     "UnsupportedOperatorError",
-    "VariableBinding",
     "binding_map",
     "evaluate",
     "load_bindings",
@@ -70,16 +68,6 @@ class DivisionByZeroError(DomainError, ZeroDivisionError):
     """A division by zero, or zero raised to a negative power."""
 
 
-@dataclass(frozen=True)
-class VariableBinding:
-    name: str
-    value: float
-    unit: str = ""
-
-
-Bindings = Union[Mapping[str, float], Iterable[VariableBinding]]
-
-
 def _binding_value(name: str, value: float) -> float:
     try:
         return float(value)
@@ -87,15 +75,10 @@ def _binding_value(name: str, value: float) -> float:
         raise EvaluationError(f"binding {name!r} is out of double range") from None
 
 
-def binding_map(bindings: Bindings) -> dict[str, float]:
-    if isinstance(bindings, Mapping):
-        return {str(k): _binding_value(k, v) for k, v in bindings.items()}
-    out: dict[str, float] = {}
-    for b in bindings:
-        if b.name in out:
-            raise EvaluationError(f"binding set names {b.name!r} twice")
-        out[b.name] = _binding_value(b.name, b.value)
-    return out
+def binding_map(bindings: Mapping[str, float]) -> dict[str, float]:
+    """Each binding as a double; a value beyond the double range is an
+    :class:`EvaluationError` naming it."""
+    return {str(k): _binding_value(k, v) for k, v in bindings.items()}
 
 
 def load_bindings(path: Union[str, Path]) -> dict[str, float]:
@@ -146,7 +129,7 @@ _RULES: dict[Symbol, tuple[Optional[int], Callable[..., float]]] = {
 }
 
 
-def evaluate(expr: OMExpression, bindings: Bindings) -> float:
+def evaluate(expr: OMExpression, bindings: Mapping[str, float]) -> float:
     """Recursively evaluate ``expr`` under ``bindings`` to a double.
 
     Every failure is an :class:`EvaluationError`. Division by zero raises

@@ -42,10 +42,9 @@ from .errors import CpskgError
 from .infix import parse_infix
 from .mapper import om_to_rdf
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
-from .om.tree import variable_names
 from .om.xmlio import parse_openmath_xml
 from .rdf import Graph
-from .vocab import CpsVocabulary
+from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = ["CpsManifest", "MANIFEST_SCHEMA", "ManifestError", "compile_manifest", "load_manifest", "manifest_from_dict"]
 
@@ -356,7 +355,6 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
             ObservationSpec(
                 feature=obs["feature"],
                 value=obs["value"],
-                unit=obs.get("unit", ""),
                 timestamp=obs["timestamp"],
             )
             for obs in data.get("observations", ())
@@ -482,7 +480,7 @@ def load_manifest(path: Union[str, Path]) -> CpsManifest:
 def compile_manifest(
     manifest: CpsManifest,
     *,
-    vocab: Optional[CpsVocabulary] = None,
+    vocab: CpsVocabulary = DEFAULT_VOCAB,
     registry: SymbolRegistry = DEFAULT_REGISTRY,
     strict: bool = True,
 ) -> Graph:
@@ -494,7 +492,6 @@ def compile_manifest(
     observations. Equation problems are aggregated into one
     :class:`ManifestError` naming each JSON path.
     """
-    vocab = vocab or CpsVocabulary.default()
     builder = ModelBuilder(manifest.instance_base, vocab)
     builder.add_lifecycle_record(manifest.lifecycle_record_id, manifest.information_sets)
     builder.add_structure(manifest.structure)
@@ -525,20 +522,22 @@ def compile_manifest(
                     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in xmlPath
                         problems.append((epath, f"cannot read equation file: {exc}"))
                         continue
+                # A failed equation may leave part of its fragment in the
+                # graph; that graph is discarded, as any problem is raised.
                 try:
                     if eq.infix is not None:
                         expr = parse_infix(eq.infix, registry=registry, strict=strict)
                     else:
                         expr = parse_openmath_xml(xml, strict=strict)
+                    result = om_to_rdf(expr, manifest.instance_base, eq.id, vocab=vocab, graph=builder.graph)
                 except CpskgError as exc:
                     problems.append((epath, str(exc)))
                     continue
-                missing = sorted(variable_names(expr) - scope.keys())
+                missing = sorted(result.variables.keys() - scope.keys())
                 if missing:
                     for name in missing:
                         problems.append((epath, f"variable {name!r} is not declared by any data element in scope"))
                     continue
-                result = om_to_rdf(expr, manifest.instance_base, eq.id, vocab=vocab, graph=builder.graph)
                 builder.attach_behavior_model(builder.iri(op.id), result.object_node)
                 for name in sorted(result.variables):
                     builder.link_variable_to_data_element(result.variables[name], builder.iri(scope[name]))
@@ -546,5 +545,5 @@ def compile_manifest(
         raise ManifestError(problems)
 
     for obs in manifest.observations:
-        builder.add_observation(builder.iri(obs.feature), obs.value, obs.unit, obs.timestamp)
+        builder.add_observation(builder.iri(obs.feature), obs.value, obs.timestamp)
     return builder.graph

@@ -22,8 +22,8 @@ The backward direction reconstructs the tree and rejects malformed shapes:
 cyclic or dangling argument lists, applications without exactly one
 operator and argument list, nodes with ambiguous typing, and (in strict
 mode) operator IRIs outside the configured CD base. The validator and the
-CLI reuse :func:`read_list` and :func:`fragment_variables` rather than
-walking the fragment themselves.
+CLI reuse :func:`read_list`, :func:`fragment_variables` and
+:func:`expression_class` rather than walking the fragment themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 from .errors import CpskgError
 from .om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
 from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, Triple, nt_term
-from .vocab import DEFAULT_CD_BASE, CpsVocabulary
+from .vocab import DEFAULT_CD_BASE, DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = [
     "MalformedListError",
@@ -44,6 +44,7 @@ __all__ = [
     "MappingResult",
     "UnknownSymbolIriError",
     "create_rdf_list",
+    "expression_class",
     "fragment_variables",
     "om_to_rdf",
     "parse_symbol_iri",
@@ -78,7 +79,7 @@ class MappingContext:
 
     instance_base: str
     equation_id: str
-    vocab: CpsVocabulary = field(default_factory=CpsVocabulary.default)
+    vocab: CpsVocabulary = DEFAULT_VOCAB
     variables: dict[str, Iri] = field(default_factory=dict)
     _counter: int = field(default=0, init=False)
 
@@ -177,14 +178,14 @@ def om_to_rdf(
     instance_base: str,
     equation_id: str,
     *,
-    vocab: Optional[CpsVocabulary] = None,
+    vocab: CpsVocabulary = DEFAULT_VOCAB,
     graph: Optional[Graph] = None,
 ) -> MappingResult:
     """Map a whole expression and its ``om:Object`` wrapper into ``graph``,
     or into a fresh graph when it is omitted; the fragment is added to
     whatever ``graph`` already holds. Deterministic: identical inputs give
     identical fragments."""
-    ctx = MappingContext(instance_base, equation_id, vocab or CpsVocabulary.default())
+    ctx = MappingContext(instance_base, equation_id, vocab)
     graph = Graph() if graph is None else graph
     root = process_node(expr, ctx, graph)
     wrapper = ctx.object_node
@@ -237,6 +238,17 @@ def fragment_variables(graph: Graph, roots: Iterable[NodeRef], om: Namespace) ->
     return sorted((n for n in seen if variable_type in graph.objects(n, RDF.type)), key=nt_term)
 
 
+def expression_class(graph: Graph, node: Iri, om: Namespace) -> Optional[Iri]:
+    """The class that makes ``node`` an expression node: one of om:Object,
+    om:Application, om:Variable and om:Literal, or ``None`` for a node that
+    stands for a symbol, whatever other types it has. Raises
+    :class:`MalformedNodeError` when ``node`` has more than one."""
+    found = [t for t in graph.objects(node, RDF.type) if t in (om.Object, om.Application, om.Variable, om.Literal)]
+    if len(found) > 1:
+        raise MalformedNodeError(f"{node} has ambiguous expression typing: {[t.value for t in found]}")
+    return found[0] if found else None
+
+
 class _Reader:
     def __init__(self, graph: Graph, vocab: CpsVocabulary, strict: bool):
         self.graph = graph
@@ -263,28 +275,25 @@ class _Reader:
         om = self.om
         if isinstance(node, Literal):
             raise MalformedNodeError(f"a literal term cannot stand for an expression: {node!r}")
-        types = set(self.graph.objects(node, RDF.type))
-        om_types = types & {om.Object, om.Application, om.Variable, om.term("Literal")}
-        if len(om_types) > 1:
-            raise MalformedNodeError(f"{node} has ambiguous expression typing: {sorted(t.value for t in om_types)}")
-        if om.Object in om_types:
+        kind = expression_class(self.graph, node, om)
+        if kind == om.Object:
             self._enter(node, "om:root chain")
             expr = self.read(self._one(node, om.root, "om:root"))
             self.active.remove(node)
             return expr
-        if om.Application in om_types:
+        if kind == om.Application:
             self._enter(node, "application structure")
             operator = self.read(self._one(node, om.operator, "om:operator"))
             head = self._one(node, om.arguments, "om:arguments")
             arguments = tuple(self.read(item) for item in read_list(self.graph, head))
             self.active.remove(node)
             return Application(operator, arguments)
-        if om.Variable in om_types:
+        if kind == om.Variable:
             name = self._one(node, om.name, "om:name")
             if not isinstance(name, Literal):
                 raise MalformedNodeError(f"om:name of {node} must be a literal")
             return Variable(name.lexical)
-        if om.term("Literal") in om_types:
+        if kind == om.Literal:
             value = self._one(node, om.value, "om:value")
             if not isinstance(value, Literal):
                 raise MalformedNodeError(f"om:value of {node} must be a literal")
@@ -309,9 +318,9 @@ def rdf_to_om(
     graph: Graph,
     root: NodeRef,
     *,
-    vocab: Optional[CpsVocabulary] = None,
+    vocab: CpsVocabulary = DEFAULT_VOCAB,
     strict: bool = True,
 ) -> OMExpression:
     """Reconstruct the expression rooted at ``root`` (an ``om:Object``
     wrapper or any expression node). Inverse of :func:`om_to_rdf`."""
-    return _Reader(graph, vocab or CpsVocabulary.default(), strict).read(root)
+    return _Reader(graph, vocab, strict).read(root)

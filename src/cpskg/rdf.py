@@ -13,8 +13,9 @@ that text, which is one-to-one with term equality and sorts in
 serialization order, so storing, indexing and sorting work on plain
 strings, and triples sharing a term object share its string. One table per
 graph maps each text back to a single term object, and lookups hand out
-those objects. A graph only grows, through :meth:`Graph.add`. A
-:class:`Namespace` keeps each attribute term it hands out.
+those objects. Once made, a graph only grows, through :meth:`Graph.add`;
+:func:`from_ntriples` fills a fresh graph's keys and term table directly.
+A :class:`Namespace` keeps each attribute term it hands out.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "Triple",
     "Var",
     "XSD",
+    "display_term",
     "from_ntriples",
     "match",
     "nt_term",
@@ -100,8 +102,8 @@ class Namespace:
     """Attribute-style term factory: ``Namespace(base).someTerm -> Iri``.
 
     An attribute term is built once and then kept on the instance, so the
-    cache holds only names the code spells out. :meth:`term` and ``[]``
-    build a new term each call, as their names may come from input."""
+    cache holds only names the code spells out. :meth:`term` builds a new
+    term each call, as its names may come from input."""
 
     def __init__(self, base: str):
         Iri(base)  # validate
@@ -119,9 +121,6 @@ class Namespace:
             raise AttributeError(name)
         iri = self.__dict__[name] = self.term(name)
         return iri
-
-    def __getitem__(self, name: str) -> Iri:
-        return self.term(name)
 
     def __repr__(self) -> str:
         return f"Namespace({self._base!r})"
@@ -179,6 +178,12 @@ def nt_term(node: NodeRef) -> str:
     raise TypeError(f"not an RDF term: {node!r}")
 
 
+def display_term(node: NodeRef) -> str:
+    """A term as the CLI prints it: an IRI bare, any other term in its
+    N-Triples form, so that no literal reads as an IRI."""
+    return node.value if isinstance(node, Iri) else nt_term(node)
+
+
 @dataclass(frozen=True, slots=True)
 class Triple:
     subject: NodeRef
@@ -233,7 +238,8 @@ def _build_index(rows: Iterable[_Key]) -> _Index:
 class Graph:
     """A duplicate-free set of triples that only grows.
 
-    :meth:`add` is the one write: a graph is built by one writer and then
+    :meth:`add` is the one write once a graph exists (:func:`from_ntriples`
+    fills a fresh graph directly): a graph is built by one writer and then
     read, and an edited graph is a new graph made from the old one's
     triples. Reads are safe to share once built.
     Iteration is always in serialization order, so callers cannot pick up a

@@ -13,21 +13,29 @@ contextualization is finished.
               a data element
   V5 warning  every process operator has at least one input and one output
   V6 error    every data element has exactly one type description
-  V7 warning  (strict mode only) every operator symbol IRI has the form
-              {cdBase}/{cd}#{name} and names a registered content
-              dictionary
+  V7 warning  (strict mode only) every operator with no om expression
+              class (mapper.expression_class), whatever its other types,
+              is a symbol IRI {cdBase}/{cd}#{name} naming a registered
+              content dictionary, and no operator has two such classes
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
-from .mapper import MalformedListError, UnknownSymbolIriError, fragment_variables, parse_symbol_iri, read_list
+from .mapper import (
+    MalformedListError,
+    MalformedNodeError,
+    UnknownSymbolIriError,
+    expression_class,
+    fragment_variables,
+    parse_symbol_iri,
+    read_list,
+)
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
-from .rdf import RDF, Graph, Iri, NodeRef, nt_term
-from .vocab import CpsVocabulary
+from .rdf import RDF, Graph, Iri, NodeRef, display_term, nt_term
+from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = ["Finding", "ValidationReport", "validate"]
 
@@ -54,19 +62,14 @@ class ValidationReport:
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity == "error"]
 
-    @property
-    def warnings(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == "warning"]
-
     def to_text(self) -> str:
         return "".join(f.render() + "\n" for f in self.findings)
 
     def to_jsonl(self) -> str:
-        lines = []
-        for f in self.findings:
-            node = f.node.value if isinstance(f.node, Iri) else f.node.lexical
-            lines.append(json.dumps({"rule": f.rule, "severity": f.severity, "node": node, "message": f.message}, sort_keys=True))
-        return "".join(line + "\n" for line in lines)
+        return "".join(
+            json.dumps({"rule": f.rule, "severity": f.severity, "node": display_term(f.node), "message": f.message}, sort_keys=True) + "\n"
+            for f in self.findings
+        )
 
 
 def _check_argument_lists(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
@@ -123,11 +126,11 @@ def _check_symbol_cds(graph: Graph, v: CpsVocabulary, registry: SymbolRegistry, 
     for target in targets:
         if not isinstance(target, Iri):
             continue
-        if graph.objects(target, RDF.type):
-            continue  # a nested expression node, not a symbol
         try:
+            if expression_class(graph, target, v.om) is not None:
+                continue  # a nested expression node, not a symbol
             symbol = parse_symbol_iri(target, v.cd_base)
-        except UnknownSymbolIriError as exc:
+        except (MalformedNodeError, UnknownSymbolIriError) as exc:
             out.append(Finding("V7", "warning", target, str(exc)))
             continue
         if not registry.knows_cd(symbol.cd):
@@ -137,21 +140,20 @@ def _check_symbol_cds(graph: Graph, v: CpsVocabulary, registry: SymbolRegistry, 
 def validate(
     graph: Graph,
     *,
-    vocab: Optional[CpsVocabulary] = None,
+    vocab: CpsVocabulary = DEFAULT_VOCAB,
     registry: SymbolRegistry = DEFAULT_REGISTRY,
     strict: bool = False,
 ) -> ValidationReport:
     """Evaluate all rules; findings are data, never exceptions. The report
     is deterministically ordered by (rule, node, message)."""
-    v = vocab or CpsVocabulary.default()
     findings: list[Finding] = []
-    _check_argument_lists(graph, v, findings)
-    _check_application_shape(graph, v, findings)
-    _check_operator_assignment(graph, v, findings)
-    _check_variable_links(graph, v, findings)
-    _check_operator_io(graph, v, findings)
-    _check_type_descriptions(graph, v, findings)
+    _check_argument_lists(graph, vocab, findings)
+    _check_application_shape(graph, vocab, findings)
+    _check_operator_assignment(graph, vocab, findings)
+    _check_variable_links(graph, vocab, findings)
+    _check_operator_io(graph, vocab, findings)
+    _check_type_descriptions(graph, vocab, findings)
     if strict:
-        _check_symbol_cds(graph, v, registry, findings)
+        _check_symbol_cds(graph, vocab, registry, findings)
     findings.sort(key=lambda f: (f.rule, nt_term(f.node), f.message))
     return ValidationReport(findings)

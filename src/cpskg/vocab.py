@@ -8,21 +8,21 @@ IRI used for symbol nodes, and symbols added to the registry.
 
 from __future__ import annotations
 
-import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from .errors import CpskgError
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
-from .rdf import RDF, XSD, Namespace
+from .rdf import RDF, XSD, Iri, Namespace
 
 __all__ = [
     "ConfigError",
     "CpsVocabulary",
     "DEFAULT_CD_BASE",
     "DEFAULT_NAMESPACES",
+    "DEFAULT_VOCAB",
     "ToolConfig",
     "load_config",
 ]
@@ -59,12 +59,6 @@ class CpsVocabulary:
     cd_base: str = DEFAULT_CD_BASE
 
     @classmethod
-    @functools.cache
-    def default(cls) -> "CpsVocabulary":
-        """The default vocabulary; one shared instance, as it is immutable."""
-        return cls.from_mapping({})
-
-    @classmethod
     def from_mapping(cls, namespaces: Mapping[str, str], cd_base: Optional[str] = None) -> "CpsVocabulary":
         """The default namespaces with ``namespaces`` overriding some of
         them; a trailing ``/`` on ``cd_base`` is dropped."""
@@ -89,11 +83,15 @@ class CpsVocabulary:
         return out
 
 
+# The default vocabulary; one shared instance, as it is immutable.
+DEFAULT_VOCAB = CpsVocabulary.from_mapping({})
+
+
 @dataclass(frozen=True)
 class ToolConfig:
     """Resolved configuration shared by the CLI commands."""
 
-    vocab: CpsVocabulary = field(default_factory=CpsVocabulary.default)
+    vocab: CpsVocabulary = DEFAULT_VOCAB
     strict: bool = True
     registry: SymbolRegistry = DEFAULT_REGISTRY
 
@@ -102,11 +100,11 @@ def load_config(path: Union[str, Path, None]) -> ToolConfig:
     """Load a JSON configuration file; ``None`` yields the defaults.
 
     The keys read are ``namespaces`` (an object of prefix to IRI overrides),
-    ``cdBase`` (a string), ``strict`` (a boolean) and ``symbols`` (a list of
+    ``cdBase`` (an IRI), ``strict`` (a boolean) and ``symbols`` (a list of
     registry additions, each an object with non-empty string ``cd`` and
     ``name`` and an optional string ``token``, the infix spelling). A value
-    of the wrong type is a :class:`ConfigError` naming its key; other keys
-    are ignored.
+    of the wrong type, or an IRI that is not absolute, is a
+    :class:`ConfigError` naming its key; other keys are ignored.
     """
     if path is None:
         return ToolConfig()
@@ -122,6 +120,9 @@ def load_config(path: Union[str, Path, None]) -> ToolConfig:
     cd_base = data.get("cdBase", DEFAULT_CD_BASE)
     if not isinstance(cd_base, str):
         raise ConfigError("configuration key 'cdBase' must be a string")
+    _check_iri("'cdBase'", cd_base)
+    for prefix, base in namespaces.items():
+        _check_iri(f"'namespaces' entry {prefix!r}", base)
     strict = data.get("strict", True)
     if not isinstance(strict, bool):
         raise ConfigError("configuration key 'strict' must be a boolean")
@@ -143,8 +144,12 @@ def load_config(path: Union[str, Path, None]) -> ToolConfig:
                 f"'cd' and 'name' and an optional string 'token': {entry!r}"
             )
         extra[(entry["cd"], entry["name"])] = entry.get("token")
-    try:
-        vocab = CpsVocabulary.from_mapping(namespaces, cd_base)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    vocab = CpsVocabulary.from_mapping(namespaces, cd_base)
     return ToolConfig(vocab=vocab, strict=strict, registry=DEFAULT_REGISTRY.extended(extra))
+
+
+def _check_iri(key: str, value: str) -> None:
+    try:
+        Iri(value)
+    except ValueError as exc:
+        raise ConfigError(f"configuration key {key}: {exc}") from None

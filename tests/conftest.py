@@ -10,7 +10,7 @@ import pytest
 from cpskg.manifest import compile_manifest, load_manifest
 from cpskg.om.xmlio import parse_openmath_xml
 from cpskg.rdf import Graph
-from cpskg.vocab import CpsVocabulary
+from cpskg.vocab import DEFAULT_VOCAB, CpsVocabulary
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures" / "ehsa"
@@ -30,7 +30,7 @@ def edited(graph: Graph, drop=(), add=()) -> Graph:
 
 @pytest.fixture(scope="session")
 def vocab() -> CpsVocabulary:
-    return CpsVocabulary.default()
+    return DEFAULT_VOCAB
 
 
 @pytest.fixture(scope="session")

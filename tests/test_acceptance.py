@@ -19,11 +19,11 @@ from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variabl
 from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from cpskg.rdf import RDF, Iri, Literal, PatternQuery, Var, match, to_ntriples
 from cpskg.validator import validate
-from cpskg.vocab import CpsVocabulary
+from cpskg.vocab import DEFAULT_VOCAB
 from conftest import EHSA_BASE, FIXTURES, edited
 from corpus import corpus
 
-V = CpsVocabulary.default()
+V = DEFAULT_VOCAB
 OM = V.om
 BASE = "http://example.org/acceptance"
 

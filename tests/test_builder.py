@@ -15,10 +15,10 @@ from cpskg.builder import (
 from cpskg.mapper import om_to_rdf
 from cpskg.om.tree import Symbol, Variable, app
 from cpskg.rdf import RDF, PatternQuery, Triple, Var, match
-from cpskg.vocab import CpsVocabulary
+from cpskg.vocab import DEFAULT_VOCAB
 
 BASE = "http://example.org/unit"
-V = CpsVocabulary.default()
+V = DEFAULT_VOCAB
 
 
 @pytest.fixture
@@ -149,7 +149,7 @@ def test_observation_four_triples(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     feature = builder.add_data_element(builder.iri("Ram"), DataElementSpec("Q1_DE", "volume flow"))
     before = len(builder.graph)
-    obs = builder.add_observation(feature, 2.0, "m^3/s", "2024-01-01T00:00:00Z")
+    obs = builder.add_observation(feature, 2.0, "2024-01-01T00:00:00Z")
     assert len(builder.graph) - before == 4
     assert Triple(obs, V.sosa.hasFeatureOfInterest, feature) in builder.graph
 
@@ -160,15 +160,15 @@ def test_observation_of_a_feature_not_in_the_graph_is_rejected(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     before = len(builder.graph)
     with pytest.raises(UnresolvedReferenceError, match="Missing_DE"):
-        builder.add_observation(builder.iri("Missing_DE"), 2.0, "m^3/s", "2024-01-01T00:00:00Z")
+        builder.add_observation(builder.iri("Missing_DE"), 2.0, "2024-01-01T00:00:00Z")
     assert len(builder.graph) == before
 
 
 def test_two_observations_get_distinct_nodes(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     feature = builder.add_data_element(builder.iri("Ram"), DataElementSpec("D", "quantity"))
-    a = builder.add_observation(feature, 1.0, "", "2024-01-01T00:00:00Z")
-    b = builder.add_observation(feature, 2.0, "", "2024-01-01T00:00:01Z")
+    a = builder.add_observation(feature, 1.0, "2024-01-01T00:00:00Z")
+    b = builder.add_observation(feature, 2.0, "2024-01-01T00:00:01Z")
     assert a != b
 
 

@@ -16,7 +16,6 @@ from cpskg.evaluator import (
     ResultOverflowError,
     UnboundVariableError,
     UnsupportedOperatorError,
-    VariableBinding,
     binding_map,
     evaluate,
     load_bindings,
@@ -136,19 +135,11 @@ def test_binding_beyond_double_range_names_the_binding(tmp_path):
     calls = [
         lambda: load_bindings(path),
         lambda: binding_map({"x": 10**400}),
-        lambda: binding_map([VariableBinding("x", 10**400)]),
         lambda: evaluate(Variable("x"), {"x": -(10**400)}),
     ]
     for call in calls:
         with pytest.raises(EvaluationError, match="^binding 'x' is out of double range$"):
             call()
-
-
-def test_binding_map_from_variable_bindings():
-    bindings = [VariableBinding("x", 1.0, "m"), VariableBinding("y", 2.0, "s")]
-    assert binding_map(bindings) == {"x": 1.0, "y": 2.0}
-    with pytest.raises(EvaluationError):
-        binding_map(bindings + [VariableBinding("x", 3.0)])
 
 
 def test_trig_identity_over_samples():

@@ -175,6 +175,25 @@ def test_equation_problems_are_aggregated():
     assert len(excinfo.value.problems) == 2
 
 
+def test_mapping_problem_reported_at_its_equation(tmp_path):
+    """A symbol the XML reader accepts but no IRI can hold fails in the
+    mapping, and is reported like any other equation problem."""
+    plus = '<OMA><OMS cd="arith 1" name="plus"/><OMV name="x"/><OMV name="x"/></OMA>'
+    xml = f'<OMOBJ xmlns="http://www.openmath.org/OpenMath"><OMA><OMS cd="relation1" name="eq"/><OMV name="y"/>{plus}</OMA></OMOBJ>'
+    (tmp_path / "spaced.om.xml").write_text(xml, encoding="utf-8")
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["equations"] = [
+        {"id": "spaced_cd", "xmlPath": "spaced.om.xml"},
+        {"id": "bad_variable", "infix": "y = q"},
+    ]
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(manifest_from_dict(data, base_dir=tmp_path))
+    assert excinfo.value.problems == [
+        ("$.processes[0].operators[0].equations[0]", "IRI contains forbidden characters: 'http://www.openmath.org/cd/arith 1#plus'"),
+        ("$.processes[0].operators[0].equations[1]", "variable 'q' is not declared by any data element in scope"),
+    ]
+
+
 def test_missing_equation_file_reported():
     data = minimal_manifest()
     data["processes"][0]["operators"][0]["equations"] = [{"id": "ext", "xmlPath": "missing.om.xml"}]
@@ -303,9 +322,9 @@ def test_registry_closure_on_ehsa_equations(ehsa_manifest):
 def test_referential_closure_of_variable_links(ehsa_graph):
     """No isDataFor target lacks a DataElement typing."""
     from cpskg.rdf import RDF, PatternQuery, Var, match
-    from cpskg.vocab import CpsVocabulary
+    from cpskg.vocab import DEFAULT_VOCAB
 
-    v = CpsVocabulary.default()
+    v = DEFAULT_VOCAB
     linked = match(ehsa_graph, PatternQuery.of((Var("v"), v.cpsmod.isDataFor, Var("d"))))
     assert linked
     for row in linked:
@@ -316,9 +335,9 @@ def test_one_variable_node_per_name_per_fragment(ehsa_graph):
     from collections import Counter
 
     from cpskg.rdf import RDF
-    from cpskg.vocab import CpsVocabulary
+    from cpskg.vocab import DEFAULT_VOCAB
 
-    v = CpsVocabulary.default()
+    v = DEFAULT_VOCAB
     per_fragment: dict[str, Counter] = {}
     for node in ehsa_graph.subjects(RDF.type, v.om.Variable):
         fragment = node.value.rsplit("/n", 1)[0]

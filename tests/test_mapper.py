@@ -16,13 +16,13 @@ from cpskg.mapper import (
 )
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app, walk
 from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple
-from cpskg.vocab import CpsVocabulary
+from cpskg.vocab import DEFAULT_VOCAB
 from conftest import edited
 from strategies import trees_any_operator
 
 BASE = "http://example.org/m"
 PLUS = Symbol("arith1", "plus")
-OM = CpsVocabulary.default().om
+OM = DEFAULT_VOCAB.om
 X, Y = Variable("x"), Variable("y")
 
 

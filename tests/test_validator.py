@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 
-from cpskg.mapper import MalformedListError, UnknownSymbolIriError, rdf_to_om, symbol_iri
+from cpskg.mapper import MalformedListError, MalformedNodeError, UnknownSymbolIriError, om_to_rdf, rdf_to_om, symbol_iri
+from cpskg.infix import parse_infix
 from cpskg.om.tree import Symbol
 from cpskg.rdf import RDF, Graph, Iri, Literal, Triple
 from cpskg.validator import validate
-from cpskg.vocab import CpsVocabulary
+from cpskg.vocab import DEFAULT_VOCAB
 from conftest import edited
 
-V = CpsVocabulary.default()
+V = DEFAULT_VOCAB
 EHSA = "http://example.org/ehsa"
 
 
@@ -107,23 +109,30 @@ def test_v7_unregistered_content_dictionary(ehsa_graph):
     assert not validate(mutated).findings  # V7 only runs in strict mode
 
 
+FOREIGN = "http://example.org/foo#bar"
+
+
 @pytest.mark.parametrize(
-    "target, message",
+    "target, types, error, message",
     [
-        ("http://www.openmath.org/cd/arith1", "IRI under CD base is not of the form cd#name: http://www.openmath.org/cd/arith1"),
-        ("http://elsewhere.example/cd/arith1#plus", "operator IRI is not under the CD base http://www.openmath.org/cd: http://elsewhere.example/cd/arith1#plus"),
+        ("http://www.openmath.org/cd/arith1", [], UnknownSymbolIriError, "IRI under CD base is not of the form cd#name: http://www.openmath.org/cd/arith1"),
+        ("http://elsewhere.example/cd/arith1#plus", [], UnknownSymbolIriError, "operator IRI is not under the CD base http://www.openmath.org/cd: http://elsewhere.example/cd/arith1#plus"),
+        (FOREIGN, [Iri("http://example.org/Thing")], UnknownSymbolIriError, f"operator IRI is not under the CD base http://www.openmath.org/cd: {FOREIGN}"),
+        (FOREIGN, [V.om.Object, V.om.Literal], MalformedNodeError, f"{FOREIGN} has ambiguous expression typing: ['{V.om.Literal.value}', '{V.om.Object.value}']"),
     ],
-    ids=["no_name", "foreign_base"],
+    ids=["no_name", "foreign_base", "typed_foreign", "two_om_classes"],
 )
-def test_v7_reports_what_rdf_to_om_rejects(ehsa_graph, target, message):
-    """V7 and rdf_to_om parse operator IRIs with the same function, so a
-    graph that strict validation calls clean also exports."""
+def test_v7_reports_what_rdf_to_om_rejects(ehsa_graph, target, types, error, message):
+    """V7 and rdf_to_om tell symbols from expression nodes, and parse
+    operator IRIs, with the same functions, so a graph that strict
+    validation calls clean also exports."""
     victim = ehsa_graph.triples(None, V.om.operator, symbol_iri(Symbol("relation1", "eq")))[0]
-    mutated = edited(ehsa_graph, drop=[victim], add=[Triple(victim.subject, V.om.operator, Iri(target))])
+    added = [Triple(victim.subject, V.om.operator, Iri(target)), *(Triple(Iri(target), RDF.type, t) for t in types)]
+    mutated = edited(ehsa_graph, drop=[victim], add=added)
     finding = _single_finding(validate(mutated, strict=True))
     assert (finding.rule, finding.severity, finding.node, finding.message) == ("V7", "warning", Iri(target), message)
     (wrapper,) = mutated.subjects(V.om.root, victim.subject)
-    with pytest.raises(UnknownSymbolIriError, match=re.escape(message)):
+    with pytest.raises(error, match=re.escape(message)):
         rdf_to_om(mutated, wrapper)
 
 
@@ -148,6 +157,18 @@ def test_report_renders_text_and_jsonl(ehsa_graph):
     report = validate(mutated)
     assert report.to_text().startswith("V4 warning ")
     assert '"rule": "V4"' in report.to_jsonl()
+
+
+def test_jsonl_tells_a_literal_node_from_an_iri():
+    """A V1 finding on a literal tail whose text is also an IRI of the
+    graph: JSON shows the literal in N-Triples form, as query does."""
+    graph = om_to_rdf(parse_infix("sin(x)"), "http://example.org/m", "e").graph
+    (tail,) = graph.triples(None, RDF.rest, RDF.nil)
+    literal = Literal("http://example.org/m/expr/e/n0")
+    mutated = edited(graph, drop=[tail], add=[Triple(tail.subject, RDF.rest, literal)])
+    records = [json.loads(line) for line in validate(mutated).to_jsonl().splitlines()]
+    assert [(r["rule"], r["node"]) for r in records] == [("V1", '"http://example.org/m/expr/e/n0"')]
+    assert Iri(literal.lexical) in set(mutated.subjects())
 
 
 def test_empty_graph_is_clean():

@@ -19,8 +19,10 @@ from conftest import REPO
         ({"symbols": [{"cd": 1, "name": "x"}]}, "symbols"),
         ({"strict": "false"}, "strict"),
         ({"cdBase": 5}, "cdBase"),
+        ({"cdBase": "not an iri"}, "cdBase"),
+        ({"namespaces": {"om": "not an iri"}}, "namespaces"),
     ],
-    ids=["namespaces_list", "symbols_number", "symbol_cd_number", "strict_string", "cdBase_number"],
+    ids=["namespaces_list", "symbols_number", "symbol_cd_number", "strict_string", "cdBase_number", "cdBase_relative", "namespace_relative"],
 )
 def test_malformed_config_value_names_its_key(tmp_path, data, key):
     path = tmp_path / "config.json"
