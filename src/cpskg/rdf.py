@@ -14,7 +14,9 @@ serialization order, so storing, indexing and sorting work on plain
 strings, and triples sharing a term object share its string. One table per
 graph maps each text back to a single term object, and lookups hand out
 those objects. Once made, a graph only grows, through :meth:`Graph.add`;
-:func:`from_ntriples` fills a fresh graph's keys and term table directly.
+:func:`from_ntriples` fills a fresh graph's keys directly. It checks each
+distinct IRI once and makes no :class:`Iri` for it: the graph makes an
+IRI's term object the first time a lookup hands it out.
 A :class:`Namespace` keeps each attribute term it hands out.
 """
 
@@ -51,8 +53,10 @@ __all__ = [
     "to_turtle",
 ]
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# An absolute IRI: a scheme, then none of the characters the IRIREF rule of
+# N-Triples forbids. On a failed match the scheme alone says which rule broke.
+_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*')
+_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 _PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_\-]*$")
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 
@@ -85,10 +89,8 @@ class Iri:
     _nt: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not _SCHEME_RE.match(self.value):
-            raise InvalidIriError(f"IRI must be absolute: {self.value!r}")
-        if _BAD_IRI_CHARS.search(self.value):
-            raise InvalidIriError(f"IRI contains forbidden characters: {self.value!r}")
+        if not _IRI_RE.fullmatch(self.value):
+            raise _iri_error(self.value)
         object.__setattr__(self, "_nt", f"<{self.value}>")
 
     def __hash__(self) -> int:
@@ -96,6 +98,22 @@ class Iri:
 
     def __str__(self) -> str:
         return self.value
+
+
+def _iri_error(value: str) -> InvalidIriError:
+    """Why ``value``, which failed ``_IRI_RE``, is not an IRI."""
+    if not _SCHEME_RE.match(value):
+        return InvalidIriError(f"IRI must be absolute: {value!r}")
+    return InvalidIriError(f"IRI contains forbidden characters: {value!r}")
+
+
+def _iri_of(text: str) -> Iri:
+    """The :class:`Iri` whose N-Triples text is ``text``, an IRI already
+    checked; it carries ``text`` itself rather than a copy."""
+    iri = object.__new__(Iri)
+    object.__setattr__(iri, "value", text[1:-1])
+    object.__setattr__(iri, "_nt", text)
+    return iri
 
 
 class Namespace:
@@ -248,9 +266,12 @@ class Graph:
 
     Each triple is stored as the key ``(nt_term(s), nt_term(p),
     nt_term(o))``, a tuple of the three texts its terms carry, and a term
-    table maps every text to one term object. Keys hash and compare in C,
-    sort as plain tuples in :meth:`Triple.sort_key` order, and serialize by
-    joining.
+    table maps texts to term objects. Keys hash and compare in C, sort as
+    plain tuples in :meth:`Triple.sort_key` order, and serialize by joining.
+    Every read that hands out terms takes them from :meth:`_term`, so each
+    text has one term object. A graph from :func:`from_ntriples` starts
+    with its literals in the table and none of its IRIs: an IRI's object is
+    made on its first hand-out, and most are never handed out.
 
     Lookups go through two indexes over the texts, subject -> predicate ->
     objects and predicate -> object -> subjects (two of the six Hexastore
@@ -302,9 +323,18 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self._keys)} triples)"
 
+    def _term(self, text: str) -> NodeRef:
+        """The one term object for ``text``, a text of this graph's keys.
+        Only an IRI can be missing from the table; ``setdefault`` keeps the
+        object of whichever reader makes it first."""
+        term = self._terms.get(text)
+        if term is None:
+            term = self._terms.setdefault(text, _iri_of(text))
+        return term
+
     def _triples(self, keys: Iterable[_Key]) -> list[Triple]:
-        terms = self._terms
-        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in keys]  # type: ignore[arg-type]
+        term = self._term
+        return [Triple(term(s), term(p), term(o)) for s, p, o in keys]  # type: ignore[arg-type]
 
     def _by_subject(self) -> _Index:
         if self._spo is None:
@@ -344,12 +374,12 @@ class Graph:
 
     def objects(self, subject: NodeRef, predicate: Iri) -> list[NodeRef]:
         found = self._by_subject().get(nt_term(subject), {}).get(nt_term(predicate), ())
-        terms = self._terms
-        return [terms[o] for o in sorted(found)]
+        term = self._term
+        return [term(o) for o in sorted(found)]
 
     def subjects(self, predicate: Optional[Iri] = None, object: Optional[NodeRef] = None) -> list[NodeRef]:
-        terms = self._terms
-        return [terms[s] for s in sorted({k[0] for k in self._select(None, _text(predicate), _text(object))})]
+        term = self._term
+        return [term(s) for s in sorted({k[0] for k in self._select(None, _text(predicate), _text(object))})]
 
 
 # --- pattern matching --------------------------------------------------------
@@ -406,8 +436,8 @@ def match(graph: Graph, query: PatternQuery) -> list[dict[str, NodeRef]]:
         rows = next_rows
 
     unique = {tuple(sorted(row.items())): row for row in rows}
-    terms = graph._terms
-    return [{name: terms[text] for name, text in unique[key].items()} for key in sorted(unique)]
+    term = graph._term
+    return [{name: term(text) for name, text in unique[key].items()} for key in sorted(unique)]
 
 
 # --- serialization ------------------------------------------------------------
@@ -440,7 +470,7 @@ def to_turtle(graph: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str
     prefix_order = sorted(((base, prefix) for prefix, base in prefixes.items()), key=lambda x: (-len(x[0]), x[1]))
     out = [f"@prefix {prefix}: <{base}> ." for prefix, base in sorted(prefixes.items())]
 
-    def term(node: NodeRef) -> str:
+    def render(node: NodeRef) -> str:
         if isinstance(node, Iri):
             return _pname(node, prefix_order)
         if node.lang is None and node.datatype != XSD.string:
@@ -451,17 +481,17 @@ def to_turtle(graph: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str
     by_subject: dict[str, dict[str, list[str]]] = {}
     for s, p, o in sorted(graph._keys):
         by_subject.setdefault(s, {}).setdefault(p, []).append(o)
-    terms = graph._terms
+    term = graph._term
     rdf_type = nt_term(RDF.type)
     for subject, preds in by_subject.items():
         if out:
             out.append("")
         lines = []
         for predicate in sorted(preds, key=lambda p: (p != rdf_type, p)):
-            rendered = "a" if predicate == rdf_type else term(terms[predicate])
-            objects = ", ".join(term(terms[o]) for o in preds[predicate])
+            rendered = "a" if predicate == rdf_type else render(term(predicate))
+            objects = ", ".join(render(term(o)) for o in preds[predicate])
             lines.append(f"{rendered} {objects}")
-        block = f"{term(terms[subject])} " + " ;\n    ".join(lines) + " ."
+        block = f"{render(term(subject))} " + " ;\n    ".join(lines) + " ."
         out.append(block)
     return "\n".join(out) + ("\n" if out else "")
 
@@ -476,8 +506,9 @@ def serialize(graph: Graph, fmt: str, prefixes: Optional[Mapping[str, str]] = No
     raise ValueError(f"unknown serialization format: {fmt!r}")
 
 
-# groups: 1=subject, 2=predicate, 3=object IRI, 4=literal lexical, 5=datatype, 6=lang
-_IRI_PAT = r"<([^\x00-\x20<>\"{}|^`\\]*)>"
+# groups: 1=subject, 2=predicate, 3=object IRI, 4=literal lexical, 5=datatype, 6=lang.
+# An IRI is whatever lies between "<" and the next ">"; _IRI_RE checks it.
+_IRI_PAT = r"<([^>]*)>"
 _LIT_PAT = r'"((?:[^"\\\r\n]|\\.)*)"(?:\^\^' + _IRI_PAT + r"|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?"
 _LINE_RE = re.compile(rf"^{_IRI_PAT}\s+{_IRI_PAT}\s+(?:{_IRI_PAT}|{_LIT_PAT})\s*\.$")
 _LITERAL_RE = re.compile(_LIT_PAT)
@@ -487,10 +518,13 @@ _UNESCAPE_MAP = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
 def _unescape(text: str, line: int) -> str:
     def repl(m: re.Match[str]) -> str:
-        if m.group(1):
-            return chr(int(m.group(1), 16))
-        if m.group(2):
-            return chr(int(m.group(2), 16))
+        digits = m.group(1) or m.group(2)
+        if digits:
+            code = int(digits, 16)
+            # a surrogate or a number past U+10FFFF is no character UTF-8 can write
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                raise NTriplesSyntaxError(f"escape is not a Unicode scalar value: {m.group(0)}", line)
+            return chr(code)
         char = m.group(3)
         if char not in _UNESCAPE_MAP:
             raise NTriplesSyntaxError(f"invalid escape sequence \\{char}", line)
@@ -524,11 +558,12 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
     """Parse an N-Triples document; inverse of :func:`to_ntriples` on
     canonical output. Blank lines and ``#`` comment lines are skipped.
 
-    Each distinct IRI, and each distinct literal as written, is checked and
-    rendered to its canonical N-Triples text once, where it first occurs;
-    the graph shares one term object per text. Literal escapes are
-    canonicalised, so ``"\\u0041"`` and ``"A"`` are one term. Nothing is
-    kept between calls."""
+    Each distinct IRI is checked against the IRIREF rule once, where it
+    first occurs, and kept only as its text: the graph makes its term
+    object when a lookup first hands it out. Each distinct literal as
+    written is parsed and rendered to its canonical text once. Literal
+    escapes are canonicalised, so ``"\\u0041"`` and ``"A"`` are one term.
+    Nothing is kept between calls."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -540,15 +575,15 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
     iri_texts: dict[str, str] = {}  # IRI value -> its text
     literal_texts: dict[tuple[str, Optional[str], Optional[str]], str] = {}  # literal groups -> its text
 
-    def iri_text(value: str) -> str:
-        """Check, render and enter an IRI not seen before in this document."""
-        iri = Iri(value)
-        text = iri_texts[value] = nt_term(iri)
-        terms[text] = iri
+    def iri_text(value: str, line: int) -> str:
+        """Check and render an IRI not seen before in this document."""
+        if not _IRI_RE.fullmatch(value):
+            raise NTriplesSyntaxError(str(_iri_error(value)), line)
+        text = iri_texts[value] = f"<{value}>"
         return text
 
     def datatype(value: str) -> Iri:
-        return terms[iri_texts.get(value) or iri_text(value)]  # type: ignore[return-value]
+        return graph._term(iri_texts.get(value) or iri_text(value, lineno))  # type: ignore[return-value]
 
     for lineno, raw in enumerate(data.split("\n"), 1):
         line = raw.strip()
@@ -558,19 +593,19 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
         if m is None:
             raise NTriplesSyntaxError(f"not a valid N-Triples statement: {raw!r}", lineno)
         s_iri, p_iri, o_iri, o_lex, o_dt, o_lang = m.groups()
-        try:
-            subject = iri_texts.get(s_iri) or iri_text(s_iri)
-            predicate = iri_texts.get(p_iri) or iri_text(p_iri)
-            if o_iri is not None:
-                obj = iri_texts.get(o_iri) or iri_text(o_iri)
-            else:
-                written = (o_lex, o_dt, o_lang)
-                obj = literal_texts.get(written)  # type: ignore[assignment]
-                if obj is None:
+        subject = iri_texts.get(s_iri) or iri_text(s_iri, lineno)
+        predicate = iri_texts.get(p_iri) or iri_text(p_iri, lineno)
+        if o_iri is not None:
+            obj = iri_texts.get(o_iri) or iri_text(o_iri, lineno)
+        else:
+            written = (o_lex, o_dt, o_lang)
+            obj = literal_texts.get(written)  # type: ignore[assignment]
+            if obj is None:
+                try:
                     literal = _literal(o_lex, o_dt, o_lang, lineno, datatype)
-                    obj = literal_texts[written] = nt_term(literal)
-                    terms.setdefault(obj, literal)
-        except ValueError as exc:
-            raise NTriplesSyntaxError(str(exc), lineno) from exc
+                except ValueError as exc:
+                    raise NTriplesSyntaxError(str(exc), lineno) from exc
+                obj = literal_texts[written] = nt_term(literal)
+                terms.setdefault(obj, literal)
         keys.add((subject, predicate, obj))
     return graph

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Union
 
 from .errors import CpskgError
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
-from .rdf import RDF, XSD, Iri, Namespace
+from .rdf import RDF, XSD, InvalidIriError, Iri, Namespace
 
 __all__ = [
     "ConfigError",
@@ -61,7 +61,12 @@ class CpsVocabulary:
     @classmethod
     def from_mapping(cls, namespaces: Mapping[str, str], cd_base: Optional[str] = None) -> "CpsVocabulary":
         """The default namespaces with ``namespaces`` overriding some of
-        them; a trailing ``/`` on ``cd_base`` is dropped."""
+        them; a trailing ``/`` on ``cd_base`` is dropped. A ``cd_base`` that
+        is not an absolute IRI raises :class:`InvalidIriError`, as a bad
+        namespace does."""
+        if cd_base is None:
+            cd_base = DEFAULT_CD_BASE
+        Iri(cd_base)  # validate
         merged = dict(DEFAULT_NAMESPACES)
         for key, value in namespaces.items():
             if key not in merged:
@@ -69,7 +74,7 @@ class CpsVocabulary:
             merged[key] = value
         return cls(
             **{key: Namespace(value) for key, value in merged.items()},
-            cd_base=(cd_base or DEFAULT_CD_BASE).rstrip("/"),
+            cd_base=cd_base.rstrip("/"),
         )
 
     def prefixes(self, instance_base: Optional[str] = None) -> dict[str, str]:
@@ -120,9 +125,12 @@ def load_config(path: Union[str, Path, None]) -> ToolConfig:
     cd_base = data.get("cdBase", DEFAULT_CD_BASE)
     if not isinstance(cd_base, str):
         raise ConfigError("configuration key 'cdBase' must be a string")
-    _check_iri("'cdBase'", cd_base)
     for prefix, base in namespaces.items():
         _check_iri(f"'namespaces' entry {prefix!r}", base)
+    try:
+        vocab = CpsVocabulary.from_mapping(namespaces, cd_base)
+    except InvalidIriError as exc:  # the namespaces passed their own check above
+        raise ConfigError(f"configuration key 'cdBase': {exc}") from None
     strict = data.get("strict", True)
     if not isinstance(strict, bool):
         raise ConfigError("configuration key 'strict' must be a boolean")
@@ -144,7 +152,6 @@ def load_config(path: Union[str, Path, None]) -> ToolConfig:
                 f"'cd' and 'name' and an optional string 'token': {entry!r}"
             )
         extra[(entry["cd"], entry["name"])] = entry.get("token")
-    vocab = CpsVocabulary.from_mapping(namespaces, cd_base)
     return ToolConfig(vocab=vocab, strict=strict, registry=DEFAULT_REGISTRY.extended(extra))
 
 

@@ -259,6 +259,15 @@ def test_validate_non_utf8_input_exits_1(run_cli, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_query_escape_past_the_last_code_point_exits_1(run_cli, tmp_path):
+    path = tmp_path / "escape.nt"
+    path.write_text('<http://example.org/s> <http://example.org/p> "\\UFFFFFFFF" .\n', encoding="utf-8")
+    result = run_cli("query", "--in", str(path), "--pattern", "?s ?p ?o")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: line 1: escape is not a Unicode scalar value: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_non_absolute_base_exits_1(run_cli):
     for args in (
         ("om2rdf", "--in", EQ1_XML, "--base", "not-an-iri"),

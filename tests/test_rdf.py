@@ -3,11 +3,13 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
+import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpskg.rdf import (
@@ -26,12 +28,15 @@ from cpskg.rdf import (
     from_ntriples,
     match,
     nt_term,
+    parse_literal,
     serialize,
     to_ntriples,
     to_turtle,
 )
+from cpskg.rdf import _literal
+from cpskg.vocab import DEFAULT_VOCAB
 
-from conftest import REPO
+from conftest import EHSA_BASE, FIXTURES, REPO
 
 EX = Namespace("http://example.org/")
 
@@ -161,6 +166,43 @@ def test_parse_relative_iri_names_its_line(position):
     assert excinfo.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (
+            "<http://example.org/a b> <http://example.org/p> <http://example.org/o> .",
+            "IRI contains forbidden characters: 'http://example.org/a b'",
+        ),
+        (
+            '<http://example.org/s> <http://example.org/p> "1"^^<http://example.org/a{b}> .',
+            "IRI contains forbidden characters: 'http://example.org/a{b}'",
+        ),
+        ("<rel> <p> <o b> .", "IRI must be absolute: 'rel'"),
+    ],
+    ids=["space_in_subject", "brace_in_datatype", "relative_before_forbidden"],
+)
+def test_parse_names_the_iri_rule_a_line_breaks(line, message):
+    """An IRI is the text between its brackets, so a line whose only fault
+    is inside them reports the IRI rule it breaks, checked left to right."""
+    with pytest.raises(NTriplesSyntaxError) as excinfo:
+        from_ntriples(f"# header\n{line}\n")
+    assert str(excinfo.value) == f"line 2: {message}"
+    assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize("escape", ["\\UFFFFFFFF", "\\U00110000", "\\uD800", "\\uDFFF"])
+def test_parse_rejects_escapes_of_no_character(escape):
+    """A numeric escape must name a character UTF-8 can write: a surrogate
+    or a number past U+10FFFF is a syntax error on its line, not an
+    OverflowError or a string that no writer can encode."""
+    text = f'# header\n<http://example.org/s> <http://example.org/p> "{escape}" .\n'
+    with pytest.raises(NTriplesSyntaxError, match=r"^line 2: escape is not a Unicode scalar value: ") as excinfo:
+        from_ntriples(text)
+    assert excinfo.value.line == 2
+    with pytest.raises(NTriplesSyntaxError):
+        parse_literal(f'"{escape}"')
+
+
 def test_namespace_keeps_attribute_terms_only():
     assert RDF.type is RDF.type
     assert RDF.type == RDF.term("type")
@@ -175,6 +217,155 @@ def test_namespace_keeps_attribute_terms_only():
 
 def test_golden_file_reserializes_byte_identically(golden_text):
     assert to_ntriples(from_ntriples(golden_text)) == golden_text
+
+
+# --- the parser against the strict per-line parser it replaced ----------------
+
+# The reference: a strict per-line parser that checks IRI characters in the
+# line pattern itself, and the scheme, at every occurrence.
+_REF_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+_REF_BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_REF_IRI = r"<([^\x00-\x20<>\"{}|^`\\]*)>"
+_REF_LIT = r'"((?:[^"\\\r\n]|\\.)*)"(?:\^\^' + _REF_IRI + r"|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?"
+_REF_LINE_RE = re.compile(rf"^{_REF_IRI}\s+{_REF_IRI}\s+(?:{_REF_IRI}|{_REF_LIT})\s*\.$")
+
+
+def _reference_iri(value: str) -> Iri:
+    if not _REF_SCHEME_RE.match(value) or _REF_BAD_IRI_CHARS.search(value):
+        raise ValueError(f"not an IRI: {value!r}")
+    return Iri(value)
+
+
+def reference_parse(data: bytes) -> str:
+    """The strict per-line parser: the canonical N-Triples of ``data``, or
+    an NTriplesSyntaxError naming the first bad line."""
+    graph = Graph()
+    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _REF_LINE_RE.match(line)
+        if m is None:
+            raise NTriplesSyntaxError(f"not a valid N-Triples statement: {raw!r}", lineno)
+        s, p, o, lexical, datatype, lang = m.groups()
+        try:
+            subject, predicate = _reference_iri(s), _reference_iri(p)
+            obj = _reference_iri(o) if o is not None else _literal(lexical, datatype, lang, lineno, _reference_iri)
+        except ValueError as exc:
+            raise NTriplesSyntaxError(str(exc), lineno) from exc
+        graph.add(Triple(subject, predicate, obj))
+    return to_ntriples(graph)
+
+
+def _parse_outcome(parse, data: bytes) -> tuple:
+    try:
+        return ("accepted", parse(data))
+    except NTriplesSyntaxError as exc:
+        return ("rejected", exc.line)
+
+
+_GOLDEN_LINES = (FIXTURES / "golden.nt").read_text(encoding="utf-8").splitlines()
+_BRACKETED = re.compile(r"<[^<>]*>")
+
+
+@st.composite
+def _mutated_golden(draw) -> bytes:
+    """A run of golden.nt lines, so IRIs repeat across lines, with one to
+    three edits: a character put inside a bracketed IRI, an unclosed or an
+    empty one, another separator or line ending, or a comment or blank line."""
+    start = draw(st.integers(0, len(_GOLDEN_LINES) - 10))
+    lines = _GOLDEN_LINES[start : start + 10]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        spans = [m.span() for m in _BRACKETED.finditer(line)]
+        kind = draw(st.sampled_from(["inside", "unclosed", "empty", "separator", "crlf", "comment", "blank"]))
+        if kind in ("inside", "unclosed", "empty") and spans:
+            a, b = draw(st.sampled_from(spans))
+            if kind == "inside":
+                at = draw(st.integers(a + 1, b - 1))
+                char = draw(st.sampled_from([" ", '"', "{", "\x00", "\xa0"]))
+                replace = draw(st.booleans()) and at < b - 1
+                lines[i] = line[:at] + char + line[at + replace :]
+            elif kind == "unclosed":
+                lines[i] = line[: b - 1] + line[b:]
+            else:
+                lines[i] = line[:a] + "<>" + line[b:]
+        elif kind == "separator" and " " in line:
+            at = draw(st.sampled_from([k for k, c in enumerate(line) if c == " "]))
+            lines[i] = line[:at] + draw(st.sampled_from(["\t", "\x0b", " \t "])) + line[at + 1 :]
+        elif kind == "crlf":
+            lines[i] = line + "\r"
+        elif kind == "comment":
+            lines.insert(i, draw(st.sampled_from(["# a comment", "#" + line, "  # indented"])))
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "   ", "\t"])))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_golden())
+def test_parse_agrees_with_the_strict_per_line_parser(data):
+    """Checking each distinct IRI once, after finding it by its brackets,
+    accepts and rejects exactly the documents the per-occurrence check did,
+    names the same line, and reads the same graph."""
+    assert _parse_outcome(lambda d: to_ntriples(from_ntriples(d)), data) == _parse_outcome(reference_parse, data)
+
+
+# --- one term object per text -----------------------------------------------
+
+
+def test_parsed_graph_hands_out_one_object_per_text(golden_text, ehsa_graph):
+    """Term objects of a parsed graph are made on first hand-out, and every
+    read hands out that same object for a given text."""
+    graph = from_ntriples(golden_text)
+    prefixes = DEFAULT_VOCAB.prefixes(EHSA_BASE)
+    seen: dict[str, object] = {}
+
+    def same(*terms) -> None:
+        for term in terms:
+            assert seen.setdefault(nt_term(term), term) is term
+            if isinstance(term, Literal):
+                same(term.datatype)
+
+    for _ in range(2):
+        for x in [*graph, *graph.triples()]:
+            same(x.subject, x.predicate, x.object)
+            same(*graph.objects(x.subject, x.predicate))
+        same(*graph.subjects(), *graph.subjects(RDF.type))
+        for row in match(graph, PatternQuery.of((Var("s"), Var("p"), Var("o")))):
+            same(*row.values())
+        assert to_turtle(graph, prefixes) == to_turtle(ehsa_graph, prefixes)
+    assert {text for key in graph._keys for text in key} <= set(seen)
+
+
+def test_concurrent_readers_share_each_term_object(golden_text):
+    """Readers of one parsed graph racing to make the same terms end up
+    with the same objects: more threads than cores, switching often."""
+    graph = from_ntriples(golden_text)
+    workers = 8
+    barrier = threading.Barrier(workers, timeout=10)
+    results: list[list[Triple]] = [[] for _ in range(workers)]
+
+    def read(i: int) -> None:
+        barrier.wait()
+        results[i] = list(graph)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(result) == len(graph) for result in results)
+    for other in results[1:]:
+        for x, y in zip(results[0], other):
+            assert x.subject is y.subject and x.predicate is y.predicate and x.object is y.object
 
 
 def test_turtle_groups_subjects_and_uses_prefixes():

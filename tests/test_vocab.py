@@ -6,7 +6,7 @@ import re
 import pytest
 
 from cpskg.om.tree import Symbol
-from cpskg.rdf import RDF, XSD
+from cpskg.rdf import RDF, XSD, InvalidIriError
 from cpskg.vocab import DEFAULT_CD_BASE, DEFAULT_NAMESPACES, ConfigError, CpsVocabulary, ToolConfig, load_config
 from conftest import REPO
 
@@ -62,3 +62,28 @@ def test_prefixes_come_from_the_vocabulary():
 
 def test_cd_base_drops_a_trailing_slash():
     assert CpsVocabulary.from_mapping({}, DEFAULT_CD_BASE + "/").cd_base == DEFAULT_CD_BASE
+
+
+def test_cd_base_must_be_an_absolute_iri():
+    """from_mapping is the one home of the rule, so a library caller hears of
+    a bad CD base at once and not from a later om_to_rdf."""
+    with pytest.raises(InvalidIriError, match=r"^IRI must be absolute: 'not an iri'$"):
+        CpsVocabulary.from_mapping({}, "not an iri")
+    with pytest.raises(InvalidIriError, match=r"^IRI contains forbidden characters: "):
+        CpsVocabulary.from_mapping({}, "http://example.org/c d")
+
+
+@pytest.mark.parametrize(
+    "cd_base, message",
+    [
+        ("not an iri", "configuration key 'cdBase': IRI must be absolute: 'not an iri'"),
+        ("", "configuration key 'cdBase': IRI must be absolute: ''"),
+        ("http://example.org/c d", "configuration key 'cdBase': IRI contains forbidden characters: 'http://example.org/c d'"),
+    ],
+)
+def test_config_cd_base_messages(tmp_path, cd_base, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cdBase": cd_base}), encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == message
