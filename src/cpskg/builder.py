@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CpskgError
-from .rdf import RDF, XSD, Graph, Iri, Literal, NodeRef, Triple
+from .rdf import RDF, XSD, Graph, Iri, Literal, NodeRef
 from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = [
@@ -128,9 +128,6 @@ class ModelBuilder:
     def node_iri(self, context: str, key: str) -> Iri:
         return Iri(f"{self.instance_base}/node/{context}/{key}")
 
-    def _add(self, subject: Iri, predicate: Iri, obj: NodeRef) -> None:
-        self.graph.add(Triple(subject, predicate, obj))
-
     # --- lifecycle -------------------------------------------------------
 
     def add_lifecycle_record(self, record_id: str, information_set_ids: Sequence[str]) -> Iri:
@@ -138,13 +135,13 @@ class ModelBuilder:
         as the system-model node."""
         v = self.vocab
         record = self.iri(record_id)
-        self._add(record, RDF.type, v.din77005.LifeCycleRecord)
+        self.graph.add(record, RDF.type, v.din77005.LifeCycleRecord)
         for index, set_id in enumerate(information_set_ids):
             info_set = self.iri(set_id)
-            self._add(info_set, RDF.type, v.din77005.InformationSet)
-            self._add(record, v.din77005.hasInformationSet, info_set)
+            self.graph.add(info_set, RDF.type, v.din77005.InformationSet)
+            self.graph.add(record, v.din77005.hasInformationSet, info_set)
             if index == 0:
-                self._add(info_set, RDF.type, v.cpsmod.SystemModel)
+                self.graph.add(info_set, RDF.type, v.cpsmod.SystemModel)
         return record
 
     # --- structure -------------------------------------------------------
@@ -155,11 +152,11 @@ class ModelBuilder:
 
         def visit(node: StructureNode) -> Iri:
             node_iri = self.iri(node.id)
-            self._add(node_iri, RDF.type, self.vocab.vdi2206.term(node.level))
+            self.graph.add(node_iri, RDF.type, self.vocab.vdi2206.term(node.level))
             for de in node.data_elements:
                 self.add_data_element(node_iri, de)
             for child in node.children:
-                self._add(node_iri, self.vocab.vdi2206.consistsOf, visit(child))
+                self.graph.add(node_iri, self.vocab.vdi2206.consistsOf, visit(child))
             return node_iri
 
         return visit(root)
@@ -171,23 +168,23 @@ class ModelBuilder:
         if any, are not compiled here; see ``manifest.compile_manifest``."""
         v = self.vocab
         process = self.iri(spec.id)
-        self._add(process, RDF.type, v.vdi3682.Process)
+        self.graph.add(process, RDF.type, v.vdi3682.Process)
         for state in spec.states:
             node = self.iri(state.id)
-            self._add(node, RDF.type, v.vdi3682.term(state.kind))
+            self.graph.add(node, RDF.type, v.vdi3682.term(state.kind))
             for de in state.data_elements:
                 self.add_data_element(node, de)
         for op in spec.operators:
             op_node = self.iri(op.id)
-            self._add(op_node, RDF.type, v.vdi3682.ProcessOperator)
-            self._add(process, v.vdi3682.consistsOf, op_node)
+            self.graph.add(op_node, RDF.type, v.vdi3682.ProcessOperator)
+            self.graph.add(process, v.vdi3682.consistsOf, op_node)
             resource = self.iri(op.assigned_resource)
-            self._add(op_node, v.vdi3682.isAssignedTo, resource)
-            self._add(resource, RDF.type, v.vdi3682.TechnicalResource)
+            self.graph.add(op_node, v.vdi3682.isAssignedTo, resource)
+            self.graph.add(resource, RDF.type, v.vdi3682.TechnicalResource)
             for state_id in op.inputs:
-                self._add(op_node, v.vdi3682.hasInput, self.iri(state_id))
+                self.graph.add(op_node, v.vdi3682.hasInput, self.iri(state_id))
             for state_id in op.outputs:
-                self._add(op_node, v.vdi3682.hasOutput, self.iri(state_id))
+                self.graph.add(op_node, v.vdi3682.hasOutput, self.iri(state_id))
         return process
 
     # --- data elements ---------------------------------------------------
@@ -200,15 +197,15 @@ class ModelBuilder:
         """
         v = self.vocab
         element = self.iri(spec.id)
-        self._add(owner, v.dinen61360.hasDataElement, element)
-        self._add(element, RDF.type, v.dinen61360.DataElement)
+        self.graph.add(owner, v.dinen61360.hasDataElement, element)
+        self.graph.add(element, RDF.type, v.dinen61360.DataElement)
         type_node = self.node_iri("type", slugify(spec.type_description))
-        self._add(element, v.dinen61360.hasTypeDescription, type_node)
-        self._add(type_node, RDF.type, v.dinen61360.TypeDescription)
+        self.graph.add(element, v.dinen61360.hasTypeDescription, type_node)
+        self.graph.add(type_node, RDF.type, v.dinen61360.TypeDescription)
         for text in spec.instance_descriptions:
             instance = Iri(f"{element.value}/instance/{slugify(text)}")
-            self._add(element, v.dinen61360.hasInstanceDescription, instance)
-            self._add(instance, RDF.type, v.dinen61360.InstanceDescription)
+            self.graph.add(element, v.dinen61360.hasInstanceDescription, instance)
+            self.graph.add(instance, RDF.type, v.dinen61360.InstanceDescription)
         return element
 
     # --- behavior --------------------------------------------------------
@@ -220,13 +217,13 @@ class ModelBuilder:
         model = self._models.get(operator_node)
         if model is None:
             model = self._models[operator_node] = Iri(f"{operator_node.value}/model")
-            self._add(model, RDF.type, v.vdi2206.MathematicalModel)
-            self._add(operator_node, v.cpsmod.processOperatorBehaviorModel, model)
-        self._add(model, v.cpsmod.hasOMObject, object_node)
+            self.graph.add(model, RDF.type, v.vdi2206.MathematicalModel)
+            self.graph.add(operator_node, v.cpsmod.processOperatorBehaviorModel, model)
+        self.graph.add(model, v.cpsmod.hasOMObject, object_node)
         return model
 
     def link_variable_to_data_element(self, variable_node: NodeRef, data_element_node: NodeRef) -> None:
-        self._add(variable_node, self.vocab.cpsmod.isDataFor, data_element_node)
+        self.graph.add(variable_node, self.vocab.cpsmod.isDataFor, data_element_node)
 
     # --- observations ----------------------------------------------------
 
@@ -242,8 +239,8 @@ class ModelBuilder:
         v = self.vocab
         observation = self.node_iri("obs", str(self._observation_count))
         self._observation_count += 1
-        self._add(observation, RDF.type, v.sosa.Observation)
-        self._add(observation, v.sosa.hasFeatureOfInterest, feature)
-        self._add(observation, v.sosa.hasSimpleResult, Literal(repr(float(value)), XSD.double))
-        self._add(observation, v.sosa.resultTime, Literal(timestamp, XSD.dateTime))
+        self.graph.add(observation, RDF.type, v.sosa.Observation)
+        self.graph.add(observation, v.sosa.hasFeatureOfInterest, feature)
+        self.graph.add(observation, v.sosa.hasSimpleResult, Literal(repr(float(value)), XSD.double))
+        self.graph.add(observation, v.sosa.resultTime, Literal(timestamp, XSD.dateTime))
         return observation

@@ -21,9 +21,10 @@ via ``om:root`` and is the attachment point for behavior links.
 The backward direction reconstructs the tree and rejects malformed shapes:
 cyclic or dangling argument lists, applications without exactly one
 operator and argument list, nodes with ambiguous typing, and (in strict
-mode) operator IRIs outside the configured CD base. The validator and the
-CLI reuse :func:`read_list`, :func:`fragment_variables` and
-:func:`expression_class` rather than walking the fragment themselves.
+mode) operator IRIs outside the configured CD base and roots that are no
+node of the graph. The validator and the CLI reuse :func:`read_list`,
+:func:`fragment_variables` and :func:`expression_class` rather than
+walking the fragment themselves.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Optional
 
 from .errors import CpskgError
 from .om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
-from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, Triple, nt_term
+from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, nt_term
 from .vocab import DEFAULT_CD_BASE, DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "MalformedNodeError",
     "MappingContext",
     "MappingResult",
+    "RootNotInGraphError",
     "UnknownSymbolIriError",
     "create_rdf_list",
     "expression_class",
@@ -71,6 +73,13 @@ class MalformedNodeError(CpskgError):
 
 class UnknownSymbolIriError(CpskgError):
     """An operator IRI that cannot be resolved to a content-dictionary symbol."""
+
+
+class RootNotInGraphError(MalformedNodeError, UnknownSymbolIriError):
+    """A root that is the subject of no triple and, outside the CD base,
+    cannot stand for a symbol in strict mode: most likely a mistyped IRI.
+    Read as a symbol it is also an unknown symbol IRI, so callers catching
+    either error catch it."""
 
 
 @dataclass
@@ -121,8 +130,8 @@ def create_rdf_list(nodes: list[NodeRef], ctx: MappingContext, graph: Graph) -> 
     order; the empty list is ``rdf:nil``."""
     cells = [ctx.next_node() for _ in nodes]
     for cell, item, rest in zip(cells, nodes, [*cells[1:], RDF.nil]):
-        graph.add(Triple(cell, RDF.first, item))
-        graph.add(Triple(cell, RDF.rest, rest))
+        graph.add(cell, RDF.first, item)
+        graph.add(cell, RDF.rest, rest)
     return cells[0] if cells else RDF.nil
 
 
@@ -132,10 +141,10 @@ def process_node(expr: OMExpression, ctx: MappingContext, graph: Graph) -> NodeR
     om = ctx.vocab.om
     if isinstance(expr, Application):
         node = ctx.next_node()
-        graph.add(Triple(node, RDF.type, om.Application))
-        graph.add(Triple(node, om.operator, process_node(expr.operator, ctx, graph)))
+        graph.add(node, RDF.type, om.Application)
+        graph.add(node, om.operator, process_node(expr.operator, ctx, graph))
         arguments = [process_node(arg, ctx, graph) for arg in expr.arguments]
-        graph.add(Triple(node, om.arguments, create_rdf_list(arguments, ctx, graph)))
+        graph.add(node, om.arguments, create_rdf_list(arguments, ctx, graph))
         return node
     if isinstance(expr, Symbol):
         return symbol_iri(expr, ctx.vocab.cd_base)
@@ -145,18 +154,18 @@ def process_node(expr: OMExpression, ctx: MappingContext, graph: Graph) -> NodeR
             return existing
         node = ctx.next_node()
         ctx.variables[expr.name] = node
-        graph.add(Triple(node, RDF.type, om.Variable))
-        graph.add(Triple(node, om.name, Literal(expr.name)))
+        graph.add(node, RDF.type, om.Variable)
+        graph.add(node, om.name, Literal(expr.name))
         return node
     if isinstance(expr, IntLiteral):
         node = ctx.next_node()
-        graph.add(Triple(node, RDF.type, om.Literal))
-        graph.add(Triple(node, om.value, Literal(expr.decimal(), XSD.integer)))
+        graph.add(node, RDF.type, om.Literal)
+        graph.add(node, om.value, Literal(expr.decimal(), XSD.integer))
         return node
     if isinstance(expr, FloatLiteral):
         node = ctx.next_node()
-        graph.add(Triple(node, RDF.type, om.Literal))
-        graph.add(Triple(node, om.value, Literal(repr(expr.value), XSD.double)))
+        graph.add(node, RDF.type, om.Literal)
+        graph.add(node, om.value, Literal(repr(expr.value), XSD.double))
         return node
     raise TypeError(f"not an expression node: {expr!r}")
 
@@ -190,8 +199,8 @@ def om_to_rdf(
     root = process_node(expr, ctx, graph)
     wrapper = ctx.object_node
     om = ctx.vocab.om
-    graph.add(Triple(wrapper, RDF.type, om.Object))
-    graph.add(Triple(wrapper, om.root, root))
+    graph.add(wrapper, RDF.type, om.Object)
+    graph.add(wrapper, om.root, root)
     return MappingResult(graph, wrapper, root, dict(ctx.variables))
 
 
@@ -322,5 +331,16 @@ def rdf_to_om(
     strict: bool = True,
 ) -> OMExpression:
     """Reconstruct the expression rooted at ``root`` (an ``om:Object``
-    wrapper or any expression node). Inverse of :func:`om_to_rdf`."""
-    return _Reader(graph, vocab, strict).read(root)
+    wrapper or any expression node). Inverse of :func:`om_to_rdf`.
+
+    In strict mode a root outside the CD base that is the subject of no
+    triple raises :class:`RootNotInGraphError`, a
+    :class:`MalformedNodeError` that names the root as missing from the
+    graph rather than as a foreign operator."""
+    try:
+        return _Reader(graph, vocab, strict).read(root)
+    except UnknownSymbolIriError:
+        # a root with no triples is read as a symbol, so the error is the root's own
+        if strict and isinstance(root, Iri) and not root.value.startswith(vocab.cd_base + "/") and not graph.triples(root):
+            raise RootNotInGraphError(f"root is not a node of the graph: {root}") from None
+        raise

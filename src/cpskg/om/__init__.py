@@ -12,9 +12,6 @@ from .tree import (
     Variable,
     app,
     canonical_form,
-    symbols_used,
-    variable_names,
-    walk,
 )
 from .xmlio import OmStructureError, XmlSyntaxError, parse_openmath_xml, serialize_openmath_xml
 
@@ -35,7 +32,4 @@ __all__ = [
     "canonical_form",
     "parse_openmath_xml",
     "serialize_openmath_xml",
-    "symbols_used",
-    "variable_names",
-    "walk",
 ]

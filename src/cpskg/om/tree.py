@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from ..errors import CpskgError
 
@@ -26,9 +26,6 @@ __all__ = [
     "Variable",
     "app",
     "canonical_form",
-    "symbols_used",
-    "variable_names",
-    "walk",
 ]
 
 OMExpression = Union["Application", "Symbol", "Variable", "IntLiteral", "FloatLiteral"]
@@ -121,23 +118,6 @@ class Application:
 def app(operator: OMExpression, *arguments: OMExpression) -> Application:
     """Convenience constructor: ``app(PLUS, x, y)``."""
     return Application(operator, arguments)
-
-
-def walk(expr: OMExpression) -> Iterator[OMExpression]:
-    """Yield every node of the tree in pre-order (operator before arguments)."""
-    yield expr
-    if isinstance(expr, Application):
-        yield from walk(expr.operator)
-        for arg in expr.arguments:
-            yield from walk(arg)
-
-
-def variable_names(expr: OMExpression) -> set[str]:
-    return {node.name for node in walk(expr) if isinstance(node, Variable)}
-
-
-def symbols_used(expr: OMExpression) -> set[Symbol]:
-    return {node for node in walk(expr) if isinstance(node, Symbol)}
 
 
 def canonical_form(expr: OMExpression) -> str:

@@ -13,10 +13,14 @@ that text, which is one-to-one with term equality and sorts in
 serialization order, so storing, indexing and sorting work on plain
 strings, and triples sharing a term object share its string. One table per
 graph maps each text back to a single term object, and lookups hand out
-those objects. Once made, a graph only grows, through :meth:`Graph.add`;
-:func:`from_ntriples` fills a fresh graph's keys directly. It checks each
-distinct IRI once and makes no :class:`Iri` for it: the graph makes an
-IRI's term object the first time a lookup hands it out.
+those objects. Once made, a graph only grows, through
+``Graph.add(subject, predicate, object)``, the one checked write: it takes
+the three terms, applies the rule :class:`Triple` applies, and keys them
+without making a :class:`Triple`. :class:`Triple` is the read type, which
+iteration and lookups hand out. :func:`from_ntriples` fills a fresh graph's
+keys directly. It checks each distinct IRI once and makes no :class:`Iri`
+for it: the graph makes an IRI's term object the first time a lookup hands
+it out.
 A :class:`Namespace` keeps each attribute term it hands out.
 """
 
@@ -202,21 +206,31 @@ def display_term(node: NodeRef) -> str:
     return node.value if isinstance(node, Iri) else nt_term(node)
 
 
+def _check_triple(subject: object, predicate: object, obj: object) -> None:
+    """The data model's rule for a triple, which :class:`Triple` and
+    :meth:`Graph.add` both apply: an IRI subject and predicate, and an IRI
+    or literal object. Raises :class:`InvalidTripleError` otherwise."""
+    if not isinstance(subject, Iri):
+        if isinstance(subject, Literal):
+            raise InvalidTripleError(f"triple subject cannot be a literal: {subject!r}")
+        raise InvalidTripleError(f"triple subject must be an IRI: {subject!r}")
+    if not isinstance(predicate, Iri):
+        raise InvalidTripleError(f"triple predicate must be an IRI: {predicate!r}")
+    if not isinstance(obj, (Iri, Literal)):
+        raise InvalidTripleError(f"triple object must be an IRI or literal: {obj!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Triple:
+    """A triple as reads hand it out; writes pass :meth:`Graph.add` the
+    three terms."""
+
     subject: NodeRef
     predicate: Iri
     object: NodeRef
 
     def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
-            raise InvalidTripleError(f"triple subject cannot be a literal: {self.subject!r}")
-        if not isinstance(self.subject, Iri):
-            raise InvalidTripleError(f"triple subject must be an IRI: {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
-            raise InvalidTripleError(f"triple predicate must be an IRI: {self.predicate!r}")
-        if not isinstance(self.object, (Iri, Literal)):
-            raise InvalidTripleError(f"triple object must be an IRI or literal: {self.object!r}")
+        _check_triple(self.subject, self.predicate, self.object)
 
     def sort_key(self) -> tuple[str, str, str]:
         return (self.subject._nt, self.predicate._nt, self.object._nt)
@@ -256,10 +270,13 @@ def _build_index(rows: Iterable[_Key]) -> _Index:
 class Graph:
     """A duplicate-free set of triples that only grows.
 
-    :meth:`add` is the one write once a graph exists (:func:`from_ntriples`
-    fills a fresh graph directly): a graph is built by one writer and then
-    read, and an edited graph is a new graph made from the old one's
-    triples. Reads are safe to share once built.
+    ``add(subject, predicate, object)`` is the one write once a graph
+    exists (:func:`from_ntriples` fills a fresh graph directly). It checks
+    the three terms by the rule :class:`Triple` checks, and raises the same
+    :class:`InvalidTripleError`, but makes no :class:`Triple`: that is the
+    type reads hand out. A graph is built by one writer and then read, and
+    an edited graph is a new graph made from the old one's triples. Reads
+    are safe to share once built.
     Iteration is always in serialization order, so callers cannot pick up a
     dependence on set ordering by accident. Prefixes are serialization
     hints, not graph content: :func:`to_turtle` takes them as an argument.
@@ -288,11 +305,11 @@ class Graph:
         self._spo: Optional[_Index] = None
         self._pos: Optional[_Index] = None
 
-    def add(self, triple: Triple) -> None:
-        if not isinstance(triple, Triple):
-            raise InvalidTripleError(f"not a triple: {triple!r}")
-        subject, predicate, obj = triple.subject, triple.predicate, triple.object
-        key = s, p, o = subject._nt, predicate._nt, obj._nt
+    def add(self, subject: NodeRef, predicate: Iri, object: NodeRef) -> None:
+        """Add the triple of these three terms; one the graph holds
+        already changes nothing."""
+        _check_triple(subject, predicate, object)
+        key = s, p, o = subject._nt, predicate._nt, object._nt
         if key in self._keys:
             return
         self._keys.add(key)
@@ -302,7 +319,7 @@ class Graph:
         if p not in terms:
             terms[p] = predicate
         if o not in terms:
-            terms[o] = obj
+            terms[o] = object
         if self._spo is not None:
             _put(self._spo, s, p, o)
         if self._pos is not None:

@@ -24,7 +24,7 @@ def edited(graph: Graph, drop=(), add=()) -> Graph:
     dropped = set(drop)
     out = Graph()
     for triple in [*(x for x in graph if x not in dropped), *add]:
-        out.add(triple)
+        out.add(triple.subject, triple.predicate, triple.object)
     return out
 
 

@@ -1,11 +1,14 @@
-"""Hypothesis strategies for expression trees."""
+"""Hypothesis strategies for expression trees, and a walk over them that
+test oracles use."""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import hypothesis.strategies as st
 
 from cpskg.om.registry import DEFAULT_REGISTRY
-from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable
+from cpskg.om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
 
 SYMBOLS = [Symbol(cd, name) for (cd, name), _ in DEFAULT_REGISTRY]
 
@@ -43,3 +46,12 @@ def trees_any_operator(max_leaves: int = 20) -> st.SearchStrategy:
         ),
         max_leaves=max_leaves,
     )
+
+
+def walk(expr: OMExpression) -> Iterator[OMExpression]:
+    """Every node of ``expr`` in pre-order (operator before arguments)."""
+    yield expr
+    if isinstance(expr, Application):
+        yield from walk(expr.operator)
+        for arg in expr.arguments:
+            yield from walk(arg)

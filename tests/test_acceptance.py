@@ -15,13 +15,14 @@ from cpskg.evaluator import evaluate
 from cpskg.infix import parse_infix, print_infix
 from cpskg.manifest import compile_manifest, load_manifest
 from cpskg.mapper import om_to_rdf, rdf_to_om, symbol_iri
-from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, walk
+from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable
 from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from cpskg.rdf import RDF, Iri, Literal, PatternQuery, Var, match, to_ntriples
 from cpskg.validator import validate
 from cpskg.vocab import DEFAULT_VOCAB
 from conftest import EHSA_BASE, FIXTURES, edited
 from corpus import corpus
+from strategies import walk
 
 V = DEFAULT_VOCAB
 OM = V.om

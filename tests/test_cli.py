@@ -91,6 +91,18 @@ def test_rdf2om_unknown_root_exits_1(run_cli):
     assert result.returncode == 1
 
 
+@pytest.mark.parametrize("command", ["rdf2om", "eval"])
+def test_mistyped_root_is_named_as_no_node(run_cli, command):
+    """A root that is no subject of the graph is reported as such, not as
+    an operator IRI outside the CD base."""
+    root = "http://example.org/nothing"
+    extra = ["--bindings", BINDINGS] if command == "eval" else []
+    result = run_cli(command, "--in", GOLDEN, "--root", root, *extra)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: root is not a node of the graph: {root}\n"
+
+
 def test_rdf2om_wrapper_rooted_at_itself_exits_1(run_cli, tmp_path, ehsa_graph, vocab):
     wrapper = Iri(f"{EHSA_BASE}/expr/chamber1_pressure_rate")
     graph = edited(ehsa_graph, drop=ehsa_graph.triples(wrapper, vocab.om.root), add=[Triple(wrapper, vocab.om.root, wrapper)])
@@ -226,7 +238,7 @@ def test_query_no_match_is_empty_success(run_cli):
 
 def test_query_escapes_literals_in_rows(run_cli, tmp_path):
     graph = Graph()
-    graph.add(Triple(Iri(f"{EHSA_BASE}/s"), Iri(f"{EHSA_BASE}/p"), Literal('two\nlines\tand "quotes"')))
+    graph.add(Iri(f"{EHSA_BASE}/s"), Iri(f"{EHSA_BASE}/p"), Literal('two\nlines\tand "quotes"'))
     path = tmp_path / "literal.nt"
     path.write_text(to_ntriples(graph), encoding="utf-8")
     result = run_cli("query", "--in", str(path), "--pattern", "?a ?b ?c")
@@ -237,8 +249,8 @@ def test_query_escapes_literals_in_rows(run_cli, tmp_path):
 def test_query_rows_paste_back_as_patterns(run_cli, tmp_path):
     """A literal that query prints is valid pattern syntax for that literal."""
     graph = Graph()
-    graph.add(Triple(Iri(f"{EHSA_BASE}/s1"), Iri(f"{EHSA_BASE}/p"), Literal("a\nb")))
-    graph.add(Triple(Iri(f"{EHSA_BASE}/s2"), Iri(f"{EHSA_BASE}/p"), Literal("x", lang="en")))
+    graph.add(Iri(f"{EHSA_BASE}/s1"), Iri(f"{EHSA_BASE}/p"), Literal("a\nb"))
+    graph.add(Iri(f"{EHSA_BASE}/s2"), Iri(f"{EHSA_BASE}/p"), Literal("x", lang="en"))
     path = tmp_path / "literals.nt"
     path.write_text(to_ntriples(graph), encoding="utf-8")
     rows = run_cli("query", "--in", str(path), "--pattern", "?a ?b ?c").stdout.splitlines()

@@ -305,8 +305,9 @@ def test_registry_closure_on_ehsa_equations(ehsa_manifest):
     """Every symbol used by the shipped model resolves in the registry."""
     from cpskg.infix import parse_infix
     from cpskg.om.registry import DEFAULT_REGISTRY
-    from cpskg.om.tree import symbols_used
+    from cpskg.om.tree import Symbol
     from cpskg.om.xmlio import parse_openmath_xml
+    from strategies import walk
 
     for proc in ehsa_manifest.processes:
         for op in proc.operators:
@@ -315,7 +316,7 @@ def test_registry_closure_on_ehsa_equations(ehsa_manifest):
                     tree = parse_infix(eq.infix)
                 else:
                     tree = parse_openmath_xml((ehsa_manifest.base_dir / eq.xml_path).read_bytes())
-                for symbol in symbols_used(tree):
+                for symbol in {node for node in walk(tree) if isinstance(node, Symbol)}:
                     assert (symbol.cd, symbol.name) in DEFAULT_REGISTRY, symbol
 
 

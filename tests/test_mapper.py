@@ -14,11 +14,11 @@ from cpskg.mapper import (
     rdf_to_om,
     symbol_iri,
 )
-from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app, walk
+from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app
 from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple
 from cpskg.vocab import DEFAULT_VOCAB
 from conftest import edited
-from strategies import trees_any_operator
+from strategies import trees_any_operator, walk
 
 BASE = "http://example.org/m"
 PLUS = Symbol("arith1", "plus")
@@ -65,7 +65,7 @@ def test_shared_variable_nine_triples():
 
 def test_mapping_into_a_graph_adds_the_fragment_to_what_it_holds():
     g = om_to_rdf(app(PLUS, X, Y), BASE, "other").graph
-    g.add(Triple(Iri(f"{BASE}/Op"), OM.name, Literal("x")))
+    g.add(Iri(f"{BASE}/Op"), OM.name, Literal("x"))
     old = set(g)
     expr = app(PLUS, X, app(PLUS, IntLiteral(2), FloatLiteral(0.5)))
     fresh = om_to_rdf(expr, BASE, "e")
@@ -171,6 +171,19 @@ def test_application_in_its_own_arguments_is_cyclic():
         rdf_to_om(g, result.object_node)
 
 
+def test_root_that_is_no_subject_is_no_node_in_strict_mode():
+    """A mistyped root outside the CD base is reported as missing from the
+    graph; lenient mode still reads a foreign IRI as a symbol, and a root
+    under the CD base is still a symbol."""
+    graph = om_to_rdf(app(PLUS, X, Y), BASE, "e").graph
+    foreign = Iri("http://elsewhere.example/cd/arith1#plus")
+    with pytest.raises(MalformedNodeError, match=f"^root is not a node of the graph: {foreign}$") as excinfo:
+        rdf_to_om(graph, foreign)
+    assert isinstance(excinfo.value, UnknownSymbolIriError)
+    assert rdf_to_om(graph, foreign, strict=False) == PLUS
+    assert rdf_to_om(graph, symbol_iri(PLUS)) == PLUS
+
+
 def test_wrapper_rooted_at_itself_is_cyclic():
     result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
     wrapper = result.object_node
@@ -183,8 +196,8 @@ def test_two_wrappers_rooted_at_each_other_are_cyclic():
     first, second = Iri(f"{BASE}/expr/a"), Iri(f"{BASE}/expr/b")
     g = Graph()
     for wrapper, root in ((first, second), (second, first)):
-        g.add(Triple(wrapper, RDF.type, OM.Object))
-        g.add(Triple(wrapper, OM.root, root))
+        g.add(wrapper, RDF.type, OM.Object)
+        g.add(wrapper, OM.root, root)
     with pytest.raises(MalformedNodeError, match=f"^om:root chain is cyclic at {first}$"):
         rdf_to_om(g, first)
 
@@ -193,8 +206,8 @@ def test_wrapper_of_a_wrapper_reads_back():
     result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
     g = result.graph
     outer = Iri(f"{BASE}/expr/outer")
-    g.add(Triple(outer, RDF.type, OM.Object))
-    g.add(Triple(outer, OM.root, result.object_node))
+    g.add(outer, RDF.type, OM.Object)
+    g.add(outer, OM.root, result.object_node)
     assert rdf_to_om(g, outer) == app(PLUS, X, Y)
 
 
@@ -217,7 +230,7 @@ def test_dangling_list_detected():
 def test_double_operator_detected():
     result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
     g = result.graph
-    g.add(Triple(result.root, OM.operator, symbol_iri(Symbol("arith1", "times"))))
+    g.add(result.root, OM.operator, symbol_iri(Symbol("arith1", "times")))
     with pytest.raises(MalformedNodeError):
         rdf_to_om(g, result.object_node)
 
@@ -225,8 +238,8 @@ def test_double_operator_detected():
 def _literal_node(value: Literal) -> tuple[Graph, Iri]:
     node = Iri(f"{BASE}/expr/e/n0")
     g = Graph()
-    g.add(Triple(node, RDF.type, OM.Literal))
-    g.add(Triple(node, OM.value, value))
+    g.add(node, RDF.type, OM.Literal)
+    g.add(node, OM.value, value)
     return g, node
 
 

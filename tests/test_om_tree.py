@@ -18,8 +18,6 @@ from cpskg.om.tree import (
     Variable,
     app,
     canonical_form,
-    variable_names,
-    walk,
 )
 from cpskg.om.xmlio import serialize_openmath_xml
 from strategies import trees
@@ -67,17 +65,6 @@ def test_float_literal_must_be_finite(value):
 def test_arguments_coerced_to_tuple():
     expr = Application(Symbol("arith1", "plus"), [Variable("x"), Variable("y")])
     assert isinstance(expr.arguments, tuple)
-
-
-def test_walk_is_preorder():
-    expr = app(Symbol("arith1", "plus"), Variable("x"), IntLiteral(2))
-    kinds = [type(node).__name__ for node in walk(expr)]
-    assert kinds == ["Application", "Symbol", "Variable", "IntLiteral"]
-
-
-def test_variable_names_collects_distinct():
-    expr = app(Symbol("arith1", "plus"), Variable("x"), app(Symbol("arith1", "times"), Variable("x"), Variable("y")))
-    assert variable_names(expr) == {"x", "y"}
 
 
 @given(trees())

@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app, walk
+from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app
 from cpskg.om.xmlio import OmStructureError, XmlSyntaxError, parse_openmath_xml, serialize_openmath_xml
-from strategies import trees_any_operator
+from strategies import trees_any_operator, walk
 
 PLUS = Symbol("arith1", "plus")
 

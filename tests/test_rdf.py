@@ -41,39 +41,47 @@ from conftest import EHSA_BASE, FIXTURES, REPO
 EX = Namespace("http://example.org/")
 
 
-def t(s: str, p: str, o) -> Triple:
+def t(s: str, p: str, o) -> tuple[Iri, Iri, Iri | Literal]:
+    """The three terms of a triple under EX, as ``Graph.add`` takes them."""
     obj = o if isinstance(o, (Iri, Literal)) else EX.term(o)
-    return Triple(EX.term(s), EX.term(p), obj)
+    return EX.term(s), EX.term(p), obj
 
 
 def test_insert_is_idempotent():
     g = Graph()
-    g.add(t("s", "p", "o"))
+    g.add(*t("s", "p", "o"))
     assert len(g) == 1
-    g.add(t("s", "p", "o"))
+    g.add(*t("s", "p", "o"))
     assert len(g) == 1
 
 
 def test_insert_n_distinct():
     g = Graph()
     for i in range(10):
-        g.add(t("s", "p", f"o{i}"))
+        g.add(*t("s", "p", f"o{i}"))
     assert len(g) == 10
 
 
-def test_literal_subject_rejected():
-    with pytest.raises(InvalidTripleError):
-        Triple(Literal("x"), EX.p, EX.o)
-
-
-def test_add_rejects_non_triples():
-    with pytest.raises(InvalidTripleError):
-        Graph().add(("s", "p", "o"))
-
-
-def test_literal_predicate_rejected():
-    with pytest.raises(InvalidTripleError):
-        Triple(EX.s, Literal("p"), EX.o)
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ((Literal("x"), EX.p, EX.o), "triple subject cannot be a literal: "),
+        (("s", EX.p, EX.o), "triple subject must be an IRI: 's'"),
+        ((EX.s, Literal("p"), EX.o), "triple predicate must be an IRI: "),
+        ((EX.s, EX.p, "o"), "triple object must be an IRI or literal: 'o'"),
+    ],
+    ids=["literal_subject", "non_term_subject", "non_iri_predicate", "non_term_object"],
+)
+def test_triple_and_add_reject_alike(terms, message):
+    """Triple and Graph.add apply one rule and say the same thing; a
+    rejected add leaves the graph as it was."""
+    with pytest.raises(InvalidTripleError, match=re.escape(message)) as made:
+        Triple(*terms)
+    graph = Graph()
+    with pytest.raises(InvalidTripleError, match=re.escape(message)) as added:
+        graph.add(*terms)
+    assert str(added.value) == str(made.value)
+    assert len(graph) == 0
 
 
 def test_relative_iri_rejected():
@@ -85,9 +93,9 @@ def test_ntriples_deterministic_across_insertion_orders():
     triples = [t("s", "p", f"o{i}") for i in range(8)] + [t("a", "q", Literal("x\ny"))]
     g1, g2 = Graph(), Graph()
     for x in triples:
-        g1.add(x)
+        g1.add(*x)
     for x in reversed(triples):
-        g2.add(x)
+        g2.add(*x)
     assert to_ntriples(g1) == to_ntriples(g2)
 
 
@@ -98,15 +106,15 @@ def test_empty_graph_serializes_empty():
 
 def test_plain_string_literal_has_no_datatype_suffix():
     g = Graph()
-    g.add(t("s", "p", Literal("hello")))
+    g.add(*t("s", "p", Literal("hello")))
     assert to_ntriples(g) == '<http://example.org/s> <http://example.org/p> "hello" .\n'
 
 
 def test_typed_literal_round_trip():
     g = Graph()
-    g.add(t("s", "p", Literal("42", XSD.integer)))
-    g.add(t("s", "q", Literal('say "hi"\n', XSD.string)))
-    g.add(t("s", "r", Literal("bonjour", lang="fr")))
+    g.add(*t("s", "p", Literal("42", XSD.integer)))
+    g.add(*t("s", "q", Literal('say "hi"\n', XSD.string)))
+    g.add(*t("s", "r", Literal("bonjour", lang="fr")))
     assert from_ntriples(to_ntriples(g)) == g
 
 
@@ -253,7 +261,7 @@ def reference_parse(data: bytes) -> str:
             obj = _reference_iri(o) if o is not None else _literal(lexical, datatype, lang, lineno, _reference_iri)
         except ValueError as exc:
             raise NTriplesSyntaxError(str(exc), lineno) from exc
-        graph.add(Triple(subject, predicate, obj))
+        graph.add(subject, predicate, obj)
     return to_ntriples(graph)
 
 
@@ -370,9 +378,9 @@ def test_concurrent_readers_share_each_term_object(golden_text):
 
 def test_turtle_groups_subjects_and_uses_prefixes():
     g = Graph()
-    g.add(t("s", "p", "o1"))
-    g.add(t("s", "p", "o2"))
-    g.add(Triple(EX.s, RDF.type, EX.T))
+    g.add(*t("s", "p", "o1"))
+    g.add(*t("s", "p", "o2"))
+    g.add(EX.s, RDF.type, EX.T)
     ttl = to_turtle(g, {"ex": EX.base})
     assert "@prefix ex: <http://example.org/> ." in ttl
     assert "ex:s a ex:T ;" in ttl
@@ -383,15 +391,15 @@ def test_turtle_deterministic():
     g1, g2 = Graph(), Graph()
     triples = [t("s", "p", f"o{i}") for i in range(5)]
     for x in triples:
-        g1.add(x)
+        g1.add(*x)
     for x in reversed(triples):
-        g2.add(x)
+        g2.add(*x)
     assert to_turtle(g1, {"ex": EX.base}) == to_turtle(g2, {"ex": EX.base})
 
 
 def test_turtle_falls_back_to_full_iri_for_bad_locals():
     g = Graph()
-    g.add(Triple(EX.term("a/b"), EX.p, EX.o))
+    g.add(EX.term("a/b"), EX.p, EX.o)
     assert "<http://example.org/a/b>" in to_turtle(g, {"ex": EX.base})
 
 
@@ -439,14 +447,14 @@ def brute_force_match(graph: Graph, query: PatternQuery) -> list[dict]:
 def small_graph() -> Graph:
     g = Graph()
     for i in range(4):
-        g.add(Triple(EX.term(f"v{i}"), RDF.type, EX.Variable))
-    g.add(Triple(EX.v0, EX.isDataFor, EX.d0))
-    g.add(Triple(EX.v1, EX.isDataFor, EX.d1))
-    g.add(Triple(EX.v1, EX.isDataFor, EX.d2))
+        g.add(EX.term(f"v{i}"), RDF.type, EX.Variable)
+    g.add(EX.v0, EX.isDataFor, EX.d0)
+    g.add(EX.v1, EX.isDataFor, EX.d1)
+    g.add(EX.v1, EX.isDataFor, EX.d2)
     for i in range(3):
-        g.add(Triple(EX.term(f"d{i}"), RDF.type, EX.DataElement))
+        g.add(EX.term(f"d{i}"), RDF.type, EX.DataElement)
     for i in range(10):
-        g.add(Triple(EX.term(f"n{i}"), EX.p, Literal(str(i), XSD.integer)))
+        g.add(EX.term(f"n{i}"), EX.p, Literal(str(i), XSD.integer))
     return g
 
 
@@ -496,7 +504,7 @@ _match_terms = st.one_of(st.sampled_from([Var("x"), Var("y"), Var("z")]), _match
 
 
 @given(
-    st.lists(st.builds(Triple, _match_iris, _match_iris, _match_nodes), max_size=8),
+    st.lists(st.tuples(_match_iris, _match_iris, _match_nodes), max_size=8),
     st.lists(st.tuples(_match_terms, _match_terms, _match_terms), min_size=1, max_size=3),
 )
 def test_match_agrees_with_brute_force(triples, patterns):
@@ -504,7 +512,7 @@ def test_match_agrees_with_brute_force(triples, patterns):
     triples, including literals in subject or predicate position."""
     graph = Graph()
     for x in triples:
-        graph.add(x)
+        graph.add(*x)
     query = PatternQuery.of(*patterns)
     assert match(graph, query) == brute_force_match(graph, query)
 
@@ -516,14 +524,14 @@ _literals = st.one_of(
     st.text(max_size=6).map(Literal),
     st.integers(-99, 99).map(lambda i: Literal(str(i), XSD.integer)),
 )
-_triples = st.builds(Triple, _iris, _iris, st.one_of(_iris, _literals))
+_triples = st.tuples(_iris, _iris, st.one_of(_iris, _literals))
 
 
 @given(st.lists(_triples, max_size=25))
 def test_ntriples_round_trip_property(triples):
     g = Graph()
     for x in triples:
-        g.add(x)
+        g.add(*x)
     assert from_ntriples(to_ntriples(g)) == g
 
 
@@ -531,11 +539,11 @@ def test_ntriples_round_trip_property(triples):
 def test_serialization_ignores_insertion_order(triples, rnd):
     g1, g2 = Graph(), Graph()
     for x in triples:
-        g1.add(x)
+        g1.add(*x)
     shuffled = list(triples)
     rnd.shuffle(shuffled)
     for x in shuffled:
-        g2.add(x)
+        g2.add(*x)
     assert to_ntriples(g1) == to_ntriples(g2)
     assert to_turtle(g1) == to_turtle(g2)
 
@@ -606,7 +614,7 @@ def test_carried_text_matches_the_reference_renderer(term):
     triple = Triple(EX.s, EX.p, term) if isinstance(term, Literal) else Triple(term, term, term)
     assert triple.sort_key()[2] == expected
     graph = Graph()
-    graph.add(triple)
+    graph.add(triple.subject, triple.predicate, triple.object)
     assert to_ntriples(graph).endswith(f" {expected} .\n")
 
 
@@ -638,7 +646,7 @@ def test_equal_terms_hash_equal_however_built(rows):
     named = [build(lambda n: getattr(ns, n), *row) for row in rows]
     graph = Graph()
     for x in direct:
-        graph.add(x)
+        graph.add(x.subject, x.predicate, x.object)
     parsed = {x: x for x in from_ntriples(to_ntriples(graph))}
     for x, y, z in zip(direct, named, (parsed[d] for d in direct)):
         for other in (y, z):
@@ -673,7 +681,7 @@ def test_triple_pickled_in_another_process_hashes_in_this_one():
     assert triple in {Triple(EX.s, EX.p, Literal("x"))}
     graph = Graph()
     for obj in here[2:]:
-        graph.add(Triple(EX.s, EX.p, obj))
+        graph.add(EX.s, EX.p, obj)
     assert triple in graph
     s, p, *objects = terms
     assert graph.objects(s, p) == sorted(objects, key=nt_term)
@@ -721,7 +729,7 @@ def test_indexed_lookups_match_brute_force(ops, probe):
     graph = Graph()
     for op, triple in ops:
         if op == "add":
-            graph.add(triple)
+            graph.add(triple.subject, triple.predicate, triple.object)
         else:
             _check_lookups(graph, triple)
     _check_lookups(graph, probe)
