@@ -19,7 +19,6 @@ graph, so only direct use of the builder can fail that check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CpskgError
@@ -55,57 +54,60 @@ def slugify(text: str) -> str:
     return slug or "x"
 
 
-@dataclass
 class DataElementSpec:
-    id: str
-    type_description: str
-    instance_descriptions: Sequence[str] = ()
-    variable_name: Optional[str] = None
+    def __init__(self, id: str, type_description: str, instance_descriptions: Sequence[str] = (), variable_name: Optional[str] = None):
+        self.id = id
+        self.type_description = type_description
+        self.instance_descriptions = instance_descriptions
+        self.variable_name = variable_name
 
 
-@dataclass
 class StructureNode:
-    id: str
-    level: str
-    children: Sequence["StructureNode"] = ()
-    data_elements: Sequence[DataElementSpec] = ()
+    def __init__(self, id: str, level: str, children: Sequence["StructureNode"] = (), data_elements: Sequence[DataElementSpec] = ()):
+        self.id = id
+        self.level = level
+        self.children = children
+        self.data_elements = data_elements
 
 
-@dataclass
 class StateSpec:
-    id: str
-    kind: str
-    data_elements: Sequence[DataElementSpec] = ()
+    def __init__(self, id: str, kind: str, data_elements: Sequence[DataElementSpec] = ()):
+        self.id = id
+        self.kind = kind
+        self.data_elements = data_elements
 
 
-@dataclass
 class EquationSpec:
-    id: str
-    infix: Optional[str] = None
-    xml_path: Optional[str] = None
+    def __init__(self, id: str, infix: Optional[str] = None, xml_path: Optional[str] = None):
+        self.id = id
+        self.infix = infix
+        self.xml_path = xml_path
 
 
-@dataclass
 class OperatorSpec:
-    id: str
-    assigned_resource: str
-    inputs: Sequence[str] = ()
-    outputs: Sequence[str] = ()
-    equations: Sequence[EquationSpec] = ()
+    def __init__(
+        self, id: str, assigned_resource: str, inputs: Sequence[str] = (), outputs: Sequence[str] = (),
+        equations: Sequence[EquationSpec] = (),
+    ):
+        self.id = id
+        self.assigned_resource = assigned_resource
+        self.inputs = inputs
+        self.outputs = outputs
+        self.equations = equations
 
 
-@dataclass
 class ProcessSpec:
-    id: str
-    operators: Sequence[OperatorSpec]
-    states: Sequence[StateSpec] = ()
+    def __init__(self, id: str, operators: Sequence[OperatorSpec], states: Sequence[StateSpec] = ()):
+        self.id = id
+        self.operators = operators
+        self.states = states
 
 
-@dataclass
 class ObservationSpec:
-    feature: str
-    value: float
-    timestamp: str
+    def __init__(self, feature: str, value: float, timestamp: str):
+        self.feature = feature
+        self.value = value
+        self.timestamp = timestamp
 
 
 class ModelBuilder:

@@ -70,14 +70,17 @@ class DivisionByZeroError(DomainError, ZeroDivisionError):
 
 def _binding_value(name: str, value: float) -> float:
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer beyond the double range
         raise EvaluationError(f"binding {name!r} is out of double range") from None
+    if not math.isfinite(number):  # NaN, an infinity, or JSON's 1e400, which reads as one
+        raise EvaluationError(f"binding {name!r} is not finite: {number!r}")
+    return number
 
 
 def binding_map(bindings: Mapping[str, float]) -> dict[str, float]:
-    """Each binding as a double; a value beyond the double range is an
-    :class:`EvaluationError` naming it."""
+    """Each binding as a double; a value beyond the double range, an
+    infinity or NaN is an :class:`EvaluationError` naming it."""
     return {str(k): _binding_value(k, v) for k, v in bindings.items()}
 
 

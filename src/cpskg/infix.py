@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import CpskgError
 from .om.registry import (
@@ -57,11 +56,11 @@ class UnknownFunctionError(ParseError):
     """A function name with no registry entry (strict mode only)."""
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # number | ident | op | end
-    text: str
-    pos: int
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # number | ident | op | end
+        self.text = text
+        self.pos = pos
 
 
 _TOKEN_RE = re.compile(

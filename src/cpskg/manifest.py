@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -263,15 +262,18 @@ class ManifestError(CpskgError):
         super().__init__(f"manifest invalid:\n{lines}")
 
 
-@dataclass
 class CpsManifest:
-    instance_base: str
-    lifecycle_record_id: str
-    information_sets: list[str]
-    structure: StructureNode
-    processes: list[ProcessSpec]
-    observations: list[ObservationSpec] = field(default_factory=list)
-    base_dir: Optional[Path] = None
+    def __init__(
+        self, instance_base: str, lifecycle_record_id: str, information_sets: list[str], structure: StructureNode,
+        processes: list[ProcessSpec], observations: Optional[list[ObservationSpec]] = None, base_dir: Optional[Path] = None,
+    ):
+        self.instance_base = instance_base
+        self.lifecycle_record_id = lifecycle_record_id
+        self.information_sets = information_sets
+        self.structure = structure
+        self.processes = processes
+        self.observations = [] if observations is None else observations
+        self.base_dir = base_dir
 
     def resource_data_elements(self) -> dict[str, Sequence[DataElementSpec]]:
         out: dict[str, Sequence[DataElementSpec]] = {}

@@ -30,7 +30,6 @@ walking the fragment themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import CpskgError
@@ -82,15 +81,17 @@ class RootNotInGraphError(MalformedNodeError, UnknownSymbolIriError):
     either error catch it."""
 
 
-@dataclass
 class MappingContext:
     """Per-equation state: skolem numbering and the variable scope."""
 
-    instance_base: str
-    equation_id: str
-    vocab: CpsVocabulary = DEFAULT_VOCAB
-    variables: dict[str, Iri] = field(default_factory=dict)
-    _counter: int = field(default=0, init=False)
+    def __init__(
+        self, instance_base: str, equation_id: str, vocab: CpsVocabulary = DEFAULT_VOCAB, variables: Optional[dict[str, Iri]] = None
+    ):
+        self.instance_base = instance_base
+        self.equation_id = equation_id
+        self.vocab = vocab
+        self.variables = {} if variables is None else variables
+        self._counter = 0
 
     @property
     def object_node(self) -> Iri:
@@ -170,16 +171,16 @@ def process_node(expr: OMExpression, ctx: MappingContext, graph: Graph) -> NodeR
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-@dataclass
 class MappingResult:
     """Outcome of mapping one equation: the graph the fragment was written
     into, the ``om:Object`` wrapper, the root expression node, and the
     variable scope."""
 
-    graph: Graph
-    object_node: Iri
-    root: NodeRef
-    variables: dict[str, Iri]
+    def __init__(self, graph: Graph, object_node: Iri, root: NodeRef, variables: dict[str, Iri]):
+        self.graph = graph
+        self.object_node = object_node
+        self.root = root
+        self.variables = variables
 
 
 def om_to_rdf(

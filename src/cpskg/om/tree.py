@@ -2,18 +2,18 @@
 
 The tree mirrors the object layer of the OpenMath XML encoding: function
 applications, content-dictionary symbols, variables, and integer/double
-literals. Trees are value objects; they hash, compare structurally, and can
-be shared freely between threads.
+literals. Trees are immutable value objects (:class:`~cpskg.value.Value`);
+they hash, compare structurally, and can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Union
 
 from ..errors import CpskgError
+from ..value import Value
 
 __all__ = [
     "Application",
@@ -31,38 +31,40 @@ __all__ = [
 OMExpression = Union["Application", "Symbol", "Variable", "IntLiteral", "FloatLiteral"]
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(Value):
     """A named symbol from a content dictionary, e.g. ``arith1`` / ``plus``."""
 
-    cd: str
-    name: str
+    __slots__ = ("cd", "name")
 
-    def __post_init__(self) -> None:
-        if not self.cd or not self.name:
+    def __init__(self, cd: str, name: str):
+        if not cd or not name:
             raise ValueError("symbol cd and name must be non-empty")
+        object.__setattr__(self, "cd", cd)
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Value):
     """A free variable, identified by its (whitespace-free) name."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
-            raise ValueError(f"variable name must be non-empty and free of whitespace: {self.name!r}")
+    def __init__(self, name: str):
+        if not name or any(c.isspace() for c in name):
+            raise ValueError(f"variable name must be non-empty and free of whitespace: {name!r}")
+        object.__setattr__(self, "name", name)
 
 
 class IntLiteralTooLongError(CpskgError):
     """An integer literal with more digits than Python converts to text."""
 
 
-@dataclass(frozen=True)
-class IntLiteral:
+class IntLiteral(Value):
     """An arbitrary-precision integer literal."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
     def decimal(self) -> str:
         """The value in decimal, the one spelling every writer uses. A value
@@ -90,29 +92,28 @@ class NonFiniteFloatError(CpskgError, ValueError):
     OMF value or infix text in this toolchain carries."""
 
 
-@dataclass(frozen=True)
-class FloatLiteral:
+class FloatLiteral(Value):
     """A finite IEEE-754 double literal."""
 
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise NonFiniteFloatError(f"float literal is not finite: {self.value!r}")
+    def __init__(self, value: float):
+        if not math.isfinite(value):
+            raise NonFiniteFloatError(f"float literal is not finite: {value!r}")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Application:
+class Application(Value):
     """An operator applied to an ordered (possibly empty) argument list.
 
     The operator is usually a :class:`Symbol` but may be any expression.
     """
 
-    operator: OMExpression
-    arguments: tuple[OMExpression, ...] = ()
+    __slots__ = ("operator", "arguments")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arguments", tuple(self.arguments))
+    def __init__(self, operator: OMExpression, arguments: tuple[OMExpression, ...] = ()):
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "arguments", tuple(arguments))
 
 
 def app(operator: OMExpression, *arguments: OMExpression) -> Application:

@@ -27,10 +27,10 @@ A :class:`Namespace` keeps each attribute term it hands out.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import CpskgError
+from .value import Value
 
 __all__ = [
     "Graph",
@@ -64,6 +64,9 @@ _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 _PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_\-]*$")
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 
+# Sets a slot of a value being made; Triple.__init__'s ``object`` shadows the builtin.
+_setattr = object.__setattr__
+
 
 class InvalidIriError(CpskgError, ValueError):
     """A string that is not an absolute IRI or holds forbidden characters."""
@@ -85,17 +88,16 @@ class NTriplesSyntaxError(CpskgError):
         self.line = line
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
+class Iri(Value):
     """An absolute IRI; ``_nt`` is its N-Triples text."""
 
-    value: str
-    _nt: str = field(init=False, compare=False, repr=False)
+    __slots__ = ("value", "_nt")
 
-    def __post_init__(self) -> None:
-        if not _IRI_RE.fullmatch(self.value):
-            raise _iri_error(self.value)
-        object.__setattr__(self, "_nt", f"<{self.value}>")
+    def __init__(self, value: str):
+        if not _IRI_RE.fullmatch(value):
+            raise _iri_error(value)
+        _setattr(self, "value", value)
+        _setattr(self, "_nt", f"<{value}>")
 
     def __hash__(self) -> int:
         return hash(self.value)
@@ -115,8 +117,8 @@ def _iri_of(text: str) -> Iri:
     """The :class:`Iri` whose N-Triples text is ``text``, an IRI already
     checked; it carries ``text`` itself rather than a copy."""
     iri = object.__new__(Iri)
-    object.__setattr__(iri, "value", text[1:-1])
-    object.__setattr__(iri, "_nt", text)
+    _setattr(iri, "value", text[1:-1])
+    _setattr(iri, "_nt", text)
     return iri
 
 
@@ -167,26 +169,25 @@ def _escape_literal(text: str) -> str:
     return text.translate(_ESCAPE_TABLE)
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """An RDF literal; datatype defaults to xsd:string. ``_nt`` is its
-    N-Triples text."""
+class Literal(Value):
+    """An RDF literal; datatype defaults to xsd:string, and is rdf:langString
+    when ``lang`` is given. ``_nt`` is its N-Triples text."""
 
-    lexical: str
-    datatype: Iri = XSD.string
-    lang: Optional[str] = None
-    _nt: str = field(init=False, compare=False, repr=False)
+    __slots__ = ("lexical", "datatype", "lang", "_nt")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.datatype, Iri):
-            raise TypeError(f"literal datatype must be an Iri: {self.datatype!r}")
-        body = f'"{_escape_literal(self.lexical)}"'
-        if self.lang is not None:
-            object.__setattr__(self, "datatype", RDF.langString)
-            body = f"{body}@{self.lang}"
-        elif self.datatype != XSD.string:
-            body = f"{body}^^{self.datatype._nt}"
-        object.__setattr__(self, "_nt", body)
+    def __init__(self, lexical: str, datatype: Iri = XSD.string, lang: Optional[str] = None):
+        if not isinstance(datatype, Iri):
+            raise TypeError(f"literal datatype must be an Iri: {datatype!r}")
+        body = f'"{_escape_literal(lexical)}"'
+        if lang is not None:
+            datatype = RDF.langString
+            body = f"{body}@{lang}"
+        elif datatype != XSD.string:
+            body = f"{body}^^{datatype._nt}"
+        _setattr(self, "lexical", lexical)
+        _setattr(self, "datatype", datatype)
+        _setattr(self, "lang", lang)
+        _setattr(self, "_nt", body)
 
 
 NodeRef = Union[Iri, Literal]
@@ -220,17 +221,17 @@ def _check_triple(subject: object, predicate: object, obj: object) -> None:
         raise InvalidTripleError(f"triple object must be an IRI or literal: {obj!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(Value):
     """A triple as reads hand it out; writes pass :meth:`Graph.add` the
     three terms."""
 
-    subject: NodeRef
-    predicate: Iri
-    object: NodeRef
+    __slots__ = ("subject", "predicate", "object")
 
-    def __post_init__(self) -> None:
-        _check_triple(self.subject, self.predicate, self.object)
+    def __init__(self, subject: NodeRef, predicate: Iri, object: NodeRef):
+        _check_triple(subject, predicate, object)
+        _setattr(self, "subject", subject)
+        _setattr(self, "predicate", predicate)
+        _setattr(self, "object", object)
 
     def sort_key(self) -> tuple[str, str, str]:
         return (self.subject._nt, self.predicate._nt, self.object._nt)
@@ -402,21 +403,25 @@ class Graph:
 # --- pattern matching --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Value):
     """A query variable, written ``?name`` in the CLI syntax."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
 
 
 Term = Union[NodeRef, Var]
 
 
-@dataclass(frozen=True)
-class PatternQuery:
+class PatternQuery(Value):
     """An ordered conjunction of triple patterns (a basic graph pattern)."""
 
-    patterns: tuple[tuple[Term, Term, Term], ...]
+    __slots__ = ("patterns",)
+
+    def __init__(self, patterns: tuple[tuple[Term, Term, Term], ...]):
+        _setattr(self, "patterns", patterns)
 
     @classmethod
     def of(cls, *patterns: tuple[Term, Term, Term]) -> "PatternQuery":

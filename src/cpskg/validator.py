@@ -22,7 +22,6 @@ contextualization is finished.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .mapper import (
     MalformedListError,
@@ -35,25 +34,28 @@ from .mapper import (
 )
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
 from .rdf import RDF, Graph, Iri, NodeRef, display_term, nt_term
+from .value import Value
 from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = ["Finding", "ValidationReport", "validate"]
 
 
-@dataclass(frozen=True)
-class Finding:
-    rule: str
-    severity: str  # "error" | "warning"
-    node: NodeRef
-    message: str
+class Finding(Value):
+    __slots__ = ("rule", "severity", "node", "message")
+
+    def __init__(self, rule: str, severity: str, node: NodeRef, message: str):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "severity", severity)  # "error" | "warning"
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "message", message)
 
     def render(self) -> str:
         return f"{self.rule} {self.severity} {nt_term(self.node)} {self.message}"
 
 
-@dataclass
 class ValidationReport:
-    findings: list[Finding]
+    def __init__(self, findings: list[Finding]):
+        self.findings = findings
 
     def ok(self) -> bool:
         return not self.findings

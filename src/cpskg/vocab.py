@@ -9,13 +9,13 @@ IRI used for symbol nodes, and symbols added to the registry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from .errors import CpskgError
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
 from .rdf import RDF, XSD, InvalidIriError, Iri, Namespace
+from .value import Value
 
 __all__ = [
     "ConfigError",
@@ -44,19 +44,18 @@ class ConfigError(CpskgError):
     """An unreadable or invalid configuration file."""
 
 
-@dataclass(frozen=True)
-class CpsVocabulary:
+class CpsVocabulary(Value):
     """Term namespaces for the modeling stack plus the CD base IRI, and the
     one source of prefix bindings: graphs carry none of their own."""
 
-    om: Namespace
-    cpsmod: Namespace
-    vdi3682: Namespace
-    vdi2206: Namespace
-    dinen61360: Namespace
-    din77005: Namespace
-    sosa: Namespace
-    cd_base: str = DEFAULT_CD_BASE
+    __slots__ = ("om", "cpsmod", "vdi3682", "vdi2206", "dinen61360", "din77005", "sosa", "cd_base")
+
+    def __init__(
+        self, om: Namespace, cpsmod: Namespace, vdi3682: Namespace, vdi2206: Namespace,
+        dinen61360: Namespace, din77005: Namespace, sosa: Namespace, cd_base: str = DEFAULT_CD_BASE,
+    ):
+        for name, value in zip(self._fields, (om, cpsmod, vdi3682, vdi2206, dinen61360, din77005, sosa, cd_base)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_mapping(cls, namespaces: Mapping[str, str], cd_base: Optional[str] = None) -> "CpsVocabulary":
@@ -92,13 +91,15 @@ class CpsVocabulary:
 DEFAULT_VOCAB = CpsVocabulary.from_mapping({})
 
 
-@dataclass(frozen=True)
-class ToolConfig:
+class ToolConfig(Value):
     """Resolved configuration shared by the CLI commands."""
 
-    vocab: CpsVocabulary = DEFAULT_VOCAB
-    strict: bool = True
-    registry: SymbolRegistry = DEFAULT_REGISTRY
+    __slots__ = ("vocab", "strict", "registry")
+
+    def __init__(self, vocab: CpsVocabulary = DEFAULT_VOCAB, strict: bool = True, registry: SymbolRegistry = DEFAULT_REGISTRY):
+        object.__setattr__(self, "vocab", vocab)
+        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "registry", registry)
 
 
 def load_config(path: Union[str, Path, None]) -> ToolConfig:

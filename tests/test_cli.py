@@ -49,7 +49,11 @@ def _probe(code: str) -> str:
 
 
 def test_import_leaves_network_and_mail_modules_unloaded():
-    probe = "import sys, cpskg.cli; print(sorted({'urllib.request', 'http.client', 'email', 'jsonschema'} & set(sys.modules)))"
+    """Start-up guard: none of these slow imports is on cpskg's import path;
+    dataclasses would bring inspect, and jsonschema only reports the errors
+    of an invalid manifest."""
+    unwanted = "{'urllib.request', 'http.client', 'email', 'jsonschema', 'dataclasses', 'inspect'}"
+    probe = f"import sys, cpskg, cpskg.cli; print(sorted({unwanted} & set(sys.modules)))"
     assert _probe(probe) == "[]\n"
 
 
@@ -383,9 +387,10 @@ def test_eval_unsupported_operator_exits_1(run_cli):
 
 def test_eval_sin_of_infinity_exits_1(run_cli, tmp_path):
     xml = tmp_path / "sin.xml"
-    xml.write_text('<OMOBJ><OMA><OMS cd="transc1" name="sin"/><OMV name="x"/></OMA></OMOBJ>', encoding="utf-8")
-    bindings = tmp_path / "inf.json"
-    bindings.write_text('{"x": 1e400}', encoding="utf-8")  # JSON reads it as inf
+    product = '<OMA><OMS cd="arith1" name="times"/><OMV name="x"/><OMV name="x"/></OMA>'
+    xml.write_text(f'<OMOBJ><OMA><OMS cd="transc1" name="sin"/>{product}</OMA></OMOBJ>', encoding="utf-8")
+    bindings = tmp_path / "big.json"
+    bindings.write_text('{"x": 1e200}', encoding="utf-8")  # x*x overflows to inf
     result = run_cli("eval", "--in", str(xml), "--bindings", str(bindings))
     assert result.returncode == 1
     assert result.stderr.startswith("error: transc1#sin is undefined at inf")
@@ -398,6 +403,16 @@ def test_eval_binding_beyond_double_range_exits_1(run_cli, tmp_path):
     result = run_cli("eval", "--in", EQ1_RHS_XML, "--bindings", str(bindings))
     assert result.returncode == 1
     assert result.stderr == "error: binding 'beta' is out of double range\n"
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_eval_non_finite_binding_exits_1(run_cli, tmp_path, text):
+    bindings = tmp_path / "bindings.json"
+    bindings.write_text(f'{{"beta": {text}}}', encoding="utf-8")
+    result = run_cli("eval", "--in", EQ1_RHS_XML, "--bindings", str(bindings))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: binding 'beta' is not finite: {float(text)!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from cpskg.evaluator import (
     load_bindings,
 )
 from cpskg.infix import parse_infix
+from cpskg.om.registry import TIMES
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app
 
 EQ1_RHS = "beta*(Q1 - Qle1 - Qli - (xR_dot - xC_dot)*A)/(V0 + xR*A)"
@@ -115,8 +116,11 @@ def test_power_domain_error():
 @pytest.mark.parametrize("x", [math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["sin", "cos", "tan"])
 def test_trig_at_infinity_is_a_domain_error(name, x):
-    with pytest.raises(DomainError, match=f"transc1#{name} is undefined at"):
-        evaluate(app(Symbol("transc1", name), Variable("x")), {"x": x})
+    """No binding is infinite, but a product can overflow to ``x``: y*y*s
+    at y=1e200, with s carrying the sign of ``x``."""
+    product = app(TIMES, Variable("y"), Variable("y"), Variable("s"))
+    with pytest.raises(DomainError, match=f"^transc1#{name} is undefined at {x!r}$"):
+        evaluate(app(Symbol("transc1", name), product), {"y": 1e200, "s": math.copysign(1.0, x)})
 
 
 def test_bare_symbol_has_no_value():
@@ -139,6 +143,23 @@ def test_binding_beyond_double_range_names_the_binding(tmp_path):
     ]
     for call in calls:
         with pytest.raises(EvaluationError, match="^binding 'x' is out of double range$"):
+            call()
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_binding_names_the_binding(tmp_path, text):
+    """JSON reads each of these as a double that is not finite, and Python's
+    ``float`` reads them alike; no binding may be one."""
+    path = tmp_path / "bindings.json"
+    path.write_text(f'{{"y": 1.0, "x": {text}}}', encoding="utf-8")
+    value = float(text)
+    calls = [
+        lambda: load_bindings(path),
+        lambda: binding_map({"y": 1.0, "x": value}),
+        lambda: evaluate(Variable("y"), {"y": 1.0, "x": value}),
+    ]
+    for call in calls:
+        with pytest.raises(EvaluationError, match=f"^binding 'x' is not finite: {value!r}$"):
             call()
 
 

@@ -217,6 +217,8 @@ def test_namespace_keeps_attribute_terms_only():
     ns = Namespace("http://example.org/ns#")
     with pytest.raises(AttributeError):
         ns._x
+    with pytest.raises(AttributeError):  # a kept term is shared, so it cannot change
+        RDF.type.value = "http://example.org/other"
     ns.term("from_input")
     assert "from_input" not in vars(ns)
     assert ns.a is ns.a
