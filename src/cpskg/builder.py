@@ -234,8 +234,7 @@ class ModelBuilder:
         simple result is a plain xsd:double."""
         # compile_manifest passes only declared ids, which are all in the
         # graph; this check can fail only for a caller of the builder itself.
-        # Observations come last in compile_manifest, so its graph is indexed
-        # only then.
+        # A lookup by subject reads the graph's store and builds no index.
         if not self.graph.triples(feature):
             raise UnresolvedReferenceError(f"observation feature does not exist in the graph: {feature}")
         v = self.vocab

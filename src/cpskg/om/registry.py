@@ -6,7 +6,8 @@ infix spelling. Its readers use it for membership, rule V7's ``knows_cd``,
 the parser's ``function_symbol`` and the printer's ``token``. Which symbols
 evaluate, and with how many arguments, is recorded by the evaluator alone;
 operator precedence by the infix module alone. The registry is immutable;
-``extended`` returns a widened copy.
+``extended`` returns a widened copy. Two registries are equal when they
+hold the same entries, and ``repr`` shows the entries in sorted order.
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ class SymbolRegistry:
 
     def __iter__(self) -> Iterator[tuple[tuple[str, str], Optional[str]]]:
         return iter(sorted(self._tokens.items()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SymbolRegistry):
+            return NotImplemented
+        return other._tokens == self._tokens
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._tokens.items()))
+
+    def __repr__(self) -> str:
+        return f"SymbolRegistry({dict(self)!r})"
 
 
 DEFAULT_REGISTRY = SymbolRegistry(

@@ -11,16 +11,17 @@ string. Each :class:`Iri` and :class:`Literal` renders its N-Triples text
 (:func:`nt_term`) once, when it is made. A :class:`Graph` keys every term by
 that text, which is one-to-one with term equality and sorts in
 serialization order, so storing, indexing and sorting work on plain
-strings, and triples sharing a term object share its string. One table per
-graph maps each text back to a single term object, and lookups hand out
-those objects. Once made, a graph only grows, through
-``Graph.add(subject, predicate, object)``, the one checked write: it takes
-the three terms, applies the rule :class:`Triple` applies, and keys them
-without making a :class:`Triple`. :class:`Triple` is the read type, which
-iteration and lookups hand out. :func:`from_ntriples` fills a fresh graph's
-keys directly. It checks each distinct IRI once and makes no :class:`Iri`
-for it: the graph makes an IRI's term object the first time a lookup hands
-it out.
+strings, and triples sharing a term object share its string. A graph
+stores its triples once, as its subject index: subject text -> predicate
+text -> object text(s). One table per graph maps each text back to a
+single term object, and lookups hand out those objects. Once made, a graph
+only grows, through ``Graph.add(subject, predicate, object)``, the one
+checked write: it takes the three terms, applies the rule :class:`Triple`
+applies, and stores their texts without making a :class:`Triple`.
+:class:`Triple` is the read type, which iteration and lookups hand out.
+:func:`from_ntriples` fills a fresh graph's store directly. It checks each
+distinct IRI once and makes no :class:`Iri` for it: the graph makes an
+IRI's term object the first time a lookup hands it out.
 A :class:`Namespace` keeps each attribute term it hands out.
 """
 
@@ -239,33 +240,38 @@ class Triple(Value):
 
 # A triple as the N-Triples texts of its terms: (subject, predicate, object).
 _Key = tuple[str, str, str]
-# outer text -> inner text -> the texts completing the triple
-_Index = dict[str, dict[str, set[str]]]
+# The texts completing a triple under an outer and an inner text: the one
+# text while there is one, a set of them from the second on.
+_Leaf = Union[str, set[str]]
+# outer text -> inner text -> leaf
+_Index = dict[str, dict[str, _Leaf]]
 
 
 def _text(node: Optional[NodeRef]) -> Optional[str]:
     return None if node is None else nt_term(node)
 
 
+def _leaves(found: Optional[_Leaf]) -> Iterable[str]:
+    """The texts of a leaf, or none for a missing one."""
+    if found is None:
+        return ()
+    return (found,) if type(found) is str else found
+
+
 def _put(index: _Index, outer: str, inner: str, leaf: str) -> None:
-    index.setdefault(outer, {}).setdefault(inner, set()).add(leaf)
-
-
-def _build_index(rows: Iterable[_Key]) -> _Index:
-    """An index of ``(outer, inner, leaf)`` rows, in one pass that makes no
-    throwaway dict or set."""
-    index: _Index = {}
-    for outer, inner, leaf in rows:
-        by_inner = index.get(outer)
-        if by_inner is None:
-            index[outer] = {inner: {leaf}}
-            continue
-        leaves = by_inner.get(inner)
-        if leaves is None:
-            by_inner[inner] = {leaf}
-        else:
-            leaves.add(leaf)
-    return index
+    """Add a row to an index, with a lone text as its leaf until a second."""
+    by_inner = index.get(outer)
+    if by_inner is None:
+        index[outer] = {inner: leaf}
+        return
+    found = by_inner.get(inner)
+    if found is None:
+        by_inner[inner] = leaf
+    elif type(found) is str:
+        if found != leaf:
+            by_inner[inner] = {found, leaf}
+    else:
+        found.add(leaf)
 
 
 class Graph:
@@ -282,38 +288,55 @@ class Graph:
     dependence on set ordering by accident. Prefixes are serialization
     hints, not graph content: :func:`to_turtle` takes them as an argument.
 
-    Each triple is stored as the key ``(nt_term(s), nt_term(p),
-    nt_term(o))``, a tuple of the three texts its terms carry, and a term
-    table maps texts to term objects. Keys hash and compare in C, sort as
-    plain tuples in :meth:`Triple.sort_key` order, and serialize by joining.
-    Every read that hands out terms takes them from :meth:`_term`, so each
-    text has one term object. A graph from :func:`from_ntriples` starts
-    with its literals in the table and none of its IRIs: an IRI's object is
-    made on its first hand-out, and most are never handed out.
+    The store is the subject index itself: ``_spo`` maps the N-Triples text
+    of each subject to its predicates' texts, and each of those to its
+    object's text, or to a set of texts once the pair has a second object.
+    A pair thus holds a lone text exactly when it has one object, so two
+    graphs with the same triples have equal stores. ``_count`` counts the
+    triples. A term table maps texts to term objects; every read that hands
+    out terms takes them from :meth:`_term`, so each text has one term
+    object. A graph from :func:`from_ntriples` starts with its literals in
+    the table and none of its IRIs: an IRI's object is made on its first
+    hand-out, and most are never handed out.
 
-    Lookups go through two indexes over the texts, subject -> predicate ->
-    objects and predicate -> object -> subjects (two of the six Hexastore
-    orders). Each is built on the first lookup that needs it and kept in
-    step by every later add, so a graph that is only written and serialized
-    never pays for them.
+    Lookups by subject read the store. Lookups by predicate alone go
+    through a second index, predicate -> object -> subjects, with the same
+    leaves (two of the six Hexastore orders). It is built on the first
+    lookup that needs it and kept in step by every later add, so a graph
+    that is only written, looked up by subject and serialized never pays
+    for it.
     """
 
-    __slots__ = ("_keys", "_terms", "_spo", "_pos")
+    __slots__ = ("_spo", "_count", "_terms", "_pos")
 
     def __init__(self) -> None:
-        self._keys: set[_Key] = set()
+        self._spo: _Index = {}
+        self._count = 0
         self._terms: dict[str, NodeRef] = {}
-        self._spo: Optional[_Index] = None
         self._pos: Optional[_Index] = None
 
     def add(self, subject: NodeRef, predicate: Iri, object: NodeRef) -> None:
         """Add the triple of these three terms; one the graph holds
         already changes nothing."""
         _check_triple(subject, predicate, object)
-        key = s, p, o = subject._nt, predicate._nt, object._nt
-        if key in self._keys:
-            return
-        self._keys.add(key)
+        s, p, o = subject._nt, predicate._nt, object._nt
+        # the insert of _put, inline: this is the write every build makes
+        by_predicate = self._spo.get(s)
+        if by_predicate is None:
+            self._spo[s] = {p: o}
+        else:
+            found = by_predicate.get(p)
+            if found is None:
+                by_predicate[p] = o
+            elif type(found) is str:
+                if found == o:
+                    return
+                by_predicate[p] = {found, o}
+            elif o in found:
+                return
+            else:
+                found.add(o)
+        self._count += 1
         terms = self._terms
         if s not in terms:
             terms[s] = subject
@@ -321,28 +344,29 @@ class Graph:
             terms[p] = predicate
         if o not in terms:
             terms[o] = object
-        if self._spo is not None:
-            _put(self._spo, s, p, o)
         if self._pos is not None:
             _put(self._pos, p, o, s)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._count
 
     def __contains__(self, triple: Triple) -> bool:
-        return isinstance(triple, Triple) and triple.sort_key() in self._keys
+        if not isinstance(triple, Triple):
+            return False
+        s, p, o = triple.sort_key()
+        return o in _leaves(self._spo.get(s, {}).get(p))
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples(sorted(self._keys)))
+        return iter(self._triples(sorted(self._select(None, None, None))))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and other._keys == self._keys
+        return isinstance(other, Graph) and other._spo == self._spo
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._keys)} triples)"
+        return f"Graph({self._count} triples)"
 
     def _term(self, text: str) -> NodeRef:
-        """The one term object for ``text``, a text of this graph's keys.
+        """The one term object for ``text``, a text of this graph's store.
         Only an IRI can be missing from the table; ``setdefault`` keeps the
         object of whichever reader makes it first."""
         term = self._terms.get(text)
@@ -354,32 +378,38 @@ class Graph:
         term = self._term
         return [Triple(term(s), term(p), term(o)) for s, p, o in keys]  # type: ignore[arg-type]
 
-    def _by_subject(self) -> _Index:
-        if self._spo is None:
-            self._spo = _build_index(self._keys)
-        return self._spo
-
     def _by_predicate(self) -> _Index:
         if self._pos is None:
-            self._pos = _build_index((p, o, s) for s, p, o in self._keys)
+            pos: _Index = {}
+            for s, by_predicate in self._spo.items():
+                for p, found in by_predicate.items():
+                    for o in _leaves(found):
+                        _put(pos, p, o, s)
+            self._pos = pos
         return self._pos
 
-    def _select(self, s: Optional[str], p: Optional[str], o: Optional[str]) -> Iterable[_Key]:
+    def _select(self, s: Optional[str], p: Optional[str], o: Optional[str]) -> list[_Key]:
         """The keys matching the given constant texts, unordered."""
         if s is None and p is None:
-            return self._keys if o is None else [k for k in self._keys if k[2] == o]
+            return [
+                (x, q, y)
+                for x, by_predicate in self._spo.items()
+                for q, ys in by_predicate.items()
+                for y in _leaves(ys)
+                if o is None or y == o
+            ]
         if s is None:
             by_object = self._by_predicate().get(p, {})  # type: ignore[arg-type]
             if o is not None:
-                return [(x, p, o) for x in by_object.get(o, ())]  # type: ignore[misc]
-            return [(x, p, y) for y, xs in by_object.items() for x in xs]  # type: ignore[misc]
-        by_predicate = self._by_subject().get(s, {})
+                return [(x, p, o) for x in _leaves(by_object.get(o))]  # type: ignore[misc]
+            return [(x, p, y) for y, xs in by_object.items() for x in _leaves(xs)]  # type: ignore[misc]
+        by_predicate = self._spo.get(s, {})
         if p is not None:
-            found = by_predicate.get(p, ())
+            found = _leaves(by_predicate.get(p))
             if o is None:
                 return [(s, p, y) for y in found]
             return [(s, p, o)] if o in found else []
-        return [(s, q, y) for q, ys in by_predicate.items() for y in ys if o is None or y == o]
+        return [(s, q, y) for q, ys in by_predicate.items() for y in _leaves(ys) if o is None or y == o]
 
     def triples(
         self,
@@ -391,9 +421,9 @@ class Graph:
         return self._triples(sorted(self._select(_text(subject), _text(predicate), _text(object))))
 
     def objects(self, subject: NodeRef, predicate: Iri) -> list[NodeRef]:
-        found = self._by_subject().get(nt_term(subject), {}).get(nt_term(predicate), ())
+        found = self._spo.get(nt_term(subject), {}).get(nt_term(predicate))
         term = self._term
-        return [term(o) for o in sorted(found)]
+        return [term(o) for o in sorted(_leaves(found))]
 
     def subjects(self, predicate: Optional[Iri] = None, object: Optional[NodeRef] = None) -> list[NodeRef]:
         term = self._term
@@ -431,12 +461,12 @@ class PatternQuery(Value):
 def match(graph: Graph, query: PatternQuery) -> list[dict[str, NodeRef]]:
     """All variable bindings satisfying every pattern simultaneously.
 
-    The join works on the graph's keys: a row binds each variable to the
-    N-Triples text of its value, and a pattern asks the graph for the keys
-    matching its constant texts. Rows are deduplicated and ordered by the
-    serialization order of the bound nodes (variables taken in name order),
-    so results are stable across runs. Each output value is the graph's own
-    term object for its text.
+    The join works on texts: a row binds each variable to the N-Triples
+    text of its value, and a pattern asks the graph for the ``(s, p, o)``
+    texts of the triples matching its constant texts. Rows are
+    deduplicated and ordered by the serialization order of the bound nodes
+    (variables taken in name order), so results are stable across runs.
+    Each output value is the graph's own term object for its text.
     """
     if not isinstance(query, PatternQuery) or not query.patterns:
         raise MalformedQueryError("query must contain at least one pattern")
@@ -466,9 +496,19 @@ def match(graph: Graph, query: PatternQuery) -> list[dict[str, NodeRef]]:
 
 
 def to_ntriples(graph: Graph) -> str:
-    """Canonical N-Triples: one statement per line, lines sorted, LF endings."""
-    lines = sorted(f"{s} {p} {o} ." for s, p, o in graph._keys)
-    return "".join(line + "\n" for line in lines)
+    """Canonical N-Triples: one statement per line, lines sorted, LF endings.
+
+    Lines are sorted with their LF, which orders them as without it: no
+    line is a prefix of another, as each ends its object with `` .``."""
+    lines: list[str] = []
+    for s, by_predicate in graph._spo.items():
+        for p, found in by_predicate.items():
+            if type(found) is str:
+                lines.append(f"{s} {p} {found} .\n")
+            else:
+                lines += [f"{s} {p} {o} .\n" for o in found]
+    lines.sort()
+    return "".join(lines)
 
 
 def _pname(iri: Iri, prefix_order: list[tuple[str, str]]) -> str:
@@ -499,19 +539,15 @@ def to_turtle(graph: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str
             return f'"{_escape_literal(node.lexical)}"^^{_pname(node.datatype, prefix_order)}'
         return nt_term(node)
 
-    # keys in sorted order, so subjects, and each predicate's objects, stay sorted
-    by_subject: dict[str, dict[str, list[str]]] = {}
-    for s, p, o in sorted(graph._keys):
-        by_subject.setdefault(s, {}).setdefault(p, []).append(o)
     term = graph._term
     rdf_type = nt_term(RDF.type)
-    for subject, preds in by_subject.items():
+    for subject, preds in sorted(graph._spo.items()):
         if out:
             out.append("")
         lines = []
         for predicate in sorted(preds, key=lambda p: (p != rdf_type, p)):
             rendered = "a" if predicate == rdf_type else render(term(predicate))
-            objects = ", ".join(render(term(o)) for o in preds[predicate])
+            objects = ", ".join(render(term(o)) for o in sorted(_leaves(preds[predicate])))
             lines.append(f"{rendered} {objects}")
         block = f"{render(term(subject))} " + " ;\n    ".join(lines) + " ."
         out.append(block)
@@ -593,7 +629,8 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             line = data.count(b"\n", 0, exc.start) + 1
             raise NTriplesSyntaxError(f"invalid UTF-8 byte 0x{data[exc.start]:02X}", line) from exc
     graph = Graph()
-    keys, terms = graph._keys, graph._terms
+    spo, terms = graph._spo, graph._terms
+    count = 0
     iri_texts: dict[str, str] = {}  # IRI value -> its text
     literal_texts: dict[tuple[str, Optional[str], Optional[str]], str] = {}  # literal groups -> its text
 
@@ -629,5 +666,22 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
                     raise NTriplesSyntaxError(str(exc), lineno) from exc
                 obj = literal_texts[written] = nt_term(literal)
                 terms.setdefault(obj, literal)
-        keys.add((subject, predicate, obj))
+        # the insert of Graph.add, inline
+        by_predicate = spo.get(subject)
+        if by_predicate is None:
+            spo[subject] = {predicate: obj}
+        else:
+            found = by_predicate.get(predicate)
+            if found is None:
+                by_predicate[predicate] = obj
+            elif type(found) is str:
+                if found == obj:
+                    continue
+                by_predicate[predicate] = {found, obj}
+            elif obj in found:
+                continue
+            else:
+                found.add(obj)
+        count += 1
+    graph._count = count
     return graph

@@ -11,7 +11,9 @@ import threading
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from cpskg.manifest import compile_manifest
 from cpskg.rdf import (
     RDF,
     XSD,
@@ -346,7 +348,7 @@ def test_parsed_graph_hands_out_one_object_per_text(golden_text, ehsa_graph):
         for row in match(graph, PatternQuery.of((Var("s"), Var("p"), Var("o")))):
             same(*row.values())
         assert to_turtle(graph, prefixes) == to_turtle(ehsa_graph, prefixes)
-    assert {text for key in graph._keys for text in key} <= set(seen)
+    assert {text for key in graph._select(None, None, None) for text in key} <= set(seen)
 
 
 def test_concurrent_readers_share_each_term_object(golden_text):
@@ -735,3 +737,142 @@ def test_indexed_lookups_match_brute_force(ops, probe):
         else:
             _check_lookups(graph, triple)
     _check_lookups(graph, probe)
+
+
+# --- the store, held to a plain set of texts --------------------------------
+
+# Literals whose lines share a prefix up to the object: "a", "a ." and a
+# language-tagged "a" sort on the character after ``"a``, and the text of
+# "a" is a substring of the others'.
+_MODEL_NODES = [
+    *(EX.term(x) for x in ("a", "b", "c", "n2", "n20", "n2-x")),
+    *(Literal("a"), Literal("a ."), Literal("a", lang="en"), Literal("1", XSD.integer)),
+]
+_model_nodes = st.sampled_from(_MODEL_NODES)
+_model_triples = st.tuples(_few_iris, _few_iris, _model_nodes)
+
+
+def _texts(terms) -> tuple[str, ...]:
+    return tuple(nt_term(x) for x in terms)
+
+
+def _text_or_none(node) -> str | None:
+    return None if node is None else nt_term(node)
+
+
+class GraphAgainstASetOfTexts(RuleBasedStateMachine):
+    """Every read of a graph agrees with a plain set of ``(s, p, o)`` texts
+    that saw the same adds, while adds and lookups interleave."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.graph = Graph()
+        self.model: set[tuple[str, str, str]] = set()
+        self.added: list[tuple] = []
+
+    def _add(self, triple: tuple) -> None:
+        self.graph.add(*triple)
+        self.model.add(_texts(triple))
+        self.added.append(triple)
+
+    @rule(triple=_model_triples)
+    def add(self, triple):
+        self._add(triple)
+
+    @precondition(lambda self: self.added)
+    @rule(data=st.data())
+    def add_again(self, data):
+        before = len(self.graph)
+        self._add(data.draw(st.sampled_from(self.added)))
+        assert len(self.graph) == before
+
+    @rule(s=_few_iris, p=_few_iris, objects=st.lists(_model_nodes, min_size=1, max_size=3, unique=True))
+    def grow_one_pair(self, s, p, objects):
+        """One (subject, predicate) pair gains objects one at a time."""
+        for o in objects:
+            self._add((s, p, o))
+            expected = sorted(y for x, q, y in self.model if (x, q) == _texts((s, p)))
+            assert [nt_term(x) for x in self.graph.objects(s, p)] == expected
+
+    @rule(probe=_model_triples)
+    def lookup(self, probe):
+        def select(s, p, o) -> list[tuple[str, str, str]]:
+            want = (s, p, o)
+            return sorted(k for k in self.model if all(w is None or w == x for w, x in zip(want, k)))
+
+        for s, p, o in itertools.product(*((x, None) for x in probe)):
+            found = [x.sort_key() for x in self.graph.triples(s, p, o)]
+            assert found == select(*map(_text_or_none, (s, p, o)))
+        for p, o in itertools.product((probe[1], None), (probe[2], None)):
+            subjects = sorted({k[0] for k in select(None, _text_or_none(p), _text_or_none(o))})
+            assert [nt_term(x) for x in self.graph.subjects(p, o)] == subjects
+        objects = [k[2] for k in select(*_texts(probe[:2]), None)]
+        assert [nt_term(x) for x in self.graph.objects(*probe[:2])] == objects
+        assert (Triple(*probe) in self.graph) == (_texts(probe) in self.model)
+
+    @rule(rnd=st.randoms(use_true_random=False))
+    def parse_shuffled_duplicated_lines(self, rnd):
+        lines = [f"{s} {p} {o} ." for s, p, o in self.model]
+        lines += rnd.sample(lines, len(lines) // 2)
+        rnd.shuffle(lines)
+        parsed = from_ntriples("\n".join(lines))
+        assert parsed == self.graph and len(parsed) == len(self.model)
+        assert {x.sort_key() for x in parsed} == self.model
+
+    @invariant()
+    def size_membership_and_order(self):
+        assert len(self.graph) == len(self.model)
+        assert [x.sort_key() for x in self.graph] == sorted(self.model)
+        for s, p in {x[:2] for x in self.added}:
+            for o in _MODEL_NODES:
+                assert (Triple(s, p, o) in self.graph) == (_texts((s, p, o)) in self.model)
+
+    @invariant()
+    def ntriples_are_the_sorted_lines(self):
+        lines = sorted(f"{s} {p} {o} ." for s, p, o in self.model)
+        assert to_ntriples(self.graph) == "".join(line + "\n" for line in lines)
+
+    @invariant()
+    def turtle_groups_the_sorted_triples(self):
+        """With no prefixes and no rdf:type, each term is written as its text."""
+        blocks = []
+        for s in sorted({k[0] for k in self.model}):
+            lines = [
+                f"{p} " + ", ".join(sorted(k[2] for k in self.model if k[:2] == (s, p)))
+                for p in sorted({k[1] for k in self.model if k[0] == s})
+            ]
+            blocks.append(f"{s} " + " ;\n    ".join(lines) + " .")
+        assert to_turtle(self.graph) == "\n\n".join(blocks) + ("\n" if blocks else "")
+
+    @invariant()
+    def equal_to_the_same_triples_added_in_reverse(self):
+        reverse = Graph()
+        for triple in reversed(self.added):
+            reverse.add(*triple)
+        assert reverse == self.graph and self.graph == reverse
+        if self.added:
+            # as many triples, one of them different
+            swapped = Graph()
+            swapped.add(EX.elsewhere, EX.p, EX.o)
+            for triple in self.added:
+                if _texts(triple) != _texts(self.added[0]):
+                    swapped.add(*triple)
+            assert len(swapped) == len(self.graph) and swapped != self.graph
+
+
+TestGraphAgainstASetOfTexts = GraphAgainstASetOfTexts.TestCase
+TestGraphAgainstASetOfTexts.settings = settings(max_examples=100, stateful_step_count=25, deadline=None)
+
+
+def test_writes_and_subject_lookups_build_no_index(ehsa_manifest, golden_text):
+    """Building the EHSA graph, whose observations each ask the graph
+    whether their feature exists, and reading a parsed graph by subject
+    leave the predicate index unbuilt."""
+    assert ehsa_manifest.observations
+    graph = compile_manifest(ehsa_manifest)
+    assert graph._pos is None
+    parsed = from_ntriples(golden_text)
+    subject = next(iter(parsed))
+    assert parsed.objects(subject.subject, RDF.type)
+    assert parsed.triples(subject.subject)
+    assert parsed._pos is None

@@ -7,11 +7,11 @@ import pickle
 
 import pytest
 
-from cpskg.om.registry import PLUS
+from cpskg.om.registry import DEFAULT_REGISTRY, PLUS
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable
 from cpskg.rdf import RDF, XSD, Iri, Literal, Namespace, PatternQuery, Triple, Var
 from cpskg.validator import Finding
-from cpskg.vocab import DEFAULT_VOCAB, CpsVocabulary, ToolConfig
+from cpskg.vocab import DEFAULT_VOCAB, CpsVocabulary, ToolConfig, load_config
 
 EX = Namespace("http://example.org/")
 
@@ -35,10 +35,12 @@ CASES = {
         ("om", "cpsmod", "vdi3682", "vdi2206", "dinen61360", "din77005", "sosa", "cd_base"),
     ),
     "ToolConfig": (lambda: ToolConfig(), ("vocab", "strict", "registry")),
+    "ToolConfig-symbols": (
+        lambda: ToolConfig(registry=DEFAULT_REGISTRY.extended({("mycd", "f"): "f", ("mycd", "g"): None})),
+        ("vocab", "strict", "registry"),
+    ),
     "Finding": (lambda: Finding("V1", "error", EX.s, "argument list is cyclic"), ("rule", "severity", "node", "message")),
 }
-# A ToolConfig's SymbolRegistry compares by identity, so an unpickled one is a different registry.
-PICKLED = [name for name in CASES if name != "ToolConfig"]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -71,7 +73,7 @@ def test_fields_can_be_neither_assigned_nor_deleted(case):
     assert value == make()
 
 
-@pytest.mark.parametrize("case", PICKLED)
+@pytest.mark.parametrize("case", CASES)
 def test_pickle_round_trips(case):
     value = CASES[case][0]()
     restored = pickle.loads(pickle.dumps(value))
@@ -101,3 +103,13 @@ def test_repr_shows_the_fields_and_no_derived_state(case):
 def test_repr_of_a_literal():
     expected = "Literal(lexical='1', datatype=Iri(value='http://www.w3.org/2001/XMLSchema#integer'), lang=None)"
     assert repr(Literal("1", XSD.integer)) == expected
+
+
+def test_a_configuration_that_adds_symbols_loads_equal_each_time(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"symbols": [{"cd": "mycd", "name": "f", "token": "f"}, {"cd": "mycd", "name": "g"}]}', encoding="utf-8")
+    config = load_config(path)
+    assert config == load_config(path) and hash(config) == hash(load_config(path))
+    assert config == CASES["ToolConfig-symbols"][0]()
+    assert config != ToolConfig() and config.registry != DEFAULT_REGISTRY
+    assert pickle.loads(pickle.dumps(config)) == config
