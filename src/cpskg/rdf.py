@@ -19,9 +19,12 @@ only grows, through ``Graph.add(subject, predicate, object)``, the one
 checked write: it takes the three terms, applies the rule :class:`Triple`
 applies, and stores their texts without making a :class:`Triple`.
 :class:`Triple` is the read type, which iteration and lookups hand out.
-:func:`from_ntriples` fills a fresh graph's store directly. It checks each
-distinct IRI once and makes no :class:`Iri` for it: the graph makes an
-IRI's term object the first time a lookup hands it out.
+:func:`from_ntriples` fills a fresh graph's store directly. It matches each
+line once for its three terms' texts, checks each distinct IRI once and
+keeps one string object per distinct IRI text, and makes no :class:`Iri`
+for it: the graph makes an IRI's term object the first time a lookup hands
+it out. Lookups by predicate build an index for the predicate they name,
+on the first lookup by it.
 A :class:`Namespace` keeps each attribute term it hands out.
 """
 
@@ -258,20 +261,20 @@ def _leaves(found: Optional[_Leaf]) -> Iterable[str]:
     return (found,) if type(found) is str else found
 
 
-def _put(index: _Index, outer: str, inner: str, leaf: str) -> None:
-    """Add a row to an index, with a lone text as its leaf until a second."""
-    by_inner = index.get(outer)
-    if by_inner is None:
-        index[outer] = {inner: leaf}
-        return
-    found = by_inner.get(inner)
+def _put(index: dict[str, _Leaf], key: str, leaf: str) -> None:
+    """Add to ``index`` a row it does not hold, with a lone text as the
+    leaf of ``key`` until a second."""
+    found = index.get(key)
     if found is None:
-        by_inner[inner] = leaf
+        index[key] = leaf
     elif type(found) is str:
-        if found != leaf:
-            by_inner[inner] = {found, leaf}
+        index[key] = {found, leaf}
     else:
         found.add(leaf)
+
+
+# What a missing subject or predicate reads as; only ever read.
+_EMPTY: dict[str, _Leaf] = {}
 
 
 class Graph:
@@ -300,11 +303,14 @@ class Graph:
     hand-out, and most are never handed out.
 
     Lookups by subject read the store. Lookups by predicate alone go
-    through a second index, predicate -> object -> subjects, with the same
-    leaves (two of the six Hexastore orders). It is built on the first
-    lookup that needs it and kept in step by every later add, so a graph
-    that is only written, looked up by subject and serialized never pays
-    for it.
+    through ``_pos``, one index per predicate (vertical partitioning):
+    predicate -> object -> subjects, with the same leaves. A predicate's
+    index is built in one pass over the store on the first lookup by that
+    predicate, and kept in step by every later add under it; ``_pos`` stays
+    ``None`` until the first such lookup, so a graph that is only written,
+    looked up by subject and serialized never pays for it, and a lookup
+    pays only for the predicate it names. Each index is published whole,
+    so a reader racing its build never sees it half filled.
     """
 
     __slots__ = ("_spo", "_count", "_terms", "_pos")
@@ -345,7 +351,9 @@ class Graph:
         if o not in terms:
             terms[o] = object
         if self._pos is not None:
-            _put(self._pos, p, o, s)
+            by_object = self._pos.get(p)
+            if by_object is not None:
+                _put(by_object, o, s)
 
     def __len__(self) -> int:
         return self._count
@@ -354,7 +362,7 @@ class Graph:
         if not isinstance(triple, Triple):
             return False
         s, p, o = triple.sort_key()
-        return o in _leaves(self._spo.get(s, {}).get(p))
+        return o in _leaves(self._spo.get(s, _EMPTY).get(p))
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._triples(sorted(self._select(None, None, None))))
@@ -378,15 +386,27 @@ class Graph:
         term = self._term
         return [Triple(term(s), term(p), term(o)) for s, p, o in keys]  # type: ignore[arg-type]
 
-    def _by_predicate(self) -> _Index:
-        if self._pos is None:
-            pos: _Index = {}
+    def _by_predicate(self, p: str) -> dict[str, _Leaf]:
+        """The index of predicate ``p``: object text -> subject leaf. It is
+        built whole before it is published, so a reader racing the build
+        sees it complete or builds its own."""
+        pos = self._pos
+        if pos is None:
+            pos = self._pos = {}
+        by_object = pos.get(p)
+        if by_object is None:
+            built: dict[str, _Leaf] = {}
             for s, by_predicate in self._spo.items():
-                for p, found in by_predicate.items():
-                    for o in _leaves(found):
-                        _put(pos, p, o, s)
-            self._pos = pos
-        return self._pos
+                found = by_predicate.get(p)
+                if found is None:
+                    continue
+                if type(found) is str:
+                    _put(built, found, s)
+                else:
+                    for o in found:
+                        _put(built, o, s)
+            by_object = pos.setdefault(p, built)
+        return by_object
 
     def _select(self, s: Optional[str], p: Optional[str], o: Optional[str]) -> list[_Key]:
         """The keys matching the given constant texts, unordered."""
@@ -399,11 +419,11 @@ class Graph:
                 if o is None or y == o
             ]
         if s is None:
-            by_object = self._by_predicate().get(p, {})  # type: ignore[arg-type]
+            by_object = self._by_predicate(p)  # type: ignore[arg-type]
             if o is not None:
                 return [(x, p, o) for x in _leaves(by_object.get(o))]  # type: ignore[misc]
             return [(x, p, y) for y, xs in by_object.items() for x in _leaves(xs)]  # type: ignore[misc]
-        by_predicate = self._spo.get(s, {})
+        by_predicate = self._spo.get(s, _EMPTY)
         if p is not None:
             found = _leaves(by_predicate.get(p))
             if o is None:
@@ -421,13 +441,26 @@ class Graph:
         return self._triples(sorted(self._select(_text(subject), _text(predicate), _text(object))))
 
     def objects(self, subject: NodeRef, predicate: Iri) -> list[NodeRef]:
-        found = self._spo.get(nt_term(subject), {}).get(nt_term(predicate))
+        # one walk to the leaf; only a set of objects needs sorting
+        found = self._spo.get(nt_term(subject), _EMPTY).get(nt_term(predicate))
+        if found is None:
+            return []
+        if type(found) is str:
+            return [self._term(found)]
         term = self._term
-        return [term(o) for o in sorted(_leaves(found))]
+        return [term(o) for o in sorted(found)]
 
     def subjects(self, predicate: Optional[Iri] = None, object: Optional[NodeRef] = None) -> list[NodeRef]:
+        p, o = _text(predicate), _text(object)
         term = self._term
-        return [term(s) for s in sorted({k[0] for k in self._select(None, _text(predicate), _text(object))})]
+        if p is not None and o is not None:
+            found = self._by_predicate(p).get(o)
+            if found is None:
+                return []
+            if type(found) is str:
+                return [term(found)]
+            return [term(s) for s in sorted(found)]
+        return [term(s) for s in sorted({k[0] for k in self._select(None, p, o)})]
 
 
 # --- pattern matching --------------------------------------------------------
@@ -564,11 +597,14 @@ def serialize(graph: Graph, fmt: str, prefixes: Optional[Mapping[str, str]] = No
     raise ValueError(f"unknown serialization format: {fmt!r}")
 
 
-# groups: 1=subject, 2=predicate, 3=object IRI, 4=literal lexical, 5=datatype, 6=lang.
 # An IRI is whatever lies between "<" and the next ">"; _IRI_RE checks it.
-_IRI_PAT = r"<([^>]*)>"
-_LIT_PAT = r'"((?:[^"\\\r\n]|\\.)*)"(?:\^\^' + _IRI_PAT + r"|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?"
-_LINE_RE = re.compile(rf"^{_IRI_PAT}\s+{_IRI_PAT}\s+(?:{_IRI_PAT}|{_LIT_PAT})\s*\.$")
+# Literal groups: 1=lexical, 2=datatype IRI without its brackets, 3=lang.
+_IRI_PAT = r"<[^>]*>"
+_LIT_PAT = r'"((?:[^"\\\r\n]|\\.)*)"(?:\^\^<([^>]*)>|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?'
+# A whole line, surrounding whitespace included. Groups: 1=subject text,
+# 2=predicate text, 3=object text (an IRI with its brackets or a literal as
+# written), then the literal groups.
+_LINE_RE = re.compile(rf"\s*({_IRI_PAT})\s+({_IRI_PAT})\s+({_IRI_PAT}|{_LIT_PAT})\s*\.\s*")
 _LITERAL_RE = re.compile(_LIT_PAT)
 _UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 _UNESCAPE_MAP = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
@@ -616,12 +652,14 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
     """Parse an N-Triples document; inverse of :func:`to_ntriples` on
     canonical output. Blank lines and ``#`` comment lines are skipped.
 
-    Each distinct IRI is checked against the IRIREF rule once, where it
-    first occurs, and kept only as its text: the graph makes its term
-    object when a lookup first hands it out. Each distinct literal as
-    written is parsed and rendered to its canonical text once. Literal
-    escapes are canonicalised, so ``"\\u0041"`` and ``"A"`` are one term.
-    Nothing is kept between calls."""
+    Each line is matched once, whitespace around it included, and gives
+    its three terms' texts as written. Each distinct IRI is checked against
+    the IRIREF rule once, where it first occurs, and kept only as its text,
+    one string object per distinct text: the graph makes its term object
+    when a lookup first hands it out. Each distinct literal as written is
+    parsed and rendered to its canonical text once. Literal escapes are
+    canonicalised, so ``"\\u0041"`` and ``"A"`` are one term. Nothing is
+    kept between calls."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -631,41 +669,41 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
     graph = Graph()
     spo, terms = graph._spo, graph._terms
     count = 0
-    iri_texts: dict[str, str] = {}  # IRI value -> its text
-    literal_texts: dict[tuple[str, Optional[str], Optional[str]], str] = {}  # literal groups -> its text
+    iri_texts: dict[str, str] = {}  # IRI text -> the first copy of it seen
+    literal_texts: dict[str, str] = {}  # literal as written -> its canonical text
 
-    def iri_text(value: str, line: int) -> str:
-        """Check and render an IRI not seen before in this document."""
-        if not _IRI_RE.fullmatch(value):
-            raise NTriplesSyntaxError(str(_iri_error(value)), line)
-        text = iri_texts[value] = f"<{value}>"
+    def iri_text(text: str, line: int) -> str:
+        """Check an IRI text, brackets included, not seen before in this document."""
+        if not _IRI_RE.fullmatch(text, 1, len(text) - 1):
+            raise NTriplesSyntaxError(str(_iri_error(text[1:-1])), line)
+        iri_texts[text] = text
         return text
 
     def datatype(value: str) -> Iri:
-        return graph._term(iri_texts.get(value) or iri_text(value, lineno))  # type: ignore[return-value]
+        text = f"<{value}>"
+        return graph._term(iri_texts.get(text) or iri_text(text, lineno))  # type: ignore[return-value]
 
     for lineno, raw in enumerate(data.split("\n"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _LINE_RE.match(line)
+        m = _LINE_RE.fullmatch(raw)
         if m is None:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
             raise NTriplesSyntaxError(f"not a valid N-Triples statement: {raw!r}", lineno)
-        s_iri, p_iri, o_iri, o_lex, o_dt, o_lang = m.groups()
-        subject = iri_texts.get(s_iri) or iri_text(s_iri, lineno)
-        predicate = iri_texts.get(p_iri) or iri_text(p_iri, lineno)
-        if o_iri is not None:
-            obj = iri_texts.get(o_iri) or iri_text(o_iri, lineno)
+        s_text, p_text, o_text, o_lex, o_dt, o_lang = m.groups()
+        subject = iri_texts.get(s_text) or iri_text(s_text, lineno)
+        predicate = iri_texts.get(p_text) or iri_text(p_text, lineno)
+        if o_lex is None:
+            obj = iri_texts.get(o_text) or iri_text(o_text, lineno)
         else:
-            written = (o_lex, o_dt, o_lang)
-            obj = literal_texts.get(written)  # type: ignore[assignment]
+            obj = literal_texts.get(o_text)  # type: ignore[assignment]
             if obj is None:
                 try:
                     literal = _literal(o_lex, o_dt, o_lang, lineno, datatype)
                 except ValueError as exc:
                     raise NTriplesSyntaxError(str(exc), lineno) from exc
-                obj = literal_texts[written] = nt_term(literal)
-                terms.setdefault(obj, literal)
+                # literals written differently share the first one's text
+                obj = literal_texts[o_text] = terms.setdefault(literal._nt, literal)._nt
         # the insert of Graph.add, inline
         by_predicate = spo.get(subject)
         if by_predicate is None:

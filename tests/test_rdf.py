@@ -284,14 +284,18 @@ _BRACKETED = re.compile(r"<[^<>]*>")
 def _mutated_golden(draw) -> bytes:
     """A run of golden.nt lines, so IRIs repeat across lines, with one to
     three edits: a character put inside a bracketed IRI, an unclosed or an
-    empty one, another separator or line ending, or a comment or blank line."""
+    empty one, another separator or line ending, whitespace before or after
+    a statement (a Unicode space that ``str.strip`` removes included), a
+    comment or blank line, or one literal written escaped and plain."""
     start = draw(st.integers(0, len(_GOLDEN_LINES) - 10))
     lines = _GOLDEN_LINES[start : start + 10]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         line = lines[i]
         spans = [m.span() for m in _BRACKETED.finditer(line)]
-        kind = draw(st.sampled_from(["inside", "unclosed", "empty", "separator", "crlf", "comment", "blank"]))
+        kinds = ["inside", "unclosed", "empty", "separator", "crlf", "indent", "trailing", "unicode_space",
+                 "comment", "blank", "escaped_twice"]
+        kind = draw(st.sampled_from(kinds))
         if kind in ("inside", "unclosed", "empty") and spans:
             a, b = draw(st.sampled_from(spans))
             if kind == "inside":
@@ -308,6 +312,18 @@ def _mutated_golden(draw) -> bytes:
             lines[i] = line[:at] + draw(st.sampled_from(["\t", "\x0b", " \t "])) + line[at + 1 :]
         elif kind == "crlf":
             lines[i] = line + "\r"
+        elif kind == "indent":
+            lines[i] = draw(st.sampled_from([" ", "  ", "\t", " \t"])) + line
+        elif kind == "trailing":
+            lines[i] = line + draw(st.sampled_from([" ", "\t", " \t ", "\t\r"]))
+        elif kind == "unicode_space":
+            space = draw(st.sampled_from(["\x1c", "\u3000"]))
+            lines[i] = space + line if draw(st.booleans()) else line + space
+        elif kind == "escaped_twice" and len(spans) >= 2:
+            # the same literal as "\u0041" and as "A", in either order, under line i's subject and predicate
+            head = f"{line[slice(*spans[0])]} {line[slice(*spans[1])]}"
+            pair = [f'{head} "\\u0041" .', f'{head} "A" .']
+            lines[i:i] = pair if draw(st.booleans()) else pair[::-1]
         elif kind == "comment":
             lines.insert(i, draw(st.sampled_from(["# a comment", "#" + line, "  # indented"])))
         elif kind == "blank":
@@ -351,22 +367,20 @@ def test_parsed_graph_hands_out_one_object_per_text(golden_text, ehsa_graph):
     assert {text for key in graph._select(None, None, None) for text in key} <= set(seen)
 
 
-def test_concurrent_readers_share_each_term_object(golden_text):
-    """Readers of one parsed graph racing to make the same terms end up
-    with the same objects: more threads than cores, switching often."""
-    graph = from_ntriples(golden_text)
-    workers = 8
+def _race(read, workers: int = 8) -> list:
+    """What ``read()`` returns in each of ``workers`` threads started
+    together: more threads than cores, switching every microsecond."""
     barrier = threading.Barrier(workers, timeout=10)
-    results: list[list[Triple]] = [[] for _ in range(workers)]
+    results: list = [None] * workers
 
-    def read(i: int) -> None:
+    def run(i: int) -> None:
         barrier.wait()
-        results[i] = list(graph)
+        results[i] = read()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -374,10 +388,31 @@ def test_concurrent_readers_share_each_term_object(golden_text):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_concurrent_readers_share_each_term_object(golden_text):
+    """Readers of one parsed graph racing to make the same terms end up
+    with the same objects."""
+    graph = from_ntriples(golden_text)
+    results: list[list[Triple]] = _race(lambda: list(graph))
     assert all(len(result) == len(graph) for result in results)
     for other in results[1:]:
         for x, y in zip(results[0], other):
             assert x.subject is y.subject and x.predicate is y.predicate and x.object is y.object
+
+
+def test_concurrent_readers_racing_a_predicate_index_build_get_full_answers(golden_text):
+    """Readers that race to build the same predicate's index each get its
+    full answer, never one read from a half-built index."""
+    operator, arguments = DEFAULT_VOCAB.vdi3682.ProcessOperator, DEFAULT_VOCAB.om.arguments
+    expected_graph = from_ntriples(golden_text)
+    expected = (expected_graph.subjects(RDF.type, operator), expected_graph.triples(None, arguments))
+    assert (len(expected[0]), len(expected[1])) == (3, 22)
+    for _ in range(5):
+        graph = from_ntriples(golden_text)
+        results = _race(lambda: (graph.subjects(RDF.type, operator), graph.triples(None, arguments)))
+        assert all(result == expected for result in results)
 
 
 def test_turtle_groups_subjects_and_uses_prefixes():
@@ -876,3 +911,41 @@ def test_writes_and_subject_lookups_build_no_index(ehsa_manifest, golden_text):
     assert parsed.objects(subject.subject, RDF.type)
     assert parsed.triples(subject.subject)
     assert parsed._pos is None
+
+
+def test_a_lookup_by_predicate_builds_that_predicates_index_only(golden_text):
+    """``subjects(rdf:type, X)`` indexes rdf:type alone; later adds under it
+    reach that index, and adds under a predicate never looked up by build
+    none."""
+    graph = from_ntriples(golden_text)
+    operator = DEFAULT_VOCAB.vdi3682.ProcessOperator
+    assert len(graph.subjects(RDF.type, operator)) == 3
+    assert set(graph._pos) == {nt_term(RDF.type)}
+    graph.add(EX.op, RDF.type, operator)
+    graph.add(EX.op, RDF.type, EX.Other)
+    assert EX.op in graph.subjects(RDF.type, operator)
+    assert graph.subjects(RDF.type, EX.Other) == [EX.op]
+    graph.add(EX.op, EX.neverAsked, EX.o)
+    assert set(graph._pos) == {nt_term(RDF.type)}
+    # the kept index is the one a fresh build of the same triples gives
+    rebuilt = from_ntriples(to_ntriples(graph))
+    assert graph._pos[nt_term(RDF.type)] == rebuilt._by_predicate(nt_term(RDF.type))
+    assert graph.subjects(EX.neverAsked) == [EX.op]
+    assert set(graph._pos) == {nt_term(RDF.type), nt_term(EX.neverAsked)}
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda g: g.objects("x", RDF.type),
+        lambda g: g.objects(EX.s, "x"),
+        lambda g: g.subjects(RDF.type, "x"),
+        lambda g: g.triples("x"),
+    ],
+    ids=["objects-subject", "objects-predicate", "subjects-object", "triples-subject"],
+)
+def test_lookups_refuse_a_value_that_is_not_a_term(lookup):
+    graph = Graph()
+    graph.add(*t("s", "p", "o"))
+    with pytest.raises(TypeError, match="not an RDF term"):
+        lookup(graph)
