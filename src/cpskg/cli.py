@@ -2,8 +2,9 @@
 
 Subcommands: om2rdf, rdf2om, build, validate, query, export, eval.
 Exit codes: 0 success, 1 domain error (parse/validation/evaluation),
-2 I/O error. Results go to stdout, diagnostics to stderr; all outputs are
-deterministic.
+2 I/O error or usage error (argparse exits 2 on a command line it rejects).
+Results go to stdout, diagnostics to stderr; all outputs are deterministic.
+Each run builds the argument parser of its own command only.
 """
 
 from __future__ import annotations
@@ -199,64 +200,108 @@ def cmd_eval(args: argparse.Namespace, cfg: ToolConfig) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+_OUT = ("--out", {"metavar": "FILE", "help": "output file (default: stdout)"})
+_IN_NTRIPLES = ("--in", {"dest": "in_path", "required": True, "metavar": "FILE", "help": "N-Triples input"})
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (function, one-line help, arguments as (flag, add_argument keywords))
+COMMANDS = {
+    "om2rdf": (
+        cmd_om2rdf,
+        "map an OpenMath XML file to an RDF expression fragment",
+        (
+            ("--in", {"dest": "in_path", "required": True, "metavar": "FILE"}),
+            ("--base", {"default": "http://example.org/model", "metavar": "IRI", "help": "instance base for skolem nodes"}),
+            ("--id", {"default": "expr", "metavar": "NAME", "help": "equation identifier used in node IRIs"}),
+            _OUT,
+            ("--format", {"choices": ("turtle", "ntriples"), "default": "turtle"}),
+        ),
+    ),
+    "rdf2om": (
+        cmd_rdf2om,
+        "reconstruct OpenMath XML from a graph node",
+        (
+            _IN_NTRIPLES,
+            ("--root", {"required": True, "metavar": "IRI", "help": "wrapper or expression node"}),
+            _OUT,
+        ),
+    ),
+    "build": (
+        cmd_build,
+        "compile a manifest into a graph",
+        (
+            ("--manifest", {"required": True, "metavar": "FILE"}),
+            _OUT,
+            ("--format", {"choices": ("ntriples", "turtle"), "default": "ntriples"}),
+            ("--check-only", {"action": "store_true", "help": "validate the manifest without writing output"}),
+        ),
+    ),
+    "validate": (
+        cmd_validate,
+        "shape-check a graph",
+        (
+            _IN_NTRIPLES,
+            ("--strict", {"action": "store_true", "help": "also run V7 and fail on warnings"}),
+            ("--json", {"action": "store_true", "help": "emit findings as JSON lines"}),
+        ),
+    ),
+    "query": (
+        cmd_query,
+        "match a basic graph pattern",
+        (
+            _IN_NTRIPLES,
+            ("--pattern", {"required": True, "help": 'e.g. "?op a vdi3682:ProcessOperator"'}),
+            ("--base", {"metavar": "IRI", "help": "bind the ex: prefix to this instance base"}),
+        ),
+    ),
+    "export": (
+        cmd_export,
+        "list an operator's equations and variable table",
+        (
+            _IN_NTRIPLES,
+            ("--operator", {"required": True, "metavar": "IRI"}),
+        ),
+    ),
+    "eval": (
+        cmd_eval,
+        "numerically evaluate an expression under bindings",
+        (
+            ("--in", {"dest": "in_path", "required": True, "metavar": "FILE", "help": "OpenMath XML, or N-Triples with --root"}),
+            ("--root", {"metavar": "IRI", "help": "expression node when reading from a graph"}),
+            ("--bindings", {"required": True, "metavar": "FILE", "help": "JSON object of variable values"}),
+        ),
+    ),
+}
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parse a command line: ``--config`` and the command name first, then
+    the command's own options with a parser built for that command alone.
+
+    Every call builds its parsers afresh, as a one-command process does.
+    A usage error exits 2 through argparse."""
     parser = argparse.ArgumentParser(
         prog="cpskg",
         description="Compile time-continuous behavior models into RDF knowledge graphs.",
+        epilog="commands:\n" + "".join(f"  {name:<10}{help_line}\n" for name, (_, help_line, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", metavar="PATH", help="JSON configuration file (namespaces, strictness, symbols)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("om2rdf", help="map an OpenMath XML file to an RDF expression fragment")
-    p.add_argument("--in", dest="in_path", required=True, metavar="FILE")
-    p.add_argument("--base", default="http://example.org/model", metavar="IRI", help="instance base for skolem nodes")
-    p.add_argument("--id", default="expr", metavar="NAME", help="equation identifier used in node IRIs")
-    p.add_argument("--out", metavar="FILE", help="output file (default: stdout)")
-    p.add_argument("--format", choices=["turtle", "ntriples"], default="turtle")
-    p.set_defaults(func=cmd_om2rdf)
-
-    p = sub.add_parser("rdf2om", help="reconstruct OpenMath XML from a graph node")
-    p.add_argument("--in", dest="in_path", required=True, metavar="FILE", help="N-Triples input")
-    p.add_argument("--root", required=True, metavar="IRI", help="wrapper or expression node")
-    p.add_argument("--out", metavar="FILE", help="output file (default: stdout)")
-    p.set_defaults(func=cmd_rdf2om)
-
-    p = sub.add_parser("build", help="compile a manifest into a graph")
-    p.add_argument("--manifest", required=True, metavar="FILE")
-    p.add_argument("--out", metavar="FILE", help="output file (default: stdout)")
-    p.add_argument("--format", choices=["ntriples", "turtle"], default="ntriples")
-    p.add_argument("--check-only", action="store_true", help="validate the manifest without writing output")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("validate", help="shape-check a graph")
-    p.add_argument("--in", dest="in_path", required=True, metavar="FILE", help="N-Triples input")
-    p.add_argument("--strict", action="store_true", help="also run V7 and fail on warnings")
-    p.add_argument("--json", action="store_true", help="emit findings as JSON lines")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("query", help="match a basic graph pattern")
-    p.add_argument("--in", dest="in_path", required=True, metavar="FILE", help="N-Triples input")
-    p.add_argument("--pattern", required=True, help="e.g. \"?op a vdi3682:ProcessOperator\"")
-    p.add_argument("--base", metavar="IRI", help="bind the ex: prefix to this instance base")
-    p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("export", help="list an operator's equations and variable table")
-    p.add_argument("--in", dest="in_path", required=True, metavar="FILE", help="N-Triples input")
-    p.add_argument("--operator", required=True, metavar="IRI")
-    p.set_defaults(func=cmd_export)
-
-    p = sub.add_parser("eval", help="numerically evaluate an expression under bindings")
-    p.add_argument("--in", dest="in_path", required=True, metavar="FILE", help="OpenMath XML, or N-Triples with --root")
-    p.add_argument("--root", metavar="IRI", help="expression node when reading from a graph")
-    p.add_argument("--bindings", required=True, metavar="FILE", help="JSON object of variable values")
-    p.set_defaults(func=cmd_eval)
-
-    return parser
+    # PARSER is the nargs of a subparsers action: the command name, checked
+    # against the choices, and everything after it, options included
+    parser.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS, help="one of the commands below, then its options")
+    args = parser.parse_args(argv)
+    name, *rest = args.command
+    func, _, arguments = COMMANDS[name]
+    command = argparse.ArgumentParser(prog=f"cpskg {name}")
+    for flag, keywords in arguments:
+        command.add_argument(flag, **keywords)
+    args.command = name
+    args.func = func
+    return command.parse_args(rest, args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)

@@ -235,51 +235,54 @@ def _is_numeric_literal(expr: OMExpression) -> bool:
     return isinstance(expr, (IntLiteral, FloatLiteral))
 
 
-def _fmt(expr: OMExpression, min_prec: int, registry: SymbolRegistry) -> str:
-    rendered, prec = _render(expr, registry)
-    return f"({rendered})" if prec < min_prec else rendered
-
-
-def _call(head: str, arguments: tuple[OMExpression, ...], registry: SymbolRegistry) -> str:
-    return f"{head}({', '.join(_fmt(a, 0, registry) for a in arguments)})"
-
-
-def _render(expr: OMExpression, registry: SymbolRegistry) -> tuple[str, int]:
-    """Render ``expr`` unparenthesized, with the binding strength of that form."""
+def _render(expr: OMExpression, min_prec: int, registry: SymbolRegistry) -> str:
+    """Render ``expr``, in parentheses when its form binds less tightly than
+    ``min_prec``. A nesting level costs one frame (argument lists are built in
+    a loop, not a comprehension), so every tree parse_infix builds prints."""
+    prec = _ATOM
+    head = None  # set for call syntax: head(arguments)
     if isinstance(expr, Variable):
-        return expr.name, _ATOM
-    if isinstance(expr, IntLiteral):
-        return expr.decimal(), PREC_UNARY if expr.value < 0 else _ATOM
-    if isinstance(expr, FloatLiteral):
+        text = expr.name
+    elif isinstance(expr, IntLiteral):
+        text = expr.decimal()
+        if expr.value < 0:
+            prec = PREC_UNARY
+    elif isinstance(expr, FloatLiteral):
         text = repr(expr.value)
-        return text, PREC_UNARY if text.startswith("-") else _ATOM
-    if isinstance(expr, Symbol):
-        return f"{expr.cd}.{expr.name}", _ATOM
-    if not isinstance(expr, Application):
+        if text.startswith("-"):
+            prec = PREC_UNARY
+    elif isinstance(expr, Symbol):
+        text = f"{expr.cd}.{expr.name}"
+    elif not isinstance(expr, Application):
         raise TypeError(f"not an expression node: {expr!r}")
-    op = expr.operator
-    if not isinstance(op, Symbol):
+    elif not isinstance(expr.operator, Symbol):
         # non-symbol operator: readable but outside the grammar
-        return _call(_fmt(op, _ATOM, registry), expr.arguments, registry), _ATOM
-    if op == UNARY_MINUS and len(expr.arguments) == 1:
-        arg = expr.arguments[0]
-        if not _is_numeric_literal(arg):
-            return f"-{_fmt(arg, PREC_UNARY, registry)}", PREC_UNARY
-        # "-3" would re-parse as a negative literal, not an application
-        return _call(f"{op.cd}.{op.name}", expr.arguments, registry), _ATOM
-    token = registry.token(op)
-    entry = _BINARY.get(token or "")
-    if entry is not None and entry[0] == op and len(expr.arguments) == 2:
-        _, prec, assoc = entry
-        left_min = prec if assoc == "left" else prec + 1
-        right_min = prec + 1 if assoc == "left" else prec
-        sep = token if token in _TIGHT else f" {token} "
-        left = _fmt(expr.arguments[0], left_min, registry)
-        right = _fmt(expr.arguments[1], right_min, registry)
-        return f"{left}{sep}{right}", prec
-    if token and registry.function_symbol(token) == op:
-        return _call(token, expr.arguments, registry), _ATOM
-    return _call(f"{op.cd}.{op.name}", expr.arguments, registry), _ATOM
+        head = _render(expr.operator, _ATOM, registry)
+    else:
+        op, args = expr.operator, expr.arguments
+        token = registry.token(op)
+        entry = _BINARY.get(token or "")
+        if op == UNARY_MINUS and len(args) == 1:
+            if _is_numeric_literal(args[0]):
+                # "-3" would re-parse as a negative literal, not an application
+                head = f"{op.cd}.{op.name}"
+            else:
+                text, prec = f"-{_render(args[0], PREC_UNARY, registry)}", PREC_UNARY
+        elif entry is not None and entry[0] == op and len(args) == 2:
+            _, prec, assoc = entry
+            left = _render(args[0], prec if assoc == "left" else prec + 1, registry)
+            right = _render(args[1], prec + 1 if assoc == "left" else prec, registry)
+            text = f"{left}{token if token in _TIGHT else f' {token} '}{right}"
+        elif token and registry.function_symbol(token) == op:
+            head = token
+        else:
+            head = f"{op.cd}.{op.name}"
+    if head is not None:
+        parts = []
+        for arg in expr.arguments:
+            parts.append(_render(arg, 0, registry))
+        text = f"{head}({', '.join(parts)})"
+    return f"({text})" if prec < min_prec else text
 
 
 def print_infix(expr: OMExpression, *, registry: SymbolRegistry = DEFAULT_REGISTRY) -> str:
@@ -295,7 +298,7 @@ def print_infix(expr: OMExpression, *, registry: SymbolRegistry = DEFAULT_REGIST
         and expr.operator == EQUALS
         and len(expr.arguments) == 2
     ):
-        lhs = _fmt(expr.arguments[0], PREC_EQ, registry)
-        rhs = _fmt(expr.arguments[1], PREC_EQ, registry)
+        lhs = _render(expr.arguments[0], PREC_EQ, registry)
+        rhs = _render(expr.arguments[1], PREC_EQ, registry)
         return f"{lhs} = {rhs}"
-    return _fmt(expr, 0, registry)
+    return _render(expr, 0, registry)

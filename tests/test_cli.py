@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cpskg import cli
 from cpskg.infix import parse_infix
 from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from cpskg.rdf import RDF, Graph, Iri, Literal, Triple, from_ntriples, to_ntriples
@@ -19,6 +20,127 @@ EQ1_XML = str(FIXTURES / "chamber1_pressure_rate.om.xml")
 EQ1_RHS_XML = str(FIXTURES / "chamber1_pressure_rate_rhs.om.xml")
 BINDINGS = str(FIXTURES / "bindings_chamber1.json")
 GOLDEN = str(FIXTURES / "golden.nt")
+
+
+# one command line per command, with the namespace fields it parses to
+PARSED = [
+    (
+        ["om2rdf", "--in", "eq.xml", "--id", "e"],
+        {"config": None, "command": "om2rdf", "func": cli.cmd_om2rdf, "in_path": "eq.xml", "base": "http://example.org/model", "id": "e", "out": None, "format": "turtle"},
+    ),
+    (
+        ["rdf2om", "--in", "g.nt", "--root", "http://example.org/r", "--out", "r.xml"],
+        {"config": None, "command": "rdf2om", "func": cli.cmd_rdf2om, "in_path": "g.nt", "root": "http://example.org/r", "out": "r.xml"},
+    ),
+    (
+        ["--config", "c.json", "build", "--manifest", "m.json", "--check-only"],
+        {"config": "c.json", "command": "build", "func": cli.cmd_build, "manifest": "m.json", "out": None, "format": "ntriples", "check_only": True},
+    ),
+    (
+        ["validate", "--in", "g.nt", "--strict"],
+        {"config": None, "command": "validate", "func": cli.cmd_validate, "in_path": "g.nt", "strict": True, "json": False},
+    ),
+    (
+        ["query", "--in", "g.nt", "--pattern", "?s ?p ?o"],
+        {"config": None, "command": "query", "func": cli.cmd_query, "in_path": "g.nt", "pattern": "?s ?p ?o", "base": None},
+    ),
+    (
+        ["export", "--in", "g.nt", "--operator", "http://example.org/op"],
+        {"config": None, "command": "export", "func": cli.cmd_export, "in_path": "g.nt", "operator": "http://example.org/op"},
+    ),
+    (
+        ["eval", "--in", "x.xml", "--bindings", "b.json"],
+        {"config": None, "command": "eval", "func": cli.cmd_eval, "in_path": "x.xml", "root": None, "bindings": "b.json"},
+    ),
+]
+
+HELP_LINES = {
+    "om2rdf": "map an OpenMath XML file to an RDF expression fragment",
+    "rdf2om": "reconstruct OpenMath XML from a graph node",
+    "build": "compile a manifest into a graph",
+    "validate": "shape-check a graph",
+    "query": "match a basic graph pattern",
+    "export": "list an operator's equations and variable table",
+    "eval": "numerically evaluate an expression under bindings",
+}
+
+
+@pytest.mark.parametrize("argv, fields", PARSED, ids=[fields["command"] for _, fields in PARSED])
+def test_command_line_parses_to_its_fields(argv, fields):
+    assert vars(cli.parse_args(argv)) == fields
+
+
+@pytest.mark.parametrize("flag", ["--config", "--conf", "--config="])
+def test_config_goes_before_the_command_and_may_be_abbreviated(flag):
+    head = [flag + "c.json"] if flag.endswith("=") else [flag, "c.json"]
+    assert cli.parse_args([*head, "validate", "--in", "g.nt"]).config == "c.json"
+
+
+def test_command_options_may_be_abbreviated():
+    args = cli.parse_args(["validate", "--in", "g.nt", "--str"])
+    assert (args.strict, args.json) == (True, False)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "error: the following arguments are required: command"),
+        (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
+        (["validate"], "cpskg validate: error: the following arguments are required: --in"),
+        (["eval", "--in", "x.xml"], "cpskg eval: error: the following arguments are required: --bindings"),
+        (["om2rdf", "--in", "x.xml", "--format", "xml"], "error: argument --format: invalid choice: 'xml'"),
+        (["validate", "--in", "g.nt", "--bogus"], "error: unrecognized arguments: --bogus"),
+        (["validate", "--in", "g.nt", "--config", "c.json"], "error: unrecognized arguments: --config c.json"),
+    ],
+)
+def test_usage_error_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", HELP_LINES)
+def test_command_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cpskg {command} [-h] ")
+
+
+def test_help_lists_every_command_with_its_help_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    listed = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, _, text = line.strip().partition(" ")
+        if name in HELP_LINES:
+            listed[name] = text.strip()
+    assert listed == HELP_LINES
+
+
+def test_usage_errors_between_commands_change_no_output(capsys):
+    """Each main() call parses with parsers of its own: a command's output
+    is the same whether or not a usage error came just before it."""
+    runs = [
+        ["validate", "--in", GOLDEN, "--strict"],
+        ["query", "--in", GOLDEN, "--pattern", "?op a vdi3682:ProcessOperator"],
+        ["export", "--in", GOLDEN, "--operator", f"{EHSA_BASE}/LinearMotionExecution"],
+        ["eval", "--in", EQ1_RHS_XML, "--bindings", BINDINGS],
+    ]
+    alone = []
+    for argv in runs:
+        alone.append((cli.main(argv), capsys.readouterr()))
+    for argv, expected in zip(runs, alone):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert (cli.main(argv), capsys.readouterr()) == expected
+    assert [code for code, _ in alone] == [0, 0, 0, 0]
 
 
 def test_om2rdf_turtle_contains_equality_operator(run_cli, tmp_path):
@@ -339,6 +461,20 @@ def test_export_table_agrees_with_v4(run_cli, tmp_path, ehsa_graph, vocab):
     assert [row.split("\t")[1] for row in left] == [victim.object.value]
     assert set(after.stdout.splitlines()) <= set(before.stdout.splitlines())
     assert [(f.rule, f.node) for f in validate(mutated).findings] == [("V4", victim.subject)]
+
+
+def test_export_prints_an_equation_as_deep_as_build_accepts(run_cli, tmp_path):
+    data = minimal_manifest()
+    equation = "y = " + "sin(" * 230 + "x" + ")" * 230
+    data["processes"][0]["operators"][0]["equations"] = [{"id": "deep", "infix": equation}]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    graph = tmp_path / "deep.nt"
+    built = run_cli("build", "--manifest", str(manifest), "--out", str(graph))
+    assert built.returncode == 0, built.stderr
+    exported = run_cli("export", "--in", str(graph), "--operator", f"{data['instanceBase']}/Doubler")
+    assert exported.returncode == 0, exported.stderr
+    assert exported.stdout.splitlines()[0] == equation
 
 
 def test_export_without_behavior_model(run_cli):

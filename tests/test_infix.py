@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -155,4 +157,25 @@ def test_print_eq1_matches_entry_text(eq1_tree):
 
 @given(trees())
 def test_round_trip(tree):
+    assert parse_infix(print_infix(tree)) == tree
+
+
+
+def test_print_reaches_every_depth_the_parser_accepts():
+    """print_infix spends fewer frames per nesting level than parse_infix,
+    so from the same frame it prints the deepest call chain the parser builds."""
+
+    def nest(n: int) -> str:
+        return "sin(" * n + "x" + ")" * n
+
+    low, high = 1, sys.getrecursionlimit()
+    while low < high:  # the largest depth parse_infix accepts from this frame
+        mid = (low + high + 1) // 2
+        try:
+            parse_infix(nest(mid))
+        except RecursionError:
+            high = mid - 1
+        else:
+            low = mid
+    tree = parse_infix(nest(low))
     assert parse_infix(print_infix(tree)) == tree
