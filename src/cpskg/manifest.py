@@ -7,11 +7,14 @@ and optional observations. ``compile_manifest`` turns it into a graph in a
 fixed order, so identical manifests yield byte-identical N-Triples.
 
 This module is the one home of every manifest rule. ``manifest_from_dict``
-checks the schema (``MANIFEST_SCHEMA``) and then the rules a schema cannot
-state (ids, references, level order, observation values and timestamps),
-and reports each problem with its JSON path. ``compile_manifest`` adds the
-equation rules. The ``ModelBuilder`` it drives writes the checked specs
-and checks none of these rules again.
+checks the schema (``MANIFEST_SCHEMA``), then walks the manifest once: at
+each object it declares the ids, checks the rules a schema cannot state
+(unique ids, references, level order, observation values and timestamps)
+and builds the spec. ``compile_manifest`` adds the rules of each operator's
+scope: no variable declared by two data elements, and equations that read,
+parse, map and use only declared variables. Each problem names its JSON
+path. The ``ModelBuilder`` it drives writes the checked specs and checks
+none of these rules again.
 
 The schema check is an acceptor compiled from ``MANIFEST_SCHEMA`` at import.
 jsonschema is imported only to report the errors of a manifest the acceptor
@@ -47,8 +50,10 @@ from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = ["CpsManifest", "MANIFEST_SCHEMA", "ManifestError", "compile_manifest", "load_manifest", "manifest_from_dict"]
 
-_ID_PATTERN = "^[A-Za-z_][A-Za-z0-9_.-]*$"
-_VARIABLE_PATTERN = "^[A-Za-z_][A-Za-z0-9_]*$"
+# "$(?!\n)" is the end of the text in ECMA-262 and in Python's re, whose
+# "$" also matches before a final newline.
+_ID_PATTERN = r"^[A-Za-z_][A-Za-z0-9_.-]*$(?!\n)"
+_VARIABLE_PATTERN = r"^[A-Za-z_][A-Za-z0-9_]*$(?!\n)"
 _LEVEL_RANK = {"MechatronicSystem": 0, "Module": 1, "Component": 2}
 _STATE_KINDS = ("Product", "Energy", "Information")
 _TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?(Z|[+-]\d{2}:\d{2})?$")
@@ -263,6 +268,8 @@ class ManifestError(CpskgError):
 
 
 class CpsManifest:
+    """A checked manifest, as ``manifest_from_dict`` builds it."""
+
     def __init__(
         self, instance_base: str, lifecycle_record_id: str, information_sets: list[str], structure: StructureNode,
         processes: list[ProcessSpec], observations: Optional[list[ObservationSpec]] = None, base_dir: Optional[Path] = None,
@@ -274,41 +281,20 @@ class CpsManifest:
         self.processes = processes
         self.observations = [] if observations is None else observations
         self.base_dir = base_dir
-
-    def resource_data_elements(self) -> dict[str, Sequence[DataElementSpec]]:
-        out: dict[str, Sequence[DataElementSpec]] = {}
-
-        def visit(node: StructureNode) -> None:
-            out[node.id] = node.data_elements
-            for child in node.children:
-                visit(child)
-
-        visit(self.structure)
-        return out
-
-
-def _data_element(data: dict) -> DataElementSpec:
-    return DataElementSpec(
-        id=data["id"],
-        type_description=data["typeDescription"],
-        instance_descriptions=tuple(data.get("instanceDescriptions", ())),
-        variable_name=data.get("variableName"),
-    )
-
-
-def _structure(data: dict) -> StructureNode:
-    return StructureNode(
-        id=data["id"],
-        level=data["level"],
-        children=tuple(_structure(c) for c in data.get("children", ())),
-        data_elements=tuple(_data_element(d) for d in data.get("dataElements", ())),
-    )
+        # each structure node's data elements by node id, which scope the
+        # variables of the operators assigned to it; filled by manifest_from_dict
+        self._resource_elements: dict[str, Sequence[DataElementSpec]] = {}
 
 
 def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManifest:
     """Validate ``data`` against the schema plus referential rules and build
     the typed manifest. Raises :class:`ManifestError` with JSON paths; the
-    schema's are jsonschema's, sorted by path."""
+    schema's are jsonschema's, sorted by path.
+
+    The problems come in the walk's order: the lifecycle record; each
+    structure node's id, level, data elements, then children; each
+    process's id, states, then operators (inputs before outputs); the
+    observations."""
     if not _accepts_manifest(data):
         # Imported here: it is slow to import, and only a rejected manifest needs it.
         import jsonschema
@@ -321,123 +307,108 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
         if schema_problems:
             raise ManifestError(schema_problems)
 
-    manifest = CpsManifest(
-        instance_base=data["instanceBase"].rstrip("/"),
-        lifecycle_record_id=data["lifecycleRecord"]["id"],
-        information_sets=list(data["lifecycleRecord"]["informationSets"]),
-        structure=_structure(data["structure"]),
-        processes=[
-            ProcessSpec(
-                id=proc["id"],
-                states=tuple(
-                    StateSpec(
-                        id=st["id"],
-                        kind=st["kind"],
-                        data_elements=tuple(_data_element(d) for d in st.get("dataElements", ())),
-                    )
-                    for st in proc.get("states", ())
-                ),
-                operators=tuple(
-                    OperatorSpec(
-                        id=op["id"],
-                        assigned_resource=op["assignedResource"],
-                        inputs=tuple(op.get("inputs", ())),
-                        outputs=tuple(op.get("outputs", ())),
-                        equations=tuple(
-                            EquationSpec(id=eq["id"], infix=eq.get("infix"), xml_path=eq.get("xmlPath"))
-                            for eq in op.get("equations", ())
-                        ),
-                    )
-                    for op in proc["operators"]
-                ),
-            )
-            for proc in data["processes"]
-        ],
-        observations=[
-            ObservationSpec(
-                feature=obs["feature"],
-                value=obs["value"],
-                timestamp=obs["timestamp"],
-            )
-            for obs in data.get("observations", ())
-        ],
-        base_dir=base_dir,
-    )
-
-    problems = _check_references(manifest)
-    if problems:
-        raise ManifestError(problems)
-    return manifest
-
-
-def _check_references(m: CpsManifest) -> list[tuple[str, str]]:
     problems: list[tuple[str, str]] = []
     ids: dict[str, str] = {}
 
-    def declare(local_id: str, path: str) -> None:
+    def declare(local_id: str, path: str) -> str:
         if local_id in ids:
             problems.append((path, f"id {local_id!r} already declared at {ids[local_id]}"))
         else:
             ids[local_id] = path
+        return local_id
 
-    declare(m.lifecycle_record_id, "$.lifecycleRecord.id")
-    for i, set_id in enumerate(m.information_sets):
+    def data_elements(owner: dict, path: str) -> tuple[DataElementSpec, ...]:
+        return tuple(
+            DataElementSpec(
+                id=declare(de["id"], f"{path}.dataElements[{di}].id"),
+                type_description=de["typeDescription"],
+                instance_descriptions=tuple(de.get("instanceDescriptions", ())),
+                variable_name=de.get("variableName"),
+            )
+            for di, de in enumerate(owner.get("dataElements", ()))
+        )
+
+    record = data["lifecycleRecord"]
+    declare(record["id"], "$.lifecycleRecord.id")
+    for i, set_id in enumerate(record["informationSets"]):
         declare(set_id, f"$.lifecycleRecord.informationSets[{i}]")
 
-    resource_ids: set[str] = set()
+    resource_elements: dict[str, Sequence[DataElementSpec]] = {}
 
-    def visit(node: StructureNode, path: str, parent_rank: Optional[int]) -> None:
-        declare(node.id, f"{path}.id")
-        resource_ids.add(node.id)
-        if parent_rank is not None and _LEVEL_RANK[node.level] < parent_rank:
-            problems.append((f"{path}.level", f"{node.level} cannot be nested inside a lower level"))
-        for di, de in enumerate(node.data_elements):
-            declare(de.id, f"{path}.dataElements[{di}].id")
-        for ci, child in enumerate(node.children):
-            visit(child, f"{path}.children[{ci}]", _LEVEL_RANK[node.level])
+    def structure(node: dict, path: str, parent_rank: int) -> StructureNode:
+        declare(node["id"], f"{path}.id")
+        rank = _LEVEL_RANK[node["level"]]
+        if rank < parent_rank:
+            problems.append((f"{path}.level", f"{node['level']} cannot be nested inside a lower level"))
+        elements = resource_elements[node["id"]] = data_elements(node, path)
+        children = tuple(
+            structure(child, f"{path}.children[{ci}]", rank) for ci, child in enumerate(node.get("children", ()))
+        )
+        return StructureNode(id=node["id"], level=node["level"], children=children, data_elements=elements)
 
-    visit(m.structure, "$.structure", None)
+    root = structure(data["structure"], "$.structure", min(_LEVEL_RANK.values()))
 
+    processes: list[ProcessSpec] = []
     equation_ids: dict[str, str] = {}
-    for pi, proc in enumerate(m.processes):
+    for pi, proc in enumerate(data["processes"]):
         ppath = f"$.processes[{pi}]"
-        declare(proc.id, f"{ppath}.id")
-        state_ids = set()
-        for si, state in enumerate(proc.states):
-            declare(state.id, f"{ppath}.states[{si}].id")
-            state_ids.add(state.id)
-            for di, de in enumerate(state.data_elements):
-                declare(de.id, f"{ppath}.states[{si}].dataElements[{di}].id")
-        for oi, op in enumerate(proc.operators):
+        declare(proc["id"], f"{ppath}.id")
+        states: list[StateSpec] = []
+        for si, st in enumerate(proc.get("states", ())):
+            spath = f"{ppath}.states[{si}]"
+            declare(st["id"], f"{spath}.id")
+            states.append(StateSpec(id=st["id"], kind=st["kind"], data_elements=data_elements(st, spath)))
+        state_ids = {state.id for state in states}
+        operators: list[OperatorSpec] = []
+        for oi, op in enumerate(proc["operators"]):
             opath = f"{ppath}.operators[{oi}]"
-            declare(op.id, f"{opath}.id")
-            if op.assigned_resource not in resource_ids:
-                problems.append((f"{opath}.assignedResource", f"unknown structure node {op.assigned_resource!r}"))
-            for ii, ref in enumerate(op.inputs):
-                if ref not in state_ids:
-                    problems.append((f"{opath}.inputs[{ii}]", f"unknown state {ref!r}"))
-            for ii, ref in enumerate(op.outputs):
-                if ref not in state_ids:
-                    problems.append((f"{opath}.outputs[{ii}]", f"unknown state {ref!r}"))
-            for ei, eq in enumerate(op.equations):
+            declare(op["id"], f"{opath}.id")
+            if op["assignedResource"] not in resource_elements:
+                problems.append((f"{opath}.assignedResource", f"unknown structure node {op['assignedResource']!r}"))
+            for key in ("inputs", "outputs"):
+                for ii, ref in enumerate(op.get(key, ())):
+                    if ref not in state_ids:
+                        problems.append((f"{opath}.{key}[{ii}]", f"unknown state {ref!r}"))
+            equations: list[EquationSpec] = []
+            for ei, eq in enumerate(op.get("equations", ())):
                 epath = f"{opath}.equations[{ei}]"
-                if eq.id in equation_ids:
-                    problems.append((f"{epath}.id", f"equation id {eq.id!r} already declared at {equation_ids[eq.id]}"))
+                if eq["id"] in equation_ids:
+                    problems.append((f"{epath}.id", f"equation id {eq['id']!r} already declared at {equation_ids[eq['id']]}"))
                 else:
-                    equation_ids[eq.id] = f"{epath}.id"
-                if eq.xml_path is not None and m.base_dir is not None:
-                    if not (m.base_dir / eq.xml_path).is_file():
-                        problems.append((f"{epath}.xmlPath", f"file not found: {eq.xml_path!r}"))
+                    equation_ids[eq["id"]] = f"{epath}.id"
+                xml_path = eq.get("xmlPath")
+                if xml_path is not None and base_dir is not None and not (base_dir / xml_path).is_file():
+                    problems.append((f"{epath}.xmlPath", f"file not found: {xml_path!r}"))
+                equations.append(EquationSpec(id=eq["id"], infix=eq.get("infix"), xml_path=xml_path))
+            operators.append(OperatorSpec(
+                id=op["id"], assigned_resource=op["assignedResource"], inputs=tuple(op.get("inputs", ())),
+                outputs=tuple(op.get("outputs", ())), equations=tuple(equations),
+            ))
+        processes.append(ProcessSpec(id=proc["id"], operators=tuple(operators), states=tuple(states)))
 
-    for bi, obs in enumerate(m.observations):
-        if obs.feature not in ids:
-            problems.append((f"$.observations[{bi}].feature", f"unknown instance id {obs.feature!r}"))
-        if problem := _value_problem(obs.value):
+    observations: list[ObservationSpec] = []
+    for bi, obs in enumerate(data.get("observations", ())):
+        if obs["feature"] not in ids:
+            problems.append((f"$.observations[{bi}].feature", f"unknown instance id {obs['feature']!r}"))
+        if problem := _value_problem(obs["value"]):
             problems.append((f"$.observations[{bi}].value", problem))
-        if problem := _timestamp_problem(obs.timestamp):
+        if problem := _timestamp_problem(obs["timestamp"]):
             problems.append((f"$.observations[{bi}].timestamp", problem))
+        observations.append(ObservationSpec(feature=obs["feature"], value=obs["value"], timestamp=obs["timestamp"]))
 
-    return problems
+    if problems:
+        raise ManifestError(problems)
+    manifest = CpsManifest(
+        instance_base=data["instanceBase"].rstrip("/"),
+        lifecycle_record_id=record["id"],
+        information_sets=list(record["informationSets"]),
+        structure=root,
+        processes=processes,
+        observations=observations,
+        base_dir=base_dir,
+    )
+    manifest._resource_elements = resource_elements
+    return manifest
 
 
 def _value_problem(value: float) -> Optional[str]:
@@ -488,26 +459,23 @@ def compile_manifest(
 ) -> Graph:
     """Compile a manifest into a graph.
 
-    Fixed order: lifecycle record, structure (with characteristics),
-    processes with states and data elements, equations (parsed, mapped
-    straight into the model graph, attached, variables linked),
-    observations. Equation problems are aggregated into one
-    :class:`ManifestError` naming each JSON path.
+    Fixed order: lifecycle record, structure (with characteristics), then
+    each process with its states and data elements followed by its
+    equations (parsed, mapped straight into the model graph, attached,
+    variables linked), observations. Scope and equation problems are
+    aggregated into one :class:`ManifestError` naming each JSON path.
     """
     builder = ModelBuilder(manifest.instance_base, vocab)
     builder.add_lifecycle_record(manifest.lifecycle_record_id, manifest.information_sets)
     builder.add_structure(manifest.structure)
-    for proc in manifest.processes:
-        builder.add_process(proc)
-
-    resource_elements = manifest.resource_data_elements()
     problems: list[tuple[str, str]] = []
     for pi, proc in enumerate(manifest.processes):
+        builder.add_process(proc)
         state_elements = {state.id: state.data_elements for state in proc.states}
         for oi, op in enumerate(proc.operators):
             opath = f"$.processes[{pi}].operators[{oi}]"
             scope: dict[str, str] = {}
-            scoped = list(resource_elements.get(op.assigned_resource, ()))
+            scoped = list(manifest._resource_elements.get(op.assigned_resource, ()))
             for state_id in (*op.inputs, *op.outputs):
                 scoped.extend(state_elements.get(state_id, ()))
             for de in scoped:

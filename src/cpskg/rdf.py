@@ -48,6 +48,7 @@ __all__ = [
     "NodeRef",
     "PatternQuery",
     "RDF",
+    "SerializationError",
     "Triple",
     "Var",
     "XSD",
@@ -65,7 +66,7 @@ __all__ = [
 # N-Triples forbids. On a failed match the scheme alone says which rule broke.
 _IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*')
 _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
-_PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_\-]*$")
+_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 
 # Sets a slot of a value being made; Triple.__init__'s ``object`` shadows the builtin.
@@ -82,6 +83,10 @@ class InvalidTripleError(CpskgError):
 
 class MalformedQueryError(CpskgError):
     """A pattern query with no patterns or with non-term entries."""
+
+
+class SerializationError(CpskgError, ValueError):
+    """A prefix name or an output format that the serializer cannot write."""
 
 
 class NTriplesSyntaxError(CpskgError):
@@ -559,8 +564,8 @@ def to_turtle(graph: Graph, prefixes: Optional[Mapping[str, str]] = None) -> str
     maps prefix names to namespace IRIs; each is checked before use."""
     prefixes = prefixes or {}
     for prefix, base in prefixes.items():
-        if not _PREFIX_RE.match(prefix):
-            raise ValueError(f"invalid prefix name: {prefix!r}")
+        if not _PREFIX_RE.fullmatch(prefix):
+            raise SerializationError(f"invalid prefix name: {prefix!r}")
         Iri(base)  # validate
     prefix_order = sorted(((base, prefix) for prefix, base in prefixes.items()), key=lambda x: (-len(x[0]), x[1]))
     out = [f"@prefix {prefix}: <{base}> ." for prefix, base in sorted(prefixes.items())]
@@ -594,7 +599,7 @@ def serialize(graph: Graph, fmt: str, prefixes: Optional[Mapping[str, str]] = No
         return to_ntriples(graph)
     if fmt == "turtle":
         return to_turtle(graph, prefixes)
-    raise ValueError(f"unknown serialization format: {fmt!r}")
+    raise SerializationError(f"unknown serialization format: {fmt!r}")
 
 
 # An IRI is whatever lies between "<" and the next ">"; _IRI_RE checks it.

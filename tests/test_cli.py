@@ -274,6 +274,21 @@ def test_build_dangling_reference_exits_1(run_cli, tmp_path):
     assert "$.processes[0].operators[0].assignedResource" in result.stderr
 
 
+def test_build_id_ending_in_a_newline_exits_1(run_cli, tmp_path):
+    data = json.loads(open(MANIFEST, encoding="utf-8").read())
+    data["lifecycleRecord"]["id"] += "\n"
+    for equation in FIXTURES.glob("*.om.xml"):  # so that only the id is wrong
+        (tmp_path / equation.name).write_bytes(equation.read_bytes())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("build", "--manifest", str(bad), "--out", str(tmp_path / "g.nt"))
+    assert result.returncode == 1
+    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == ["error: manifest invalid:"]
+    assert "  $.lifecycleRecord.id: " in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "g.nt").exists()
+
+
 @pytest.mark.parametrize("source", ["infix", "xmlPath"])
 def test_build_integer_literal_too_long_exits_1(run_cli, tmp_path, source):
     digits = "9" * 5000

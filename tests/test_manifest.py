@@ -283,6 +283,23 @@ def test_instance_description_without_slug_character_names_its_path():
     assert [path for path, _ in excinfo.value.problems] == [f"{path}[1]", f"{path}[2]"]
 
 
+@pytest.mark.parametrize(
+    "path, json_path",
+    [
+        (["lifecycleRecord", "id"], "$.lifecycleRecord.id"),
+        (["processes", 0, "states", 0, "dataElements", 0, "variableName"], "$.processes[0].states[0].dataElements[0].variableName"),
+    ],
+    ids=["id", "variableName"],
+)
+def test_name_ending_in_a_newline_names_its_path(path, json_path):
+    # Python's "$" also matches before a final newline; the schema's patterns must not.
+    data = minimal_manifest()
+    _node(data, path[:-1])[path[-1]] += "\n"
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert [path for path, _ in excinfo.value.problems] == [json_path]
+
+
 def test_equation_requires_exactly_one_source():
     data = minimal_manifest()
     data["processes"][0]["operators"][0]["equations"] = [{"id": "e", "infix": "y = x", "xmlPath": "a.xml"}]
@@ -569,3 +586,102 @@ def test_acceptor_keeps_the_2020_12_meanings():
 def test_acceptor_refuses_to_compile_what_it_does_not_know(schema):
     with pytest.raises(ValueError, match="cannot compile"):
         _compile_acceptor(schema)
+
+
+def test_reference_problems_keep_their_order_across_sections(tmp_path):
+    """One manifest breaks each reference rule once. The check reports the
+    lifecycle record, then the structure (each node's id, level, data
+    elements, children), then each process (states before operators, inputs
+    before outputs), then the observations, whatever the JSON key order."""
+    data = {
+        "instanceBase": "http://example.org/broken",
+        "lifecycleRecord": {"id": "Record", "informationSets": ["Set", "Record"]},
+        "structure": {
+            "id": "Plant",
+            "level": "Module",
+            "children": [
+                {"id": "Pump", "level": "Component", "children": [{"id": "Valve", "level": "Module"}]},
+                {"id": "Pump", "level": "Component", "dataElements": [{"id": "p_DE", "typeDescription": "pressure"}]},
+            ],
+            "dataElements": [{"id": "Set", "typeDescription": "size"}],
+        },
+        "processes": [
+            {
+                "id": "Main",
+                "operators": [
+                    {
+                        "id": "Run",
+                        "equations": [{"id": "e1", "infix": "y = x"}, {"id": "e1", "xmlPath": "missing.om.xml"}],
+                        "outputs": ["Gone"],
+                        "inputs": ["In", "Nowhere"],
+                        "assignedResource": "Ghost",
+                    },
+                    {"id": "Plant", "assignedResource": "Pump"},
+                ],
+                "states": [
+                    {"id": "In", "kind": "Energy", "dataElements": [{"id": "p_DE", "typeDescription": "copy"}]},
+                    {"id": "In", "kind": "Energy"},
+                ],
+            },
+            {
+                "id": "Main",
+                "operators": [
+                    {"id": "Stop", "assignedResource": "Valve", "inputs": ["In"], "equations": [{"id": "e1", "infix": "y = 1"}]},
+                ],
+            },
+        ],
+        "observations": [
+            {"feature": "Ghost", "value": 10**400, "timestamp": "yesterday"},
+            {"feature": "p_DE", "value": float("inf"), "timestamp": "2024-02-30T00:00:00Z"},
+        ],
+    }
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data, base_dir=tmp_path)
+    assert excinfo.value.problems == [
+        ("$.lifecycleRecord.informationSets[1]", "id 'Record' already declared at $.lifecycleRecord.id"),
+        ("$.structure.dataElements[0].id", "id 'Set' already declared at $.lifecycleRecord.informationSets[0]"),
+        ("$.structure.children[0].children[0].level", "Module cannot be nested inside a lower level"),
+        ("$.structure.children[1].id", "id 'Pump' already declared at $.structure.children[0].id"),
+        (
+            "$.processes[0].states[0].dataElements[0].id",
+            "id 'p_DE' already declared at $.structure.children[1].dataElements[0].id",
+        ),
+        ("$.processes[0].states[1].id", "id 'In' already declared at $.processes[0].states[0].id"),
+        ("$.processes[0].operators[0].assignedResource", "unknown structure node 'Ghost'"),
+        ("$.processes[0].operators[0].inputs[1]", "unknown state 'Nowhere'"),
+        ("$.processes[0].operators[0].outputs[0]", "unknown state 'Gone'"),
+        (
+            "$.processes[0].operators[0].equations[1].id",
+            "equation id 'e1' already declared at $.processes[0].operators[0].equations[0].id",
+        ),
+        ("$.processes[0].operators[0].equations[1].xmlPath", "file not found: 'missing.om.xml'"),
+        ("$.processes[0].operators[1].id", "id 'Plant' already declared at $.structure.id"),
+        ("$.processes[1].id", "id 'Main' already declared at $.processes[0].id"),
+        ("$.processes[1].operators[0].inputs[0]", "unknown state 'In'"),
+        (
+            "$.processes[1].operators[0].equations[0].id",
+            "equation id 'e1' already declared at $.processes[0].operators[0].equations[0].id",
+        ),
+        ("$.observations[0].feature", "unknown instance id 'Ghost'"),
+        ("$.observations[0].value", "integer too large for an xsd:double value"),
+        ("$.observations[0].timestamp", "not an xsd:dateTime value: 'yesterday'"),
+        ("$.observations[1].value", "not a finite xsd:double value: inf"),
+        ("$.observations[1].timestamp", "not a valid timestamp: '2024-02-30T00:00:00Z'"),
+    ]
+
+
+def test_variable_declared_by_a_resource_and_a_state_is_reported():
+    data = minimal_manifest()
+    data["structure"]["dataElements"] = [{"id": "A", "typeDescription": "plant value", "variableName": "x"}]
+    data["processes"][0]["states"][0]["dataElements"][0]["id"] = "B"
+    manifest = manifest_from_dict(data)
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(manifest)
+    assert excinfo.value.problems == [("$.processes[0].operators[0]", "variable 'x' is declared by both 'A' and 'B'")]
+
+
+def test_state_that_is_both_input_and_output_declares_its_variables_once():
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["outputs"] = ["In", "Out"]
+    graph = compile_manifest(manifest_from_dict(data))
+    assert validate(graph, strict=True).ok()

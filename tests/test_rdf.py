@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from cpskg.errors import CpskgError
 from cpskg.manifest import compile_manifest
 from cpskg.rdf import (
     RDF,
@@ -442,15 +443,22 @@ def test_turtle_falls_back_to_full_iri_for_bad_locals():
     assert "<http://example.org/a/b>" in to_turtle(g, {"ex": EX.base})
 
 
-@pytest.mark.parametrize("prefixes", [{"1ex": EX.base}, {"e x": EX.base}, {"ex": "not-absolute/"}, {"ex": "http://example.org/a b/"}])
+@pytest.mark.parametrize(
+    "prefixes",
+    [{"1ex": EX.base}, {"e x": EX.base}, {"ex": "not-absolute/"}, {"ex": "http://example.org/a b/"}, {"ex\n": EX.base}],
+)
 def test_turtle_rejects_bad_prefix_bindings(prefixes):
-    with pytest.raises(ValueError):
+    # a CpskgError that is also a ValueError; "ex\n" would otherwise be
+    # written as "@prefix ex\n: <...> .", which is not Turtle
+    with pytest.raises(CpskgError) as excinfo:
         serialize(Graph(), "turtle", prefixes)
+    assert isinstance(excinfo.value, ValueError)
 
 
 def test_serialize_unknown_format():
-    with pytest.raises(ValueError):
+    with pytest.raises(CpskgError, match="unknown serialization format: 'rdfxml'") as excinfo:
         serialize(Graph(), "rdfxml")
+    assert isinstance(excinfo.value, ValueError)
 
 
 # --- pattern matching -------------------------------------------------------
