@@ -54,9 +54,11 @@ __all__ = ["CpsManifest", "MANIFEST_SCHEMA", "ManifestError", "compile_manifest"
 # "$" also matches before a final newline.
 _ID_PATTERN = r"^[A-Za-z_][A-Za-z0-9_.-]*$(?!\n)"
 _VARIABLE_PATTERN = r"^[A-Za-z_][A-Za-z0-9_]*$(?!\n)"
+# an absolute IRI as rdf.Iri accepts it, so every IRI minted under the base is one
+_IRI_PATTERN = r'^[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]*$(?!\n)'
 _LEVEL_RANK = {"MechatronicSystem": 0, "Module": 1, "Component": 2}
 _STATE_KINDS = ("Product", "Energy", "Information")
-_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?(Z|[+-]\d{2}:\d{2})?$")
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?(Z|[+-]\d{2}:\d{2})?")
 
 MANIFEST_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -65,7 +67,7 @@ MANIFEST_SCHEMA: dict = {
     "required": ["instanceBase", "lifecycleRecord", "structure", "processes"],
     "additionalProperties": False,
     "properties": {
-        "instanceBase": {"type": "string", "pattern": "^[A-Za-z][A-Za-z0-9+.-]*:"},
+        "instanceBase": {"type": "string", "pattern": _IRI_PATTERN},
         "lifecycleRecord": {
             "type": "object",
             "required": ["id", "informationSets"],
@@ -281,9 +283,6 @@ class CpsManifest:
         self.processes = processes
         self.observations = [] if observations is None else observations
         self.base_dir = base_dir
-        # each structure node's data elements by node id, which scope the
-        # variables of the operators assigned to it; filled by manifest_from_dict
-        self._resource_elements: dict[str, Sequence[DataElementSpec]] = {}
 
 
 def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManifest:
@@ -333,14 +332,15 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
     for i, set_id in enumerate(record["informationSets"]):
         declare(set_id, f"$.lifecycleRecord.informationSets[{i}]")
 
-    resource_elements: dict[str, Sequence[DataElementSpec]] = {}
+    resource_ids: set[str] = set()
 
     def structure(node: dict, path: str, parent_rank: int) -> StructureNode:
         declare(node["id"], f"{path}.id")
         rank = _LEVEL_RANK[node["level"]]
         if rank < parent_rank:
             problems.append((f"{path}.level", f"{node['level']} cannot be nested inside a lower level"))
-        elements = resource_elements[node["id"]] = data_elements(node, path)
+        resource_ids.add(node["id"])
+        elements = data_elements(node, path)
         children = tuple(
             structure(child, f"{path}.children[{ci}]", rank) for ci, child in enumerate(node.get("children", ()))
         )
@@ -363,7 +363,7 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
         for oi, op in enumerate(proc["operators"]):
             opath = f"{ppath}.operators[{oi}]"
             declare(op["id"], f"{opath}.id")
-            if op["assignedResource"] not in resource_elements:
+            if op["assignedResource"] not in resource_ids:
                 problems.append((f"{opath}.assignedResource", f"unknown structure node {op['assignedResource']!r}"))
             for key in ("inputs", "outputs"):
                 for ii, ref in enumerate(op.get(key, ())):
@@ -398,7 +398,7 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
 
     if problems:
         raise ManifestError(problems)
-    manifest = CpsManifest(
+    return CpsManifest(
         instance_base=data["instanceBase"].rstrip("/"),
         lifecycle_record_id=record["id"],
         information_sets=list(record["informationSets"]),
@@ -407,8 +407,6 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
         observations=observations,
         base_dir=base_dir,
     )
-    manifest._resource_elements = resource_elements
-    return manifest
 
 
 def _value_problem(value: float) -> Optional[str]:
@@ -427,7 +425,7 @@ def _value_problem(value: float) -> Optional[str]:
 def _timestamp_problem(timestamp: str) -> Optional[str]:
     """The problem with ``timestamp`` unless it is an xsd:dateTime value
     naming a real date and time."""
-    if not _TIMESTAMP_RE.match(timestamp):
+    if not _TIMESTAMP_RE.fullmatch(timestamp):
         return f"not an xsd:dateTime value: {timestamp!r}"
     # The seconds' fraction, checked above, is dropped: Python 3.10's
     # fromisoformat reads only 3- or 6-digit fractions.
@@ -468,6 +466,13 @@ def compile_manifest(
     builder = ModelBuilder(manifest.instance_base, vocab)
     builder.add_lifecycle_record(manifest.lifecycle_record_id, manifest.information_sets)
     builder.add_structure(manifest.structure)
+    # each structure node's data elements scope the variables of the operators assigned to it
+    resource_elements: dict[str, Sequence[DataElementSpec]] = {}
+    nodes = [manifest.structure]
+    while nodes:
+        node = nodes.pop()
+        resource_elements[node.id] = node.data_elements
+        nodes.extend(node.children)
     problems: list[tuple[str, str]] = []
     for pi, proc in enumerate(manifest.processes):
         builder.add_process(proc)
@@ -475,7 +480,7 @@ def compile_manifest(
         for oi, op in enumerate(proc.operators):
             opath = f"$.processes[{pi}].operators[{oi}]"
             scope: dict[str, str] = {}
-            scoped = list(manifest._resource_elements.get(op.assigned_resource, ()))
+            scoped = list(resource_elements.get(op.assigned_resource, ()))
             for state_id in (*op.inputs, *op.outputs):
                 scoped.extend(state_elements.get(state_id, ()))
             for de in scoped:

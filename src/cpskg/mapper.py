@@ -1,6 +1,6 @@
 """Bidirectional mapping between expression trees and their RDF form.
 
-Forward direction, per node kind:
+The forward direction is one function, :func:`om_to_rdf`; per node kind:
 
 * application  -> fresh node typed ``om:Application`` with one
   ``om:operator`` link (first child) and one ``om:arguments`` link to an
@@ -40,16 +40,13 @@ from .vocab import DEFAULT_CD_BASE, DEFAULT_VOCAB, CpsVocabulary
 __all__ = [
     "MalformedListError",
     "MalformedNodeError",
-    "MappingContext",
     "MappingResult",
     "RootNotInGraphError",
     "UnknownSymbolIriError",
-    "create_rdf_list",
     "expression_class",
     "fragment_variables",
     "om_to_rdf",
     "parse_symbol_iri",
-    "process_node",
     "rdf_to_om",
     "read_list",
     "symbol_iri",
@@ -81,28 +78,6 @@ class RootNotInGraphError(MalformedNodeError, UnknownSymbolIriError):
     either error catch it."""
 
 
-class MappingContext:
-    """Per-equation state: skolem numbering and the variable scope."""
-
-    def __init__(
-        self, instance_base: str, equation_id: str, vocab: CpsVocabulary = DEFAULT_VOCAB, variables: Optional[dict[str, Iri]] = None
-    ):
-        self.instance_base = instance_base
-        self.equation_id = equation_id
-        self.vocab = vocab
-        self.variables = {} if variables is None else variables
-        self._counter = 0
-
-    @property
-    def object_node(self) -> Iri:
-        return Iri(f"{self.instance_base}/expr/{self.equation_id}")
-
-    def next_node(self) -> Iri:
-        node = Iri(f"{self.instance_base}/expr/{self.equation_id}/n{self._counter}")
-        self._counter += 1
-        return node
-
-
 def symbol_iri(symbol: Symbol, cd_base: str = DEFAULT_CD_BASE) -> Iri:
     return Iri(f"{cd_base}/{symbol.cd}#{symbol.name}")
 
@@ -124,51 +99,6 @@ def parse_symbol_iri(iri: Iri, cd_base: str = DEFAULT_CD_BASE, *, strict: bool =
     if sep and cd and name:
         return Symbol(cd, name)
     raise UnknownSymbolIriError(f"cannot interpret IRI as a symbol: {value}")
-
-
-def create_rdf_list(nodes: list[NodeRef], ctx: MappingContext, graph: Graph) -> NodeRef:
-    """Build an RDF collection over ``nodes``, its cells numbered in list
-    order; the empty list is ``rdf:nil``."""
-    cells = [ctx.next_node() for _ in nodes]
-    for cell, item, rest in zip(cells, nodes, [*cells[1:], RDF.nil]):
-        graph.add(cell, RDF.first, item)
-        graph.add(cell, RDF.rest, rest)
-    return cells[0] if cells else RDF.nil
-
-
-def process_node(expr: OMExpression, ctx: MappingContext, graph: Graph) -> NodeRef:
-    """Map one expression node (and its subtree) into ``graph``; returns the
-    node standing for ``expr``."""
-    om = ctx.vocab.om
-    if isinstance(expr, Application):
-        node = ctx.next_node()
-        graph.add(node, RDF.type, om.Application)
-        graph.add(node, om.operator, process_node(expr.operator, ctx, graph))
-        arguments = [process_node(arg, ctx, graph) for arg in expr.arguments]
-        graph.add(node, om.arguments, create_rdf_list(arguments, ctx, graph))
-        return node
-    if isinstance(expr, Symbol):
-        return symbol_iri(expr, ctx.vocab.cd_base)
-    if isinstance(expr, Variable):
-        existing = ctx.variables.get(expr.name)
-        if existing is not None:
-            return existing
-        node = ctx.next_node()
-        ctx.variables[expr.name] = node
-        graph.add(node, RDF.type, om.Variable)
-        graph.add(node, om.name, Literal(expr.name))
-        return node
-    if isinstance(expr, IntLiteral):
-        node = ctx.next_node()
-        graph.add(node, RDF.type, om.Literal)
-        graph.add(node, om.value, Literal(expr.decimal(), XSD.integer))
-        return node
-    if isinstance(expr, FloatLiteral):
-        node = ctx.next_node()
-        graph.add(node, RDF.type, om.Literal)
-        graph.add(node, om.value, Literal(repr(expr.value), XSD.double))
-        return node
-    raise TypeError(f"not an expression node: {expr!r}")
 
 
 class MappingResult:
@@ -195,14 +125,57 @@ def om_to_rdf(
     or into a fresh graph when it is omitted; the fragment is added to
     whatever ``graph`` already holds. Deterministic: identical inputs give
     identical fragments."""
-    ctx = MappingContext(instance_base, equation_id, vocab)
     graph = Graph() if graph is None else graph
-    root = process_node(expr, ctx, graph)
-    wrapper = ctx.object_node
-    om = ctx.vocab.om
-    graph.add(wrapper, RDF.type, om.Object)
-    graph.add(wrapper, om.root, root)
-    return MappingResult(graph, wrapper, root, dict(ctx.variables))
+    add = graph.add
+    om = vocab.om
+    prefix = f"{instance_base}/expr/{equation_id}/n"
+    count = 0
+    variables: dict[str, Iri] = {}
+
+    def mint() -> Iri:
+        nonlocal count
+        node = Iri(f"{prefix}{count}")
+        count += 1
+        return node
+
+    def node_of(expr: OMExpression) -> NodeRef:
+        if isinstance(expr, Application):
+            node = mint()
+            add(node, RDF.type, om.Application)
+            add(node, om.operator, node_of(expr.operator))
+            items = [node_of(arg) for arg in expr.arguments]
+            cells = [mint() for _ in items]
+            for cell, item, rest in zip(cells, items, [*cells[1:], RDF.nil]):
+                add(cell, RDF.first, item)
+                add(cell, RDF.rest, rest)
+            add(node, om.arguments, cells[0] if cells else RDF.nil)
+            return node
+        if isinstance(expr, Symbol):
+            return symbol_iri(expr, vocab.cd_base)
+        if isinstance(expr, Variable):
+            node = variables.get(expr.name)
+            if node is None:
+                node = variables[expr.name] = mint()
+                add(node, RDF.type, om.Variable)
+                add(node, om.name, Literal(expr.name))
+            return node
+        if isinstance(expr, IntLiteral):
+            node = mint()
+            add(node, RDF.type, om.Literal)
+            add(node, om.value, Literal(expr.decimal(), XSD.integer))
+            return node
+        if isinstance(expr, FloatLiteral):
+            node = mint()
+            add(node, RDF.type, om.Literal)
+            add(node, om.value, Literal(repr(expr.value), XSD.double))
+            return node
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    root = node_of(expr)
+    wrapper = Iri(f"{instance_base}/expr/{equation_id}")
+    add(wrapper, RDF.type, om.Object)
+    add(wrapper, om.root, root)
+    return MappingResult(graph, wrapper, root, variables)
 
 
 # --- inverse ------------------------------------------------------------------

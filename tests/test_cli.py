@@ -289,6 +289,19 @@ def test_build_id_ending_in_a_newline_exits_1(run_cli, tmp_path):
     assert not (tmp_path / "g.nt").exists()
 
 
+def test_build_instance_base_that_cannot_prefix_an_iri_exits_1(run_cli, tmp_path):
+    data = minimal_manifest()
+    data["instanceBase"] = "http://example.org/a b"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("build", "--manifest", str(bad), "--out", str(tmp_path / "g.nt"))
+    assert result.returncode == 1
+    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == ["error: manifest invalid:"]
+    assert "  $.instanceBase: " in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "g.nt").exists()
+
+
 @pytest.mark.parametrize("source", ["infix", "xmlPath"])
 def test_build_integer_literal_too_long_exits_1(run_cli, tmp_path, source):
     digits = "9" * 5000

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cpskg.manifest import (
     MANIFEST_SCHEMA,
+    CpsManifest,
     ManifestError,
     _accepts_manifest,
     _compile_acceptor,
@@ -246,6 +247,15 @@ def test_observation_timestamp_fraction_may_have_any_length(fraction):
     assert manifest_from_dict(data).observations[0].timestamp == f"2024-01-01T00:00:00{fraction}Z"
 
 
+def test_observation_timestamp_ending_in_a_newline_is_not_an_xsd_datetime():
+    # Python's "$" also matches before a final newline
+    data = minimal_manifest()
+    data["observations"] = [{"feature": "Plant", "value": 1.0, "timestamp": "2024-01-01T00:00:00Z\n"}]
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert excinfo.value.problems == [("$.observations[0].timestamp", "not an xsd:dateTime value: '2024-01-01T00:00:00Z\\n'")]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -287,9 +297,10 @@ def test_instance_description_without_slug_character_names_its_path():
     "path, json_path",
     [
         (["lifecycleRecord", "id"], "$.lifecycleRecord.id"),
+        (["instanceBase"], "$.instanceBase"),
         (["processes", 0, "states", 0, "dataElements", 0, "variableName"], "$.processes[0].states[0].dataElements[0].variableName"),
     ],
-    ids=["id", "variableName"],
+    ids=["id", "instanceBase", "variableName"],
 )
 def test_name_ending_in_a_newline_names_its_path(path, json_path):
     # Python's "$" also matches before a final newline; the schema's patterns must not.
@@ -298,6 +309,15 @@ def test_name_ending_in_a_newline_names_its_path(path, json_path):
     with pytest.raises(ManifestError) as excinfo:
         manifest_from_dict(data)
     assert [path for path, _ in excinfo.value.problems] == [json_path]
+
+
+@pytest.mark.parametrize("base", ["http://example.org/a b", "http://example.org/<m>", "example.org/m"])
+def test_instance_base_that_cannot_prefix_an_iri_names_its_path(base):
+    data = minimal_manifest()
+    data["instanceBase"] = base
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert [path for path, _ in excinfo.value.problems] == ["$.instanceBase"]
 
 
 def test_equation_requires_exactly_one_source():
@@ -316,6 +336,12 @@ def test_load_manifest_rejects_bad_json(tmp_path):
 
 def test_ehsa_manifest_loads_and_compiles(ehsa_graph):
     assert len(ehsa_graph) > 300
+
+
+def test_manifest_built_by_its_constructor_compiles_to_golden(ehsa_manifest, golden_text):
+    m = ehsa_manifest
+    rebuilt = CpsManifest(m.instance_base, m.lifecycle_record_id, m.information_sets, m.structure, m.processes, m.observations, m.base_dir)
+    assert to_ntriples(compile_manifest(rebuilt)) == golden_text
 
 
 def test_registry_closure_on_ehsa_equations(ehsa_manifest):

@@ -6,16 +6,14 @@ from hypothesis import given
 from cpskg.mapper import (
     MalformedListError,
     MalformedNodeError,
-    MappingContext,
     UnknownSymbolIriError,
-    create_rdf_list,
     om_to_rdf,
     parse_symbol_iri,
     rdf_to_om,
     symbol_iri,
 )
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app
-from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple
+from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple, to_ntriples
 from cpskg.vocab import DEFAULT_VOCAB
 from conftest import edited
 from strategies import trees_any_operator, walk
@@ -96,10 +94,49 @@ def test_wrapper_shape():
 
 
 def test_skolem_names_follow_traversal_order():
-    result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
-    subjects = {t.subject.value for t in result.graph}
-    # n0 application, n1/n2 variables, n3/n4 cons cells
-    assert {f"{BASE}/expr/e/n{i}" for i in range(5)} <= subjects
+    # an application as operator, an empty argument list, a repeated variable,
+    # an int and a float literal, and a nested application: each application
+    # takes its number first, then its operator, its arguments, its list cells
+    diff_f = app(Symbol("calculus1", "diff"), Variable("f"))
+    tree = app(diff_f, X, IntLiteral(-3), app(Symbol("arith1", "times"), FloatLiteral(0.25), X), app(Symbol("nums1", "pi")))
+    assert to_ntriples(om_to_rdf(tree, BASE, "e").graph) == """\
+<http://example.org/m/expr/e/n0> <http://example.org/cpskg/openmath#arguments> <http://example.org/m/expr/e/n11> .
+<http://example.org/m/expr/e/n0> <http://example.org/cpskg/openmath#operator> <http://example.org/m/expr/e/n1> .
+<http://example.org/m/expr/e/n0> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/cpskg/openmath#Application> .
+<http://example.org/m/expr/e/n10> <http://example.org/cpskg/openmath#arguments> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> .
+<http://example.org/m/expr/e/n10> <http://example.org/cpskg/openmath#operator> <http://www.openmath.org/cd/nums1#pi> .
+<http://example.org/m/expr/e/n10> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/cpskg/openmath#Application> .
+<http://example.org/m/expr/e/n11> <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://example.org/m/expr/e/n4> .
+<http://example.org/m/expr/e/n11> <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://example.org/m/expr/e/n12> .
+<http://example.org/m/expr/e/n12> <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://example.org/m/expr/e/n5> .
+<http://example.org/m/expr/e/n12> <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://example.org/m/expr/e/n13> .
+<http://example.org/m/expr/e/n13> <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://example.org/m/expr/e/n6> .
+<http://example.org/m/expr/e/n13> <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://example.org/m/expr/e/n14> .
+<http://example.org/m/expr/e/n14> <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://example.org/m/expr/e/n10> .
+<http://example.org/m/expr/e/n14> <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> .
+<http://example.org/m/expr/e/n1> <http://example.org/cpskg/openmath#arguments> <http://example.org/m/expr/e/n3> .
+<http://example.org/m/expr/e/n1> <http://example.org/cpskg/openmath#operator> <http://www.openmath.org/cd/calculus1#diff> .
+<http://example.org/m/expr/e/n1> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/cpskg/openmath#Application> .
+<http://example.org/m/expr/e/n2> <http://example.org/cpskg/openmath#name> "f" .
+<http://example.org/m/expr/e/n2> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/cpskg/openmath#Variable> .
+<http://example.org/m/expr/e/n3> <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://example.org/m/expr/e/n2> .
+<http://example.org/m/expr/e/n3> <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> .
+<http://example.org/m/expr/e/n4> <http://example.org/cpskg/openmath#name> "x" .
+<http://example.org/m/expr/e/n4> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/cpskg/openmath#Variable> .
+<http://example.org/m/expr/e/n5> <http://example.org/cpskg/openmath#value> "-3"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://example.org/m/expr/e/n5> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/cpskg/openmath#Literal> .
+<http://example.org/m/expr/e/n6> <http://example.org/cpskg/openmath#arguments> <http://example.org/m/expr/e/n8> .
+<http://example.org/m/expr/e/n6> <http://example.org/cpskg/openmath#operator> <http://www.openmath.org/cd/arith1#times> .
+<http://example.org/m/expr/e/n6> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/cpskg/openmath#Application> .
+<http://example.org/m/expr/e/n7> <http://example.org/cpskg/openmath#value> "0.25"^^<http://www.w3.org/2001/XMLSchema#double> .
+<http://example.org/m/expr/e/n7> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/cpskg/openmath#Literal> .
+<http://example.org/m/expr/e/n8> <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://example.org/m/expr/e/n7> .
+<http://example.org/m/expr/e/n8> <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://example.org/m/expr/e/n9> .
+<http://example.org/m/expr/e/n9> <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://example.org/m/expr/e/n4> .
+<http://example.org/m/expr/e/n9> <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> .
+<http://example.org/m/expr/e> <http://example.org/cpskg/openmath#root> <http://example.org/m/expr/e/n0> .
+<http://example.org/m/expr/e> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/cpskg/openmath#Object> .
+"""
 
 
 def test_mapping_is_deterministic():
@@ -109,22 +146,22 @@ def test_mapping_is_deterministic():
     assert a.root == b.root
 
 
-def test_create_rdf_list_counts():
-    nodes = [Iri(f"{BASE}/a{i}") for i in range(3)]
-    ctx = MappingContext(BASE, "e")
+def test_argument_list_cell_counts():
+    # symbol arguments add no triples, so the fragment past the application's
+    # own three triples is its argument list
+    pi, e, i = (Symbol("nums1", name) for name in ("pi", "e", "i"))
 
-    g0 = Graph()
-    assert create_rdf_list([], ctx, g0) == RDF.nil
-    assert len(g0) == 0
+    empty = om_to_rdf(app(PLUS), BASE, "e")
+    assert empty.graph.objects(empty.root, OM.arguments) == [RDF.nil]
+    assert fragment_size(empty) == 3
+    assert empty.graph.triples(None, RDF.first) == []
 
-    g1 = Graph()
-    head = create_rdf_list(nodes[:1], ctx, g1)
-    assert len(g1) == 2
-    assert g1.objects(head, RDF.rest) == [RDF.nil]
+    one = om_to_rdf(app(PLUS, pi), BASE, "e")
+    assert fragment_size(one) == 3 + 2
+    (head,) = one.graph.objects(one.root, OM.arguments)
+    assert one.graph.objects(head, RDF.rest) == [RDF.nil]
 
-    g3 = Graph()
-    create_rdf_list(nodes, ctx, g3)
-    assert len(g3) == 6
+    assert fragment_size(om_to_rdf(app(PLUS, pi, e, i), BASE, "e")) == 3 + 6
 
 
 def test_argument_order_is_recoverable():
