@@ -124,58 +124,78 @@ def om_to_rdf(
     """Map a whole expression and its ``om:Object`` wrapper into ``graph``,
     or into a fresh graph when it is omitted; the fragment is added to
     whatever ``graph`` already holds. Deterministic: identical inputs give
-    identical fragments."""
-    graph = Graph() if graph is None else graph
-    add = graph.add
-    om = vocab.om
-    prefix = f"{instance_base}/expr/{equation_id}/n"
-    count = 0
-    variables: dict[str, Iri] = {}
+    identical fragments.
 
-    def mint() -> Iri:
+    The fragment is written as N-Triples texts through the store's insert:
+    the skolem prefix is checked once, through the first node's IRI, and
+    each distinct symbol IRI once, through :func:`symbol_iri`. The result's
+    nodes are the graph's own term objects."""
+    graph = Graph() if graph is None else graph
+    insert, terms = graph._insert, graph._terms
+    om, cd_base = vocab.om, vocab.cd_base
+    rdf_type, first, rest_of, nil = RDF.type._nt, RDF.first._nt, RDF.rest._nt, RDF.nil._nt
+    application, operator, arguments = om.Application._nt, om.operator._nt, om.arguments._nt
+    variable, name_of, literal, value_of = om.Variable._nt, om.name._nt, om.Literal._nt, om.value._nt
+    base = f"{instance_base}/expr/{equation_id}"
+    if not isinstance(expr, Symbol):
+        Iri(f"{base}/n0")  # the first node; every later one differs only in its number
+    prefix = f"<{base}/n"
+    count = 0
+    variables: dict[str, str] = {}
+    symbols: dict[Symbol, str] = {}
+
+    def mint() -> str:
         nonlocal count
-        node = Iri(f"{prefix}{count}")
+        node = f"{prefix}{count}>"
         count += 1
         return node
 
-    def node_of(expr: OMExpression) -> NodeRef:
+    def kept(term: Literal) -> str:
+        return terms.setdefault(term._nt, term)._nt
+
+    def node_of(expr: OMExpression) -> str:
         if isinstance(expr, Application):
             node = mint()
-            add(node, RDF.type, om.Application)
-            add(node, om.operator, node_of(expr.operator))
+            insert(node, rdf_type, application)
+            insert(node, operator, node_of(expr.operator))
             items = [node_of(arg) for arg in expr.arguments]
             cells = [mint() for _ in items]
-            for cell, item, rest in zip(cells, items, [*cells[1:], RDF.nil]):
-                add(cell, RDF.first, item)
-                add(cell, RDF.rest, rest)
-            add(node, om.arguments, cells[0] if cells else RDF.nil)
+            for cell, item, rest in zip(cells, items, [*cells[1:], nil]):
+                insert(cell, first, item)
+                insert(cell, rest_of, rest)
+            insert(node, arguments, cells[0] if cells else nil)
             return node
         if isinstance(expr, Symbol):
-            return symbol_iri(expr, vocab.cd_base)
+            node = symbols.get(expr)
+            if node is None:
+                node = symbols[expr] = symbol_iri(expr, cd_base)._nt
+            return node
         if isinstance(expr, Variable):
             node = variables.get(expr.name)
             if node is None:
                 node = variables[expr.name] = mint()
-                add(node, RDF.type, om.Variable)
-                add(node, om.name, Literal(expr.name))
+                insert(node, rdf_type, variable)
+                insert(node, name_of, kept(Literal(expr.name)))
             return node
         if isinstance(expr, IntLiteral):
             node = mint()
-            add(node, RDF.type, om.Literal)
-            add(node, om.value, Literal(expr.decimal(), XSD.integer))
+            insert(node, rdf_type, literal)
+            insert(node, value_of, kept(Literal(expr.decimal(), XSD.integer)))
             return node
         if isinstance(expr, FloatLiteral):
             node = mint()
-            add(node, RDF.type, om.Literal)
-            add(node, om.value, Literal(repr(expr.value), XSD.double))
+            insert(node, rdf_type, literal)
+            insert(node, value_of, kept(Literal(repr(expr.value), XSD.double)))
             return node
         raise TypeError(f"not an expression node: {expr!r}")
 
     root = node_of(expr)
-    wrapper = Iri(f"{instance_base}/expr/{equation_id}")
-    add(wrapper, RDF.type, om.Object)
-    add(wrapper, om.root, root)
-    return MappingResult(graph, wrapper, root, variables)
+    wrapper = Iri(base)
+    term = graph._term
+    root_node = term(root)
+    graph.add(wrapper, RDF.type, om.Object)
+    graph.add(wrapper, om.root, root_node)
+    return MappingResult(graph, term(wrapper._nt), root_node, {name: term(node) for name, node in variables.items()})  # type: ignore[arg-type]
 
 
 # --- inverse ------------------------------------------------------------------

@@ -13,10 +13,10 @@ from cpskg.mapper import (
     symbol_iri,
 )
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app
-from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple, to_ntriples
+from cpskg.rdf import RDF, XSD, Graph, InvalidIriError, Iri, Literal, Triple, to_ntriples
 from cpskg.vocab import DEFAULT_VOCAB
 from conftest import edited
-from strategies import trees_any_operator, walk
+from strategies import trees, trees_any_operator, walk
 
 BASE = "http://example.org/m"
 PLUS = Symbol("arith1", "plus")
@@ -72,6 +72,23 @@ def test_mapping_into_a_graph_adds_the_fragment_to_what_it_holds():
     assert set(g) == old | set(fresh.graph)
     assert (into.object_node, into.root, into.variables) == (fresh.object_node, fresh.root, fresh.variables)
     assert rdf_to_om(g, into.object_node) == expr
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        (app(PLUS, X, Y), "IRI must be absolute: 'rel/expr/e/n0'"),
+        # a lone symbol mints no node, so the wrapper is the first IRI checked
+        (PLUS, "IRI must be absolute: 'rel/expr/e'"),
+    ],
+)
+def test_relative_instance_base_fails_at_its_first_iri_and_writes_nothing(expr, message):
+    graph = Graph()
+    with pytest.raises(InvalidIriError) as excinfo:
+        om_to_rdf(expr, "rel", "e", graph=graph)
+    assert str(excinfo.value) == message
+    assert len(graph) == 0
+    assert graph == Graph()
 
 
 def test_symbol_is_pure_iri():
@@ -336,3 +353,24 @@ def test_triple_count_law(tree):
     apps, args, distinct_vars, lits = tree_stats(tree)
     result = om_to_rdf(tree, BASE, "e")
     assert fragment_size(result) == 3 * apps + 2 * args + 2 * distinct_vars + 2 * lits
+
+
+@given(trees())
+def test_written_graph_is_the_graph_add_builds(tree):
+    """The mapper writes texts into the store; the graph it leaves equals
+    one rebuilt through Graph.add from its triples, down to each leaf being
+    a lone text or a set, and its result holds the graph's own terms."""
+    result = om_to_rdf(tree, BASE, "e")
+    graph = result.graph
+    rebuilt = Graph()
+    for triple in graph.triples():
+        rebuilt.add(triple.subject, triple.predicate, triple.object)
+    assert graph == rebuilt
+    assert len(graph) == len(rebuilt)
+    assert to_ntriples(graph) == to_ntriples(rebuilt)
+    # each object reads back as the kind of term its text is
+    assert all(isinstance(t.object, Literal) == t.object._nt.startswith('"') for t in rebuilt)
+    assert result.object_node is graph.subjects(RDF.type, OM.Object)[0]
+    assert result.root is graph.objects(result.object_node, OM.root)[0]
+    for name, node in result.variables.items():
+        assert graph.subjects(OM.name, Literal(name))[0] is node

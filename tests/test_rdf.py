@@ -15,6 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from cpskg.errors import CpskgError
 from cpskg.manifest import compile_manifest
+from cpskg.mapper import om_to_rdf
 from cpskg.rdf import (
     RDF,
     XSD,
@@ -40,8 +41,10 @@ from cpskg.rdf import _literal
 from cpskg.vocab import DEFAULT_VOCAB
 
 from conftest import EHSA_BASE, FIXTURES, REPO
+from strategies import trees
 
 EX = Namespace("http://example.org/")
+OM = DEFAULT_VOCAB.om
 
 
 def t(s: str, p: str, o) -> tuple[Iri, Iri, Iri | Literal]:
@@ -780,6 +783,18 @@ def test_indexed_lookups_match_brute_force(ops, probe):
         else:
             _check_lookups(graph, triple)
     _check_lookups(graph, probe)
+
+
+@given(trees(max_leaves=8), st.data())
+def test_mapping_keeps_a_built_index_in_step(tree, data):
+    """The mapper writes through the store's insert, which must keep a
+    predicate index built before the write in step."""
+    base = "http://example.org/m"
+    graph = om_to_rdf(tree, base, "first").graph
+    graph.subjects(RDF.type, OM.Application)  # builds the rdf:type index
+    om_to_rdf(tree, base, "second", graph=graph)
+    for probe in data.draw(st.lists(st.sampled_from(list(graph)), min_size=1, max_size=3)):
+        _check_lookups(graph, probe)
 
 
 # --- the store, held to a plain set of texts --------------------------------
