@@ -34,7 +34,7 @@ from typing import Iterable, Optional
 
 from .errors import CpskgError
 from .om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
-from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, nt_term
+from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, _escape_literal, nt_term
 from .vocab import DEFAULT_CD_BASE, DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = [
@@ -128,14 +128,18 @@ def om_to_rdf(
 
     The fragment is written as N-Triples texts through the store's insert:
     the skolem prefix is checked once, through the first node's IRI, and
-    each distinct symbol IRI once, through :func:`symbol_iri`. The result's
-    nodes are the graph's own term objects."""
+    each distinct symbol IRI once, through :func:`symbol_iri`; variable
+    names and numbers are written as canonical literal texts, and no term
+    object is made for them. The result's nodes are the graph's own term
+    objects."""
     graph = Graph() if graph is None else graph
-    insert, terms = graph._insert, graph._terms
+    insert = graph._insert
     om, cd_base = vocab.om, vocab.cd_base
     rdf_type, first, rest_of, nil = RDF.type._nt, RDF.first._nt, RDF.rest._nt, RDF.nil._nt
     application, operator, arguments = om.Application._nt, om.operator._nt, om.arguments._nt
     variable, name_of, literal, value_of = om.Variable._nt, om.name._nt, om.Literal._nt, om.value._nt
+    # a number literal's text after its lexical form: the closing quote and the datatype
+    integer, double = f'"^^{XSD.integer._nt}', f'"^^{XSD.double._nt}'
     base = f"{instance_base}/expr/{equation_id}"
     if not isinstance(expr, Symbol):
         Iri(f"{base}/n0")  # the first node; every later one differs only in its number
@@ -149,9 +153,6 @@ def om_to_rdf(
         node = f"{prefix}{count}>"
         count += 1
         return node
-
-    def kept(term: Literal) -> str:
-        return terms.setdefault(term._nt, term)._nt
 
     def node_of(expr: OMExpression) -> str:
         if isinstance(expr, Application):
@@ -175,17 +176,17 @@ def om_to_rdf(
             if node is None:
                 node = variables[expr.name] = mint()
                 insert(node, rdf_type, variable)
-                insert(node, name_of, kept(Literal(expr.name)))
+                insert(node, name_of, f'"{_escape_literal(expr.name)}"')
             return node
         if isinstance(expr, IntLiteral):
             node = mint()
             insert(node, rdf_type, literal)
-            insert(node, value_of, kept(Literal(expr.decimal(), XSD.integer)))
+            insert(node, value_of, f'"{expr.decimal()}{integer}')
             return node
         if isinstance(expr, FloatLiteral):
             node = mint()
             insert(node, rdf_type, literal)
-            insert(node, value_of, kept(Literal(repr(expr.value), XSD.double)))
+            insert(node, value_of, f'"{expr.value!r}{double}')
             return node
         raise TypeError(f"not an expression node: {expr!r}")
 

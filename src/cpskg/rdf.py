@@ -22,13 +22,14 @@ applies, and stores their texts without making a :class:`Triple`.
 ``Graph._insert`` is the store's one insert: it takes the texts of three
 terms already checked. ``add`` calls it, and so does
 :func:`cpskg.mapper.om_to_rdf`, which checks its terms once per equation
-and writes texts, so the graph makes their IRI objects on first read.
-:func:`from_ntriples` fills a fresh graph's store directly. It matches each
-line once for its three terms' texts, checks each distinct IRI once and
-keeps one string object per distinct IRI text, and makes no :class:`Iri`
-for it: the graph makes an IRI's term object the first time a lookup hands
-it out. Lookups by predicate build an index for the predicate they name,
-on the first lookup by it.
+and writes texts, so the graph makes their objects on first read.
+:func:`from_ntriples` fills a fresh graph's store directly. One ``findall``
+per bounded slice of the document gives each line's three terms' texts;
+the distinct IRIs are checked together by one match, one string object is
+kept per distinct IRI text, and a literal already written canonically is
+kept as written. It makes no term object: the graph makes a term's object
+the first time a lookup hands it out. Lookups by predicate build an index
+for the predicate they name, on the first lookup by it.
 A :class:`Namespace` keeps each attribute term it hands out.
 """
 
@@ -43,6 +44,7 @@ from .value import Value
 __all__ = [
     "Graph",
     "InvalidIriError",
+    "InvalidLanguageTagError",
     "InvalidTripleError",
     "Iri",
     "Literal",
@@ -68,10 +70,14 @@ __all__ = [
 
 # An absolute IRI: a scheme, then none of the characters the IRIREF rule of
 # N-Triples forbids. On a failed match the scheme alone says which rule broke.
-_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*')
+_ABSOLUTE_IRI = r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*'
+_IRI_RE = re.compile(_ABSOLUTE_IRI)
 _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 _PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
+# The LANGTAG rule of N-Triples, without its "@".
+_LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_LANGTAG_RE = re.compile(_LANGTAG)
 
 # Sets a slot of a value being made; Triple.__init__'s ``object`` shadows the builtin.
 _setattr = object.__setattr__
@@ -79,6 +85,10 @@ _setattr = object.__setattr__
 
 class InvalidIriError(CpskgError, ValueError):
     """A string that is not an absolute IRI or holds forbidden characters."""
+
+
+class InvalidLanguageTagError(CpskgError, ValueError):
+    """A literal's language tag that breaks the LANGTAG rule of N-Triples."""
 
 
 class InvalidTripleError(CpskgError):
@@ -193,6 +203,8 @@ class Literal(Value):
             raise TypeError(f"literal datatype must be an Iri: {datatype!r}")
         body = f'"{_escape_literal(lexical)}"'
         if lang is not None:
+            if not _LANGTAG_RE.fullmatch(lang):
+                raise InvalidLanguageTagError(f"invalid language tag: {lang!r}")
             datatype = RDF.langString
             body = f"{body}@{lang}"
         elif datatype != XSD.string:
@@ -309,10 +321,10 @@ class Graph:
     graphs with the same triples have equal stores. ``_count`` counts the
     triples. A term table maps texts to term objects; every read that hands
     out terms takes them from :meth:`_term`, so each text has one term
-    object. A graph from :func:`from_ntriples` starts with its literals in
-    the table and none of its IRIs: an IRI's object is made on its first
-    hand-out, and most are never handed out. The same holds for the
-    fragments :func:`cpskg.mapper.om_to_rdf` writes.
+    object. A graph from :func:`from_ntriples` starts with an empty table:
+    each term's object is made on its first hand-out, from its text, and
+    most are never handed out. The same holds for the fragments
+    :func:`cpskg.mapper.om_to_rdf` writes, literals included.
 
     Lookups by subject read the store. Lookups by predicate alone go
     through ``_pos``, one index per predicate (vertical partitioning):
@@ -350,9 +362,10 @@ class Graph:
     def _insert(self, s: str, p: str, o: str) -> bool:
         """Store the triple whose terms have the N-Triples texts ``s``,
         ``p`` and ``o``, terms already checked; the store's one insert. True
-        when the graph did not hold it. It keeps the count and any built
-        predicate index in step, but not the term table: the caller puts
-        each literal's term object there."""
+        when the graph did not hold it; a literal's text must be its
+        canonical one, which :func:`nt_term` gives. It keeps the count and
+        any built predicate index in step, but not the term table:
+        :meth:`_term` makes a missing term's object from its text."""
         # the insert of _put, inline: this is the write every build makes
         by_predicate = self._spo.get(s)
         if by_predicate is None:
@@ -396,11 +409,18 @@ class Graph:
 
     def _term(self, text: str) -> NodeRef:
         """The one term object for ``text``, a text of this graph's store.
-        Only an IRI can be missing from the table; ``setdefault`` keeps the
+        A text missing from the table, an IRI's or a literal's, gets its
+        object made here on its first hand-out; ``setdefault`` keeps the
         object of whichever reader makes it first."""
         term = self._terms.get(text)
         if term is None:
-            term = self._terms.setdefault(text, _iri_of(text))
+            if text[0] == "<":
+                made: NodeRef = _iri_of(text)
+            else:
+                # a canonical literal text, which always reads; its datatype is this graph's term
+                groups = _LITERAL_RE.fullmatch(text).groups()  # type: ignore[union-attr]
+                made = _literal(*groups, 0, lambda value: self._term(f"<{value}>"))  # type: ignore[arg-type, return-value]
+            term = self._terms.setdefault(text, made)
         return term
 
     def _triples(self, keys: Iterable[_Key]) -> list[Triple]:
@@ -618,15 +638,36 @@ def serialize(graph: Graph, fmt: str, prefixes: Optional[Mapping[str, str]] = No
     raise SerializationError(f"unknown serialization format: {fmt!r}")
 
 
-# An IRI is whatever lies between "<" and the next ">"; _IRI_RE checks it.
-# Literal groups: 1=lexical, 2=datatype IRI without its brackets, 3=lang.
+# An IRI is whatever lies between "<" and the next ">"; the IRIREF rule is
+# checked on its text apart. A literal's lexical form, between its quotes.
 _IRI_PAT = r"<[^>]*>"
-_LIT_PAT = r'"((?:[^"\\\r\n]|\\.)*)"(?:\^\^<([^>]*)>|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?'
-# A whole line, surrounding whitespace included. Groups: 1=subject text,
+_LEXICAL_PAT = r'"((?:[^"\\\r\n]|\\.)*)"'
+# Literal groups: 1=lexical, 2=datatype IRI without its brackets, 3=lang.
+_LITERAL_RE = re.compile(rf"{_LEXICAL_PAT}(?:\^\^<([^>]*)>|@({_LANGTAG}))?")
+# One line of a document, as a multiline findall reads it: a statement with
+# any whitespace around it, or else the whole line. Groups: 1=subject text,
 # 2=predicate text, 3=object text (an IRI with its brackets or a literal as
-# written), then the literal groups.
-_LINE_RE = re.compile(rf"\s*({_IRI_PAT})\s+({_IRI_PAT})\s+({_IRI_PAT}|{_LIT_PAT})\s*\.\s*")
-_LITERAL_RE = re.compile(_LIT_PAT)
+# written), 4=a literal's lexical form, 5=its datatype or language suffix as
+# written, 6=the line when it is no statement. findall gives "" for a group
+# that took no part, and a statement's subject is never empty.
+_SP = r"[^\S\n]"
+_OBJECT_PAT = rf"{_IRI_PAT}|{_LEXICAL_PAT}((?:\^\^{_IRI_PAT}|@{_LANGTAG})?)"
+_ROW_PAT = rf"(?m)^(?:{_SP}*({_IRI_PAT})\s+({_IRI_PAT})\s+({_OBJECT_PAT}){_SP}*\.{_SP}*|(.*))$"
+_ROW_RE = re.compile(_ROW_PAT)
+# The same row, but no IRI or space between terms runs over a line break.
+# "[^>]" and "\s" run in the regex engine's fast loops and these classes do
+# not: this pattern read the k=4 graph in about 2.8 times _ROW_RE's time. So
+# it reads only a slice in which a row of _ROW_RE ran over a line break,
+# which only a malformed line can make it do.
+_LINE_ROW_RE = re.compile(_ROW_PAT.replace(_IRI_PAT, r"<[^>\n]*>").replace(r"\s+", f"{_SP}+"))
+# IRI texts, each followed by a line break: a match ends where the first
+# text that breaks the IRIREF rule starts.
+_IRIS_RE = re.compile(rf"(?:<{_ABSOLUTE_IRI}>\n)*")
+# The least number of characters one findall reads; it runs on to the end
+# of its last line. It bounds the rows held at once, about a hundred lines
+# of golden.nt; slices of 8K to 64K characters parsed the k=4 graph equally fast.
+_SLICE = 1 << 14
+_XSD_STRING_SUFFIX = f"^^{XSD.string._nt}"
 _UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 _UNESCAPE_MAP = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
@@ -669,18 +710,38 @@ def parse_literal(text: str) -> Literal:
         raise NTriplesSyntaxError(str(exc), 1) from exc
 
 
+def _check_iris(texts: Iterable[str], lines: list[int], error: Optional[NTriplesSyntaxError] = None) -> None:
+    """Raise the error of the first of ``texts``, IRI texts with their
+    brackets, that breaks the IRIREF rule, on the line that ``lines`` gives
+    for it by position; if none does, raise ``error`` when it is given. One
+    match checks them all."""
+    joined = "\n".join([*texts, ""])
+    end = _IRIS_RE.match(joined).end()  # type: ignore[union-attr]
+    if end < len(joined):
+        text = joined[end : joined.index("\n", end)]
+        error = NTriplesSyntaxError(str(_iri_error(text[1:-1])), lines[joined.count("\n", 0, end)])
+    if error is not None:
+        raise error
+
+
 def from_ntriples(data: Union[str, bytes]) -> Graph:
     """Parse an N-Triples document; inverse of :func:`to_ntriples` on
     canonical output. Blank lines and ``#`` comment lines are skipped.
 
-    Each line is matched once, whitespace around it included, and gives
-    its three terms' texts as written. Each distinct IRI is checked against
-    the IRIREF rule once, where it first occurs, and kept only as its text,
-    one string object per distinct text: the graph makes its term object
-    when a lookup first hands it out. Each distinct literal as written is
-    parsed and rendered to its canonical text once. Literal escapes are
-    canonicalised, so ``"\\u0041"`` and ``"A"`` are one term. Nothing is
-    kept between calls."""
+    One multiline ``findall`` reads each slice of the document, a run of
+    whole lines at least ``_SLICE`` characters long, and gives each line's
+    three terms' texts as written. A run of lines with one subject shares
+    that subject's store entry. Each distinct IRI is kept only as its text,
+    one string object per distinct text. The IRIs are checked against the
+    IRIREF rule together, by one match over their texts, at the end or
+    before any other fault is reported, so that the first bad line is
+    reported whatever kind of fault it holds. A literal written canonically
+    (no backslash, only printable characters, and no explicit
+    ``xsd:string``) is stored as its written text; any other is unescaped
+    and escaped again to its canonical text, once per distinct spelling, so
+    ``"\\u0041"`` and ``"A"`` are one term. No term object is made: the
+    graph makes each one when a lookup first hands it out. Nothing is kept
+    between calls."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -688,51 +749,67 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             line = data.count(b"\n", 0, exc.start) + 1
             raise NTriplesSyntaxError(f"invalid UTF-8 byte 0x{data[exc.start]:02X}", line) from exc
     graph = Graph()
-    spo, terms = graph._spo, graph._terms
-    count = 0
-    iri_texts: dict[str, str] = {}  # IRI text -> the first copy of it seen
-    literal_texts: dict[str, str] = {}  # literal as written -> its canonical text
+    spo = graph._spo
+    count = lineno = 0
+    iris: dict[str, str] = {}  # IRI text -> its first copy, in the order first seen
+    first_lines: list[int] = []  # the line each of them was first seen on
+    literals: dict[str, str] = {}  # literal as written -> its canonical text
+    subject: Optional[str] = None  # the subject of the run of lines being read
+    by_predicate: dict[str, _Leaf]
 
-    def iri_text(text: str, line: int) -> str:
-        """Check an IRI text, brackets included, not seen before in this document."""
-        if not _IRI_RE.fullmatch(text, 1, len(text) - 1):
-            raise NTriplesSyntaxError(str(_iri_error(text[1:-1])), line)
-        iri_texts[text] = text
-        return text
-
-    def datatype(value: str) -> Iri:
-        text = f"<{value}>"
-        return graph._term(iri_texts.get(text) or iri_text(text, lineno))  # type: ignore[return-value]
-
-    for lineno, raw in enumerate(data.split("\n"), 1):
-        m = _LINE_RE.fullmatch(raw)
-        if m is None:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            raise NTriplesSyntaxError(f"not a valid N-Triples statement: {raw!r}", lineno)
-        s_text, p_text, o_text, o_lex, o_dt, o_lang = m.groups()
-        subject = iri_texts.get(s_text) or iri_text(s_text, lineno)
-        predicate = iri_texts.get(p_text) or iri_text(p_text, lineno)
-        if o_lex is None:
-            obj = iri_texts.get(o_text) or iri_text(o_text, lineno)
-        else:
-            obj = literal_texts.get(o_text)  # type: ignore[assignment]
-            if obj is None:
-                try:
-                    literal = _literal(o_lex, o_dt, o_lang, lineno, datatype)
-                except ValueError as exc:
-                    raise NTriplesSyntaxError(str(exc), lineno) from exc
-                # literals written differently share the first one's text
-                obj = literal_texts[o_text] = terms.setdefault(literal._nt, literal)._nt
-        # Graph._insert, inline: a call per line made a 1,329-line graph's
-        # parse 4-6% slower (p10 2.73 -> 2.89 ms over 600 interleaved calls,
-        # CPython 3.11.7 on 2 shared vCPUs), and every read command parses
-        # its graph again
-        by_predicate = spo.get(subject)
-        if by_predicate is None:
-            spo[subject] = {predicate: obj}
-        else:
+    start, end = 0, len(data)
+    while start <= end:
+        stop = data.find("\n", start + _SLICE)
+        if stop < 0:
+            stop = end
+        rows = _ROW_RE.findall(data, start, stop)
+        if len(rows) <= data.count("\n", start, stop):  # a row ran over a line break
+            rows = _LINE_ROW_RE.findall(data, start, stop)
+        for s, p, o, lexical, suffix, other in rows:
+            lineno += 1
+            if s != subject:
+                if not s:
+                    line = other.strip()
+                    if not line or line[0] == "#":
+                        continue
+                    _check_iris(iris, first_lines, NTriplesSyntaxError(f"not a valid N-Triples statement: {other!r}", lineno))
+                subject = iris.get(s)
+                if subject is None:
+                    subject = iris[s] = s
+                    first_lines.append(lineno)
+                by_predicate = spo.get(subject)  # type: ignore[assignment]
+                if by_predicate is None:
+                    by_predicate = spo[subject] = {}
+            predicate = iris.get(p)
+            if predicate is None:
+                predicate = iris[p] = p
+                first_lines.append(lineno)
+            if o[0] == "<":
+                obj = iris.get(o)
+                if obj is None:
+                    obj = iris[o] = o
+                    first_lines.append(lineno)
+            else:
+                obj = literals.get(o)
+                if obj is None:
+                    obj = o
+                    # as written it holds no quote; without escapes, raw control
+                    # characters and an explicit xsd:string, it is canonical
+                    if "\\" in lexical or not lexical.isprintable() or suffix == _XSD_STRING_SUFFIX:
+                        try:
+                            body = _escape_literal(_unescape(lexical, lineno))
+                        except NTriplesSyntaxError as exc:
+                            _check_iris(iris, first_lines, exc)
+                        obj = f'"{body}"' if suffix == _XSD_STRING_SUFFIX else f'"{body}"{suffix}'
+                    literals[o] = obj
+                    datatype = suffix[2:] if suffix[:1] == "^" else None
+                    if datatype and datatype not in iris:  # checked with the other IRIs, after the escapes
+                        iris[datatype] = datatype
+                        first_lines.append(lineno)
+            # Graph._insert, inline: a call per line made a 1,329-line graph's
+            # parse 4-6% slower (p10 2.73 -> 2.89 ms over 600 interleaved calls,
+            # CPython 3.11.7 on 2 shared vCPUs), and every read command parses
+            # its graph again
             found = by_predicate.get(predicate)
             if found is None:
                 by_predicate[predicate] = obj
@@ -744,6 +821,8 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
                 continue
             else:
                 found.add(obj)
-        count += 1
+            count += 1
+        start = stop + 1
+    _check_iris(iris, first_lines)
     graph._count = count
     return graph

@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from cpskg import rdf
 from cpskg.errors import CpskgError
 from cpskg.manifest import compile_manifest
-from cpskg.mapper import om_to_rdf
+from cpskg.mapper import om_to_rdf, rdf_to_om
+from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable
 from cpskg.rdf import (
     RDF,
     XSD,
     Graph,
+    InvalidLanguageTagError,
     InvalidTripleError,
     Iri,
     Literal,
@@ -147,11 +150,76 @@ def test_parse_blank_node_rejected():
 
 
 def test_parse_canonicalises_literal_escapes():
-    text = '<http://example.org/s> <http://example.org/p> "\\u0041" .\n<http://example.org/s> <http://example.org/p> "A" .\n'
+    """A literal written plain, escaped, or typed xsd:string is one term,
+    whichever form comes first."""
+    forms = ['"A"', '"\\u0041"', '"A"^^<http://www.w3.org/2001/XMLSchema#string>']
+    for order in itertools.permutations(forms):
+        g = from_ntriples("".join(f"<http://example.org/s> <http://example.org/p> {form} .\n" for form in order))
+        assert len(g) == 1
+        assert g.objects(EX.s, EX.p) == [Literal("A")]
+        assert to_ntriples(g) == '<http://example.org/s> <http://example.org/p> "A" .\n'
+
+
+@pytest.mark.parametrize(
+    "written, expected",
+    [
+        ('""', Literal("")),
+        ('""@en', Literal("", lang="en")),
+        ('"a\tb"', Literal("a\tb")),
+        ('"1"^^<http://www.w3.org/2001/XMLSchema#integer>', Literal("1", XSD.integer)),
+    ],
+    ids=["empty", "empty_with_language", "raw_tab", "typed"],
+)
+def test_parse_reads_each_literal_form(written, expected):
+    """An empty lexical form, with or without a language, and a raw tab
+    read back as the literal they write; the tab is escaped on output."""
+    g = from_ntriples(f"<http://example.org/s> <http://example.org/p> {written} .\n")
+    assert g.objects(EX.s, EX.p) == [expected]
+    assert to_ntriples(g) == f"<http://example.org/s> <http://example.org/p> {nt_term(expected)} .\n"
+
+
+def test_parse_reads_a_document_without_a_final_newline():
+    text = "<http://example.org/s> <http://example.org/p> \"x\" .\n<http://example.org/s> <http://example.org/p> <http://example.org/o> ."
     g = from_ntriples(text)
-    assert len(g) == 1
-    assert g.objects(EX.s, EX.p) == [Literal("A")]
-    assert to_ntriples(g) == '<http://example.org/s> <http://example.org/p> "A" .\n'
+    assert to_ntriples(g) == text + "\n"
+
+
+_OK_LINE = "<http://example.org/s> <http://example.org/p> <http://example.org/o> ."
+_BAD_IRI_LINE = "<http://example.org/s> <http://example.org/p> <rel> ."
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (['<http://example.org/s> <http://example.org/p> "x"^^<> .'], "line 1: IRI must be absolute: ''"),
+        ([_OK_LINE, _BAD_IRI_LINE, "not a statement"], "line 2: IRI must be absolute: 'rel'"),
+        ([_OK_LINE, _BAD_IRI_LINE, '<http://example.org/s> <http://example.org/p> "\\q" .'], "line 2: IRI must be absolute: 'rel'"),
+        ([_OK_LINE, _BAD_IRI_LINE, _BAD_IRI_LINE.replace("<rel>", "<a b>")], "line 2: IRI must be absolute: 'rel'"),
+        ([_OK_LINE, '<http://example.org/s> <http://example.org/p> "\\q"^^<rel> .'], "line 2: invalid escape sequence \\q"),
+        ([_OK_LINE, '<rel> <http://example.org/p> "\\q" .'], "line 2: IRI must be absolute: 'rel'"),
+        (["<http://example.org/s> <http://example.org/p>", "<http://example.org/o> ."],
+         "line 1: not a valid N-Triples statement: '<http://example.org/s> <http://example.org/p>'"),
+        (["<http://example.org/s> <http://example.org/p> <http://example.org/o", "> ."],
+         "line 1: not a valid N-Triples statement: '<http://example.org/s> <http://example.org/p> <http://example.org/o'"),
+    ],
+    ids=[
+        "empty_datatype",
+        "bad_iri_then_malformed_line",
+        "bad_iri_then_bad_escape",
+        "bad_iri_then_another",
+        "bad_escape_before_its_datatype",
+        "bad_subject_before_its_escape",
+        "statement_split_between_terms",
+        "statement_split_inside_an_iri",
+    ],
+)
+def test_parse_reports_the_first_fault_in_document_order(lines, message):
+    """A bad IRI is reported at the line where it first occurs, ahead of
+    any later fault; within a line, the subject and predicate come before
+    the literal's escapes, and those before its datatype."""
+    with pytest.raises(NTriplesSyntaxError) as excinfo:
+        from_ntriples("\n".join(lines) + "\n")
+    assert str(excinfo.value) == message
 
 
 def test_parse_skips_comments_and_blank_lines():
@@ -233,6 +301,29 @@ def test_namespace_keeps_attribute_terms_only():
 
 def test_golden_file_reserializes_byte_identically(golden_text):
     assert to_ntriples(from_ntriples(golden_text)) == golden_text
+
+
+@pytest.mark.parametrize("slice_chars", [1, 300, 4096])
+def test_parse_reads_a_document_over_many_slices(monkeypatch, golden_text, slice_chars):
+    """Slices of the document are whole lines: a document of many slices
+    reads back byte-identically, blank and comment lines count, and a
+    malformed line in a late slice, found in either row pattern, names its
+    own line."""
+    monkeypatch.setattr(rdf, "_SLICE", slice_chars)
+    assert len(golden_text) > 10 * 4096
+    assert to_ntriples(from_ntriples(golden_text)) == golden_text
+    lines = golden_text.splitlines()
+    for i in (3, 100, 200):
+        lines[i:i] = ["", "# a comment", "\t"]
+    assert to_ntriples(from_ntriples("\n".join(lines))) == golden_text
+    late = len(lines) - 5
+    head, _, tail = lines[late].rpartition(" <")
+    # no final ".", an unclosed IRI, and a statement split over two lines, which
+    # the faster row pattern reads as one
+    for broken in ([lines[late][:-1]], [lines[late].replace(">", "", 1)], [head, f"<{tail}"]):
+        with pytest.raises(NTriplesSyntaxError) as excinfo:
+            from_ntriples("\n".join([*lines[:late], *broken, *lines[late + 1 :]]))
+        assert excinfo.value.line == late + 1
 
 
 # --- the parser against the strict per-line parser it replaced ----------------
@@ -347,28 +438,57 @@ def test_parse_agrees_with_the_strict_per_line_parser(data):
 # --- one term object per text -----------------------------------------------
 
 
-def test_parsed_graph_hands_out_one_object_per_text(golden_text, ehsa_graph):
-    """Term objects of a parsed graph are made on first hand-out, and every
-    read hands out that same object for a given text."""
-    graph = from_ntriples(golden_text)
+def test_parsed_graph_hands_out_one_object_per_text(golden_text, ehsa_graph, ehsa_manifest):
+    """Term objects of a parsed graph, and of the IRIs and literals that
+    om_to_rdf writes as texts into a built one, are made on first hand-out,
+    and every read hands out that same object for a given text."""
     prefixes = DEFAULT_VOCAB.prefixes(EHSA_BASE)
-    seen: dict[str, object] = {}
+    for graph in (from_ntriples(golden_text), compile_manifest(ehsa_manifest)):
+        seen: dict[str, object] = {}
 
-    def same(*terms) -> None:
-        for term in terms:
-            assert seen.setdefault(nt_term(term), term) is term
-            if isinstance(term, Literal):
-                same(term.datatype)
+        def same(*terms) -> None:
+            for term in terms:
+                assert seen.setdefault(nt_term(term), term) is term
+                if isinstance(term, Literal):
+                    same(term.datatype)
 
-    for _ in range(2):
-        for x in [*graph, *graph.triples()]:
-            same(x.subject, x.predicate, x.object)
-            same(*graph.objects(x.subject, x.predicate))
-        same(*graph.subjects(), *graph.subjects(RDF.type))
-        for row in match(graph, PatternQuery.of((Var("s"), Var("p"), Var("o")))):
-            same(*row.values())
-        assert to_turtle(graph, prefixes) == to_turtle(ehsa_graph, prefixes)
-    assert {text for key in graph._select(None, None, None) for text in key} <= set(seen)
+        for _ in range(2):
+            for x in [*graph, *graph.triples()]:
+                same(x.subject, x.predicate, x.object)
+                same(*graph.objects(x.subject, x.predicate))
+            same(*graph.subjects(), *graph.subjects(RDF.type))
+            for row in match(graph, PatternQuery.of((Var("s"), Var("p"), Var("o")))):
+                same(*row.values())
+            assert to_turtle(graph, prefixes) == to_turtle(ehsa_graph, prefixes)
+        assert {text for key in graph._select(None, None, None) for text in key} <= set(seen)
+
+
+def test_parsed_literals_are_made_on_first_read(golden_text, ehsa_graph):
+    """Parsing makes no Literal, and a lookup that hands out no literal
+    makes none either; reading one makes it, and Turtle of a fresh parse
+    reads the same terms as Turtle of the built graph."""
+    graph = from_ntriples(golden_text)
+    assert not any(isinstance(term, Literal) for term in graph._terms.values())
+    prefixes = DEFAULT_VOCAB.prefixes(EHSA_BASE)
+    assert to_turtle(from_ntriples(golden_text), prefixes) == to_turtle(ehsa_graph, prefixes)
+    variable = graph.subjects(RDF.type, OM.Variable)[0]
+    assert not any(isinstance(term, Literal) for term in graph._terms.values())
+    (name,) = graph.objects(variable, OM.name)
+    assert name == ehsa_graph.objects(variable, OM.name)[0]
+    assert [term for term in graph._terms.values() if isinstance(term, Literal)] == [name]
+
+
+def test_mapped_literals_that_need_escapes_read_back():
+    """A variable name with a quote, a backslash or a control character is
+    written escaped, and reads back, directly and after a round trip, as
+    the name it was; numbers read back as their typed literals."""
+    names = ['a"b', "c\\d", "e\x01", "\u00e9"]
+    expr = Application(Symbol("arith1", "plus"), (*map(Variable, names), IntLiteral(-5), FloatLiteral(1.5)))
+    result = om_to_rdf(expr, "http://example.org/m", "e")
+    for graph in (result.graph, from_ntriples(to_ntriples(result.graph))):
+        assert [graph.objects(result.variables[name], OM.name) for name in names] == [[Literal(name)] for name in names]
+        assert rdf_to_om(graph, result.object_node) == expr
+    assert '"e\\u0001"' in to_ntriples(result.graph)
 
 
 def _race(read, workers: int = 8) -> list:
@@ -671,6 +791,22 @@ def test_carried_text_matches_the_reference_renderer(term):
 def test_literal_datatype_must_be_an_iri():
     with pytest.raises(TypeError, match="datatype"):
         Literal("1", XSD.integer.value)  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize("lang", ["en us", "", "en-", "1en", "en\n"])
+def test_literal_rejects_a_language_tag_the_reader_would_reject(lang):
+    """A tag outside the LANGTAG rule would be written as a line that
+    from_ntriples rejects, or, with a line break, as two lines."""
+    with pytest.raises(InvalidLanguageTagError, match=re.escape(f"invalid language tag: {lang!r}")) as excinfo:
+        Literal("x", lang=lang)
+    assert isinstance(excinfo.value, CpskgError) and isinstance(excinfo.value, ValueError)
+
+
+def test_literal_with_a_valid_language_tag_round_trips():
+    graph = Graph()
+    graph.add(EX.s, EX.p, Literal("x", lang="en-US"))
+    assert to_ntriples(graph) == '<http://example.org/s> <http://example.org/p> "x"@en-US .\n'
+    assert from_ntriples(to_ntriples(graph)).objects(EX.s, EX.p) == [Literal("x", lang="en-US")]
 
 
 @given(_terms, _terms)
