@@ -120,9 +120,6 @@ class ModelBuilder:
         self.instance_base = instance_base.rstrip("/")
         self.graph = Graph()
         self._observation_count = 0
-        # each operator's model node, so that attaching never looks up the
-        # graph, which would index it
-        self._models: dict[Iri, Iri] = {}
 
     def iri(self, local_id: str) -> Iri:
         return Iri(f"{self.instance_base}/{local_id}")
@@ -214,13 +211,12 @@ class ModelBuilder:
 
     def attach_behavior_model(self, operator_node: Iri, object_node: Iri) -> Iri:
         """Link an equation wrapper to an operator through one mathematical-
-        model node per operator (fan-out for further equations)."""
+        model node per operator (fan-out for further equations); a further
+        equation re-adds the model's two triples, which changes nothing."""
         v = self.vocab
-        model = self._models.get(operator_node)
-        if model is None:
-            model = self._models[operator_node] = Iri(f"{operator_node.value}/model")
-            self.graph.add(model, RDF.type, v.vdi2206.MathematicalModel)
-            self.graph.add(operator_node, v.cpsmod.processOperatorBehaviorModel, model)
+        model = Iri(f"{operator_node.value}/model")
+        self.graph.add(model, RDF.type, v.vdi2206.MathematicalModel)
+        self.graph.add(operator_node, v.cpsmod.processOperatorBehaviorModel, model)
         self.graph.add(model, v.cpsmod.hasOMObject, object_node)
         return model
 

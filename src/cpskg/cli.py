@@ -19,7 +19,7 @@ from .errors import CpskgError
 from .evaluator import evaluate, load_bindings
 from .infix import print_infix
 from .manifest import compile_manifest, load_manifest
-from .mapper import fragment_variables, om_to_rdf, rdf_to_om
+from .mapper import behavior_objects, fragment_variables, om_to_rdf, rdf_to_om
 from .om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from .rdf import (
     RDF,
@@ -154,12 +154,7 @@ def cmd_export(args: argparse.Namespace, cfg: ToolConfig) -> int:
     graph = _load_graph(args.in_path)
     v = cfg.vocab
     operator = _term_iri(args.operator)
-    wrappers: list[Iri] = []
-    for model in graph.objects(operator, v.cpsmod.processOperatorBehaviorModel):
-        for wrapper in graph.objects(model, v.cpsmod.hasOMObject):
-            if isinstance(wrapper, Iri):
-                wrappers.append(wrapper)
-    wrappers.sort(key=lambda w: w.value)
+    wrappers = behavior_objects(graph, v, operator)
     if not wrappers:
         print(f"no behavior model attached to {operator.value}", file=sys.stderr)
         return EXIT_OK

@@ -45,7 +45,7 @@ from .infix import parse_infix
 from .mapper import om_to_rdf
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
 from .om.xmlio import parse_openmath_xml
-from .rdf import Graph
+from .rdf import _ABSOLUTE_IRI, Graph
 from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = ["CpsManifest", "MANIFEST_SCHEMA", "ManifestError", "compile_manifest", "load_manifest", "manifest_from_dict"]
@@ -55,7 +55,7 @@ __all__ = ["CpsManifest", "MANIFEST_SCHEMA", "ManifestError", "compile_manifest"
 _ID_PATTERN = r"^[A-Za-z_][A-Za-z0-9_.-]*$(?!\n)"
 _VARIABLE_PATTERN = r"^[A-Za-z_][A-Za-z0-9_]*$(?!\n)"
 # an absolute IRI as rdf.Iri accepts it, so every IRI minted under the base is one
-_IRI_PATTERN = r'^[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]*$(?!\n)'
+_IRI_PATTERN = rf"^{_ABSOLUTE_IRI}$(?!\n)"
 _LEVEL_RANK = {"MechatronicSystem": 0, "Module": 1, "Component": 2}
 _STATE_KINDS = ("Product", "Energy", "Information")
 _TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?(Z|[+-]\d{2}:\d{2})?")

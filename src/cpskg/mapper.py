@@ -24,7 +24,8 @@ operator and argument list, nodes with ambiguous typing, and (in strict
 mode) operator IRIs outside the configured CD base and roots that are no
 node of the graph. The validator and the CLI reuse :func:`read_list`,
 :func:`fragment_variables` and :func:`expression_class` rather than
-walking the fragment themselves.
+walking the fragment themselves, and reach an operator's equations only
+through :func:`behavior_objects`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "MappingResult",
     "RootNotInGraphError",
     "UnknownSymbolIriError",
+    "behavior_objects",
     "expression_class",
     "fragment_variables",
     "om_to_rdf",
@@ -240,6 +242,16 @@ def fragment_variables(graph: Graph, roots: Iterable[NodeRef], om: Namespace) ->
             stack.extend(graph.objects(node, predicate))
     variable_type = om.Variable
     return sorted((n for n in seen if variable_type in graph.objects(n, RDF.type)), key=nt_term)
+
+
+def behavior_objects(graph: Graph, vocab: CpsVocabulary, operator: Optional[Iri] = None) -> list[Iri]:
+    """The ``om:Object`` wrappers of the behavior models of ``operator``,
+    or of every operator when it is ``None``: IRIs only, one per (model,
+    wrapper) pair, ordered by IRI."""
+    cpsmod = vocab.cpsmod
+    models = graph.objects(operator, cpsmod.processOperatorBehaviorModel)
+    wrappers = [w for model in models for w in graph.objects(model, cpsmod.hasOMObject) if isinstance(w, Iri)]
+    return sorted(wrappers, key=lambda w: w.value)
 
 
 def expression_class(graph: Graph, node: Iri, om: Namespace) -> Optional[Iri]:

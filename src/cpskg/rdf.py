@@ -70,9 +70,11 @@ __all__ = [
 
 # An absolute IRI: a scheme, then none of the characters the IRIREF rule of
 # N-Triples forbids. On a failed match the scheme alone says which rule broke.
-_ABSOLUTE_IRI = r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*'
+# manifest.py builds the schema's IRI pattern from it (docs/manifest.schema.json).
+_SCHEME = r"[A-Za-z][A-Za-z0-9+.-]*:"
+_ABSOLUTE_IRI = _SCHEME + r'[^\x00-\x20<>"{}|^`\\]*'
 _IRI_RE = re.compile(_ABSOLUTE_IRI)
-_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
+_SCHEME_RE = re.compile(_SCHEME)
 _PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 # The LANGTAG rule of N-Triples, without its "@".
@@ -481,14 +483,18 @@ class Graph:
         """Triples matching the given constant positions, in sorted order."""
         return self._triples(sorted(self._select(_text(subject), _text(predicate), _text(object))))
 
-    def objects(self, subject: NodeRef, predicate: Iri) -> list[NodeRef]:
+    def objects(self, subject: Optional[NodeRef], predicate: Iri) -> list[NodeRef]:
+        """The distinct objects of ``predicate`` under ``subject``, or under
+        any subject when it is ``None``, in sorted order."""
+        term = self._term
+        if subject is None:
+            return [term(o) for o in sorted(self._by_predicate(nt_term(predicate)))]
         # one walk to the leaf; only a set of objects needs sorting
         found = self._spo.get(nt_term(subject), _EMPTY).get(nt_term(predicate))
         if found is None:
             return []
         if type(found) is str:
-            return [self._term(found)]
-        term = self._term
+            return [term(found)]
         return [term(o) for o in sorted(found)]
 
     def subjects(self, predicate: Optional[Iri] = None, object: Optional[NodeRef] = None) -> list[NodeRef]:

@@ -17,16 +17,21 @@ contextualization is finished.
               class (mapper.expression_class), whatever its other types,
               is a symbol IRI {cdBase}/{cd}#{name} naming a registered
               content dictionary, and no operator has two such classes
+
+V2, V3, V5 and V6 are cardinality shapes, kept as data and checked by one
+loop; V1, V4 and V7 walk the graph with the mapper's readers.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 from .mapper import (
     MalformedListError,
     MalformedNodeError,
     UnknownSymbolIriError,
+    behavior_objects,
     expression_class,
     fragment_variables,
     parse_symbol_iri,
@@ -75,57 +80,37 @@ class ValidationReport:
 
 
 def _check_argument_lists(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    for head in sorted({t.object for t in graph.triples(None, v.om.arguments)}, key=nt_term):
+    for head in graph.objects(None, v.om.arguments):
         try:
             read_list(graph, head)
         except MalformedListError as exc:
             out.append(Finding("V1", "error", exc.node, exc.reason))
 
 
-def _check_application_shape(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    for node in graph.subjects(RDF.type, v.om.Application):
-        operators = graph.objects(node, v.om.operator)
-        arguments = graph.objects(node, v.om.arguments)
-        if len(operators) != 1 or len(arguments) != 1:
-            out.append(
-                Finding("V2", "error", node, f"application must have exactly one om:operator and om:arguments, found {len(operators)}/{len(arguments)}")
-            )
-
-
-def _check_operator_assignment(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    for node in graph.subjects(RDF.type, v.vdi3682.ProcessOperator):
-        if not graph.objects(node, v.vdi3682.isAssignedTo):
-            out.append(Finding("V3", "warning", node, "process operator is not assigned to a technical resource"))
-
-
 def _check_variable_links(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    roots: list[NodeRef] = []
-    for t in graph.triples(None, v.cpsmod.processOperatorBehaviorModel):
-        for wrapper in graph.objects(t.object, v.cpsmod.hasOMObject):
-            roots.extend(graph.objects(wrapper, v.om.root))
+    roots = [root for wrapper in behavior_objects(graph, v) for root in graph.objects(wrapper, v.om.root)]
     for node in fragment_variables(graph, roots, v.om):
         if not graph.objects(node, v.cpsmod.isDataFor):
             out.append(Finding("V4", "warning", node, "equation variable is not linked to a data element"))
 
 
-def _check_operator_io(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    for node in graph.subjects(RDF.type, v.vdi3682.ProcessOperator):
-        if not graph.objects(node, v.vdi3682.hasInput):
-            out.append(Finding("V5", "warning", node, "process operator has no input state"))
-        if not graph.objects(node, v.vdi3682.hasOutput):
-            out.append(Finding("V5", "warning", node, "process operator has no output state"))
-
-
-def _check_type_descriptions(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    for node in graph.subjects(RDF.type, v.dinen61360.DataElement):
-        descriptions = graph.objects(node, v.dinen61360.hasTypeDescription)
-        if len(descriptions) != 1:
-            out.append(Finding("V6", "error", node, f"data element must have exactly one type description, found {len(descriptions)}"))
+def _cardinality_shapes(v: CpsVocabulary) -> tuple[tuple[str, str, Iri, tuple[Iri, ...], int, Optional[int], str], ...]:
+    """V2, V3, V5 and V6 as rows (rule, severity, class, predicates, least,
+    most, message): a node of the class is a finding when a predicate has
+    fewer than ``least`` or more than ``most`` (if not None) objects on it;
+    ``{found}`` in the message is the counts, joined by "/"."""
+    om, vdi3682, dinen61360 = v.om, v.vdi3682, v.dinen61360
+    return (
+        ("V2", "error", om.Application, (om.operator, om.arguments), 1, 1, "application must have exactly one om:operator and om:arguments, found {found}"),
+        ("V3", "warning", vdi3682.ProcessOperator, (vdi3682.isAssignedTo,), 1, None, "process operator is not assigned to a technical resource"),
+        ("V5", "warning", vdi3682.ProcessOperator, (vdi3682.hasInput,), 1, None, "process operator has no input state"),
+        ("V5", "warning", vdi3682.ProcessOperator, (vdi3682.hasOutput,), 1, None, "process operator has no output state"),
+        ("V6", "error", dinen61360.DataElement, (dinen61360.hasTypeDescription,), 1, 1, "data element must have exactly one type description, found {found}"),
+    )
 
 
 def _check_symbol_cds(graph: Graph, v: CpsVocabulary, registry: SymbolRegistry, out: list[Finding]) -> None:
-    targets = sorted({t.object for t in graph.triples(None, v.om.operator)}, key=nt_term)
-    for target in targets:
+    for target in graph.objects(None, v.om.operator):
         if not isinstance(target, Iri):
             continue
         try:
@@ -150,11 +135,12 @@ def validate(
     is deterministically ordered by (rule, node, message)."""
     findings: list[Finding] = []
     _check_argument_lists(graph, vocab, findings)
-    _check_application_shape(graph, vocab, findings)
-    _check_operator_assignment(graph, vocab, findings)
     _check_variable_links(graph, vocab, findings)
-    _check_operator_io(graph, vocab, findings)
-    _check_type_descriptions(graph, vocab, findings)
+    for rule, severity, cls, predicates, least, most, message in _cardinality_shapes(vocab):
+        for node in graph.subjects(RDF.type, cls):
+            counts = [len(graph.objects(node, p)) for p in predicates]
+            if any(n < least or (most is not None and n > most) for n in counts):
+                findings.append(Finding(rule, severity, node, message.format(found="/".join(map(str, counts)))))
     if strict:
         _check_symbol_cds(graph, vocab, registry, findings)
     findings.sort(key=lambda f: (f.rule, nt_term(f.node), f.message))

@@ -9,6 +9,7 @@ import pytest
 
 from cpskg import cli
 from cpskg.infix import parse_infix
+from cpskg.mapper import om_to_rdf
 from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from cpskg.rdf import RDF, Graph, Iri, Literal, Triple, from_ntriples, to_ntriples
 from cpskg.validator import validate
@@ -503,6 +504,27 @@ def test_export_prints_an_equation_as_deep_as_build_accepts(run_cli, tmp_path):
     exported = run_cli("export", "--in", str(graph), "--operator", f"{data['instanceBase']}/Doubler")
     assert exported.returncode == 0, exported.stderr
     assert exported.stdout.splitlines()[0] == equation
+
+
+def test_export_orders_equations_by_wrapper_iri(run_cli, tmp_path, vocab):
+    """Wrappers .../expr/q and .../expr/q/2 sort one way by IRI and the
+    other way by N-Triples text ("<.../q/2>" before "<.../q>"): export lists
+    by IRI. It lists a wrapper once per model holding it, and skips a
+    literal where a wrapper should be."""
+    base = "http://example.org/m"
+    graph = Graph()
+    q = om_to_rdf(parse_infix("y = x + 1"), base, "q", graph=graph).object_node
+    q2 = om_to_rdf(parse_infix("z = 2*w"), base, "q/2", graph=graph).object_node
+    operator, first, second = Iri(f"{base}/Op"), Iri(f"{base}/Op/model"), Iri(f"{base}/Op/model2")
+    for model, wrappers in ((first, [q2, q, Literal(q.value)]), (second, [q])):
+        graph.add(operator, vocab.cpsmod.processOperatorBehaviorModel, model)
+        for wrapper in wrappers:
+            graph.add(model, vocab.cpsmod.hasOMObject, wrapper)
+    path = tmp_path / "two.nt"
+    path.write_text(to_ntriples(graph), encoding="utf-8")
+    result = run_cli("export", "--in", str(path), "--operator", operator.value)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "y = x + 1\ny = x + 1\nz = 2*w\n"
 
 
 def test_export_without_behavior_model(run_cli):

@@ -906,6 +906,7 @@ def _check_lookups(graph: Graph, probe: Triple) -> None:
     for p, o in itertools.product((probe.predicate, None), (probe.object, None)):
         assert graph.subjects(p, o) == sorted({x.subject for x in select(None, p, o)}, key=nt_term)
     assert graph.objects(probe.subject, probe.predicate) == sorted((x.object for x in select(probe.subject, probe.predicate, None)), key=nt_term)
+    assert graph.objects(None, probe.predicate) == sorted({x.object for x in select(None, probe.predicate, None)}, key=nt_term)
 
 
 @given(st.lists(_graph_ops, max_size=30), _few_triples)
@@ -919,6 +920,14 @@ def test_indexed_lookups_match_brute_force(ops, probe):
         else:
             _check_lookups(graph, triple)
     _check_lookups(graph, probe)
+
+
+def test_objects_of_a_missing_predicate_are_none():
+    graph = Graph()
+    assert graph.objects(None, EX.p) == []
+    graph.add(*t("s", "p", "o"))
+    assert graph.objects(None, EX.q) == []
+    assert graph.objects(None, EX.p) == [EX.o]
 
 
 @given(trees(max_leaves=8), st.data())
@@ -1002,6 +1011,8 @@ class GraphAgainstASetOfTexts(RuleBasedStateMachine):
             assert [nt_term(x) for x in self.graph.subjects(p, o)] == subjects
         objects = [k[2] for k in select(*_texts(probe[:2]), None)]
         assert [nt_term(x) for x in self.graph.objects(*probe[:2])] == objects
+        objects = sorted({k[2] for k in select(None, nt_term(probe[1]), None)})
+        assert [nt_term(x) for x in self.graph.objects(None, probe[1])] == objects
         assert (Triple(*probe) in self.graph) == (_texts(probe) in self.model)
 
     @rule(rnd=st.randoms(use_true_random=False))
@@ -1098,10 +1109,11 @@ def test_a_lookup_by_predicate_builds_that_predicates_index_only(golden_text):
     [
         lambda g: g.objects("x", RDF.type),
         lambda g: g.objects(EX.s, "x"),
+        lambda g: g.objects(None, "x"),
         lambda g: g.subjects(RDF.type, "x"),
         lambda g: g.triples("x"),
     ],
-    ids=["objects-subject", "objects-predicate", "subjects-object", "triples-subject"],
+    ids=["objects-subject", "objects-predicate", "objects-any-subject", "subjects-object", "triples-subject"],
 )
 def test_lookups_refuse_a_value_that_is_not_a_term(lookup):
     graph = Graph()

@@ -64,19 +64,30 @@ def test_v1_malformed_list(ehsa_graph, mutation):
         assert '"tail"' in rendered and "Literal(" not in rendered
 
 
+EQ1_ROOT = Iri(f"{EHSA}/expr/chamber1_pressure_rate/n0")
+V2_MESSAGE = "application must have exactly one om:operator and om:arguments, found {}"
+V5_MESSAGE = "process operator has no {} state"
+V6_MESSAGE = "data element must have exactly one type description, found {}"
+
+
 def test_v2_missing_operator(ehsa_graph):
-    victim = ehsa_graph.triples(None, V.om.operator)[0]
+    victim = ehsa_graph.triples(EQ1_ROOT, V.om.operator)[0]
     mutated = edited(ehsa_graph, drop=[victim])
-    findings = validate(mutated).findings
-    assert [f.rule for f in findings] == ["V2"]
-    assert findings[0].severity == "error"
+    finding = _single_finding(validate(mutated, strict=True))
+    assert (finding.rule, finding.severity, finding.node, finding.message) == ("V2", "error", EQ1_ROOT, V2_MESSAGE.format("0/1"))
 
 
 def test_v3_unassigned_operator(ehsa_graph):
-    victim = ehsa_graph.triples(Iri(f"{EHSA}/PressureStabilization"), V.vdi3682.isAssignedTo)[0]
+    operator = Iri(f"{EHSA}/PressureStabilization")
+    victim = ehsa_graph.triples(operator, V.vdi3682.isAssignedTo)[0]
     mutated = edited(ehsa_graph, drop=[victim])
-    finding = _single_finding(validate(mutated))
-    assert (finding.rule, finding.severity) == ("V3", "warning")
+    finding = _single_finding(validate(mutated, strict=True))
+    assert (finding.rule, finding.severity, finding.node, finding.message) == (
+        "V3",
+        "warning",
+        operator,
+        "process operator is not assigned to a technical resource",
+    )
 
 
 def test_v4_unlinked_variable(ehsa_graph):
@@ -88,17 +99,79 @@ def test_v4_unlinked_variable(ehsa_graph):
 
 
 def test_v5_operator_without_input(ehsa_graph):
-    victim = ehsa_graph.triples(Iri(f"{EHSA}/HydraulicControl"), V.vdi3682.hasInput)[0]
+    operator = Iri(f"{EHSA}/HydraulicControl")
+    victim = ehsa_graph.triples(operator, V.vdi3682.hasInput)[0]
     mutated = edited(ehsa_graph, drop=[victim])
-    finding = _single_finding(validate(mutated))
-    assert (finding.rule, finding.severity) == ("V5", "warning")
+    finding = _single_finding(validate(mutated, strict=True))
+    assert (finding.rule, finding.severity, finding.node, finding.message) == ("V5", "warning", operator, V5_MESSAGE.format("input"))
 
 
 def test_v6_data_element_without_type_description(ehsa_graph):
-    victim = ehsa_graph.triples(Iri(f"{EHSA}/Q1_DE"), V.dinen61360.hasTypeDescription)[0]
+    element = Iri(f"{EHSA}/Q1_DE")
+    victim = ehsa_graph.triples(element, V.dinen61360.hasTypeDescription)[0]
     mutated = edited(ehsa_graph, drop=[victim])
-    finding = _single_finding(validate(mutated))
-    assert (finding.rule, finding.severity) == ("V6", "error")
+    finding = _single_finding(validate(mutated, strict=True))
+    assert (finding.rule, finding.severity, finding.node, finding.message) == ("V6", "error", element, V6_MESSAGE.format(0))
+
+
+HYDRAULIC_CONTROL = Iri(f"{EHSA}/HydraulicControl")
+BARE_OPERATOR = Iri(f"{EHSA}/BareOperator")
+
+# Further cardinality mutations of the golden graph: (triples to drop, triples
+# to add, every finding as (rule, severity, node, message)).
+CARDINALITY_MUTATIONS = {
+    "v2_no_arguments": (
+        lambda g: g.triples(EQ1_ROOT, V.om.arguments),
+        [],
+        [("V2", "error", EQ1_ROOT, V2_MESSAGE.format("1/0"))],
+    ),
+    "v2_two_operators": (
+        lambda g: [],
+        [Triple(EQ1_ROOT, V.om.operator, symbol_iri(Symbol("relation1", "neq")))],
+        [("V2", "error", EQ1_ROOT, V2_MESSAGE.format("2/1"))],
+    ),
+    "v2_two_argument_lists": (
+        lambda g: [],
+        [Triple(EQ1_ROOT, V.om.arguments, RDF.nil)],
+        [("V2", "error", EQ1_ROOT, V2_MESSAGE.format("1/2"))],
+    ),
+    "v5_no_output": (
+        lambda g: g.triples(HYDRAULIC_CONTROL, V.vdi3682.hasOutput),
+        [],
+        [("V5", "warning", HYDRAULIC_CONTROL, V5_MESSAGE.format("output"))],
+    ),
+    "v5_no_input_and_no_output": (
+        lambda g: [*g.triples(HYDRAULIC_CONTROL, V.vdi3682.hasInput), *g.triples(HYDRAULIC_CONTROL, V.vdi3682.hasOutput)],
+        [],
+        [
+            ("V5", "warning", HYDRAULIC_CONTROL, V5_MESSAGE.format("input")),
+            ("V5", "warning", HYDRAULIC_CONTROL, V5_MESSAGE.format("output")),
+        ],
+    ),
+    "v3_v5_bare_operator": (
+        lambda g: [],
+        [Triple(BARE_OPERATOR, RDF.type, V.vdi3682.ProcessOperator)],
+        [
+            ("V3", "warning", BARE_OPERATOR, "process operator is not assigned to a technical resource"),
+            ("V5", "warning", BARE_OPERATOR, V5_MESSAGE.format("input")),
+            ("V5", "warning", BARE_OPERATOR, V5_MESSAGE.format("output")),
+        ],
+    ),
+    "v6_two_type_descriptions": (
+        lambda g: [],
+        [Triple(Iri(f"{EHSA}/Q1_DE"), V.dinen61360.hasTypeDescription, Iri(f"{EHSA}/node/type/piston_head_area"))],
+        [("V6", "error", Iri(f"{EHSA}/Q1_DE"), V6_MESSAGE.format(2))],
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CARDINALITY_MUTATIONS))
+def test_cardinality_findings_in_full(ehsa_graph, mutation):
+    """V2, V3, V5 and V6 findings, pinned to the node and the message."""
+    drop, add, expected = CARDINALITY_MUTATIONS[mutation]
+    mutated = edited(ehsa_graph, drop=drop(ehsa_graph), add=add)
+    findings = validate(mutated, strict=True).findings
+    assert [(f.rule, f.severity, f.node, f.message) for f in findings] == expected
 
 
 def test_v7_unregistered_content_dictionary(ehsa_graph):
