@@ -10,19 +10,25 @@ links, and timestamped observations.
 
 Every operation trusts its spec: the manifest check
 (``manifest.manifest_from_dict``) is the one home of every manifest rule,
-and the builder checks none of them again. ``add_observation`` alone asks
-the graph whether its feature exists. The manifest check already requires
-a feature to be a declared id, and every declared id is a node of the
-graph, so only direct use of the builder can fail that check.
+and the builder checks none of them again. It writes N-Triples texts
+through ``Graph._insert``, as ``mapper.om_to_rdf`` does. It checks the IRI
+it makes of each distinct id, slug, and level or kind name once, when it
+first makes it, and keeps the text: a ``CpsManifest`` built by its
+constructor carries ids that the schema never saw. Terms a caller passes
+in get the rule ``Graph.add`` applies, and each node returned is the
+graph's own term. ``add_observation`` alone asks the graph whether its
+feature exists, which only direct use of the builder can fail: the
+manifest check requires a feature to be a declared id.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import CpskgError
-from .rdf import RDF, XSD, Graph, Iri, Literal, NodeRef
+from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, _check_triple
 from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = [
@@ -48,9 +54,13 @@ class UnresolvedReferenceError(BuildError):
     pass
 
 
+_SLUG_BREAK = re.compile(r"[^A-Za-z0-9]+")
+
+
+@lru_cache(maxsize=1024)  # the manifest check and the builder both slug each description
 def slugify(text: str) -> str:
     """Reduce free text to a deterministic IRI path segment."""
-    slug = re.sub(r"[^A-Za-z0-9]+", "_", text.strip()).strip("_").lower()
+    slug = _SLUG_BREAK.sub("_", text.strip()).strip("_").lower()
     return slug or "x"
 
 
@@ -120,6 +130,8 @@ class ModelBuilder:
         self.instance_base = instance_base.rstrip("/")
         self.graph = Graph()
         self._observation_count = 0
+        self._nodes: dict[str, str] = {}  # local id -> N-Triples text
+        self._classes: dict[str, str] = {}  # level or kind class IRI -> N-Triples text
 
     def iri(self, local_id: str) -> Iri:
         return Iri(f"{self.instance_base}/{local_id}")
@@ -127,64 +139,75 @@ class ModelBuilder:
     def node_iri(self, context: str, key: str) -> Iri:
         return Iri(f"{self.instance_base}/node/{context}/{key}")
 
+    def _node(self, local_id: str) -> str:
+        """The text of :meth:`iri` of ``local_id``, made and checked once."""
+        return self._nodes.get(local_id) or self._nodes.setdefault(local_id, self.iri(local_id)._nt)
+
+    def _class(self, namespace: Namespace, name: str) -> str:
+        """The text of ``namespace.term(name)``, made and checked once."""
+        key = namespace.base + name
+        return self._classes.get(key) or self._classes.setdefault(key, namespace.term(name)._nt)
+
     # --- lifecycle -------------------------------------------------------
 
     def add_lifecycle_record(self, record_id: str, information_set_ids: Sequence[str]) -> Iri:
         """Create the record and its information sets; the first set doubles
         as the system-model node."""
-        v = self.vocab
-        record = self.iri(record_id)
-        self.graph.add(record, RDF.type, v.din77005.LifeCycleRecord)
+        din77005, insert, rdf_type = self.vocab.din77005, self.graph._insert, RDF.type._nt
+        record = self._node(record_id)
+        insert(record, rdf_type, din77005.LifeCycleRecord._nt)
         for index, set_id in enumerate(information_set_ids):
-            info_set = self.iri(set_id)
-            self.graph.add(info_set, RDF.type, v.din77005.InformationSet)
-            self.graph.add(record, v.din77005.hasInformationSet, info_set)
+            info_set = self._node(set_id)
+            insert(info_set, rdf_type, din77005.InformationSet._nt)
+            insert(record, din77005.hasInformationSet._nt, info_set)
             if index == 0:
-                self.graph.add(info_set, RDF.type, v.cpsmod.SystemModel)
-        return record
+                insert(info_set, rdf_type, self.vocab.cpsmod.SystemModel._nt)
+        return self.graph._term(record)  # type: ignore[return-value]
 
     # --- structure -------------------------------------------------------
 
     def add_structure(self, root: StructureNode) -> Iri:
         """Type every node per its level and link parents to children via
         ``vdi2206:consistsOf``; declared data elements are added as well."""
+        vdi2206, insert, term, rdf_type = self.vocab.vdi2206, self.graph._insert, self.graph._term, RDF.type._nt
+        consists_of = vdi2206.consistsOf._nt
 
-        def visit(node: StructureNode) -> Iri:
-            node_iri = self.iri(node.id)
-            self.graph.add(node_iri, RDF.type, self.vocab.vdi2206.term(node.level))
+        def visit(node: StructureNode) -> str:
+            text = self._node(node.id)
+            insert(text, rdf_type, self._class(vdi2206, node.level))
             for de in node.data_elements:
-                self.add_data_element(node_iri, de)
+                self.add_data_element(term(text), de)  # type: ignore[arg-type]
             for child in node.children:
-                self.graph.add(node_iri, self.vocab.vdi2206.consistsOf, visit(child))
-            return node_iri
+                insert(text, consists_of, visit(child))
+            return text
 
-        return visit(root)
+        return term(visit(root))  # type: ignore[return-value]
 
     # --- processes -------------------------------------------------------
 
     def add_process(self, spec: ProcessSpec) -> Iri:
         """Add a process with its states and operators. Operator equations,
         if any, are not compiled here; see ``manifest.compile_manifest``."""
-        v = self.vocab
-        process = self.iri(spec.id)
-        self.graph.add(process, RDF.type, v.vdi3682.Process)
+        vdi3682, insert, node, term, rdf_type = self.vocab.vdi3682, self.graph._insert, self._node, self.graph._term, RDF.type._nt
+        process = node(spec.id)
+        insert(process, rdf_type, vdi3682.Process._nt)
         for state in spec.states:
-            node = self.iri(state.id)
-            self.graph.add(node, RDF.type, v.vdi3682.term(state.kind))
+            text = node(state.id)
+            insert(text, rdf_type, self._class(vdi3682, state.kind))
             for de in state.data_elements:
-                self.add_data_element(node, de)
+                self.add_data_element(term(text), de)  # type: ignore[arg-type]
+        has_input, has_output = vdi3682.hasInput._nt, vdi3682.hasOutput._nt
         for op in spec.operators:
-            op_node = self.iri(op.id)
-            self.graph.add(op_node, RDF.type, v.vdi3682.ProcessOperator)
-            self.graph.add(process, v.vdi3682.consistsOf, op_node)
-            resource = self.iri(op.assigned_resource)
-            self.graph.add(op_node, v.vdi3682.isAssignedTo, resource)
-            self.graph.add(resource, RDF.type, v.vdi3682.TechnicalResource)
+            op_node, resource = node(op.id), node(op.assigned_resource)
+            insert(op_node, rdf_type, vdi3682.ProcessOperator._nt)
+            insert(process, vdi3682.consistsOf._nt, op_node)
+            insert(op_node, vdi3682.isAssignedTo._nt, resource)
+            insert(resource, rdf_type, vdi3682.TechnicalResource._nt)
             for state_id in op.inputs:
-                self.graph.add(op_node, v.vdi3682.hasInput, self.iri(state_id))
+                insert(op_node, has_input, node(state_id))
             for state_id in op.outputs:
-                self.graph.add(op_node, v.vdi3682.hasOutput, self.iri(state_id))
-        return process
+                insert(op_node, has_output, node(state_id))
+        return term(process)  # type: ignore[return-value]
 
     # --- data elements ---------------------------------------------------
 
@@ -194,18 +217,19 @@ class ModelBuilder:
         Type and instance description texts are encoded in deterministic
         node IRIs (shared per slug), keeping the emitted shape minimal.
         """
-        v = self.vocab
-        element = self.iri(spec.id)
-        self.graph.add(owner, v.dinen61360.hasDataElement, element)
-        self.graph.add(element, RDF.type, v.dinen61360.DataElement)
-        type_node = self.node_iri("type", slugify(spec.type_description))
-        self.graph.add(element, v.dinen61360.hasTypeDescription, type_node)
-        self.graph.add(type_node, RDF.type, v.dinen61360.TypeDescription)
+        dinen61360, insert, rdf_type = self.vocab.dinen61360, self.graph._insert, RDF.type._nt
+        element = self._node(spec.id)
+        _check_triple(owner, dinen61360.hasDataElement, owner)  # the caller's term, as a subject
+        insert(owner._nt, dinen61360.hasDataElement._nt, element)
+        insert(element, rdf_type, dinen61360.DataElement._nt)
+        type_node = self._node(f"node/type/{slugify(spec.type_description)}")
+        insert(element, dinen61360.hasTypeDescription._nt, type_node)
+        insert(type_node, rdf_type, dinen61360.TypeDescription._nt)
         for text in spec.instance_descriptions:
-            instance = Iri(f"{element.value}/instance/{slugify(text)}")
-            self.graph.add(element, v.dinen61360.hasInstanceDescription, instance)
-            self.graph.add(instance, RDF.type, v.dinen61360.InstanceDescription)
-        return element
+            instance = self._node(f"{spec.id}/instance/{slugify(text)}")
+            insert(element, dinen61360.hasInstanceDescription._nt, instance)
+            insert(instance, rdf_type, dinen61360.InstanceDescription._nt)
+        return self.graph._term(element)  # type: ignore[return-value]
 
     # --- behavior --------------------------------------------------------
 
@@ -213,31 +237,32 @@ class ModelBuilder:
         """Link an equation wrapper to an operator through one mathematical-
         model node per operator (fan-out for further equations); a further
         equation re-adds the model's two triples, which changes nothing."""
-        v = self.vocab
-        model = Iri(f"{operator_node.value}/model")
-        self.graph.add(model, RDF.type, v.vdi2206.MathematicalModel)
-        self.graph.add(operator_node, v.cpsmod.processOperatorBehaviorModel, model)
-        self.graph.add(model, v.cpsmod.hasOMObject, object_node)
-        return model
+        cpsmod, insert = self.vocab.cpsmod, self.graph._insert
+        _check_triple(operator_node, cpsmod.hasOMObject, object_node)  # the caller's terms, in their roles
+        model = Iri(f"{operator_node.value}/model")._nt
+        insert(model, RDF.type._nt, self.vocab.vdi2206.MathematicalModel._nt)
+        insert(operator_node._nt, cpsmod.processOperatorBehaviorModel._nt, model)
+        insert(model, cpsmod.hasOMObject._nt, object_node._nt)
+        return self.graph._term(model)  # type: ignore[return-value]
 
     def link_variable_to_data_element(self, variable_node: NodeRef, data_element_node: NodeRef) -> None:
-        self.graph.add(variable_node, self.vocab.cpsmod.isDataFor, data_element_node)
+        is_data_for = self.vocab.cpsmod.isDataFor
+        _check_triple(variable_node, is_data_for, data_element_node)
+        self.graph._insert(variable_node._nt, is_data_for._nt, data_element_node._nt)
 
     # --- observations ----------------------------------------------------
 
     def add_observation(self, feature: Iri, value: float, timestamp: str) -> Iri:
         """Record a timestamped observation on a feature of interest; the
         simple result is a plain xsd:double."""
-        # compile_manifest passes only declared ids, which are all in the
-        # graph; this check can fail only for a caller of the builder itself.
-        # A lookup by subject reads the graph's store and builds no index.
+        # a lookup by subject reads the graph's store and builds no index
         if not self.graph.triples(feature):
             raise UnresolvedReferenceError(f"observation feature does not exist in the graph: {feature}")
-        v = self.vocab
-        observation = self.node_iri("obs", str(self._observation_count))
+        sosa, insert = self.vocab.sosa, self.graph._insert
+        observation = self._node(f"node/obs/{self._observation_count}")
         self._observation_count += 1
-        self.graph.add(observation, RDF.type, v.sosa.Observation)
-        self.graph.add(observation, v.sosa.hasFeatureOfInterest, feature)
-        self.graph.add(observation, v.sosa.hasSimpleResult, Literal(repr(float(value)), XSD.double))
-        self.graph.add(observation, v.sosa.resultTime, Literal(timestamp, XSD.dateTime))
-        return observation
+        insert(observation, RDF.type._nt, sosa.Observation._nt)
+        insert(observation, sosa.hasFeatureOfInterest._nt, feature._nt)
+        insert(observation, sosa.hasSimpleResult._nt, Literal(repr(float(value)), XSD.double)._nt)
+        insert(observation, sosa.resultTime._nt, Literal(timestamp, XSD.dateTime)._nt)
+        return self.graph._term(observation)  # type: ignore[return-value]

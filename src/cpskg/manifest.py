@@ -9,12 +9,13 @@ fixed order, so identical manifests yield byte-identical N-Triples.
 This module is the one home of every manifest rule. ``manifest_from_dict``
 checks the schema (``MANIFEST_SCHEMA``), then walks the manifest once: at
 each object it declares the ids, checks the rules a schema cannot state
-(unique ids, references, level order, observation values and timestamps)
-and builds the spec. ``compile_manifest`` adds the rules of each operator's
-scope: no variable declared by two data elements, and equations that read,
-parse, map and use only declared variables. Each problem names its JSON
-path. The ``ModelBuilder`` it drives writes the checked specs and checks
-none of these rules again.
+(unique ids, references, level order, one description text per node slug,
+observation values and timestamps) and builds the spec.
+``compile_manifest`` adds the rules of each operator's scope: no variable
+declared by two data elements, and equations that read, parse, map and use
+only declared variables. Each problem names its JSON path. The
+``ModelBuilder`` it drives writes the checked specs and checks none of
+these rules again.
 
 The schema check is an acceptor compiled from ``MANIFEST_SCHEMA`` at import.
 jsonschema is imported only to report the errors of a manifest the acceptor
@@ -39,6 +40,7 @@ from .builder import (
     ProcessSpec,
     StateSpec,
     StructureNode,
+    slugify,
 )
 from .errors import CpskgError
 from .infix import parse_infix
@@ -291,9 +293,9 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
     schema's are jsonschema's, sorted by path.
 
     The problems come in the walk's order: the lifecycle record; each
-    structure node's id, level, data elements, then children; each
-    process's id, states, then operators (inputs before outputs); the
-    observations."""
+    structure node's id, level, data elements (id, type description,
+    instance descriptions), then children; each process's id, states, then
+    operators (inputs before outputs); the observations."""
     if not _accepts_manifest(data):
         # Imported here: it is slow to import, and only a rejected manifest needs it.
         import jsonschema
@@ -316,16 +318,33 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
             ids[local_id] = path
         return local_id
 
+    # slug -> the first typeDescription text giving it, and that text's path
+    type_slugs: dict[str, tuple[str, str]] = {}
+
+    def one_text_per_slug(slugs: dict[str, tuple[str, str]], text: str, path: str) -> None:
+        """Report ``text`` at ``path`` if an earlier, different text in
+        ``slugs`` gives its slug, and so would be its node."""
+        slug = slugify(text)
+        first_text, first_path = slugs.setdefault(slug, (text, path))
+        if first_text != text:
+            problems.append((path, f"{text!r} would be the node of {first_text!r} at {first_path}: both give the slug {slug!r}"))
+
     def data_elements(owner: dict, path: str) -> tuple[DataElementSpec, ...]:
-        return tuple(
-            DataElementSpec(
-                id=declare(de["id"], f"{path}.dataElements[{di}].id"),
+        specs = []
+        for di, de in enumerate(owner.get("dataElements", ())):
+            dpath = f"{path}.dataElements[{di}]"
+            spec = DataElementSpec(
+                id=declare(de["id"], f"{dpath}.id"),
                 type_description=de["typeDescription"],
                 instance_descriptions=tuple(de.get("instanceDescriptions", ())),
                 variable_name=de.get("variableName"),
             )
-            for di, de in enumerate(owner.get("dataElements", ()))
-        )
+            one_text_per_slug(type_slugs, spec.type_description, f"{dpath}.typeDescription")
+            instance_slugs: dict[str, tuple[str, str]] = {}
+            for ii, text in enumerate(spec.instance_descriptions):
+                one_text_per_slug(instance_slugs, text, f"{dpath}.instanceDescriptions[{ii}]")
+            specs.append(spec)
+        return tuple(specs)
 
     record = data["lifecycleRecord"]
     declare(record["id"], "$.lifecycleRecord.id")
@@ -464,6 +483,8 @@ def compile_manifest(
     aggregated into one :class:`ManifestError` naming each JSON path.
     """
     builder = ModelBuilder(manifest.instance_base, vocab)
+    # the builder's texts of the nodes it wrote, as the graph's own terms
+    node_text, term = builder._node, builder.graph._term
     builder.add_lifecycle_record(manifest.lifecycle_record_id, manifest.information_sets)
     builder.add_structure(manifest.structure)
     # each structure node's data elements scope the variables of the operators assigned to it
@@ -513,9 +534,9 @@ def compile_manifest(
                     for name in missing:
                         problems.append((epath, f"variable {name!r} is not declared by any data element in scope"))
                     continue
-                builder.attach_behavior_model(builder.iri(op.id), result.object_node)
+                builder.attach_behavior_model(term(node_text(op.id)), result.object_node)
                 for name in sorted(result.variables):
-                    builder.link_variable_to_data_element(result.variables[name], builder.iri(scope[name]))
+                    builder.link_variable_to_data_element(result.variables[name], term(node_text(scope[name])))
     if problems:
         raise ManifestError(problems)
 

@@ -193,12 +193,11 @@ def om_to_rdf(
         raise TypeError(f"not an expression node: {expr!r}")
 
     root = node_of(expr)
-    wrapper = Iri(base)
+    wrapper = Iri(base)._nt
+    insert(wrapper, rdf_type, om.Object._nt)
+    insert(wrapper, om.root._nt, root)
     term = graph._term
-    root_node = term(root)
-    graph.add(wrapper, RDF.type, om.Object)
-    graph.add(wrapper, om.root, root_node)
-    return MappingResult(graph, term(wrapper._nt), root_node, {name: term(node) for name, node in variables.items()})  # type: ignore[arg-type]
+    return MappingResult(graph, term(wrapper), term(root), {name: term(node) for name, node in variables.items()})  # type: ignore[arg-type]
 
 
 # --- inverse ------------------------------------------------------------------

@@ -20,9 +20,11 @@ public write: it takes the three terms, applies the rule :class:`Triple`
 applies, and stores their texts without making a :class:`Triple`.
 :class:`Triple` is the read type, which iteration and lookups hand out.
 ``Graph._insert`` is the store's one insert: it takes the texts of three
-terms already checked. ``add`` calls it, and so does
-:func:`cpskg.mapper.om_to_rdf`, which checks its terms once per equation
-and writes texts, so the graph makes their objects on first read.
+terms already checked. ``add`` calls it, and so do
+:func:`cpskg.mapper.om_to_rdf`, which checks its terms once per equation,
+and :class:`cpskg.builder.ModelBuilder`, which checks each node IRI once,
+when it first makes it. Both write texts, so the graph makes their
+objects on first read.
 :func:`from_ntriples` fills a fresh graph's store directly. One ``findall``
 per bounded slice of the document gives each line's three terms' texts;
 the distinct IRIs are checked together by one match, one string object is
@@ -308,8 +310,9 @@ class Graph:
     three terms by the rule :class:`Triple` checks, and raises the same
     :class:`InvalidTripleError`, but makes no :class:`Triple`: that is the
     type reads hand out. It stores their texts through :meth:`_insert`, the
-    store's one insert, which :func:`cpskg.mapper.om_to_rdf` also calls
-    with texts it has checked. A graph is built by one writer and then
+    store's one insert, which :func:`cpskg.mapper.om_to_rdf` and
+    :class:`cpskg.builder.ModelBuilder` also call with texts they have
+    checked. A graph is built by one writer and then
     read, and an edited graph is a new graph made from the old one's
     triples. Reads are safe to share once built.
     Iteration is always in serialization order, so callers cannot pick up a
@@ -326,7 +329,8 @@ class Graph:
     object. A graph from :func:`from_ntriples` starts with an empty table:
     each term's object is made on its first hand-out, from its text, and
     most are never handed out. The same holds for the fragments
-    :func:`cpskg.mapper.om_to_rdf` writes, literals included.
+    :func:`cpskg.mapper.om_to_rdf` writes, literals included, and for the
+    nodes :class:`cpskg.builder.ModelBuilder` writes.
 
     Lookups by subject read the store. Lookups by predicate alone go
     through ``_pos``, one index per predicate (vertical partitioning):
@@ -363,9 +367,11 @@ class Graph:
 
     def _insert(self, s: str, p: str, o: str) -> bool:
         """Store the triple whose terms have the N-Triples texts ``s``,
-        ``p`` and ``o``, terms already checked; the store's one insert. True
-        when the graph did not hold it; a literal's text must be its
-        canonical one, which :func:`nt_term` gives. It keeps the count and
+        ``p`` and ``o``, terms already checked; the store's one insert,
+        which :meth:`add`, :func:`cpskg.mapper.om_to_rdf` and
+        :class:`cpskg.builder.ModelBuilder` call. True when the graph did
+        not hold it; a literal's text must be its canonical one, which
+        :func:`nt_term` gives. It keeps the count and
         any built predicate index in step, but not the term table:
         :meth:`_term` makes a missing term's object from its text."""
         # the insert of _put, inline: this is the write every build makes

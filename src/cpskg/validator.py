@@ -94,18 +94,29 @@ def _check_variable_links(graph: Graph, v: CpsVocabulary, out: list[Finding]) ->
             out.append(Finding("V4", "warning", node, "equation variable is not linked to a data element"))
 
 
-def _cardinality_shapes(v: CpsVocabulary) -> tuple[tuple[str, str, Iri, tuple[Iri, ...], int, Optional[int], str], ...]:
-    """V2, V3, V5 and V6 as rows (rule, severity, class, predicates, least,
-    most, message): a node of the class is a finding when a predicate has
-    fewer than ``least`` or more than ``most`` (if not None) objects on it;
-    ``{found}`` in the message is the counts, joined by "/"."""
+# A cardinality shape: (rule, severity, predicates, least, most, message).
+_Shape = tuple[str, str, tuple[Iri, ...], int, Optional[int], str]
+
+
+def _cardinality_shapes(v: CpsVocabulary) -> tuple[tuple[Iri, tuple[_Shape, ...]], ...]:
+    """V2, V3, V5 and V6 as shapes, grouped by the class whose nodes they
+    check, so that each class is looked up once: a node of the class is a
+    finding when a predicate has fewer than ``least`` or more than ``most``
+    (if not None) objects on it; ``{found}`` in the message is the counts,
+    joined by "/"."""
     om, vdi3682, dinen61360 = v.om, v.vdi3682, v.dinen61360
     return (
-        ("V2", "error", om.Application, (om.operator, om.arguments), 1, 1, "application must have exactly one om:operator and om:arguments, found {found}"),
-        ("V3", "warning", vdi3682.ProcessOperator, (vdi3682.isAssignedTo,), 1, None, "process operator is not assigned to a technical resource"),
-        ("V5", "warning", vdi3682.ProcessOperator, (vdi3682.hasInput,), 1, None, "process operator has no input state"),
-        ("V5", "warning", vdi3682.ProcessOperator, (vdi3682.hasOutput,), 1, None, "process operator has no output state"),
-        ("V6", "error", dinen61360.DataElement, (dinen61360.hasTypeDescription,), 1, 1, "data element must have exactly one type description, found {found}"),
+        (om.Application, (
+            ("V2", "error", (om.operator, om.arguments), 1, 1, "application must have exactly one om:operator and om:arguments, found {found}"),
+        )),
+        (vdi3682.ProcessOperator, (
+            ("V3", "warning", (vdi3682.isAssignedTo,), 1, None, "process operator is not assigned to a technical resource"),
+            ("V5", "warning", (vdi3682.hasInput,), 1, None, "process operator has no input state"),
+            ("V5", "warning", (vdi3682.hasOutput,), 1, None, "process operator has no output state"),
+        )),
+        (dinen61360.DataElement, (
+            ("V6", "error", (dinen61360.hasTypeDescription,), 1, 1, "data element must have exactly one type description, found {found}"),
+        )),
     )
 
 
@@ -136,11 +147,12 @@ def validate(
     findings: list[Finding] = []
     _check_argument_lists(graph, vocab, findings)
     _check_variable_links(graph, vocab, findings)
-    for rule, severity, cls, predicates, least, most, message in _cardinality_shapes(vocab):
+    for cls, shapes in _cardinality_shapes(vocab):
         for node in graph.subjects(RDF.type, cls):
-            counts = [len(graph.objects(node, p)) for p in predicates]
-            if any(n < least or (most is not None and n > most) for n in counts):
-                findings.append(Finding(rule, severity, node, message.format(found="/".join(map(str, counts)))))
+            for rule, severity, predicates, least, most, message in shapes:
+                counts = [len(graph.objects(node, p)) for p in predicates]
+                if any(n < least or (most is not None and n > most) for n in counts):
+                    findings.append(Finding(rule, severity, node, message.format(found="/".join(map(str, counts)))))
     if strict:
         _check_symbol_cds(graph, vocab, registry, findings)
     findings.sort(key=lambda f: (f.rule, nt_term(f.node), f.message))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+
 import pytest
 
 from cpskg.builder import (
@@ -12,10 +15,12 @@ from cpskg.builder import (
     UnresolvedReferenceError,
     slugify,
 )
+from cpskg.manifest import compile_manifest, load_manifest
 from cpskg.mapper import om_to_rdf
 from cpskg.om.tree import Symbol, Variable, app
-from cpskg.rdf import RDF, PatternQuery, Triple, Var, match
+from cpskg.rdf import RDF, Graph, InvalidTripleError, Literal, PatternQuery, Triple, Var, match, nt_term, to_ntriples
 from cpskg.vocab import DEFAULT_VOCAB
+from conftest import FIXTURES, REPO
 
 BASE = "http://example.org/unit"
 V = DEFAULT_VOCAB
@@ -176,3 +181,80 @@ def test_slugify():
     assert slugify("Volume flow into chamber 1") == "volume_flow_into_chamber_1"
     assert slugify("unit m^3/s") == "unit_m_3_s"
     assert slugify("  ") == "x"
+
+
+# --- the builder writes texts; the graph is the one Graph.add builds --------
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, which replicates the EHSA manifest and imports no cpskg."""
+    if "perfbench_inputs" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", REPO / "perfbench" / "inputs.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up there
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_inputs"]
+
+
+@pytest.mark.parametrize("k", [1, 4], ids=["ehsa", "k4"])
+def test_built_graph_is_the_graph_add_builds(k, tmp_path):
+    inputs = _perfbench_inputs()
+    fixture = inputs.load_fixture(FIXTURES)
+    built = compile_manifest(load_manifest(inputs.write_scaled_model(fixture, k, tmp_path)))
+    rebuilt = Graph()
+    for triple in built:
+        rebuilt.add(triple.subject, triple.predicate, triple.object)
+    assert built == rebuilt and len(built) == len(rebuilt)
+
+    def leaf_shapes(graph: Graph) -> dict:
+        return {(s, p): type(leaf) for s, by_predicate in graph._spo.items() for p, leaf in by_predicate.items()}
+
+    assert leaf_shapes(built) == leaf_shapes(rebuilt)
+    assert to_ntriples(built) == to_ntriples(rebuilt) == inputs.reference_ntriples(fixture, k)
+
+
+def test_type_index_built_between_two_processes_matches_a_scan(builder):
+    builder.add_structure(ehsa_structure())
+    builder.add_process(active_mode())
+    assert len(builder.graph.subjects(RDF.type, V.vdi3682.ProcessOperator)) == 3  # builds the rdf:type index
+    builder.add_process(ProcessSpec(
+        "PassiveMode",
+        states=[StateSpec("Leak", "Energy", data_elements=[DataElementSpec("Leak_DE", "leak flow", ["unit m^3/s"])])],
+        operators=[OperatorSpec("Damping", "ActuatorMainRam", inputs=["Leak"], outputs=["Leak"])],
+    ))
+    graph = builder.graph
+    typed = [triple for triple in graph if triple.predicate == RDF.type]
+    for cls in {triple.object for triple in typed}:
+        scanned = sorted((triple.subject for triple in typed if triple.object == cls), key=nt_term)
+        assert graph.subjects(RDF.type, cls) == scanned, cls
+    assert len(graph.subjects(RDF.type, V.vdi3682.ProcessOperator)) == 4
+
+
+def test_every_returned_node_is_the_graphs_own_term(builder):
+    graph = builder.graph
+
+    def own(node):
+        """``node`` itself, as the graph's lookups hand it out."""
+        assert graph.triples(node)[0].subject is node
+        return node
+
+    own(builder.add_lifecycle_record("Record", ["ModelSet"]))
+    own(builder.add_structure(ehsa_structure()))
+    own(builder.add_process(active_mode()))
+    element = own(builder.add_data_element(builder.iri("EHSV"), DataElementSpec("D", "quantity", ["unit one"])))
+    wrapper = om_to_rdf(Variable("x"), BASE, "e", vocab=V, graph=graph).object_node
+    own(builder.attach_behavior_model(builder.iri("HydraulicControl"), wrapper))
+    own(builder.add_observation(element, 1.0, "2024-01-01T00:00:00Z"))
+
+
+def test_a_callers_term_gets_the_rule_graph_add_applies(builder):
+    builder.add_structure(StructureNode("Ram", "Component"))
+    element = builder.add_data_element(builder.iri("Ram"), DataElementSpec("D", "quantity"))
+    before = to_ntriples(builder.graph)
+    literal = Literal("Ram")
+    with pytest.raises(InvalidTripleError, match="subject cannot be a literal"):
+        builder.add_data_element(literal, DataElementSpec("E", "quantity"))
+    with pytest.raises(InvalidTripleError, match="subject cannot be a literal"):
+        builder.link_variable_to_data_element(literal, element)
+    with pytest.raises(InvalidTripleError, match="object must be an IRI or literal"):
+        builder.attach_behavior_model(builder.iri("Ram"), "not a term")  # type: ignore[arg-type]
+    assert to_ntriples(builder.graph) == before

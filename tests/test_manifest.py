@@ -20,7 +20,8 @@ from cpskg.manifest import (
     load_manifest,
     manifest_from_dict,
 )
-from cpskg.rdf import to_ntriples
+from cpskg.builder import OperatorSpec, ProcessSpec
+from cpskg.rdf import InvalidIriError, to_ntriples
 from cpskg.validator import validate
 from conftest import REPO
 
@@ -710,4 +711,75 @@ def test_state_that_is_both_input_and_output_declares_its_variables_once():
     data = minimal_manifest()
     data["processes"][0]["operators"][0]["outputs"] = ["In", "Out"]
     graph = compile_manifest(manifest_from_dict(data))
+    assert validate(graph, strict=True).ok()
+
+
+# --- the builder checks each node IRI that a constructed manifest names ------
+
+
+def _rebuilt(manifest: CpsManifest, instance_base: str, processes=None) -> CpsManifest:
+    return CpsManifest(
+        instance_base, manifest.lifecycle_record_id, manifest.information_sets, manifest.structure,
+        manifest.processes if processes is None else processes, manifest.observations, manifest.base_dir,
+    )
+
+
+def test_constructed_manifest_with_an_operator_id_that_is_no_iri_segment_is_rejected():
+    # manifest_from_dict rejects the id "a b"; a manifest built by its
+    # constructor reaches the builder, which must still check the IRI.
+    manifest = manifest_from_dict(minimal_manifest())
+    proc = manifest.processes[0]
+    op = proc.operators[0]
+    renamed = OperatorSpec("a b", op.assigned_resource, op.inputs, op.outputs, op.equations)
+    processes = [ProcessSpec(proc.id, [renamed], proc.states)]
+    with pytest.raises(InvalidIriError) as excinfo:
+        compile_manifest(_rebuilt(manifest, manifest.instance_base, processes))
+    assert str(excinfo.value) == "IRI contains forbidden characters: 'http://example.org/mini/a b'"
+
+
+def test_constructed_manifest_with_a_relative_instance_base_fails_at_its_first_iri():
+    manifest = manifest_from_dict(minimal_manifest())
+    with pytest.raises(InvalidIriError) as excinfo:
+        compile_manifest(_rebuilt(manifest, "example.org/mini"))
+    assert str(excinfo.value) == "IRI must be absolute: 'example.org/mini/Record'"
+
+
+# --- one description text per node slug ---------------------------------------
+
+
+def test_type_descriptions_that_give_one_slug_are_reported_at_the_later_path():
+    # "Pressure rate" and "pressure-rate" both give node/type/pressure_rate.
+    data = minimal_manifest()
+    data["structure"]["dataElements"] = [{"id": "P_DE", "typeDescription": "Pressure rate"}]
+    data["processes"][0]["states"][1]["dataElements"][0]["typeDescription"] = "pressure-rate"
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert excinfo.value.problems == [(
+        "$.processes[0].states[1].dataElements[0].typeDescription",
+        "'pressure-rate' would be the node of 'Pressure rate' at $.structure.dataElements[0].typeDescription: "
+        "both give the slug 'pressure_rate'",
+    )]
+
+
+def test_instance_descriptions_of_one_element_that_give_one_slug_are_reported():
+    data = minimal_manifest()
+    data["processes"][0]["states"][0]["dataElements"][0]["instanceDescriptions"] = ["unit m/s", "sampled", "unit m*s"]
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    path = "$.processes[0].states[0].dataElements[0].instanceDescriptions"
+    assert excinfo.value.problems == [
+        (f"{path}[2]", f"'unit m*s' would be the node of 'unit m/s' at {path}[0]: both give the slug 'unit_m_s'"),
+    ]
+
+
+def test_a_description_text_used_again_is_one_node_and_no_problem():
+    data = minimal_manifest()
+    elements = [state["dataElements"][0] for state in data["processes"][0]["states"]]
+    for element in elements:
+        element["typeDescription"] = "Pressure rate"
+        element["instanceDescriptions"] = ["unit m/s", "unit m/s"]
+    # instance nodes are per data element, so texts that slug alike on two elements are two nodes
+    elements[1]["instanceDescriptions"] = ["unit m*s"]
+    graph = compile_manifest(manifest_from_dict(data))
+    assert to_ntriples(graph).count("/node/type/pressure_rate> .") == 2
     assert validate(graph, strict=True).ok()
