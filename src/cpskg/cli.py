@@ -19,13 +19,12 @@ from .errors import CpskgError
 from .evaluator import evaluate, load_bindings
 from .infix import print_infix
 from .manifest import compile_manifest, load_manifest
-from .mapper import behavior_objects, fragment_variables, om_to_rdf, rdf_to_om
+from .mapper import behavior_objects, om_to_rdf, rdf_to_om, variable_elements
 from .om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from .rdf import (
     RDF,
     Graph,
     Iri,
-    Literal,
     MalformedQueryError,
     PatternQuery,
     Var,
@@ -158,26 +157,9 @@ def cmd_export(args: argparse.Namespace, cfg: ToolConfig) -> int:
     if not wrappers:
         print(f"no behavior model attached to {operator.value}", file=sys.stderr)
         return EXIT_OK
-    lines = []
-    variables: set[Iri] = set()
-    for wrapper in wrappers:
-        expr = rdf_to_om(graph, wrapper, vocab=v, strict=cfg.strict)
-        lines.append(print_infix(expr, registry=cfg.registry))
-        variables.update(fragment_variables(graph, graph.objects(wrapper, v.om.root), v.om))
-    rows = []
-    for var in variables:
-        names = [o.lexical for o in graph.objects(var, v.om.name) if isinstance(o, Literal)]
-        name = names[0] if names else var.value
-        for element in graph.objects(var, v.cpsmod.isDataFor):
-            if not isinstance(element, Iri):
-                continue
-            descriptions = [d.value for d in graph.objects(element, v.dinen61360.hasTypeDescription) if isinstance(d, Iri)]
-            rows.append((name, element.value, descriptions[0] if descriptions else ""))
-    sys.stdout.write("".join(line + "\n" for line in lines))
-    if rows:
-        sys.stdout.write("\n")
-        for name, element, description in sorted(set(rows)):
-            sys.stdout.write(f"{name}\t{element}\t{description}\n")
+    text = "".join(print_infix(rdf_to_om(graph, w, vocab=v, strict=cfg.strict), registry=cfg.registry) + "\n" for w in wrappers)
+    rows = variable_elements(graph, v, wrappers)
+    sys.stdout.write(text + ("\n" if rows else "") + "".join("\t".join(row) + "\n" for row in rows))
     return EXIT_OK
 
 

@@ -22,10 +22,13 @@ The backward direction reconstructs the tree and rejects malformed shapes:
 cyclic or dangling argument lists, applications without exactly one
 operator and argument list, nodes with ambiguous typing, and (in strict
 mode) operator IRIs outside the configured CD base and roots that are no
-node of the graph. The validator and the CLI reuse :func:`read_list`,
-:func:`fragment_variables` and :func:`expression_class` rather than
-walking the fragment themselves, and reach an operator's equations only
-through :func:`behavior_objects`.
+node of the graph. The backward direction reads texts: its walks compare
+the store's N-Triples texts (``Graph._objects``) and make a term object
+only for what they return or name in an error. The validator calls the
+text forms of :func:`read_list`, :func:`fragment_variables` and
+:func:`expression_class`, and the CLI calls :func:`variable_elements`;
+neither walks a fragment itself, and both reach an operator's equations
+only through :func:`behavior_objects`.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "rdf_to_om",
     "read_list",
     "symbol_iri",
+    "variable_elements",
 ]
 
 
@@ -202,45 +206,74 @@ def om_to_rdf(
 
 # --- inverse ------------------------------------------------------------------
 
+_TYPE, _FIRST, _REST, _NIL = RDF.type._nt, RDF.first._nt, RDF.rest._nt, RDF.nil._nt
+
+
+def _list_items(graph: Graph, head: str) -> list[str]:
+    objects = graph._objects
+    items: list[str] = []
+    seen: set[str] = set()
+    node = head
+    while node != _NIL:
+        if node[0] != "<":
+            raise MalformedListError(graph._term(node), "argument list continues into a literal")
+        if node in seen:
+            raise MalformedListError(graph._term(node), "argument list is cyclic")
+        seen.add(node)
+        firsts, rests = objects(node, _FIRST), objects(node, _REST)
+        if len(firsts) != 1 or len(rests) != 1:
+            raise MalformedListError(graph._term(node), f"cons cell must have exactly one rdf:first and rdf:rest, found {len(firsts)}/{len(rests)}")
+        items.append(firsts[0])
+        node = rests[0]
+    return items
+
 
 def read_list(graph: Graph, head: NodeRef) -> list[NodeRef]:
     """The items of the RDF collection starting at ``head``, in order.
     Raises :class:`MalformedListError` at the first cell that is a literal,
     repeats an earlier cell, or lacks exactly one rdf:first and rdf:rest."""
-    items: list[NodeRef] = []
-    seen: set[NodeRef] = set()
-    node = head
-    while node != RDF.nil:
-        if isinstance(node, Literal):
-            raise MalformedListError(node, "argument list continues into a literal")
-        if node in seen:
-            raise MalformedListError(node, "argument list is cyclic")
+    return [graph._term(item) for item in _list_items(graph, nt_term(head))]
+
+
+def _variables(graph: Graph, roots: Iterable[str], om: Namespace) -> list[str]:
+    objects = graph._objects
+    edges = (om.operator._nt, om.arguments._nt, _FIRST, _REST)
+    seen: set[str] = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node in seen or node[0] != "<":
+            continue
         seen.add(node)
-        firsts = graph.objects(node, RDF.first)
-        rests = graph.objects(node, RDF.rest)
-        if len(firsts) != 1 or len(rests) != 1:
-            raise MalformedListError(node, f"cons cell must have exactly one rdf:first and rdf:rest, found {len(firsts)}/{len(rests)}")
-        items.append(firsts[0])
-        node = rests[0]
-    return items
+        for predicate in edges:
+            stack.extend(objects(node, predicate))
+    variable = om.Variable._nt
+    return sorted(n for n in seen if variable in objects(n, _TYPE))
 
 
 def fragment_variables(graph: Graph, roots: Iterable[NodeRef], om: Namespace) -> list[Iri]:
     """The ``om:Variable`` nodes reachable from ``roots`` over om:operator,
     om:arguments, rdf:first and rdf:rest, in serialization order. Unlike
     :func:`rdf_to_om` it accepts malformed shapes, so rules can use it."""
-    edges = (om.operator, om.arguments, RDF.first, RDF.rest)
-    seen: set[NodeRef] = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node in seen or isinstance(node, Literal):
-            continue
-        seen.add(node)
-        for predicate in edges:
-            stack.extend(graph.objects(node, predicate))
-    variable_type = om.Variable
-    return sorted((n for n in seen if variable_type in graph.objects(n, RDF.type)), key=nt_term)
+    return [graph._term(n) for n in _variables(graph, map(nt_term, roots), om)]  # type: ignore[misc]
+
+
+def variable_elements(graph: Graph, vocab: CpsVocabulary, wrappers: Iterable[Iri]) -> list[tuple[str, str, str]]:
+    """The data elements of the variables of the equations that ``wrappers``
+    hold: the distinct rows (variable name, data element IRI, its type
+    description IRI), sorted. A variable with no literal om:name is named by
+    its IRI, and an element with no type description IRI has ``""``."""
+    objects, om = graph._objects, vocab.om
+    name_of, data_for, described = om.name._nt, vocab.cpsmod.isDataFor._nt, vocab.dinen61360.hasTypeDescription._nt
+    rows = set()
+    for var in _variables(graph, [root for w in wrappers for root in objects(w._nt, om.root._nt)], om):
+        names = [n for n in objects(var, name_of) if n[0] != "<"]
+        name = graph._term(names[0]).lexical if names else var[1:-1]  # type: ignore[union-attr]
+        for element in objects(var, data_for):
+            if element[0] == "<":
+                descriptions = [d for d in objects(element, described) if d[0] == "<"]
+                rows.add((name, element[1:-1], descriptions[0][1:-1] if descriptions else ""))
+    return sorted(rows)
 
 
 def behavior_objects(graph: Graph, vocab: CpsVocabulary, operator: Optional[Iri] = None) -> list[Iri]:
@@ -253,80 +286,21 @@ def behavior_objects(graph: Graph, vocab: CpsVocabulary, operator: Optional[Iri]
     return sorted(wrappers, key=lambda w: w.value)
 
 
+def _expression_class(graph: Graph, node: str, om: Namespace) -> Optional[str]:
+    classes = (om.Object._nt, om.Application._nt, om.Variable._nt, om.Literal._nt)
+    found = [t for t in graph._objects(node, _TYPE) if t in classes]
+    if len(found) > 1:
+        raise MalformedNodeError(f"{node[1:-1]} has ambiguous expression typing: {[t[1:-1] for t in found]}")
+    return found[0] if found else None
+
+
 def expression_class(graph: Graph, node: Iri, om: Namespace) -> Optional[Iri]:
     """The class that makes ``node`` an expression node: one of om:Object,
     om:Application, om:Variable and om:Literal, or ``None`` for a node that
     stands for a symbol, whatever other types it has. Raises
     :class:`MalformedNodeError` when ``node`` has more than one."""
-    found = [t for t in graph.objects(node, RDF.type) if t in (om.Object, om.Application, om.Variable, om.Literal)]
-    if len(found) > 1:
-        raise MalformedNodeError(f"{node} has ambiguous expression typing: {[t.value for t in found]}")
-    return found[0] if found else None
-
-
-class _Reader:
-    def __init__(self, graph: Graph, vocab: CpsVocabulary, strict: bool):
-        self.graph = graph
-        self.om = vocab.om
-        self.cd_base = vocab.cd_base
-        self.strict = strict
-        # The wrappers and applications on the path from the root to the node
-        # being read; a shared subexpression may be read again, an enclosing
-        # one may not.
-        self.active: set[NodeRef] = set()
-
-    def _enter(self, node: NodeRef, structure: str) -> None:
-        if node in self.active:
-            raise MalformedNodeError(f"{structure} is cyclic at {node}")
-        self.active.add(node)
-
-    def _one(self, node: Iri, predicate: Iri, what: str) -> NodeRef:
-        values = self.graph.objects(node, predicate)
-        if len(values) != 1:
-            raise MalformedNodeError(f"{node} must have exactly one {what}, found {len(values)}")
-        return values[0]
-
-    def read(self, node: NodeRef) -> OMExpression:
-        om = self.om
-        if isinstance(node, Literal):
-            raise MalformedNodeError(f"a literal term cannot stand for an expression: {node!r}")
-        kind = expression_class(self.graph, node, om)
-        if kind == om.Object:
-            self._enter(node, "om:root chain")
-            expr = self.read(self._one(node, om.root, "om:root"))
-            self.active.remove(node)
-            return expr
-        if kind == om.Application:
-            self._enter(node, "application structure")
-            operator = self.read(self._one(node, om.operator, "om:operator"))
-            head = self._one(node, om.arguments, "om:arguments")
-            arguments = tuple(self.read(item) for item in read_list(self.graph, head))
-            self.active.remove(node)
-            return Application(operator, arguments)
-        if kind == om.Variable:
-            name = self._one(node, om.name, "om:name")
-            if not isinstance(name, Literal):
-                raise MalformedNodeError(f"om:name of {node} must be a literal")
-            return Variable(name.lexical)
-        if kind == om.Literal:
-            value = self._one(node, om.value, "om:value")
-            if not isinstance(value, Literal):
-                raise MalformedNodeError(f"om:value of {node} must be a literal")
-            if value.datatype == XSD.integer:
-                try:
-                    return IntLiteral(int(value.lexical))
-                except ValueError as exc:
-                    raise MalformedNodeError(f"invalid integer lexical value: {value.lexical!r}") from exc
-            if value.datatype == XSD.double:
-                try:
-                    number = float(value.lexical)
-                except ValueError as exc:
-                    raise MalformedNodeError(f"invalid double lexical value: {value.lexical!r}") from exc
-                if not math.isfinite(number):
-                    raise MalformedNodeError(f"double lexical value is not finite: {value.lexical!r}")
-                return FloatLiteral(number)
-            raise MalformedNodeError(f"unsupported om:value datatype: {value.datatype}")
-        return parse_symbol_iri(node, self.cd_base, strict=self.strict)
+    kind = _expression_class(graph, nt_term(node), om)
+    return None if kind is None else graph._term(kind)  # type: ignore[return-value]
 
 
 def rdf_to_om(
@@ -343,10 +317,66 @@ def rdf_to_om(
     triple raises :class:`RootNotInGraphError`, a
     :class:`MalformedNodeError` that names the root as missing from the
     graph rather than as a foreign operator."""
+    objects, term, om = graph._objects, graph._term, vocab.om
+    wrapper, application, variable, literal = om.Object._nt, om.Application._nt, om.Variable._nt, om.Literal._nt
+    # the wrappers and applications on the path from the root to the node being
+    # read: a shared subexpression may be read again, an enclosing one may not
+    active: set[str] = set()
+
+    def one(node: str, predicate: Iri, what: str) -> str:
+        values = objects(node, predicate._nt)
+        if len(values) != 1:
+            raise MalformedNodeError(f"{node[1:-1]} must have exactly one {what}, found {len(values)}")
+        return values[0]
+
+    def read(node: str) -> OMExpression:
+        # a nested node is read by a direct call: one frame per nesting level
+        if node[0] != "<":
+            raise MalformedNodeError(f"a literal term cannot stand for an expression: {term(node)!r}")
+        kind = _expression_class(graph, node, om)
+        if kind == wrapper or kind == application:
+            if node in active:
+                raise MalformedNodeError(f"{'om:root chain' if kind == wrapper else 'application structure'} is cyclic at {node[1:-1]}")
+            active.add(node)
+            if kind == wrapper:
+                expr = read(one(node, om.root, "om:root"))
+            else:
+                operator = read(one(node, om.operator, "om:operator"))
+                arguments = []
+                for item in _list_items(graph, one(node, om.arguments, "om:arguments")):
+                    arguments.append(read(item))
+                expr = Application(operator, tuple(arguments))
+            active.remove(node)
+            return expr
+        if kind == variable:
+            name = one(node, om.name, "om:name")
+            if name[0] == "<":
+                raise MalformedNodeError(f"om:name of {node[1:-1]} must be a literal")
+            return Variable(term(name).lexical)  # type: ignore[union-attr]
+        if kind == literal:
+            value = term(one(node, om.value, "om:value"))
+            if not isinstance(value, Literal):
+                raise MalformedNodeError(f"om:value of {node[1:-1]} must be a literal")
+            if value.datatype == XSD.integer:
+                try:
+                    return IntLiteral(int(value.lexical))
+                except ValueError as exc:
+                    raise MalformedNodeError(f"invalid integer lexical value: {value.lexical!r}") from exc
+            if value.datatype == XSD.double:
+                try:
+                    number = float(value.lexical)
+                except ValueError as exc:
+                    raise MalformedNodeError(f"invalid double lexical value: {value.lexical!r}") from exc
+                if not math.isfinite(number):
+                    raise MalformedNodeError(f"double lexical value is not finite: {value.lexical!r}")
+                return FloatLiteral(number)
+            raise MalformedNodeError(f"unsupported om:value datatype: {value.datatype}")
+        return parse_symbol_iri(term(node), vocab.cd_base, strict=strict)  # type: ignore[arg-type]
+
     try:
-        return _Reader(graph, vocab, strict).read(root)
+        return read(nt_term(root))
     except UnknownSymbolIriError:
         # a root with no triples is read as a symbol, so the error is the root's own
-        if strict and isinstance(root, Iri) and not root.value.startswith(vocab.cd_base + "/") and not graph.triples(root):
+        if strict and isinstance(root, Iri) and not root.value.startswith(vocab.cd_base + "/") and root._nt not in graph._spo:
             raise RootNotInGraphError(f"root is not a node of the graph: {root}") from None
         raise

@@ -24,7 +24,11 @@ terms already checked. ``add`` calls it, and so do
 :func:`cpskg.mapper.om_to_rdf`, which checks its terms once per equation,
 and :class:`cpskg.builder.ModelBuilder`, which checks each node IRI once,
 when it first makes it. Both write texts, so the graph makes their
-objects on first read.
+objects on first read. ``Graph._objects`` is the store's one text read: it
+gives the texts of a subject's (or any subject's) objects of a predicate,
+sorted, and makes no term object. :meth:`Graph.objects` hands out the terms
+of those texts, and the readers of :mod:`cpskg.mapper` and
+:mod:`cpskg.validator` walk the texts themselves.
 :func:`from_ntriples` fills a fresh graph's store directly. One ``findall``
 per bounded slice of the document gives each line's three terms' texts;
 the distinct IRIs are checked together by one match, one string object is
@@ -332,7 +336,9 @@ class Graph:
     :func:`cpskg.mapper.om_to_rdf` writes, literals included, and for the
     nodes :class:`cpskg.builder.ModelBuilder` writes.
 
-    Lookups by subject read the store. Lookups by predicate alone go
+    Lookups by subject read the store. :meth:`_objects` is the text read
+    that :meth:`objects` and the expression walks share, so the shape of a
+    leaf stays private to this module. Lookups by predicate alone go
     through ``_pos``, one index per predicate (vertical partitioning):
     predicate -> object -> subjects, with the same leaves. A predicate's
     index is built in one pass over the store on the first lookup by that
@@ -493,15 +499,20 @@ class Graph:
         """The distinct objects of ``predicate`` under ``subject``, or under
         any subject when it is ``None``, in sorted order."""
         term = self._term
-        if subject is None:
-            return [term(o) for o in sorted(self._by_predicate(nt_term(predicate)))]
+        return [term(o) for o in self._objects(_text(subject), nt_term(predicate))]
+
+    def _objects(self, s: Optional[str], p: str) -> tuple[str, ...]:
+        """The texts of the distinct objects of predicate text ``p`` under
+        subject text ``s``, or under any subject when it is ``None``, in
+        sorted order: the text read of the expression walks and the
+        validator, which makes no term object."""
+        if s is None:
+            return tuple(sorted(self._by_predicate(p)))
         # one walk to the leaf; only a set of objects needs sorting
-        found = self._spo.get(nt_term(subject), _EMPTY).get(nt_term(predicate))
+        found = self._spo.get(s, _EMPTY).get(p)
         if found is None:
-            return []
-        if type(found) is str:
-            return [term(found)]
-        return [term(o) for o in sorted(found)]
+            return ()
+        return (found,) if type(found) is str else tuple(sorted(found))
 
     def subjects(self, predicate: Optional[Iri] = None, object: Optional[NodeRef] = None) -> list[NodeRef]:
         p, o = _text(predicate), _text(object)

@@ -19,7 +19,7 @@ contextualization is finished.
               content dictionary, and no operator has two such classes
 
 V2, V3, V5 and V6 are cardinality shapes, kept as data and checked by one
-loop; V1, V4 and V7 walk the graph with the mapper's readers.
+loop; V1, V4 and V7 walk the graph with the mapper's text readers.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from .mapper import (
     MalformedListError,
     MalformedNodeError,
     UnknownSymbolIriError,
+    _expression_class,
+    _list_items,
+    _variables,
     behavior_objects,
-    expression_class,
-    fragment_variables,
     parse_symbol_iri,
-    read_list,
 )
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
 from .rdf import RDF, Graph, Iri, NodeRef, display_term, nt_term
@@ -80,18 +80,19 @@ class ValidationReport:
 
 
 def _check_argument_lists(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    for head in graph.objects(None, v.om.arguments):
+    for head in graph._objects(None, v.om.arguments._nt):
         try:
-            read_list(graph, head)
+            _list_items(graph, head)
         except MalformedListError as exc:
             out.append(Finding("V1", "error", exc.node, exc.reason))
 
 
 def _check_variable_links(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
-    roots = [root for wrapper in behavior_objects(graph, v) for root in graph.objects(wrapper, v.om.root)]
-    for node in fragment_variables(graph, roots, v.om):
-        if not graph.objects(node, v.cpsmod.isDataFor):
-            out.append(Finding("V4", "warning", node, "equation variable is not linked to a data element"))
+    objects, data_for = graph._objects, v.cpsmod.isDataFor._nt
+    roots = [root for wrapper in behavior_objects(graph, v) for root in objects(wrapper._nt, v.om.root._nt)]
+    for node in _variables(graph, roots, v.om):
+        if not objects(node, data_for):
+            out.append(Finding("V4", "warning", graph._term(node), "equation variable is not linked to a data element"))
 
 
 # A cardinality shape: (rule, severity, predicates, least, most, message).
@@ -121,18 +122,15 @@ def _cardinality_shapes(v: CpsVocabulary) -> tuple[tuple[Iri, tuple[_Shape, ...]
 
 
 def _check_symbol_cds(graph: Graph, v: CpsVocabulary, registry: SymbolRegistry, out: list[Finding]) -> None:
-    for target in graph.objects(None, v.om.operator):
-        if not isinstance(target, Iri):
-            continue
+    for target in graph._objects(None, v.om.operator._nt):
         try:
-            if expression_class(graph, target, v.om) is not None:
-                continue  # a nested expression node, not a symbol
-            symbol = parse_symbol_iri(target, v.cd_base)
+            if target[0] != "<" or _expression_class(graph, target, v.om) is not None:
+                continue  # a literal, or a nested expression node, not a symbol
+            symbol = parse_symbol_iri(graph._term(target), v.cd_base)  # type: ignore[arg-type]
+            if not registry.knows_cd(symbol.cd):
+                raise UnknownSymbolIriError(f"content dictionary {symbol.cd!r} is not registered")
         except (MalformedNodeError, UnknownSymbolIriError) as exc:
-            out.append(Finding("V7", "warning", target, str(exc)))
-            continue
-        if not registry.knows_cd(symbol.cd):
-            out.append(Finding("V7", "warning", target, f"content dictionary {symbol.cd!r} is not registered"))
+            out.append(Finding("V7", "warning", graph._term(target), str(exc)))
 
 
 def validate(
@@ -150,7 +148,7 @@ def validate(
     for cls, shapes in _cardinality_shapes(vocab):
         for node in graph.subjects(RDF.type, cls):
             for rule, severity, predicates, least, most, message in shapes:
-                counts = [len(graph.objects(node, p)) for p in predicates]
+                counts = [len(graph._objects(node._nt, p._nt)) for p in predicates]
                 if any(n < least or (most is not None and n > most) for n in counts):
                     findings.append(Finding(rule, severity, node, message.format(found="/".join(map(str, counts)))))
     if strict:

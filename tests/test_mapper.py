@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
 from hypothesis import given
 
 from cpskg.mapper import (
     MalformedListError,
     MalformedNodeError,
+    RootNotInGraphError,
     UnknownSymbolIriError,
     om_to_rdf,
     parse_symbol_iri,
     rdf_to_om,
     symbol_iri,
 )
+from cpskg.infix import parse_infix
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app
 from cpskg.rdf import RDF, XSD, Graph, InvalidIriError, Iri, Literal, Triple, to_ntriples
 from cpskg.vocab import DEFAULT_VOCAB
@@ -238,6 +243,28 @@ def test_root_that_is_no_subject_is_no_node_in_strict_mode():
     assert rdf_to_om(graph, symbol_iri(PLUS)) == PLUS
 
 
+def test_root_that_is_only_an_object_is_no_node():
+    """A root is a node of the graph when it is the subject of a triple: one
+    that is only ever an object is still reported as missing, with the same
+    error and message, and one that is a subject is read as a symbol. A
+    literal root, in the graph or not, cannot stand for an expression."""
+    result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
+    g = result.graph
+    foreign, link = Iri("http://elsewhere.example/thing"), Iri("http://elsewhere.example/link")
+    g.add(result.object_node, link, foreign)
+    with pytest.raises(RootNotInGraphError, match=f"^{re.escape(f'root is not a node of the graph: {foreign}')}$") as excinfo:
+        rdf_to_om(g, foreign)
+    assert isinstance(excinfo.value, MalformedNodeError) and isinstance(excinfo.value, UnknownSymbolIriError)
+    g.add(foreign, link, Literal("x"))
+    message = f"operator IRI is not under the CD base {DEFAULT_VOCAB.cd_base}: {foreign}"
+    with pytest.raises(UnknownSymbolIriError, match=f"^{re.escape(message)}$") as excinfo:
+        rdf_to_om(g, foreign)
+    assert not isinstance(excinfo.value, RootNotInGraphError)
+    for literal in (Literal("x"), Literal("y", lang="en")):
+        with pytest.raises(MalformedNodeError, match=f"^{re.escape(f'a literal term cannot stand for an expression: {literal!r}')}$"):
+            rdf_to_om(g, literal)
+
+
 def test_wrapper_rooted_at_itself_is_cyclic():
     result = om_to_rdf(app(PLUS, X, Y), BASE, "e")
     wrapper = result.object_node
@@ -374,3 +401,51 @@ def test_written_graph_is_the_graph_add_builds(tree):
     assert result.root is graph.objects(result.object_node, OM.root)[0]
     for name, node in result.variables.items():
         assert graph.subjects(OM.name, Literal(name))[0] is node
+
+
+def _sin_chain(depth: int) -> str:
+    return "sin(" * depth + "x" + ")" * depth
+
+
+def test_reader_reaches_every_depth_the_parser_accepts():
+    """rdf_to_om spends fewer frames per nesting level than parse_infix, so
+    from the same frame it reads back the deepest call chain the parser
+    builds."""
+    low, high = 1, sys.getrecursionlimit()
+    while low < high:  # the largest depth parse_infix accepts from this frame
+        mid = (low + high + 1) // 2
+        try:
+            parse_infix(_sin_chain(mid))
+        except RecursionError:
+            high = mid - 1
+        else:
+            low = mid
+    tree = parse_infix(_sin_chain(low))
+    result = om_to_rdf(tree, BASE, "e")
+    assert rdf_to_om(result.graph, result.object_node) == tree
+
+
+def test_reader_spends_one_frame_per_nesting_level():
+    """A nested node is read by a direct call: a sin chain as deep as two
+    thirds of the frames left here reads back, where two frames per level
+    would run out."""
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    depth = (sys.getrecursionlimit() - frames) * 2 // 3
+    sin = symbol_iri(Symbol("transc1", "sin"))
+    nodes = [Iri(f"{BASE}/expr/e/a{i}") for i in range(depth)] + [Iri(f"{BASE}/expr/e/x")]
+    g = Graph()
+    for i, node in enumerate(nodes[:-1]):
+        cell = Iri(f"{BASE}/expr/e/c{i}")
+        g.add(node, RDF.type, OM.Application)
+        g.add(node, OM.operator, sin)
+        g.add(node, OM.arguments, cell)
+        g.add(cell, RDF.first, nodes[i + 1])
+        g.add(cell, RDF.rest, RDF.nil)
+    g.add(nodes[-1], RDF.type, OM.Variable)
+    g.add(nodes[-1], OM.name, Literal("x"))
+    expr, levels = rdf_to_om(g, nodes[0]), 0
+    while isinstance(expr, Application):
+        expr, levels = expr.arguments[0], levels + 1
+    assert (levels, expr) == (depth, X)

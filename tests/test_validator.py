@@ -1,17 +1,34 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
 
-from cpskg.mapper import MalformedListError, MalformedNodeError, UnknownSymbolIriError, om_to_rdf, rdf_to_om, symbol_iri
+from cpskg.errors import CpskgError
+from cpskg.mapper import (
+    MalformedListError,
+    MalformedNodeError,
+    RootNotInGraphError,
+    UnknownSymbolIriError,
+    behavior_objects,
+    expression_class,
+    fragment_variables,
+    om_to_rdf,
+    parse_symbol_iri,
+    rdf_to_om,
+    read_list,
+    symbol_iri,
+    variable_elements,
+)
 from cpskg.infix import parse_infix
-from cpskg.om.tree import Symbol
-from cpskg.rdf import RDF, Graph, Iri, Literal, Triple
-from cpskg.validator import validate
+from cpskg.om.registry import DEFAULT_REGISTRY
+from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable
+from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple, from_ntriples, nt_term
+from cpskg.validator import Finding, ValidationReport, _cardinality_shapes, validate
 from cpskg.vocab import DEFAULT_VOCAB
-from conftest import edited
+from conftest import FIXTURES, edited
 
 V = DEFAULT_VOCAB
 EHSA = "http://example.org/ehsa"
@@ -246,3 +263,226 @@ def test_jsonl_tells_a_literal_node_from_an_iri():
 
 def test_empty_graph_is_clean():
     assert validate(Graph()).ok()
+
+
+# --- the text walks against the term walks ------------------------------------
+# The walks as they were written over term objects and the public
+# Graph.objects, kept as an oracle: the readers of the mapper and the
+# validator, which read the store's texts, must give the same results, or
+# raise the same exception with the same message, on every input below.
+
+
+def _term_read_list(graph, head):
+    items, seen, node = [], set(), head
+    while node != RDF.nil:
+        if isinstance(node, Literal):
+            raise MalformedListError(node, "argument list continues into a literal")
+        if node in seen:
+            raise MalformedListError(node, "argument list is cyclic")
+        seen.add(node)
+        firsts, rests = graph.objects(node, RDF.first), graph.objects(node, RDF.rest)
+        if len(firsts) != 1 or len(rests) != 1:
+            raise MalformedListError(node, f"cons cell must have exactly one rdf:first and rdf:rest, found {len(firsts)}/{len(rests)}")
+        items.append(firsts[0])
+        node = rests[0]
+    return items
+
+
+def _term_fragment_variables(graph, roots, om):
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node in seen or isinstance(node, Literal):
+            continue
+        seen.add(node)
+        for predicate in (om.operator, om.arguments, RDF.first, RDF.rest):
+            stack.extend(graph.objects(node, predicate))
+    return sorted((n for n in seen if om.Variable in graph.objects(n, RDF.type)), key=nt_term)
+
+
+def _term_expression_class(graph, node, om):
+    found = [t for t in graph.objects(node, RDF.type) if t in (om.Object, om.Application, om.Variable, om.Literal)]
+    if len(found) > 1:
+        raise MalformedNodeError(f"{node} has ambiguous expression typing: {[t.value for t in found]}")
+    return found[0] if found else None
+
+
+def _term_rdf_to_om(graph, root, strict):
+    om, active = V.om, set()
+
+    def one(node, predicate, what):
+        values = graph.objects(node, predicate)
+        if len(values) != 1:
+            raise MalformedNodeError(f"{node} must have exactly one {what}, found {len(values)}")
+        return values[0]
+
+    def read(node):
+        if isinstance(node, Literal):
+            raise MalformedNodeError(f"a literal term cannot stand for an expression: {node!r}")
+        kind = _term_expression_class(graph, node, om)
+        if kind in (om.Object, om.Application):
+            structure = "om:root chain" if kind == om.Object else "application structure"
+            if node in active:
+                raise MalformedNodeError(f"{structure} is cyclic at {node}")
+            active.add(node)
+            if kind == om.Object:
+                expr = read(one(node, om.root, "om:root"))
+            else:
+                operator = read(one(node, om.operator, "om:operator"))
+                expr = Application(operator, tuple(read(item) for item in _term_read_list(graph, one(node, om.arguments, "om:arguments"))))
+            active.remove(node)
+            return expr
+        if kind == om.Variable:
+            name = one(node, om.name, "om:name")
+            if not isinstance(name, Literal):
+                raise MalformedNodeError(f"om:name of {node} must be a literal")
+            return Variable(name.lexical)
+        if kind == om.Literal:
+            value = one(node, om.value, "om:value")
+            if not isinstance(value, Literal):
+                raise MalformedNodeError(f"om:value of {node} must be a literal")
+            if value.datatype == XSD.integer:
+                try:
+                    return IntLiteral(int(value.lexical))
+                except ValueError:
+                    raise MalformedNodeError(f"invalid integer lexical value: {value.lexical!r}") from None
+            if value.datatype == XSD.double:
+                try:
+                    number = float(value.lexical)
+                except ValueError:
+                    raise MalformedNodeError(f"invalid double lexical value: {value.lexical!r}") from None
+                if not math.isfinite(number):
+                    raise MalformedNodeError(f"double lexical value is not finite: {value.lexical!r}")
+                return FloatLiteral(number)
+            raise MalformedNodeError(f"unsupported om:value datatype: {value.datatype}")
+        return parse_symbol_iri(node, V.cd_base, strict=strict)
+
+    try:
+        return read(root)
+    except UnknownSymbolIriError:
+        if strict and isinstance(root, Iri) and not root.value.startswith(V.cd_base + "/") and not graph.triples(root):
+            raise RootNotInGraphError(f"root is not a node of the graph: {root}") from None
+        raise
+
+
+def _term_validate(graph):
+    """``validate(graph, strict=True)`` over terms."""
+    findings = []
+    for head in graph.objects(None, V.om.arguments):
+        try:
+            _term_read_list(graph, head)
+        except MalformedListError as exc:
+            findings.append(Finding("V1", "error", exc.node, exc.reason))
+    roots = [root for wrapper in behavior_objects(graph, V) for root in graph.objects(wrapper, V.om.root)]
+    for node in _term_fragment_variables(graph, roots, V.om):
+        if not graph.objects(node, V.cpsmod.isDataFor):
+            findings.append(Finding("V4", "warning", node, "equation variable is not linked to a data element"))
+    for cls, shapes in _cardinality_shapes(V):
+        for node in graph.subjects(RDF.type, cls):
+            for rule, severity, predicates, least, most, message in shapes:
+                counts = [len(graph.objects(node, p)) for p in predicates]
+                if any(n < least or (most is not None and n > most) for n in counts):
+                    findings.append(Finding(rule, severity, node, message.format(found="/".join(map(str, counts)))))
+    for target in graph.objects(None, V.om.operator):
+        if not isinstance(target, Iri):
+            continue
+        try:
+            if _term_expression_class(graph, target, V.om) is not None:
+                continue
+            symbol = parse_symbol_iri(target, V.cd_base)
+        except (MalformedNodeError, UnknownSymbolIriError) as exc:
+            findings.append(Finding("V7", "warning", target, str(exc)))
+            continue
+        if not DEFAULT_REGISTRY.knows_cd(symbol.cd):
+            findings.append(Finding("V7", "warning", target, f"content dictionary {symbol.cd!r} is not registered"))
+    findings.sort(key=lambda f: (f.rule, nt_term(f.node), f.message))
+    return ValidationReport(findings)
+
+
+def _term_variable_elements(graph, wrappers):
+    """The export's variable table over terms."""
+    variables, rows = set(), set()
+    for wrapper in wrappers:
+        variables.update(_term_fragment_variables(graph, graph.objects(wrapper, V.om.root), V.om))
+    for var in variables:
+        names = [o.lexical for o in graph.objects(var, V.om.name) if isinstance(o, Literal)]
+        for element in graph.objects(var, V.cpsmod.isDataFor):
+            if isinstance(element, Iri):
+                descriptions = [d.value for d in graph.objects(element, V.dinen61360.hasTypeDescription) if isinstance(d, Iri)]
+                rows.add((names[0] if names else var.value, element.value, descriptions[0] if descriptions else ""))
+    return sorted(rows)
+
+
+def _outcome(read, *args):
+    """What a reader gives: its value, or its exception's type, message and
+    node (a MalformedListError's cell)."""
+    try:
+        return ("value", read(*args))
+    except CpskgError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "node", None))
+
+
+_GOLDEN_LINES = (FIXTURES / "golden.nt").read_text(encoding="utf-8").splitlines(keepends=True)
+_WRAPPERS = [Iri(f"{EHSA}/expr/chamber1_pressure_rate"), Iri(f"{EHSA}/expr/chamber2_pressure_rate")]
+
+
+def _edits():
+    """Hand-made edits of the golden graph, as (lines dropped, lines added)."""
+    graph = from_ntriples("".join(_GOLDEN_LINES))
+    root = graph.objects(_WRAPPERS[0], V.om.root)[0]
+    cell = graph.objects(root, V.om.arguments)[0]  # the first cell of the root's arguments
+    (rest,) = graph.objects(cell, RDF.rest)
+    (after_rest,) = graph.objects(rest, RDF.rest)
+    variable = _term_fragment_variables(graph, [root], V.om)[0]
+    (name,) = graph.objects(variable, V.om.name)
+    (other_root,) = graph.objects(_WRAPPERS[1], V.om.root)
+
+    def line(s, p, o):
+        return f"{nt_term(s)} {nt_term(p)} {nt_term(o)} .\n"
+
+    return {
+        "second_first": ((), [line(cell, RDF.first, variable)]),
+        "rest_cycle": ([line(rest, RDF.rest, after_rest)], [line(rest, RDF.rest, rest)]),
+        "literal_rest": ([line(cell, RDF.rest, rest)], [line(cell, RDF.rest, Literal("rest"))]),
+        "variable_and_application": ((), [line(variable, RDF.type, V.om.Application)]),
+        "second_root": ((), [line(_WRAPPERS[0], V.om.root, variable)]),
+        "literal_root": ([line(_WRAPPERS[1], V.om.root, other_root)], [line(_WRAPPERS[1], V.om.root, Literal("root"))]),
+        "literal_operator": ((), [line(root, V.om.operator, Literal("plus"))]),
+        "iri_name": ([line(variable, V.om.name, name)], [line(variable, V.om.name, variable)]),
+    }
+
+
+def _differential_inputs():
+    yield "golden", "".join(_GOLDEN_LINES)
+    for i in range(len(_GOLDEN_LINES)):
+        yield f"without line {i + 1}", "".join(_GOLDEN_LINES[:i] + _GOLDEN_LINES[i + 1 :])
+    for name, (drop, add) in _edits().items():
+        assert all(line in _GOLDEN_LINES for line in drop), name
+        yield name, "".join([line for line in _GOLDEN_LINES if line not in drop] + add)
+
+
+def test_text_walks_agree_with_the_term_walks():
+    """The golden graph, each of its single-line deletions and the hand-made
+    edits: validate (text and JSON), rdf_to_om of each wrapper and of a root
+    that is no node, fragment_variables, the export's variable table and
+    read_list of each argument list agree with the walks over terms."""
+    seen_errors = set()
+    for name, text in _differential_inputs():
+        graph = from_ntriples(text)
+        new, old = validate(graph, strict=True), _term_validate(graph)
+        assert (new.to_text(), new.to_jsonl()) == (old.to_text(), old.to_jsonl()), name
+        for root in [*_WRAPPERS, Iri("http://elsewhere.example/cd/arith1#plus")]:
+            for strict in (True, False):
+                outcome = _outcome(lambda: rdf_to_om(graph, root, vocab=V, strict=strict))
+                assert outcome == _outcome(lambda: _term_rdf_to_om(graph, root, strict)), (name, root, strict)
+                seen_errors.add(outcome[1] if outcome[0] == "error" else None)
+        roots = [r for w in _WRAPPERS for r in graph.objects(w, V.om.root)]
+        assert fragment_variables(graph, roots, V.om) == _term_fragment_variables(graph, roots, V.om), name
+        assert variable_elements(graph, V, _WRAPPERS) == _term_variable_elements(graph, _WRAPPERS), name
+        for head in graph.objects(None, V.om.arguments):
+            assert _outcome(read_list, graph, head) == _outcome(_term_read_list, graph, head), (name, head)
+        for target in graph.objects(None, V.om.operator):
+            if isinstance(target, Iri):
+                assert _outcome(expression_class, graph, target, V.om) == _outcome(_term_expression_class, graph, target, V.om), (name, target)
+    # the inputs reach every way a read can fail
+    assert {MalformedListError, MalformedNodeError, RootNotInGraphError, None} <= seen_errors
