@@ -17,8 +17,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from cpskg.infix import print_infix  # noqa: E402
 from cpskg.manifest import compile_manifest, load_manifest  # noqa: E402
-from cpskg.mapper import rdf_to_om  # noqa: E402
-from cpskg.rdf import RDF, PatternQuery, Var, match, to_ntriples, to_turtle  # noqa: E402
+from cpskg.mapper import behavior_objects, rdf_to_om  # noqa: E402
+from cpskg.rdf import RDF, Iri, PatternQuery, Var, match, to_ntriples, to_turtle  # noqa: E402
 from cpskg.validator import validate  # noqa: E402
 from cpskg.vocab import DEFAULT_VOCAB  # noqa: E402
 
@@ -39,23 +39,15 @@ def main() -> int:
 
     report = validate(graph, strict=True)
     operators = match(graph, PatternQuery.of((Var("op"), RDF.type, vocab.vdi3682.ProcessOperator)))
-    equations = match(
-        graph,
-        PatternQuery.of(
-            (Var("op"), vocab.cpsmod.processOperatorBehaviorModel, Var("m")),
-            (Var("m"), vocab.cpsmod.hasOMObject, Var("w")),
-        ),
-    )
+    equations = behavior_objects(graph, vocab)
 
     print(f"graph: {len(graph)} triples -> {out_dir / 'ehsa.nt'}")
     print(f"operators: {len(operators)}, attached equations: {len(equations)}")
     print(f"validation: {'clean' if report.ok() else report.to_text()}")
     print()
     print("equations of LinearMotionExecution:")
-    for row in sorted(equations, key=lambda r: r["w"].value):
-        if row["op"].value.endswith("/LinearMotionExecution"):
-            tree = rdf_to_om(graph, row["w"], vocab=vocab)
-            print(f"  {print_infix(tree)}")
+    for wrapper in behavior_objects(graph, vocab, Iri(f"{manifest.instance_base}/LinearMotionExecution")):
+        print(f"  {print_infix(rdf_to_om(graph, wrapper, vocab=vocab))}")
     return 0 if report.ok() else 1
 
 

@@ -24,11 +24,13 @@ operator and argument list, nodes with ambiguous typing, and (in strict
 mode) operator IRIs outside the configured CD base and roots that are no
 node of the graph. The backward direction reads texts: its walks compare
 the store's N-Triples texts (``Graph._objects``) and make a term object
-only for what they return or name in an error. The validator calls the
-text forms of :func:`read_list`, :func:`fragment_variables` and
-:func:`expression_class`, and the CLI calls :func:`variable_elements`;
-neither walks a fragment itself, and both reach an operator's equations
-only through :func:`behavior_objects`.
+only for what they return or name in an error. Each fragment shape has one
+reader, over texts: ``_list_items`` (an argument list), ``_variables`` (an
+equation's variables) and ``_expression_class`` (an expression node or a
+symbol), which :func:`rdf_to_om` and the validator call. The CLI calls
+:func:`variable_elements`. Neither the validator nor the CLI walks a
+fragment itself, and both reach an operator's equations only through
+:func:`behavior_objects`.
 """
 
 from __future__ import annotations
@@ -48,12 +50,9 @@ __all__ = [
     "RootNotInGraphError",
     "UnknownSymbolIriError",
     "behavior_objects",
-    "expression_class",
-    "fragment_variables",
     "om_to_rdf",
     "parse_symbol_iri",
     "rdf_to_om",
-    "read_list",
     "symbol_iri",
     "variable_elements",
 ]
@@ -210,6 +209,10 @@ _TYPE, _FIRST, _REST, _NIL = RDF.type._nt, RDF.first._nt, RDF.rest._nt, RDF.nil.
 
 
 def _list_items(graph: Graph, head: str) -> list[str]:
+    """The items of the RDF collection starting at ``head``, in order, as
+    texts. Raises :class:`MalformedListError` at the first cell that is a
+    literal, repeats an earlier cell, or lacks exactly one rdf:first and
+    rdf:rest."""
     objects = graph._objects
     items: list[str] = []
     seen: set[str] = set()
@@ -228,18 +231,15 @@ def _list_items(graph: Graph, head: str) -> list[str]:
     return items
 
 
-def read_list(graph: Graph, head: NodeRef) -> list[NodeRef]:
-    """The items of the RDF collection starting at ``head``, in order.
-    Raises :class:`MalformedListError` at the first cell that is a literal,
-    repeats an earlier cell, or lacks exactly one rdf:first and rdf:rest."""
-    return [graph._term(item) for item in _list_items(graph, nt_term(head))]
-
-
-def _variables(graph: Graph, roots: Iterable[str], om: Namespace) -> list[str]:
-    objects = graph._objects
+def _variables(graph: Graph, wrappers: Iterable[str], om: Namespace) -> list[str]:
+    """The ``om:Variable`` nodes reachable from the om:root of each of
+    ``wrappers`` over om:operator, om:arguments, rdf:first and rdf:rest, as
+    texts in serialization order. Unlike :func:`rdf_to_om` it accepts
+    malformed shapes, so rules can use it."""
+    objects, root = graph._objects, om.root._nt
     edges = (om.operator._nt, om.arguments._nt, _FIRST, _REST)
     seen: set[str] = set()
-    stack = list(roots)
+    stack = [node for wrapper in wrappers for node in objects(wrapper, root)]
     while stack:
         node = stack.pop()
         if node in seen or node[0] != "<":
@@ -251,13 +251,6 @@ def _variables(graph: Graph, roots: Iterable[str], om: Namespace) -> list[str]:
     return sorted(n for n in seen if variable in objects(n, _TYPE))
 
 
-def fragment_variables(graph: Graph, roots: Iterable[NodeRef], om: Namespace) -> list[Iri]:
-    """The ``om:Variable`` nodes reachable from ``roots`` over om:operator,
-    om:arguments, rdf:first and rdf:rest, in serialization order. Unlike
-    :func:`rdf_to_om` it accepts malformed shapes, so rules can use it."""
-    return [graph._term(n) for n in _variables(graph, map(nt_term, roots), om)]  # type: ignore[misc]
-
-
 def variable_elements(graph: Graph, vocab: CpsVocabulary, wrappers: Iterable[Iri]) -> list[tuple[str, str, str]]:
     """The data elements of the variables of the equations that ``wrappers``
     hold: the distinct rows (variable name, data element IRI, its type
@@ -266,7 +259,7 @@ def variable_elements(graph: Graph, vocab: CpsVocabulary, wrappers: Iterable[Iri
     objects, om = graph._objects, vocab.om
     name_of, data_for, described = om.name._nt, vocab.cpsmod.isDataFor._nt, vocab.dinen61360.hasTypeDescription._nt
     rows = set()
-    for var in _variables(graph, [root for w in wrappers for root in objects(w._nt, om.root._nt)], om):
+    for var in _variables(graph, [w._nt for w in wrappers], om):
         names = [n for n in objects(var, name_of) if n[0] != "<"]
         name = graph._term(names[0]).lexical if names else var[1:-1]  # type: ignore[union-attr]
         for element in objects(var, data_for):
@@ -286,21 +279,15 @@ def behavior_objects(graph: Graph, vocab: CpsVocabulary, operator: Optional[Iri]
     return sorted(wrappers, key=lambda w: w.value)
 
 
-def _expression_class(graph: Graph, node: str, om: Namespace) -> Optional[str]:
-    classes = (om.Object._nt, om.Application._nt, om.Variable._nt, om.Literal._nt)
+def _expression_class(graph: Graph, node: str, classes: tuple[str, ...]) -> Optional[str]:
+    """The class that makes ``node`` an expression node: one of ``classes``,
+    the texts of om:Object, om:Application, om:Variable and om:Literal, or
+    ``None`` for a node that stands for a symbol, whatever other types it
+    has. Raises :class:`MalformedNodeError` when ``node`` has more than one."""
     found = [t for t in graph._objects(node, _TYPE) if t in classes]
     if len(found) > 1:
         raise MalformedNodeError(f"{node[1:-1]} has ambiguous expression typing: {[t[1:-1] for t in found]}")
     return found[0] if found else None
-
-
-def expression_class(graph: Graph, node: Iri, om: Namespace) -> Optional[Iri]:
-    """The class that makes ``node`` an expression node: one of om:Object,
-    om:Application, om:Variable and om:Literal, or ``None`` for a node that
-    stands for a symbol, whatever other types it has. Raises
-    :class:`MalformedNodeError` when ``node`` has more than one."""
-    kind = _expression_class(graph, nt_term(node), om)
-    return None if kind is None else graph._term(kind)  # type: ignore[return-value]
 
 
 def rdf_to_om(
@@ -318,7 +305,7 @@ def rdf_to_om(
     :class:`MalformedNodeError` that names the root as missing from the
     graph rather than as a foreign operator."""
     objects, term, om = graph._objects, graph._term, vocab.om
-    wrapper, application, variable, literal = om.Object._nt, om.Application._nt, om.Variable._nt, om.Literal._nt
+    classes = wrapper, application, variable, literal = om.Object._nt, om.Application._nt, om.Variable._nt, om.Literal._nt
     # the wrappers and applications on the path from the root to the node being
     # read: a shared subexpression may be read again, an enclosing one may not
     active: set[str] = set()
@@ -333,7 +320,7 @@ def rdf_to_om(
         # a nested node is read by a direct call: one frame per nesting level
         if node[0] != "<":
             raise MalformedNodeError(f"a literal term cannot stand for an expression: {term(node)!r}")
-        kind = _expression_class(graph, node, om)
+        kind = _expression_class(graph, node, classes)
         if kind == wrapper or kind == application:
             if node in active:
                 raise MalformedNodeError(f"{'om:root chain' if kind == wrapper else 'application structure'} is cyclic at {node[1:-1]}")

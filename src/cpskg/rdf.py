@@ -683,6 +683,10 @@ _ROW_RE = re.compile(_ROW_PAT)
 # it reads only a slice in which a row of _ROW_RE ran over a line break,
 # which only a malformed line can make it do.
 _LINE_ROW_RE = re.compile(_ROW_PAT.replace(_IRI_PAT, r"<[^>\n]*>").replace(r"\s+", f"{_SP}+"))
+# A statement as N-Triples 1.1 also allows it: no white space between its
+# terms, or a comment after its ".". Groups 1-5 as in _ROW_RE. It is tried
+# only on a line that _ROW_RE gave as no statement.
+_LOOSE_ROW_RE = re.compile(rf"{_SP}*({_IRI_PAT}){_SP}*({_IRI_PAT}){_SP}*({_OBJECT_PAT}){_SP}*\.{_SP}*(?:#.*)?")
 # IRI texts, each followed by a line break: a match ends where the first
 # text that breaks the IRIREF rule starts.
 _IRIS_RE = re.compile(rf"(?:<{_ABSOLUTE_IRI}>\n)*")
@@ -749,7 +753,8 @@ def _check_iris(texts: Iterable[str], lines: list[int], error: Optional[NTriples
 
 def from_ntriples(data: Union[str, bytes]) -> Graph:
     """Parse an N-Triples document; inverse of :func:`to_ntriples` on
-    canonical output. Blank lines and ``#`` comment lines are skipped.
+    canonical output. Blank lines and ``#`` comment lines are skipped; a
+    statement may end in a comment and need not space its terms.
 
     One multiline ``findall`` reads each slice of the document, a run of
     whole lines at least ``_SLICE`` characters long, and gives each line's
@@ -795,7 +800,10 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
                     line = other.strip()
                     if not line or line[0] == "#":
                         continue
-                    _check_iris(iris, first_lines, NTriplesSyntaxError(f"not a valid N-Triples statement: {other!r}", lineno))
+                    row = _LOOSE_ROW_RE.fullmatch(other)
+                    if row is None:
+                        _check_iris(iris, first_lines, NTriplesSyntaxError(f"not a valid N-Triples statement: {other!r}", lineno))
+                    s, p, o, lexical, suffix = row.groups("")  # type: ignore[union-attr]
                 subject = iris.get(s)
                 if subject is None:
                     subject = iris[s] = s

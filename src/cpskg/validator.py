@@ -14,7 +14,8 @@ contextualization is finished.
   V5 warning  every process operator has at least one input and one output
   V6 error    every data element has exactly one type description
   V7 warning  (strict mode only) every operator with no om expression
-              class (mapper.expression_class), whatever its other types,
+              class (om:Object, om:Application, om:Variable or om:Literal),
+              whatever its other types,
               is a symbol IRI {cdBase}/{cd}#{name} naming a registered
               content dictionary, and no operator has two such classes
 
@@ -89,8 +90,7 @@ def _check_argument_lists(graph: Graph, v: CpsVocabulary, out: list[Finding]) ->
 
 def _check_variable_links(graph: Graph, v: CpsVocabulary, out: list[Finding]) -> None:
     objects, data_for = graph._objects, v.cpsmod.isDataFor._nt
-    roots = [root for wrapper in behavior_objects(graph, v) for root in objects(wrapper._nt, v.om.root._nt)]
-    for node in _variables(graph, roots, v.om):
+    for node in _variables(graph, [w._nt for w in behavior_objects(graph, v)], v.om):
         if not objects(node, data_for):
             out.append(Finding("V4", "warning", graph._term(node), "equation variable is not linked to a data element"))
 
@@ -122,9 +122,10 @@ def _cardinality_shapes(v: CpsVocabulary) -> tuple[tuple[Iri, tuple[_Shape, ...]
 
 
 def _check_symbol_cds(graph: Graph, v: CpsVocabulary, registry: SymbolRegistry, out: list[Finding]) -> None:
+    classes = (v.om.Object._nt, v.om.Application._nt, v.om.Variable._nt, v.om.Literal._nt)
     for target in graph._objects(None, v.om.operator._nt):
         try:
-            if target[0] != "<" or _expression_class(graph, target, v.om) is not None:
+            if target[0] != "<" or _expression_class(graph, target, classes) is not None:
                 continue  # a literal, or a nested expression node, not a symbol
             symbol = parse_symbol_iri(graph._term(target), v.cd_base)  # type: ignore[arg-type]
             if not registry.knows_cd(symbol.cd):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import cpskg
 from cpskg import cli
 from cpskg.infix import parse_infix
 from cpskg.mapper import om_to_rdf
@@ -178,6 +181,17 @@ def test_import_leaves_network_and_mail_modules_unloaded():
     unwanted = "{'urllib.request', 'http.client', 'email', 'jsonschema', 'dataclasses', 'inspect'}"
     probe = f"import sys, cpskg, cpskg.cli; print(sorted({unwanted} & set(sys.modules)))"
     assert _probe(probe) == "[]\n"
+
+
+def test_every_exported_name_resolves():
+    """Each name in the ``__all__`` of the package and of each of its
+    modules is an attribute of it, so a deleted name cannot stay exported."""
+    modules = [cpskg, *(importlib.import_module(m.name) for m in pkgutil.walk_packages(cpskg.__path__, "cpskg."))]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert {"cpskg", "cpskg.mapper", "cpskg.om", "cpskg.om.tree"} <= {module.__name__ for module in exporting}
+    for module in exporting:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_build_of_a_valid_manifest_leaves_jsonschema_unloaded(tmp_path, golden_text):

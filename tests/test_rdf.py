@@ -201,6 +201,10 @@ _BAD_IRI_LINE = "<http://example.org/s> <http://example.org/p> <rel> ."
          "line 1: not a valid N-Triples statement: '<http://example.org/s> <http://example.org/p>'"),
         (["<http://example.org/s> <http://example.org/p> <http://example.org/o", "> ."],
          "line 1: not a valid N-Triples statement: '<http://example.org/s> <http://example.org/p> <http://example.org/o'"),
+        ([_OK_LINE, ". x # c"], "line 2: not a valid N-Triples statement: '. x # c'"),
+        ([_OK_LINE, f"{_BAD_IRI_LINE} # c"], "line 2: IRI must be absolute: 'rel'"),
+        ([_OK_LINE, "<http://example.org/s><http://example.org/p><rel>."], "line 2: IRI must be absolute: 'rel'"),
+        ([_OK_LINE, '<http://example.org/s> <http://example.org/p> "\\q" . # c'], "line 2: invalid escape sequence \\q"),
     ],
     ids=[
         "empty_datatype",
@@ -211,6 +215,10 @@ _BAD_IRI_LINE = "<http://example.org/s> <http://example.org/p> <rel> ."
         "bad_subject_before_its_escape",
         "statement_split_between_terms",
         "statement_split_inside_an_iri",
+        "no_statement_before_a_comment",
+        "bad_iri_before_a_comment",
+        "bad_iri_in_unspaced_terms",
+        "bad_escape_before_a_comment",
     ],
 )
 def test_parse_reports_the_first_fault_in_document_order(lines, message):
@@ -225,6 +233,25 @@ def test_parse_reports_the_first_fault_in_document_order(lines, message):
 def test_parse_skips_comments_and_blank_lines():
     text = "# a comment\n\n<http://example.org/s> <http://example.org/p> <http://example.org/o> .\n"
     assert len(from_ntriples(text)) == 1
+
+
+@pytest.mark.parametrize(
+    "line, canonical",
+    [
+        (f"{_OK_LINE} # a comment", _OK_LINE),
+        (f"{_OK_LINE}#", _OK_LINE),
+        ("<http://example.org/s><http://example.org/p><http://example.org/o>.", _OK_LINE),
+        ('\t<http://example.org/s><http://example.org/p>"x"@en.# c\r', '<http://example.org/s> <http://example.org/p> "x"@en .'),
+        ('<http://example.org/s#a> <http://example.org/p> "a # b" .', '<http://example.org/s#a> <http://example.org/p> "a # b" .'),
+        ('<http://example.org/s#a> <http://example.org/p> "a # b" . # c', '<http://example.org/s#a> <http://example.org/p> "a # b" .'),
+    ],
+    ids=["comment", "bare_hash", "no_spaces", "no_spaces_and_comment", "hash_in_terms", "hash_in_terms_and_comment"],
+)
+def test_parse_reads_a_trailing_comment_and_unspaced_terms(line, canonical):
+    """N-Triples 1.1 reads a comment as white space and needs none between
+    terms; a "#" inside an IRI or a literal starts no comment. The line is
+    read twice, so the second time its subject continues a run."""
+    assert to_ntriples(from_ntriples(f"{line}\n{line}\n")) == canonical + "\n"
 
 
 @pytest.mark.parametrize("position", ["subject", "predicate", "object", "datatype"])

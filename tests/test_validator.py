@@ -12,13 +12,13 @@ from cpskg.mapper import (
     MalformedNodeError,
     RootNotInGraphError,
     UnknownSymbolIriError,
+    _expression_class,
+    _list_items,
+    _variables,
     behavior_objects,
-    expression_class,
-    fragment_variables,
     om_to_rdf,
     parse_symbol_iri,
     rdf_to_om,
-    read_list,
     symbol_iri,
     variable_elements,
 )
@@ -464,8 +464,11 @@ def _differential_inputs():
 def test_text_walks_agree_with_the_term_walks():
     """The golden graph, each of its single-line deletions and the hand-made
     edits: validate (text and JSON), rdf_to_om of each wrapper and of a root
-    that is no node, fragment_variables, the export's variable table and
-    read_list of each argument list agree with the walks over terms."""
+    that is no node, the export's variable table, and the mapper's fragment
+    readers over texts (the variables of both wrappers, each argument list,
+    the expression class of each operator IRI), with the texts they return
+    made terms by the graph, agree with the walks over terms."""
+    classes = (V.om.Object._nt, V.om.Application._nt, V.om.Variable._nt, V.om.Literal._nt)
     seen_errors = set()
     for name, text in _differential_inputs():
         graph = from_ntriples(text)
@@ -476,13 +479,18 @@ def test_text_walks_agree_with_the_term_walks():
                 outcome = _outcome(lambda: rdf_to_om(graph, root, vocab=V, strict=strict))
                 assert outcome == _outcome(lambda: _term_rdf_to_om(graph, root, strict)), (name, root, strict)
                 seen_errors.add(outcome[1] if outcome[0] == "error" else None)
+        term = graph._term
         roots = [r for w in _WRAPPERS for r in graph.objects(w, V.om.root)]
-        assert fragment_variables(graph, roots, V.om) == _term_fragment_variables(graph, roots, V.om), name
+        variables = [term(n) for n in _variables(graph, [w._nt for w in _WRAPPERS], V.om)]
+        assert variables == _term_fragment_variables(graph, roots, V.om), name
         assert variable_elements(graph, V, _WRAPPERS) == _term_variable_elements(graph, _WRAPPERS), name
         for head in graph.objects(None, V.om.arguments):
-            assert _outcome(read_list, graph, head) == _outcome(_term_read_list, graph, head), (name, head)
+            items = _outcome(lambda: [term(item) for item in _list_items(graph, nt_term(head))])
+            assert items == _outcome(_term_read_list, graph, head), (name, head)
         for target in graph.objects(None, V.om.operator):
             if isinstance(target, Iri):
-                assert _outcome(expression_class, graph, target, V.om) == _outcome(_term_expression_class, graph, target, V.om), (name, target)
+                kind = _outcome(lambda: _expression_class(graph, target._nt, classes))
+                kind = kind if kind[0] == "error" or kind[1] is None else ("value", term(kind[1]))
+                assert kind == _outcome(_term_expression_class, graph, target, V.om), (name, target)
     # the inputs reach every way a read can fail
     assert {MalformedListError, MalformedNodeError, RootNotInGraphError, None} <= seen_errors
