@@ -11,14 +11,17 @@ links, and timestamped observations.
 Every operation trusts its spec: the manifest check
 (``manifest.manifest_from_dict``) is the one home of every manifest rule,
 and the builder checks none of them again. It writes N-Triples texts
-through ``Graph._insert``, as ``mapper.om_to_rdf`` does. It checks the IRI
-it makes of each distinct id, slug, and level or kind name once, when it
-first makes it, and keeps the text: a ``CpsManifest`` built by its
-constructor carries ids that the schema never saw. Terms a caller passes
-in get the rule ``Graph.add`` applies, and each node returned is the
-graph's own term. ``add_observation`` alone asks the graph whether its
-feature exists, which only direct use of the builder can fail: the
-manifest check requires a feature to be a declared id.
+through ``Graph._insert``, as ``mapper.om_to_rdf`` does. Each operation
+takes the local ids of the nodes it links, and the builder mints their
+IRIs: it checks the IRI it makes of each distinct id, slug, and level or
+kind name once, when it first makes it, and keeps the text, as a
+``CpsManifest`` built by its constructor carries ids that the schema never
+saw. The only terms a caller passes in are the equation wrappers and
+variable nodes that ``mapper.om_to_rdf`` made; they get the rule
+``Graph.add`` applies. Each node returned is the graph's own term.
+``add_observation`` alone asks the graph whether its feature exists, which
+only direct use of the builder can fail: the manifest check requires a
+feature to be a declared id.
 """
 
 from __future__ import annotations
@@ -136,9 +139,6 @@ class ModelBuilder:
     def iri(self, local_id: str) -> Iri:
         return Iri(f"{self.instance_base}/{local_id}")
 
-    def node_iri(self, context: str, key: str) -> Iri:
-        return Iri(f"{self.instance_base}/node/{context}/{key}")
-
     def _node(self, local_id: str) -> str:
         """The text of :meth:`iri` of ``local_id``, made and checked once."""
         return self._nodes.get(local_id) or self._nodes.setdefault(local_id, self.iri(local_id)._nt)
@@ -169,33 +169,32 @@ class ModelBuilder:
     def add_structure(self, root: StructureNode) -> Iri:
         """Type every node per its level and link parents to children via
         ``vdi2206:consistsOf``; declared data elements are added as well."""
-        vdi2206, insert, term, rdf_type = self.vocab.vdi2206, self.graph._insert, self.graph._term, RDF.type._nt
+        vdi2206, insert, rdf_type = self.vocab.vdi2206, self.graph._insert, RDF.type._nt
         consists_of = vdi2206.consistsOf._nt
 
         def visit(node: StructureNode) -> str:
             text = self._node(node.id)
             insert(text, rdf_type, self._class(vdi2206, node.level))
             for de in node.data_elements:
-                self.add_data_element(term(text), de)  # type: ignore[arg-type]
+                self.add_data_element(node.id, de)
             for child in node.children:
                 insert(text, consists_of, visit(child))
             return text
 
-        return term(visit(root))  # type: ignore[return-value]
+        return self.graph._term(visit(root))  # type: ignore[return-value]
 
     # --- processes -------------------------------------------------------
 
     def add_process(self, spec: ProcessSpec) -> Iri:
         """Add a process with its states and operators. Operator equations,
         if any, are not compiled here; see ``manifest.compile_manifest``."""
-        vdi3682, insert, node, term, rdf_type = self.vocab.vdi3682, self.graph._insert, self._node, self.graph._term, RDF.type._nt
+        vdi3682, insert, node, rdf_type = self.vocab.vdi3682, self.graph._insert, self._node, RDF.type._nt
         process = node(spec.id)
         insert(process, rdf_type, vdi3682.Process._nt)
         for state in spec.states:
-            text = node(state.id)
-            insert(text, rdf_type, self._class(vdi3682, state.kind))
+            insert(node(state.id), rdf_type, self._class(vdi3682, state.kind))
             for de in state.data_elements:
-                self.add_data_element(term(text), de)  # type: ignore[arg-type]
+                self.add_data_element(state.id, de)
         has_input, has_output = vdi3682.hasInput._nt, vdi3682.hasOutput._nt
         for op in spec.operators:
             op_node, resource = node(op.id), node(op.assigned_resource)
@@ -207,20 +206,20 @@ class ModelBuilder:
                 insert(op_node, has_input, node(state_id))
             for state_id in op.outputs:
                 insert(op_node, has_output, node(state_id))
-        return term(process)  # type: ignore[return-value]
+        return self.graph._term(process)  # type: ignore[return-value]
 
     # --- data elements ---------------------------------------------------
 
-    def add_data_element(self, owner: Iri, spec: DataElementSpec) -> Iri:
-        """Attach a data element to a state or technical resource.
+    def add_data_element(self, owner_id: str, spec: DataElementSpec) -> Iri:
+        """Attach a data element to the state or technical resource of
+        local id ``owner_id``.
 
         Type and instance description texts are encoded in deterministic
         node IRIs (shared per slug), keeping the emitted shape minimal.
         """
         dinen61360, insert, rdf_type = self.vocab.dinen61360, self.graph._insert, RDF.type._nt
         element = self._node(spec.id)
-        _check_triple(owner, dinen61360.hasDataElement, owner)  # the caller's term, as a subject
-        insert(owner._nt, dinen61360.hasDataElement._nt, element)
+        insert(self._node(owner_id), dinen61360.hasDataElement._nt, element)
         insert(element, rdf_type, dinen61360.DataElement._nt)
         type_node = self._node(f"node/type/{slugify(spec.type_description)}")
         insert(element, dinen61360.hasTypeDescription._nt, type_node)
@@ -233,28 +232,30 @@ class ModelBuilder:
 
     # --- behavior --------------------------------------------------------
 
-    def attach_behavior_model(self, operator_node: Iri, object_node: Iri) -> Iri:
-        """Link an equation wrapper to an operator through one mathematical-
-        model node per operator (fan-out for further equations); a further
-        equation re-adds the model's two triples, which changes nothing."""
+    def attach_behavior_model(self, operator_id: str, object_node: Iri) -> Iri:
+        """Link an equation wrapper to the operator of local id
+        ``operator_id`` through one mathematical-model node per operator
+        (fan-out for further equations); a further equation re-adds the
+        model's two triples, which changes nothing."""
         cpsmod, insert = self.vocab.cpsmod, self.graph._insert
-        _check_triple(operator_node, cpsmod.hasOMObject, object_node)  # the caller's terms, in their roles
-        model = Iri(f"{operator_node.value}/model")._nt
-        insert(model, RDF.type._nt, self.vocab.vdi2206.MathematicalModel._nt)
-        insert(operator_node._nt, cpsmod.processOperatorBehaviorModel._nt, model)
-        insert(model, cpsmod.hasOMObject._nt, object_node._nt)
-        return self.graph._term(model)  # type: ignore[return-value]
+        model = self.iri(f"{operator_id}/model")
+        _check_triple(model, cpsmod.hasOMObject, object_node)  # the caller's term, as an object
+        insert(model._nt, RDF.type._nt, self.vocab.vdi2206.MathematicalModel._nt)
+        insert(self._node(operator_id), cpsmod.processOperatorBehaviorModel._nt, model._nt)
+        insert(model._nt, cpsmod.hasOMObject._nt, object_node._nt)
+        return self.graph._term(model._nt)  # type: ignore[return-value]
 
-    def link_variable_to_data_element(self, variable_node: NodeRef, data_element_node: NodeRef) -> None:
+    def link_variable_to_data_element(self, variable_node: NodeRef, data_element_id: str) -> None:
         is_data_for = self.vocab.cpsmod.isDataFor
-        _check_triple(variable_node, is_data_for, data_element_node)
-        self.graph._insert(variable_node._nt, is_data_for._nt, data_element_node._nt)
+        _check_triple(variable_node, is_data_for, variable_node)  # the caller's term, as a subject
+        self.graph._insert(variable_node._nt, is_data_for._nt, self._node(data_element_id))
 
     # --- observations ----------------------------------------------------
 
-    def add_observation(self, feature: Iri, value: float, timestamp: str) -> Iri:
-        """Record a timestamped observation on a feature of interest; the
-        simple result is a plain xsd:double."""
+    def add_observation(self, feature_id: str, value: float, timestamp: str) -> Iri:
+        """Record a timestamped observation on the feature of interest of
+        local id ``feature_id``; the simple result is a plain xsd:double."""
+        feature = self.iri(feature_id)
         # a lookup by subject reads the graph's store and builds no index
         if not self.graph.triples(feature):
             raise UnresolvedReferenceError(f"observation feature does not exist in the graph: {feature}")

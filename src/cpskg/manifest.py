@@ -483,8 +483,6 @@ def compile_manifest(
     aggregated into one :class:`ManifestError` naming each JSON path.
     """
     builder = ModelBuilder(manifest.instance_base, vocab)
-    # the builder's texts of the nodes it wrote, as the graph's own terms
-    node_text, term = builder._node, builder.graph._term
     builder.add_lifecycle_record(manifest.lifecycle_record_id, manifest.information_sets)
     builder.add_structure(manifest.structure)
     # each structure node's data elements scope the variables of the operators assigned to it
@@ -534,12 +532,12 @@ def compile_manifest(
                     for name in missing:
                         problems.append((epath, f"variable {name!r} is not declared by any data element in scope"))
                     continue
-                builder.attach_behavior_model(term(node_text(op.id)), result.object_node)
+                builder.attach_behavior_model(op.id, result.object_node)
                 for name in sorted(result.variables):
-                    builder.link_variable_to_data_element(result.variables[name], term(node_text(scope[name])))
+                    builder.link_variable_to_data_element(result.variables[name], scope[name])
     if problems:
         raise ManifestError(problems)
 
     for obs in manifest.observations:
-        builder.add_observation(builder.iri(obs.feature), obs.value, obs.timestamp)
+        builder.add_observation(obs.feature, obs.value, obs.timestamp)
     return builder.graph

@@ -271,11 +271,11 @@ def variable_elements(graph: Graph, vocab: CpsVocabulary, wrappers: Iterable[Iri
 
 def behavior_objects(graph: Graph, vocab: CpsVocabulary, operator: Optional[Iri] = None) -> list[Iri]:
     """The ``om:Object`` wrappers of the behavior models of ``operator``,
-    or of every operator when it is ``None``: IRIs only, one per (model,
-    wrapper) pair, ordered by IRI."""
+    or of every operator when it is ``None``: IRIs only, each once however
+    many models hold it, ordered by IRI."""
     cpsmod = vocab.cpsmod
     models = graph.objects(operator, cpsmod.processOperatorBehaviorModel)
-    wrappers = [w for model in models for w in graph.objects(model, cpsmod.hasOMObject) if isinstance(w, Iri)]
+    wrappers = {w for model in models for w in graph.objects(model, cpsmod.hasOMObject) if isinstance(w, Iri)}
     return sorted(wrappers, key=lambda w: w.value)
 
 

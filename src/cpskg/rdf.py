@@ -11,31 +11,25 @@ string. Each :class:`Iri` and :class:`Literal` renders its N-Triples text
 (:func:`nt_term`) once, when it is made. A :class:`Graph` keys every term by
 that text, which is one-to-one with term equality and sorts in
 serialization order, so storing, indexing and sorting work on plain
-strings, and triples sharing a term object share its string. A graph
-stores its triples once, as its subject index: subject text -> predicate
-text -> object text(s). One table per graph maps each text back to a
-single term object, and lookups hand out those objects. Once made, a graph
-only grows. ``Graph.add(subject, predicate, object)`` is the one checked
-public write: it takes the three terms, applies the rule :class:`Triple`
-applies, and stores their texts without making a :class:`Triple`.
-:class:`Triple` is the read type, which iteration and lookups hand out.
-``Graph._insert`` is the store's one insert: it takes the texts of three
-terms already checked. ``add`` calls it, and so do
-:func:`cpskg.mapper.om_to_rdf`, which checks its terms once per equation,
-and :class:`cpskg.builder.ModelBuilder`, which checks each node IRI once,
-when it first makes it. Both write texts, so the graph makes their
-objects on first read. ``Graph._objects`` is the store's one text read: it
-gives the texts of a subject's (or any subject's) objects of a predicate,
-sorted, and makes no term object. :meth:`Graph.objects` hands out the terms
-of those texts, and the readers of :mod:`cpskg.mapper` and
-:mod:`cpskg.validator` walk the texts themselves.
-:func:`from_ntriples` fills a fresh graph's store directly. One ``findall``
-per bounded slice of the document gives each line's three terms' texts;
-the distinct IRIs are checked together by one match, one string object is
-kept per distinct IRI text, and a literal already written canonically is
-kept as written. It makes no term object: the graph makes a term's object
-the first time a lookup hands it out. Lookups by predicate build an index
-for the predicate they name, on the first lookup by it.
+strings. A graph stores its triples once, as its subject index: subject
+text -> predicate text -> object text(s). Once made, a graph only grows.
+``Graph.add(subject, predicate, object)`` is the one checked public write:
+it applies the rule :class:`Triple` applies and stores the three texts
+through ``Graph._insert``, the store's one insert, which
+:func:`cpskg.mapper.om_to_rdf` and :class:`cpskg.builder.ModelBuilder` also
+call with texts they have checked. :class:`Triple` is the read type, which
+iteration and lookups hand out. ``Graph._term`` is the one maker of a
+graph's term objects: it makes a text's object on its first hand-out and
+keeps it, so each text has one object. ``Graph._objects`` is the store's
+one text read: the sorted texts of a subject's (or any subject's) objects
+of a predicate, with no term object made; :meth:`Graph.objects` hands out
+their terms, and the readers of :mod:`cpskg.mapper` and
+:mod:`cpskg.validator` walk the texts themselves. :func:`from_ntriples`
+fills a fresh graph's store directly: one row pattern, one ``findall`` per
+bounded slice of the document, gives each line's three terms' texts; the
+distinct IRIs are checked together by one match, and a literal already
+written canonically is kept as written. Lookups by predicate build an
+index for the predicate they name, on the first lookup by it.
 A :class:`Namespace` keeps each attribute term it hands out.
 """
 
@@ -142,15 +136,6 @@ def _iri_error(value: str) -> InvalidIriError:
     if not _SCHEME_RE.match(value):
         return InvalidIriError(f"IRI must be absolute: {value!r}")
     return InvalidIriError(f"IRI contains forbidden characters: {value!r}")
-
-
-def _iri_of(text: str) -> Iri:
-    """The :class:`Iri` whose N-Triples text is ``text``, an IRI already
-    checked; it carries ``text`` itself rather than a copy."""
-    iri = object.__new__(Iri)
-    _setattr(iri, "value", text[1:-1])
-    _setattr(iri, "_nt", text)
-    return iri
 
 
 class Namespace:
@@ -328,13 +313,10 @@ class Graph:
     object's text, or to a set of texts once the pair has a second object.
     A pair thus holds a lone text exactly when it has one object, so two
     graphs with the same triples have equal stores. ``_count`` counts the
-    triples. A term table maps texts to term objects; every read that hands
-    out terms takes them from :meth:`_term`, so each text has one term
-    object. A graph from :func:`from_ntriples` starts with an empty table:
-    each term's object is made on its first hand-out, from its text, and
-    most are never handed out. The same holds for the fragments
-    :func:`cpskg.mapper.om_to_rdf` writes, literals included, and for the
-    nodes :class:`cpskg.builder.ModelBuilder` writes.
+    triples. No write keeps a term object: a term table maps texts to term
+    objects, and :meth:`_term` alone fills it, making each term's object
+    from its text on its first hand-out, so each text has one term object
+    and most are never made.
 
     Lookups by subject read the store. :meth:`_objects` is the text read
     that :meth:`objects` and the expression walks share, so the shape of a
@@ -361,25 +343,17 @@ class Graph:
         """Add the triple of these three terms; one the graph holds
         already changes nothing."""
         _check_triple(subject, predicate, object)
-        s, p, o = subject._nt, predicate._nt, object._nt
-        if self._insert(s, p, o):
-            terms = self._terms
-            if s not in terms:
-                terms[s] = subject
-            if p not in terms:
-                terms[p] = predicate
-            if o not in terms:
-                terms[o] = object
+        self._insert(subject._nt, predicate._nt, object._nt)
 
-    def _insert(self, s: str, p: str, o: str) -> bool:
+    def _insert(self, s: str, p: str, o: str) -> None:
         """Store the triple whose terms have the N-Triples texts ``s``,
         ``p`` and ``o``, terms already checked; the store's one insert,
         which :meth:`add`, :func:`cpskg.mapper.om_to_rdf` and
-        :class:`cpskg.builder.ModelBuilder` call. True when the graph did
-        not hold it; a literal's text must be its canonical one, which
-        :func:`nt_term` gives. It keeps the count and
-        any built predicate index in step, but not the term table:
-        :meth:`_term` makes a missing term's object from its text."""
+        :class:`cpskg.builder.ModelBuilder` call. A triple the graph holds
+        already changes nothing; a literal's text must be its canonical
+        one, which :func:`nt_term` gives. It keeps the count and any built
+        predicate index in step; :meth:`_term` makes a term's object from
+        its text when a read first hands it out."""
         # the insert of _put, inline: this is the write every build makes
         by_predicate = self._spo.get(s)
         if by_predicate is None:
@@ -390,10 +364,10 @@ class Graph:
                 by_predicate[p] = o
             elif type(found) is str:
                 if found == o:
-                    return False
+                    return
                 by_predicate[p] = {found, o}
             elif o in found:
-                return False
+                return
             else:
                 found.add(o)
         self._count += 1
@@ -401,7 +375,6 @@ class Graph:
             by_object = self._pos.get(p)
             if by_object is not None:
                 _put(by_object, o, s)
-        return True
 
     def __len__(self) -> int:
         return self._count
@@ -422,14 +395,18 @@ class Graph:
         return f"Graph({self._count} triples)"
 
     def _term(self, text: str) -> NodeRef:
-        """The one term object for ``text``, a text of this graph's store.
-        A text missing from the table, an IRI's or a literal's, gets its
-        object made here on its first hand-out; ``setdefault`` keeps the
-        object of whichever reader makes it first."""
+        """The one term object for ``text``, a text of this graph's store;
+        the only place the graph makes term objects. A text missing from
+        the table, an IRI's or a literal's, gets its object made here on
+        its first hand-out; ``setdefault`` keeps the object of whichever
+        reader makes it first."""
         term = self._terms.get(text)
         if term is None:
             if text[0] == "<":
-                made: NodeRef = _iri_of(text)
+                # an IRI text the store holds is checked; its object carries the text itself
+                made: NodeRef = object.__new__(Iri)
+                _setattr(made, "value", text[1:-1])
+                _setattr(made, "_nt", text)
             else:
                 # a canonical literal text, which always reads; its datatype is this graph's term
                 groups = _LITERAL_RE.fullmatch(text).groups()  # type: ignore[union-attr]
@@ -515,16 +492,9 @@ class Graph:
         return (found,) if type(found) is str else tuple(sorted(found))
 
     def subjects(self, predicate: Optional[Iri] = None, object: Optional[NodeRef] = None) -> list[NodeRef]:
-        p, o = _text(predicate), _text(object)
-        term = self._term
-        if p is not None and o is not None:
-            found = self._by_predicate(p).get(o)
-            if found is None:
-                return []
-            if type(found) is str:
-                return [term(found)]
-            return [term(s) for s in sorted(found)]
-        return [term(s) for s in sorted({k[0] for k in self._select(None, p, o)})]
+        """The distinct subjects of the triples matching ``predicate`` and
+        ``object``, either ``None`` for any, in sorted order."""
+        return [self._term(s) for s in sorted({key[0] for key in self._select(None, _text(predicate), _text(object))})]
 
 
 # --- pattern matching --------------------------------------------------------
@@ -668,25 +638,19 @@ _LEXICAL_PAT = r'"((?:[^"\\\r\n]|\\.)*)"'
 # Literal groups: 1=lexical, 2=datatype IRI without its brackets, 3=lang.
 _LITERAL_RE = re.compile(rf"{_LEXICAL_PAT}(?:\^\^<([^>]*)>|@({_LANGTAG}))?")
 # One line of a document, as a multiline findall reads it: a statement with
-# any whitespace around it, or else the whole line. Groups: 1=subject text,
-# 2=predicate text, 3=object text (an IRI with its brackets or a literal as
-# written), 4=a literal's lexical form, 5=its datatype or language suffix as
-# written, 6=the line when it is no statement. findall gives "" for a group
-# that took no part, and a statement's subject is never empty.
+# any white space around and between its terms and an optional comment after
+# its ".", as N-Triples 1.1 allows, or else the whole line. Groups: 1=subject
+# text, 2=predicate text, 3=object text (an IRI with its brackets or a literal
+# as written), 4=a literal's lexical form, 5=its datatype or language suffix
+# as written, 6=the line when it is no statement. findall gives "" for a
+# group that took no part, and a statement's subject is never empty. "[^>]"
+# and "\s" run in the regex engine's fast loops, so an IRI or the space
+# between terms may run over a line break, which only a malformed line makes
+# it do. The ending "(?:$|#.*$)" made the k=4 graph's findall under 1%
+# slower than a row with no comment; "(?:#.*)?" made it about 6% slower.
 _SP = r"[^\S\n]"
 _OBJECT_PAT = rf"{_IRI_PAT}|{_LEXICAL_PAT}((?:\^\^{_IRI_PAT}|@{_LANGTAG})?)"
-_ROW_PAT = rf"(?m)^(?:{_SP}*({_IRI_PAT})\s+({_IRI_PAT})\s+({_OBJECT_PAT}){_SP}*\.{_SP}*|(.*))$"
-_ROW_RE = re.compile(_ROW_PAT)
-# The same row, but no IRI or space between terms runs over a line break.
-# "[^>]" and "\s" run in the regex engine's fast loops and these classes do
-# not: this pattern read the k=4 graph in about 2.8 times _ROW_RE's time. So
-# it reads only a slice in which a row of _ROW_RE ran over a line break,
-# which only a malformed line can make it do.
-_LINE_ROW_RE = re.compile(_ROW_PAT.replace(_IRI_PAT, r"<[^>\n]*>").replace(r"\s+", f"{_SP}+"))
-# A statement as N-Triples 1.1 also allows it: no white space between its
-# terms, or a comment after its ".". Groups 1-5 as in _ROW_RE. It is tried
-# only on a line that _ROW_RE gave as no statement.
-_LOOSE_ROW_RE = re.compile(rf"{_SP}*({_IRI_PAT}){_SP}*({_IRI_PAT}){_SP}*({_OBJECT_PAT}){_SP}*\.{_SP}*(?:#.*)?")
+_ROW_RE = re.compile(rf"(?m)^(?:{_SP}*({_IRI_PAT})\s*({_IRI_PAT})\s*({_OBJECT_PAT}){_SP}*\.{_SP}*(?:$|#.*$)|(.*))")
 # IRI texts, each followed by a line break: a match ends where the first
 # text that breaks the IRIREF rule starts.
 _IRIS_RE = re.compile(rf"(?:<{_ABSOLUTE_IRI}>\n)*")
@@ -756,20 +720,22 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
     canonical output. Blank lines and ``#`` comment lines are skipped; a
     statement may end in a comment and need not space its terms.
 
-    One multiline ``findall`` reads each slice of the document, a run of
-    whole lines at least ``_SLICE`` characters long, and gives each line's
-    three terms' texts as written. A run of lines with one subject shares
-    that subject's store entry. Each distinct IRI is kept only as its text,
-    one string object per distinct text. The IRIs are checked against the
-    IRIREF rule together, by one match over their texts, at the end or
-    before any other fault is reported, so that the first bad line is
-    reported whatever kind of fault it holds. A literal written canonically
-    (no backslash, only printable characters, and no explicit
-    ``xsd:string``) is stored as its written text; any other is unescaped
-    and escaped again to its canonical text, once per distinct spelling, so
-    ``"\\u0041"`` and ``"A"`` are one term. No term object is made: the
-    graph makes each one when a lookup first hands it out. Nothing is kept
-    between calls."""
+    One multiline ``findall`` of ``_ROW_RE`` reads each slice of the
+    document, a run of whole lines at least ``_SLICE`` characters long, and
+    gives each line's three terms' texts as written. A slice in which a row
+    ran over a line break, which only a malformed line makes it do, is read
+    again line by line with the same pattern, so that each line is read on
+    its own. A run of lines with one subject shares that subject's store
+    entry. Each distinct IRI is kept only as its text, one string object per
+    distinct text. The IRIs are checked against the IRIREF rule together,
+    by one match over their texts, at the end or before any other fault is
+    reported, so that the first bad line is reported whatever kind of fault
+    it holds. A literal written canonically (no backslash, only printable
+    characters, and no explicit ``xsd:string``) is stored as its written
+    text; any other is unescaped and escaped again to its canonical text,
+    once per distinct spelling, so ``"\\u0041"`` and ``"A"`` are one term.
+    No term object is made: the graph makes each one when a lookup first
+    hands it out. Nothing is kept between calls."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -792,7 +758,7 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             stop = end
         rows = _ROW_RE.findall(data, start, stop)
         if len(rows) <= data.count("\n", start, stop):  # a row ran over a line break
-            rows = _LINE_ROW_RE.findall(data, start, stop)
+            rows = [_ROW_RE.match(line).groups("") for line in data[start:stop].split("\n")]  # type: ignore[union-attr]
         for s, p, o, lexical, suffix, other in rows:
             lineno += 1
             if s != subject:
@@ -800,10 +766,7 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
                     line = other.strip()
                     if not line or line[0] == "#":
                         continue
-                    row = _LOOSE_ROW_RE.fullmatch(other)
-                    if row is None:
-                        _check_iris(iris, first_lines, NTriplesSyntaxError(f"not a valid N-Triples statement: {other!r}", lineno))
-                    s, p, o, lexical, suffix = row.groups("")  # type: ignore[union-attr]
+                    _check_iris(iris, first_lines, NTriplesSyntaxError(f"not a valid N-Triples statement: {other!r}", lineno))
                 subject = iris.get(s)
                 if subject is None:
                     subject = iris[s] = s

@@ -103,18 +103,18 @@ def test_data_element_six_triples(builder):
     builder.add_process(ProcessSpec("P", states=[StateSpec("Flow", "Energy")], operators=[]))
     before = len(builder.graph)
     element = builder.add_data_element(
-        builder.iri("Flow"),
+        "Flow",
         DataElementSpec("Q1_DE", "Volume flow into chamber 1", instance_descriptions=["unit m^3/s"]),
     )
     assert len(builder.graph) - before == 6
     type_nodes = builder.graph.objects(element, V.dinen61360.hasTypeDescription)
-    assert type_nodes == [builder.node_iri("type", slugify("Volume flow into chamber 1"))]
+    assert type_nodes == [builder.iri(f"node/type/{slugify('Volume flow into chamber 1')}")]
 
 
 def test_data_element_two_instance_descriptions(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     element = builder.add_data_element(
-        builder.iri("Ram"),
+        "Ram",
         DataElementSpec("D", "some quantity", instance_descriptions=["unit one", "sampled at 1 kHz"]),
     )
     assert len(builder.graph.objects(element, V.dinen61360.hasInstanceDescription)) == 2
@@ -123,38 +123,38 @@ def test_data_element_two_instance_descriptions(builder):
 def test_attach_behavior_model_three_then_one_triples(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     builder.add_process(ProcessSpec("P", operators=[OperatorSpec("Op", "Ram")]))
-    op = builder.iri("Op")
     first = om_to_rdf(app(Symbol("arith1", "plus"), Variable("x"), Variable("y")), BASE, "e1", vocab=V, graph=builder.graph)
     second = om_to_rdf(Variable("z"), BASE, "e2", vocab=V, graph=builder.graph)
 
     before = len(builder.graph)
-    model = builder.attach_behavior_model(op, first.object_node)
+    model = builder.attach_behavior_model("Op", first.object_node)
     assert len(builder.graph) - before == 3
     assert Triple(model, RDF.type, V.vdi2206.MathematicalModel) in builder.graph
 
     before = len(builder.graph)
-    assert builder.attach_behavior_model(op, second.object_node) == model
+    assert builder.attach_behavior_model("Op", second.object_node) == model
     assert len(builder.graph) - before == 1  # model node reused, one more hasOMObject
 
 
 def test_link_variable_to_data_element(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
-    element = builder.add_data_element(builder.iri("Ram"), DataElementSpec("Q1_DE", "volume flow"))
+    element = builder.add_data_element("Ram", DataElementSpec("Q1_DE", "volume flow"))
     result = om_to_rdf(Variable("Q1"), BASE, "e", vocab=V, graph=builder.graph)
     var_node = result.variables["Q1"]
 
     before = len(builder.graph)
-    builder.link_variable_to_data_element(var_node, element)
+    builder.link_variable_to_data_element(var_node, "Q1_DE")
     assert len(builder.graph) - before == 1
-    builder.link_variable_to_data_element(var_node, element)
+    assert Triple(var_node, V.cpsmod.isDataFor, element) in builder.graph
+    builder.link_variable_to_data_element(var_node, "Q1_DE")
     assert len(builder.graph) - before == 1  # idempotent
 
 
 def test_observation_four_triples(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
-    feature = builder.add_data_element(builder.iri("Ram"), DataElementSpec("Q1_DE", "volume flow"))
+    feature = builder.add_data_element("Ram", DataElementSpec("Q1_DE", "volume flow"))
     before = len(builder.graph)
-    obs = builder.add_observation(feature, 2.0, "2024-01-01T00:00:00Z")
+    obs = builder.add_observation("Q1_DE", 2.0, "2024-01-01T00:00:00Z")
     assert len(builder.graph) - before == 4
     assert Triple(obs, V.sosa.hasFeatureOfInterest, feature) in builder.graph
 
@@ -165,15 +165,15 @@ def test_observation_of_a_feature_not_in_the_graph_is_rejected(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
     before = len(builder.graph)
     with pytest.raises(UnresolvedReferenceError, match="Missing_DE"):
-        builder.add_observation(builder.iri("Missing_DE"), 2.0, "2024-01-01T00:00:00Z")
+        builder.add_observation("Missing_DE", 2.0, "2024-01-01T00:00:00Z")
     assert len(builder.graph) == before
 
 
 def test_two_observations_get_distinct_nodes(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
-    feature = builder.add_data_element(builder.iri("Ram"), DataElementSpec("D", "quantity"))
-    a = builder.add_observation(feature, 1.0, "2024-01-01T00:00:00Z")
-    b = builder.add_observation(feature, 2.0, "2024-01-01T00:00:01Z")
+    builder.add_data_element("Ram", DataElementSpec("D", "quantity"))
+    a = builder.add_observation("D", 1.0, "2024-01-01T00:00:00Z")
+    b = builder.add_observation("D", 2.0, "2024-01-01T00:00:01Z")
     assert a != b
 
 
@@ -240,21 +240,18 @@ def test_every_returned_node_is_the_graphs_own_term(builder):
     own(builder.add_lifecycle_record("Record", ["ModelSet"]))
     own(builder.add_structure(ehsa_structure()))
     own(builder.add_process(active_mode()))
-    element = own(builder.add_data_element(builder.iri("EHSV"), DataElementSpec("D", "quantity", ["unit one"])))
+    own(builder.add_data_element("EHSV", DataElementSpec("D", "quantity", ["unit one"])))
     wrapper = om_to_rdf(Variable("x"), BASE, "e", vocab=V, graph=graph).object_node
-    own(builder.attach_behavior_model(builder.iri("HydraulicControl"), wrapper))
-    own(builder.add_observation(element, 1.0, "2024-01-01T00:00:00Z"))
+    own(builder.attach_behavior_model("HydraulicControl", wrapper))
+    own(builder.add_observation("D", 1.0, "2024-01-01T00:00:00Z"))
 
 
 def test_a_callers_term_gets_the_rule_graph_add_applies(builder):
     builder.add_structure(StructureNode("Ram", "Component"))
-    element = builder.add_data_element(builder.iri("Ram"), DataElementSpec("D", "quantity"))
+    builder.add_data_element("Ram", DataElementSpec("D", "quantity"))
     before = to_ntriples(builder.graph)
-    literal = Literal("Ram")
     with pytest.raises(InvalidTripleError, match="subject cannot be a literal"):
-        builder.add_data_element(literal, DataElementSpec("E", "quantity"))
-    with pytest.raises(InvalidTripleError, match="subject cannot be a literal"):
-        builder.link_variable_to_data_element(literal, element)
+        builder.link_variable_to_data_element(Literal("x"), "D")
     with pytest.raises(InvalidTripleError, match="object must be an IRI or literal"):
-        builder.attach_behavior_model(builder.iri("Ram"), "not a term")  # type: ignore[arg-type]
+        builder.attach_behavior_model("Ram", "not a term")  # type: ignore[arg-type]
     assert to_ntriples(builder.graph) == before

@@ -28,6 +28,7 @@ from cpskg.rdf import (
     Literal,
     MalformedQueryError,
     Namespace,
+    NodeRef,
     NTriplesSyntaxError,
     PatternQuery,
     Triple,
@@ -91,6 +92,22 @@ def test_triple_and_add_reject_alike(terms, message):
         graph.add(*terms)
     assert str(added.value) == str(made.value)
     assert len(graph) == 0
+
+
+def test_added_terms_are_handed_out_equal_one_object_per_text():
+    """Graph.add stores texts: reads hand out terms equal to the ones added,
+    and every read hands out one object per text."""
+    objects = [EX.o, Literal("x\ny"), Literal("42", XSD.integer), Literal("bonjour", lang="fr"), Literal("z", RDF.langString)]
+    added = {(EX.s, EX.p, o) for o in objects} | {(EX.o, EX.q, EX.s)}
+    graph = Graph()
+    for triple in added:
+        graph.add(*triple)
+    assert {(x.subject, x.predicate, x.object) for x in graph} == added
+    handed_out: dict[str, NodeRef] = {}
+    reads = [*graph, *graph.triples(EX.s), *graph.triples(None, EX.q), *graph.triples(None, None, EX.s)]
+    for term in [x for triple in reads for x in (triple.subject, triple.predicate, triple.object)] + graph.subjects(EX.p):
+        assert handed_out.setdefault(nt_term(term), term) is term
+    assert graph.objects(EX.s, EX.p) == sorted(objects, key=nt_term)
 
 
 def test_relative_iri_rejected():
@@ -334,8 +351,9 @@ def test_golden_file_reserializes_byte_identically(golden_text):
 def test_parse_reads_a_document_over_many_slices(monkeypatch, golden_text, slice_chars):
     """Slices of the document are whole lines: a document of many slices
     reads back byte-identically, blank and comment lines count, and a
-    malformed line in a late slice, found in either row pattern, names its
-    own line."""
+    malformed line in a late slice names its own line, also when the row
+    pattern ran it over a line break and the slice is read again line by
+    line."""
     monkeypatch.setattr(rdf, "_SLICE", slice_chars)
     assert len(golden_text) > 10 * 4096
     assert to_ntriples(from_ntriples(golden_text)) == golden_text
@@ -351,6 +369,14 @@ def test_parse_reads_a_document_over_many_slices(monkeypatch, golden_text, slice
         with pytest.raises(NTriplesSyntaxError) as excinfo:
             from_ntriples("\n".join([*lines[:late], *broken, *lines[late + 1 :]]))
         assert excinfo.value.line == late + 1
+    # a statement ending in a comment and one with no space between its terms,
+    # which N-Triples 1.1 allows, then the split statement: read line by line
+    loose = [*lines[: late - 2], f"{lines[late - 2]} # a comment", re.sub(r'(?<=>) (?=[<"])| (?=\.$)', "", lines[late - 1])]
+    assert "> " not in loose[-1] and loose[-1] != lines[late - 1]
+    assert to_ntriples(from_ntriples("\n".join([*loose, *lines[late:]]))) == golden_text
+    with pytest.raises(NTriplesSyntaxError) as excinfo:
+        from_ntriples("\n".join([*loose, head, f"<{tail}", *lines[late + 1 :]]))
+    assert excinfo.value.line == late + 1
 
 
 # --- the parser against the strict per-line parser it replaced ----------------

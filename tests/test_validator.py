@@ -25,7 +25,7 @@ from cpskg.mapper import (
 from cpskg.infix import parse_infix
 from cpskg.om.registry import DEFAULT_REGISTRY
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable
-from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple, from_ntriples, nt_term
+from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, Triple, from_ntriples, nt_term, to_ntriples
 from cpskg.validator import Finding, ValidationReport, _cardinality_shapes, validate
 from cpskg.vocab import DEFAULT_VOCAB
 from conftest import FIXTURES, edited
@@ -440,6 +440,9 @@ def _edits():
     def line(s, p, o):
         return f"{nt_term(s)} {nt_term(p)} {nt_term(o)} .\n"
 
+    # the first equation's fragment as one of numbers, so that a walk meets om:Literal nodes
+    fragment = (f"{nt_term(_WRAPPERS[0])} ", f"<{_WRAPPERS[0].value}/")
+    numbers = om_to_rdf(parse_infix("y = 2*x + 0.5"), EHSA, "chamber1_pressure_rate", vocab=V).graph
     return {
         "second_first": ((), [line(cell, RDF.first, variable)]),
         "rest_cycle": ([line(rest, RDF.rest, after_rest)], [line(rest, RDF.rest, rest)]),
@@ -449,6 +452,7 @@ def _edits():
         "literal_root": ([line(_WRAPPERS[1], V.om.root, other_root)], [line(_WRAPPERS[1], V.om.root, Literal("root"))]),
         "literal_operator": ((), [line(root, V.om.operator, Literal("plus"))]),
         "iri_name": ([line(variable, V.om.name, name)], [line(variable, V.om.name, variable)]),
+        "literal_equation": ([x for x in _GOLDEN_LINES if x.startswith(fragment)], to_ntriples(numbers).splitlines(keepends=True)),
     }
 
 
@@ -463,11 +467,12 @@ def _differential_inputs():
 
 def test_text_walks_agree_with_the_term_walks():
     """The golden graph, each of its single-line deletions and the hand-made
-    edits: validate (text and JSON), rdf_to_om of each wrapper and of a root
-    that is no node, the export's variable table, and the mapper's fragment
-    readers over texts (the variables of both wrappers, each argument list,
-    the expression class of each operator IRI), with the texts they return
-    made terms by the graph, agree with the walks over terms."""
+    edits, one of which holds om:Literal nodes: validate (text and JSON),
+    rdf_to_om of each wrapper and of a root that is no node, the export's
+    variable table, and the mapper's fragment readers over texts (the
+    variables of both wrappers, each argument list, the expression class of
+    each operator IRI), with the texts they return made terms by the graph,
+    agree with the walks over terms."""
     classes = (V.om.Object._nt, V.om.Application._nt, V.om.Variable._nt, V.om.Literal._nt)
     seen_errors = set()
     for name, text in _differential_inputs():
