@@ -46,6 +46,7 @@ from .errors import CpskgError
 from .infix import parse_infix
 from .mapper import om_to_rdf
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
+from .om.tree import OMExpression
 from .om.xmlio import parse_openmath_xml
 from .rdf import _ABSOLUTE_IRI, Graph
 from .vocab import DEFAULT_VOCAB, CpsVocabulary
@@ -481,6 +482,13 @@ def compile_manifest(
     equations (parsed, mapped straight into the model graph, attached,
     variables linked), observations. Scope and equation problems are
     aggregated into one :class:`ManifestError` naming each JSON path.
+
+    Each distinct equation source (an infix text, or an ``xmlPath``) is
+    read and parsed once per call, however many equations name it; every
+    equation is still mapped, scope-checked and linked under its own id. A
+    source that cannot be read or parsed is tried again by each equation
+    that names it, so each reports its own problem. Nothing is kept
+    between calls.
     """
     builder = ModelBuilder(manifest.instance_base, vocab)
     builder.add_lifecycle_record(manifest.lifecycle_record_id, manifest.information_sets)
@@ -493,6 +501,8 @@ def compile_manifest(
         resource_elements[node.id] = node.data_elements
         nodes.extend(node.children)
     problems: list[tuple[str, str]] = []
+    # each equation source's tree, once it has been read and parsed; trees are immutable
+    parsed: dict[tuple[str, Optional[str]], OMExpression] = {}
     for pi, proc in enumerate(manifest.processes):
         builder.add_process(proc)
         state_elements = {state.id: state.data_elements for state in proc.states}
@@ -510,7 +520,9 @@ def compile_manifest(
                 scope[de.variable_name] = de.id
             for ei, eq in enumerate(op.equations):
                 epath = f"{opath}.equations[{ei}]"
-                if eq.infix is None:
+                source = ("infix", eq.infix) if eq.infix is not None else ("xml", eq.xml_path)
+                expr = parsed.get(source)
+                if expr is None and eq.infix is None:
                     try:
                         xml = ((manifest.base_dir or Path(".")) / (eq.xml_path or "")).read_bytes()
                     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in xmlPath
@@ -519,10 +531,12 @@ def compile_manifest(
                 # A failed equation may leave part of its fragment in the
                 # graph; that graph is discarded, as any problem is raised.
                 try:
-                    if eq.infix is not None:
-                        expr = parse_infix(eq.infix, registry=registry, strict=strict)
-                    else:
-                        expr = parse_openmath_xml(xml, strict=strict)
+                    if expr is None:
+                        expr = parsed[source] = (
+                            parse_infix(eq.infix, registry=registry, strict=strict)
+                            if eq.infix is not None
+                            else parse_openmath_xml(xml, strict=strict)
+                        )
                     result = om_to_rdf(expr, manifest.instance_base, eq.id, vocab=vocab, graph=builder.graph)
                 except CpskgError as exc:
                     problems.append((epath, str(exc)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,6 +27,15 @@ def edited(graph: Graph, drop=(), add=()) -> Graph:
     for triple in [*(x for x in graph if x not in dropped), *add]:
         out.add(triple.subject, triple.predicate, triple.object)
     return out
+
+
+def perfbench_inputs():
+    """perfbench/inputs.py, which replicates the EHSA manifest and imports no cpskg."""
+    if "perfbench_inputs" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", REPO / "perfbench" / "inputs.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up there
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_inputs"]
 
 
 @pytest.fixture(scope="session")
@@ -55,10 +65,11 @@ def eq1_tree():
 
 @pytest.fixture
 def run_cli():
-    """Run the installed CLI in a subprocess with src/ on the import path."""
+    """Run the installed CLI in a subprocess with src/ on the import path;
+    ``env`` adds variables to the inherited environment."""
 
-    def run(*args: str, **kwargs) -> subprocess.CompletedProcess:
-        env = dict(os.environ)
+    def run(*args: str, env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
+        env = dict(os.environ, **(env or {}))
         env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
             [sys.executable, "-m", "cpskg", *args],

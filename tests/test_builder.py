@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import importlib.util
-import sys
-
 import pytest
 
 from cpskg.builder import (
@@ -20,7 +17,7 @@ from cpskg.mapper import om_to_rdf
 from cpskg.om.tree import Symbol, Variable, app
 from cpskg.rdf import RDF, Graph, InvalidTripleError, Literal, PatternQuery, Triple, Var, match, nt_term, to_ntriples
 from cpskg.vocab import DEFAULT_VOCAB
-from conftest import FIXTURES, REPO
+from conftest import FIXTURES, perfbench_inputs
 
 BASE = "http://example.org/unit"
 V = DEFAULT_VOCAB
@@ -186,18 +183,9 @@ def test_slugify():
 # --- the builder writes texts; the graph is the one Graph.add builds --------
 
 
-def _perfbench_inputs():
-    """perfbench/inputs.py, which replicates the EHSA manifest and imports no cpskg."""
-    if "perfbench_inputs" not in sys.modules:
-        spec = importlib.util.spec_from_file_location("perfbench_inputs", REPO / "perfbench" / "inputs.py")
-        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up there
-        spec.loader.exec_module(module)
-    return sys.modules["perfbench_inputs"]
-
-
 @pytest.mark.parametrize("k", [1, 4], ids=["ehsa", "k4"])
 def test_built_graph_is_the_graph_add_builds(k, tmp_path):
-    inputs = _perfbench_inputs()
+    inputs = perfbench_inputs()
     fixture = inputs.load_fixture(FIXTURES)
     built = compile_manifest(load_manifest(inputs.write_scaled_model(fixture, k, tmp_path)))
     rebuilt = Graph()

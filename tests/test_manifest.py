@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -10,6 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpskg.manifest
+from cpskg.errors import CpskgError
+from cpskg.infix import parse_infix
 from cpskg.manifest import (
     MANIFEST_SCHEMA,
     CpsManifest,
@@ -21,9 +25,10 @@ from cpskg.manifest import (
     manifest_from_dict,
 )
 from cpskg.builder import OperatorSpec, ProcessSpec
+from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from cpskg.rdf import InvalidIriError, to_ntriples
 from cpskg.validator import validate
-from conftest import REPO
+from conftest import FIXTURES, REPO, perfbench_inputs
 
 
 def minimal_manifest() -> dict:
@@ -783,3 +788,98 @@ def test_a_description_text_used_again_is_one_node_and_no_problem():
     graph = compile_manifest(manifest_from_dict(data))
     assert to_ntriples(graph).count("/node/type/pressure_rate> .") == 2
     assert validate(graph, strict=True).ok()
+
+
+# --- each distinct equation source is read and parsed once per call ------------
+
+
+def _count_parses(monkeypatch) -> Counter:
+    """Count the calls compile_manifest makes through its module's parser names."""
+    counts: Counter = Counter()
+    for name in ("parse_infix", "parse_openmath_xml"):
+
+        def counted(*args, _name=name, _parse=getattr(cpskg.manifest, name), **kwargs):
+            counts[_name] += 1
+            return _parse(*args, **kwargs)
+
+        monkeypatch.setattr(cpskg.manifest, name, counted)
+    return counts
+
+
+def test_each_equation_source_is_parsed_once_per_call(monkeypatch, tmp_path):
+    inputs = perfbench_inputs()
+    fixture = inputs.load_fixture(FIXTURES)
+    manifest = load_manifest(inputs.write_scaled_model(fixture, 4, tmp_path))
+    counts = _count_parses(monkeypatch)
+    built = to_ntriples(compile_manifest(manifest))
+    assert counts == {"parse_infix": 1, "parse_openmath_xml": 1}
+    compile_manifest(manifest)
+    assert counts == {"parse_infix": 2, "parse_openmath_xml": 2}
+    assert built == inputs.reference_ntriples(fixture, 4)
+
+
+def test_a_shared_source_that_fails_is_reported_at_each_equation_that_names_it(tmp_path):
+    inputs = perfbench_inputs()
+    path = inputs.write_scaled_model(inputs.load_fixture(FIXTURES), 3, tmp_path)
+    xml_file = tmp_path / "chamber1_pressure_rate.om.xml"
+    xml_file.write_bytes(xml_file.read_bytes()[:200])
+    data = json.loads(path.read_text(encoding="utf-8"))
+    expected = []
+    for pi, proc in enumerate(data["processes"]):
+        for oi, op in enumerate(proc["operators"]):
+            for ei, eq in enumerate(op.get("equations", ())):
+                if "infix" in eq:
+                    eq["infix"] += " + (Q1"  # an unterminated parenthesis
+                with pytest.raises(CpskgError) as excinfo:
+                    parse_infix(eq["infix"]) if "infix" in eq else parse_openmath_xml(xml_file.read_bytes())
+                expected.append((f"$.processes[{pi}].operators[{oi}].equations[{ei}]", str(excinfo.value)))
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(load_manifest(path))
+    assert len(expected) == 6
+    assert excinfo.value.problems == expected
+
+
+def test_a_shared_infix_text_is_checked_against_each_operators_scope():
+    data = minimal_manifest()
+    proc = data["processes"][0]
+    proc["states"].append({"id": "Other", "kind": "Information", "dataElements": [{"id": "z_DE", "typeDescription": "other value", "variableName": "z"}]})
+    proc["operators"].append(
+        {"id": "Copier", "assignedResource": "Plant", "inputs": ["Other"], "outputs": ["Out"], "equations": [{"id": "copying", "infix": "y = 2*x"}]}
+    )
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(manifest_from_dict(data))
+    assert excinfo.value.problems == [("$.processes[0].operators[1].equations[0]", "variable 'x' is not declared by any data element in scope")]
+
+
+def test_no_parsed_equation_outlives_its_compile(tmp_path):
+    xml_file = tmp_path / "eq.om.xml"
+    xml_file.write_text(serialize_openmath_xml(parse_infix("y = 2*x")), encoding="utf-8")
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["equations"] = [{"id": "doubling", "xmlPath": "eq.om.xml"}]
+    manifest = manifest_from_dict(data, base_dir=tmp_path)
+    first = to_ntriples(compile_manifest(manifest))
+    xml_file.write_text(serialize_openmath_xml(parse_infix("y = 3*x")), encoding="utf-8")
+    second = to_ntriples(compile_manifest(manifest))
+    data["processes"][0]["operators"][0]["equations"] = [{"id": "doubling", "infix": "y = 3*x"}]
+    assert second == to_ntriples(compile_manifest(manifest_from_dict(data))) != first
+
+
+def test_equations_that_share_a_file_map_as_if_each_had_its_own(tmp_path):
+    inputs = perfbench_inputs()
+    fixture = inputs.load_fixture(FIXTURES)
+    shared = inputs.write_scaled_model(fixture, 3, tmp_path / "shared")
+    own = inputs.write_scaled_model(fixture, 3, tmp_path / "own")
+    data = json.loads(own.read_text(encoding="utf-8"))
+    copies = 0
+    for proc in data["processes"]:
+        for op in proc["operators"]:
+            for eq in op.get("equations", ()):
+                if eq.get("xmlPath") == "chamber1_pressure_rate.om.xml":
+                    eq["xmlPath"] = f"copy_of_{eq['id']}.om.xml"
+                    (own.parent / eq["xmlPath"]).write_bytes(fixture.xml_files["chamber1_pressure_rate.om.xml"])
+                    copies += 1
+    own.write_text(json.dumps(data), encoding="utf-8")
+    assert copies == 3
+    built = to_ntriples(compile_manifest(load_manifest(shared)))
+    assert built == to_ntriples(compile_manifest(load_manifest(own))) == inputs.reference_ntriples(fixture, 3)
