@@ -17,9 +17,11 @@ only declared variables. Each problem names its JSON path. The
 ``ModelBuilder`` it drives writes the checked specs and checks none of
 these rules again.
 
-The schema check is an acceptor compiled from ``MANIFEST_SCHEMA`` at import.
-jsonschema is imported only to report the errors of a manifest the acceptor
-rejects, so every error path and message is jsonschema's.
+The schema check is compiled from ``MANIFEST_SCHEMA`` at import into an
+acceptor, which a valid manifest passes without building any message, and a
+reporter, run only on a manifest the acceptor rejects. The reporter gives
+each error's JSON path and message as jsonschema 4.26 does, which the tests
+check against it; cpskg itself does not import jsonschema.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import re
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .builder import (
     DataElementSpec,
@@ -167,6 +169,9 @@ MANIFEST_SCHEMA: dict = {
 
 
 Acceptor = Callable[[object], bool]
+# The (JSON path, message) problems of a value, given its path; called only
+# with a value that the acceptor compiled beside it rejects.
+Reporter = Callable[[object, str], Iterable[tuple[str, str]]]
 
 # JSON Schema 2020-12 type names: a bool is not a number.
 _TYPES: dict[str, Acceptor] = {
@@ -179,34 +184,45 @@ _TYPES: dict[str, Acceptor] = {
 _ANNOTATIONS = frozenset({"$schema", "title", "$defs"})
 
 
-def _compile_acceptor(root: dict) -> Acceptor:
-    """Compile the JSON Schema ``root`` into a function that answers only
-    whether an instance is valid, with the 2020-12 meaning of each keyword.
+def _compile_schema(root: dict) -> tuple[Acceptor, Reporter]:
+    """Compile the JSON Schema ``root``, with the 2020-12 meaning of each
+    keyword, into an acceptor that answers only whether an instance is valid
+    and a reporter of the problems of an instance the acceptor rejects.
+
+    The reporter words each problem as jsonschema 4.26 does and yields them
+    in its order: keywords in schema order, ``properties`` in schema order,
+    array items by index. It descends into a child only where the child's
+    acceptor rejects it.
 
     It knows the keywords ``MANIFEST_SCHEMA`` uses and no others, and raises
-    ``ValueError`` on any other keyword, type name or reference, so a schema
-    edit cannot quietly widen what it accepts. A keyword that constrains one
-    type passes values of every other type.
+    ``ValueError`` on any other keyword, type name, reference or a property
+    name that a JSON path cannot give after a dot, so a schema edit cannot
+    quietly widen what it accepts. A keyword that constrains one type passes
+    values of every other type.
     """
     defs = root.get("$defs", {})
     compiled: dict[str, Acceptor] = {}
+    reports: dict[str, Reporter] = {}
 
-    def reference(target: str) -> Acceptor:
+    def reference(target: str) -> tuple[Acceptor, Reporter]:
         name = target.removeprefix("#/$defs/")
         if name == target or name not in defs:
             raise ValueError(f"cannot compile the reference {target!r}")
         if name not in compiled:
-            compiled[name] = lambda value: compiled[name](value)  # what a recursive reference sees
-            compiled[name] = schema_check(defs[name])
-        return compiled[name]
+            # what a recursive reference sees
+            compiled[name] = lambda value: compiled[name](value)
+            reports[name] = lambda value, path: reports[name](value, path)
+            compiled[name], reports[name] = schema_check(defs[name])
+        return compiled[name], reports[name]
 
-    def keyword_check(keyword: str, arg, schema: dict) -> Acceptor:
+    def keyword_check(keyword: str, arg, schema: dict) -> tuple[Acceptor, Reporter]:
         if keyword == "type" and isinstance(arg, str) and arg in _TYPES:
-            return _TYPES[arg]
+            return _TYPES[arg], lambda value, path: [(path, f"{value!r} is not of type {arg!r}")]
         if keyword == "$ref":
             return reference(arg)
-        if keyword == "properties":
-            checks = {name: schema_check(sub) for name, sub in arg.items()}
+        if keyword == "properties" and all(re.fullmatch("[a-zA-Z][a-zA-Z0-9_]*", name) for name in arg):
+            compiled_properties = {name: schema_check(sub) for name, sub in arg.items()}
+            checks = {name: accept for name, (accept, _) in compiled_properties.items()}
 
             def check_properties(value) -> bool:
                 if isinstance(value, dict):
@@ -215,37 +231,73 @@ def _compile_acceptor(root: dict) -> Acceptor:
                             return False
                 return True
 
-            return check_properties
+            def report_properties(value: dict, path: str):
+                for name, (accept, report) in compiled_properties.items():
+                    if name in value and not accept(value[name]):
+                        yield from report(value[name], f"{path}.{name}")
+
+            return check_properties, report_properties
         if keyword == "additionalProperties" and arg is False:
             known = schema.get("properties", {}).keys()
-            return lambda value: not isinstance(value, dict) or value.keys() <= known
+
+            def report_additional(value: dict, path: str):
+                extras = sorted(value.keys() - known, key=str)
+                listed = f"{', '.join(map(repr, extras))} {'was' if len(extras) == 1 else 'were'}"
+                return [(path, f"Additional properties are not allowed ({listed} unexpected)")]
+
+            return lambda value: not isinstance(value, dict) or value.keys() <= known, report_additional
         if keyword == "required":
             names = frozenset(arg)
-            return lambda value: not isinstance(value, dict) or value.keys() >= names
+            return (
+                lambda value: not isinstance(value, dict) or value.keys() >= names,
+                lambda value, path: [(path, f"{name!r} is a required property") for name in arg if name not in value],
+            )
         if keyword == "items":
-            item_check = schema_check(arg)
-            return lambda value: not isinstance(value, list) or all(map(item_check, value))
+            item_check, item_report = schema_check(arg)
+
+            def report_items(value: list, path: str):
+                for i, item in enumerate(value):
+                    if not item_check(item):
+                        yield from item_report(item, f"{path}[{i}]")
+
+            return lambda value: not isinstance(value, list) or all(map(item_check, value)), report_items
         if keyword == "enum" and all(isinstance(member, str) for member in arg):
             members = frozenset(arg)
-            return lambda value: isinstance(value, str) and value in members
+            return (
+                lambda value: isinstance(value, str) and value in members,
+                lambda value, path: [(path, f"{value!r} is not one of {arg!r}")],
+            )
         if keyword == "pattern":
             search = re.compile(arg).search
-            return lambda value: not isinstance(value, str) or search(value) is not None
+            return (
+                lambda value: not isinstance(value, str) or search(value) is not None,
+                lambda value, path: [(path, f"{value!r} does not match {arg!r}")],
+            )
+        too_short = "should be non-empty" if arg == 1 else "is too short"
         if keyword == "minLength":
-            return lambda value: not isinstance(value, str) or len(value) >= arg
+            return lambda value: not isinstance(value, str) or len(value) >= arg, lambda value, path: [(path, f"{value!r} {too_short}")]
         if keyword == "minItems":
-            return lambda value: not isinstance(value, list) or len(value) >= arg
+            return lambda value: not isinstance(value, list) or len(value) >= arg, lambda value, path: [(path, f"{value!r} {too_short}")]
         if keyword == "oneOf":
-            branches = [schema_check(sub) for sub in arg]
-            return lambda value: sum(branch(value) for branch in branches) == 1
+            branches = [schema_check(sub)[0] for sub in arg]
+
+            def report_one_of(value, path: str):
+                valid = [sub for sub, branch in zip(arg, branches) if branch(value)]
+                if not valid:
+                    return [(path, f"{value!r} is not valid under any of the given schemas")]
+                # jsonschema lists the later valid branches, then the first
+                return [(path, f"{value!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}")]
+
+            return lambda value: sum(branch(value) for branch in branches) == 1, report_one_of
         raise ValueError(f"cannot compile the schema keyword {keyword!r}: {arg!r}")
 
-    def schema_check(schema: dict) -> Acceptor:
+    def schema_check(schema: dict) -> tuple[Acceptor, Reporter]:
         if not isinstance(schema, dict):
             raise ValueError(f"cannot compile the schema {schema!r}")
-        checks = [keyword_check(k, arg, schema) for k, arg in schema.items() if k not in _ANNOTATIONS]
-        if len(checks) == 1:
-            return checks[0]
+        compiled_keywords = [keyword_check(k, arg, schema) for k, arg in schema.items() if k not in _ANNOTATIONS]
+        if len(compiled_keywords) == 1:
+            return compiled_keywords[0]
+        checks = [accept for accept, _ in compiled_keywords]
 
         def check_all(value) -> bool:
             for check in checks:
@@ -253,14 +305,18 @@ def _compile_acceptor(root: dict) -> Acceptor:
                     return False
             return True
 
-        return check_all
+        def report_all(value, path: str):
+            for accept, report in compiled_keywords:
+                if not accept(value):
+                    yield from report(value, path)
+
+        return check_all, report_all
 
     return schema_check(root)
 
 
-# Whether a manifest is valid; jsonschema, slow to import and to run, reports
-# the errors of one it rejects.
-_accepts_manifest = _compile_acceptor(MANIFEST_SCHEMA)
+# Whether a manifest is valid, and the problems of one that is not.
+_accepts_manifest, _report_manifest = _compile_schema(MANIFEST_SCHEMA)
 
 
 class ManifestError(CpskgError):
@@ -291,23 +347,14 @@ class CpsManifest:
 def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManifest:
     """Validate ``data`` against the schema plus referential rules and build
     the typed manifest. Raises :class:`ManifestError` with JSON paths; the
-    schema's are jsonschema's, sorted by path.
+    schema's problems alone if there are any, sorted by path.
 
     The problems come in the walk's order: the lifecycle record; each
     structure node's id, level, data elements (id, type description,
     instance descriptions), then children; each process's id, states, then
     operators (inputs before outputs); the observations."""
     if not _accepts_manifest(data):
-        # Imported here: it is slow to import, and only a rejected manifest needs it.
-        import jsonschema
-
-        validator = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
-        schema_problems = [
-            (error.json_path, error.message)
-            for error in sorted(validator.iter_errors(data), key=lambda e: e.json_path)
-        ]
-        if schema_problems:
-            raise ManifestError(schema_problems)
+        raise ManifestError(sorted(_report_manifest(data, "$"), key=lambda problem: problem[0]))
 
     problems: list[tuple[str, str]] = []
     ids: dict[str, str] = {}

@@ -176,8 +176,7 @@ def _probe(code: str) -> str:
 
 def test_import_leaves_network_and_mail_modules_unloaded():
     """Start-up guard: none of these slow imports is on cpskg's import path;
-    dataclasses would bring inspect, and jsonschema only reports the errors
-    of an invalid manifest."""
+    dataclasses would bring inspect, and only the tests use jsonschema."""
     unwanted = "{'urllib.request', 'http.client', 'email', 'jsonschema', 'dataclasses', 'inspect'}"
     probe = f"import sys, cpskg, cpskg.cli; print(sorted({unwanted} & set(sys.modules)))"
     assert _probe(probe) == "[]\n"
@@ -203,6 +202,24 @@ def test_build_of_a_valid_manifest_leaves_jsonschema_unloaded(tmp_path, golden_t
     )
     assert _probe(probe) == "0 False\n"
     assert out.read_text(encoding="utf-8") == golden_text
+
+
+def test_rejected_manifest_is_reported_without_jsonschema(tmp_path):
+    """The schema errors of a rejected manifest are cpskg's own: with
+    jsonschema made unimportable, ``build --check-only`` still names the path
+    and the problem."""
+    manifest = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
+    manifest["processes"][0]["operators"][0]["id"] = 5
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    probe = (
+        "import contextlib, io, sys; sys.modules['jsonschema'] = None; from cpskg.cli import main; stderr = io.StringIO()\n"
+        f"with contextlib.redirect_stderr(stderr): status = main(['build', '--manifest', {str(path)!r}, '--check-only'])\n"
+        "print(status); print(stderr.getvalue(), end='')"
+    )
+    status, *lines = _probe(probe).splitlines()
+    assert status == "1"
+    assert "  $.processes[0].operators[0].id: 5 is not of type 'string'" in lines
 
 
 def test_om2rdf_missing_file_exits_2(run_cli):

@@ -19,7 +19,8 @@ from cpskg.manifest import (
     CpsManifest,
     ManifestError,
     _accepts_manifest,
-    _compile_acceptor,
+    _compile_schema,
+    _report_manifest,
     compile_manifest,
     load_manifest,
     manifest_from_dict,
@@ -453,10 +454,9 @@ def _mutate(data: dict, rng: random.Random) -> set[str]:
 
 
 def test_schema_check_reports_what_the_published_schema_reports():
-    """The check accepts with a compiled acceptor and leaves the report of
-    a rejected manifest to jsonschema; on seeded mutants of the EHSA
-    manifest it must report the same ordered (path, message) list as the
-    published schema."""
+    """On seeded mutants of the EHSA manifest, the ``ManifestError`` of a
+    rejected one holds the ordered (path, message) list that jsonschema
+    reports for the published schema."""
     reference = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
     ehsa = json.loads((REPO / "fixtures" / "ehsa" / "manifest.json").read_text(encoding="utf-8"))
     rng = random.Random(20131)
@@ -465,7 +465,7 @@ def test_schema_check_reports_what_the_published_schema_reports():
     for _ in range(400):
         data = copy.deepcopy(ehsa)
         owners |= _mutate(data, rng)
-        expected = [(e.json_path, e.message) for e in sorted(reference.iter_errors(data), key=lambda e: e.json_path)]
+        expected = _report(reference, data)
         if not expected:
             continue
         invalid += 1
@@ -558,6 +558,16 @@ def _edits() -> st.SearchStrategy:
     )
 
 
+def _report(reference, data) -> list[tuple[str, str]]:
+    """jsonschema's (path, message) list for ``data``, sorted by path."""
+    return [(e.json_path, e.message) for e in sorted(reference.iter_errors(data), key=lambda e: e.json_path)]
+
+
+def _reported(data) -> list[tuple[str, str]]:
+    """The compiled reporter's list for ``data``, if the acceptor rejects it."""
+    return [] if _accepts_manifest(data) else sorted(_report_manifest(data, "$"), key=lambda problem: problem[0])
+
+
 def test_acceptor_agrees_with_jsonschema_on_seeded_mutants():
     reference = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
     rng = random.Random(20131)
@@ -565,8 +575,10 @@ def test_acceptor_agrees_with_jsonschema_on_seeded_mutants():
     for _ in range(400):
         data = copy.deepcopy(_EHSA)
         _mutate(data, rng)
-        valid = reference.is_valid(data)
+        expected = _report(reference, data)
+        valid = not expected
         assert _accepts_manifest(data) is valid, data
+        assert _reported(data) == expected
         verdicts[valid] += 1
     assert verdicts[True] >= 20 and verdicts[False] >= 300
 
@@ -577,28 +589,42 @@ def test_acceptor_agrees_with_jsonschema_on_edge_values_in_every_role():
     for role, paths in _PATHS_BY_ROLE.items():
         for value in _EDGE_VALUES + _VALUES_BY_ROLE.get(role, [])[:2]:
             data = _put(_EHSA, paths[0], value)
-            valid = reference.is_valid(data)
+            expected = _report(reference, data)
+            valid = not expected
             assert _accepts_manifest(data) is valid, (paths[0], value)
+            assert _reported(data) == expected, (paths[0], value)
             verdicts[valid] += 1
     assert verdicts[True] >= 100 and verdicts[False] >= 500
+    for document in ([], "x", 1, None, {}):
+        assert _reported(document) == _report(reference, document) != []
 
 
 @settings(max_examples=400, deadline=None)
 @given(_edits())
 def test_acceptor_agrees_with_jsonschema_at_every_schema_path(edit):
+    reference = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
     data = _put(_EHSA, *edit)
-    assert _accepts_manifest(data) is jsonschema.Draft202012Validator(MANIFEST_SCHEMA).is_valid(data)
+    expected = _report(reference, data)
+    assert _accepts_manifest(data) is (not expected)
+    assert _reported(data) == expected
 
 
 def test_acceptor_keeps_the_2020_12_meanings():
-    accepts = _compile_acceptor({"properties": {"n": {"type": "number"}, "s": {"pattern": "b", "minLength": 2}}})
+    accepts, report = _compile_schema({"properties": {"n": {"type": "number"}, "s": {"pattern": "b", "minLength": 2}}})
     assert accepts({"n": 1}) and accepts({"n": 1.0}) and accepts({"n": float("nan")})
     assert not accepts({"n": True}) and not accepts({"n": "1"})
     assert accepts({"s": "abc"}) and not accepts({"s": "b"}) and not accepts({"s": "ac"})
     assert accepts({"s": 7}) and accepts({"s": None}) and accepts([1]) and accepts("b")
-    one_of = _compile_acceptor({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]})
+    assert list(report({"n": True, "s": "a"}, "$")) == [
+        ("$.n", "True is not of type 'number'"),
+        ("$.s", "'a' does not match 'b'"),
+        ("$.s", "'a' is too short"),
+    ]
+    one_of, report = _compile_schema({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]})
     assert one_of({"a": 1}) and one_of({"b": 2})
     assert not one_of({"a": 1, "b": 2}) and not one_of({}) and not one_of([])  # [] meets both branches
+    assert list(report([], "$")) == [("$", "[] is valid under each of {'required': ['b']}, {'required': ['a']}")]
+    assert list(report({}, "$")) == [("$", "{} is not valid under any of the given schemas")]
 
 
 @pytest.mark.parametrize(
@@ -612,12 +638,16 @@ def test_acceptor_keeps_the_2020_12_meanings():
         {"enum": ["one", 1]},
         {"additionalProperties": {"type": "string"}},
         {"items": True},
+        {"properties": {"a b": {"type": "string"}}},
     ],
-    ids=["keyword", "type-name", "type-list", "missing-def", "remote-ref", "non-string-enum", "schema-additional", "boolean-schema"],
+    ids=[
+        "keyword", "type-name", "type-list", "missing-def", "remote-ref", "non-string-enum", "schema-additional", "boolean-schema",
+        "bracketed-path-name",
+    ],
 )
 def test_acceptor_refuses_to_compile_what_it_does_not_know(schema):
     with pytest.raises(ValueError, match="cannot compile"):
-        _compile_acceptor(schema)
+        _compile_schema(schema)
 
 
 def test_reference_problems_keep_their_order_across_sections(tmp_path):
