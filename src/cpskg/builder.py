@@ -8,7 +8,9 @@ records, the mechatronic structure tree, process operators with their
 input/output states, data elements, behavior-model attachment, variable
 links, and timestamped observations.
 
-Every operation trusts its spec: the manifest check
+``add_structure``, ``add_process`` and ``add_data_element`` read the
+manifest's own JSON objects, as ``manifest.MANIFEST_SCHEMA`` defines them.
+Every operation trusts its input: the manifest check
 (``manifest.manifest_from_dict``) is the one home of every manifest rule,
 and the builder checks none of them again. It writes N-Triples texts
 through ``Graph._insert``, as ``mapper.om_to_rdf`` does. Each operation
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import CpskgError
 from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, _check_triple
@@ -36,14 +38,7 @@ from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = [
     "BuildError",
-    "DataElementSpec",
-    "EquationSpec",
     "ModelBuilder",
-    "ObservationSpec",
-    "OperatorSpec",
-    "ProcessSpec",
-    "StateSpec",
-    "StructureNode",
     "UnresolvedReferenceError",
     "slugify",
 ]
@@ -67,66 +62,10 @@ def slugify(text: str) -> str:
     return slug or "x"
 
 
-class DataElementSpec:
-    def __init__(self, id: str, type_description: str, instance_descriptions: Sequence[str] = (), variable_name: Optional[str] = None):
-        self.id = id
-        self.type_description = type_description
-        self.instance_descriptions = instance_descriptions
-        self.variable_name = variable_name
-
-
-class StructureNode:
-    def __init__(self, id: str, level: str, children: Sequence["StructureNode"] = (), data_elements: Sequence[DataElementSpec] = ()):
-        self.id = id
-        self.level = level
-        self.children = children
-        self.data_elements = data_elements
-
-
-class StateSpec:
-    def __init__(self, id: str, kind: str, data_elements: Sequence[DataElementSpec] = ()):
-        self.id = id
-        self.kind = kind
-        self.data_elements = data_elements
-
-
-class EquationSpec:
-    def __init__(self, id: str, infix: Optional[str] = None, xml_path: Optional[str] = None):
-        self.id = id
-        self.infix = infix
-        self.xml_path = xml_path
-
-
-class OperatorSpec:
-    def __init__(
-        self, id: str, assigned_resource: str, inputs: Sequence[str] = (), outputs: Sequence[str] = (),
-        equations: Sequence[EquationSpec] = (),
-    ):
-        self.id = id
-        self.assigned_resource = assigned_resource
-        self.inputs = inputs
-        self.outputs = outputs
-        self.equations = equations
-
-
-class ProcessSpec:
-    def __init__(self, id: str, operators: Sequence[OperatorSpec], states: Sequence[StateSpec] = ()):
-        self.id = id
-        self.operators = operators
-        self.states = states
-
-
-class ObservationSpec:
-    def __init__(self, feature: str, value: float, timestamp: str):
-        self.feature = feature
-        self.value = value
-        self.timestamp = timestamp
-
-
 class ModelBuilder:
-    """Accumulates one model graph from specs that passed the manifest
-    check: it mints IRIs and writes triples. See the module docstring for
-    the IRI rules."""
+    """Accumulates one model graph from manifest objects that passed the
+    manifest check: it mints IRIs and writes triples. See the module
+    docstring for the IRI rules."""
 
     def __init__(self, instance_base: str, vocab: CpsVocabulary = DEFAULT_VOCAB):
         self.vocab = vocab
@@ -166,18 +105,19 @@ class ModelBuilder:
 
     # --- structure -------------------------------------------------------
 
-    def add_structure(self, root: StructureNode) -> Iri:
-        """Type every node per its level and link parents to children via
-        ``vdi2206:consistsOf``; declared data elements are added as well."""
+    def add_structure(self, root: dict) -> Iri:
+        """Type every node of the ``structure`` tree ``root`` per its level
+        and link parents to children via ``vdi2206:consistsOf``; declared
+        data elements are added as well."""
         vdi2206, insert, rdf_type = self.vocab.vdi2206, self.graph._insert, RDF.type._nt
         consists_of = vdi2206.consistsOf._nt
 
-        def visit(node: StructureNode) -> str:
-            text = self._node(node.id)
-            insert(text, rdf_type, self._class(vdi2206, node.level))
-            for de in node.data_elements:
-                self.add_data_element(node.id, de)
-            for child in node.children:
+        def visit(node: dict) -> str:
+            text = self._node(node["id"])
+            insert(text, rdf_type, self._class(vdi2206, node["level"]))
+            for de in node.get("dataElements", ()):
+                self.add_data_element(node["id"], de)
+            for child in node.get("children", ()):
                 insert(text, consists_of, visit(child))
             return text
 
@@ -185,50 +125,52 @@ class ModelBuilder:
 
     # --- processes -------------------------------------------------------
 
-    def add_process(self, spec: ProcessSpec) -> Iri:
-        """Add a process with its states and operators. Operator equations,
-        if any, are not compiled here; see ``manifest.compile_manifest``."""
+    def add_process(self, process: dict) -> Iri:
+        """Add a manifest ``process`` with its states and operators.
+        Operator equations, if any, are not compiled here; see
+        ``manifest.compile_manifest``."""
         vdi3682, insert, node, rdf_type = self.vocab.vdi3682, self.graph._insert, self._node, RDF.type._nt
-        process = node(spec.id)
-        insert(process, rdf_type, vdi3682.Process._nt)
-        for state in spec.states:
-            insert(node(state.id), rdf_type, self._class(vdi3682, state.kind))
-            for de in state.data_elements:
-                self.add_data_element(state.id, de)
+        process_node = node(process["id"])
+        insert(process_node, rdf_type, vdi3682.Process._nt)
+        for state in process.get("states", ()):
+            insert(node(state["id"]), rdf_type, self._class(vdi3682, state["kind"]))
+            for de in state.get("dataElements", ()):
+                self.add_data_element(state["id"], de)
         has_input, has_output = vdi3682.hasInput._nt, vdi3682.hasOutput._nt
-        for op in spec.operators:
-            op_node, resource = node(op.id), node(op.assigned_resource)
+        for op in process["operators"]:
+            op_node, resource = node(op["id"]), node(op["assignedResource"])
             insert(op_node, rdf_type, vdi3682.ProcessOperator._nt)
-            insert(process, vdi3682.consistsOf._nt, op_node)
+            insert(process_node, vdi3682.consistsOf._nt, op_node)
             insert(op_node, vdi3682.isAssignedTo._nt, resource)
             insert(resource, rdf_type, vdi3682.TechnicalResource._nt)
-            for state_id in op.inputs:
+            for state_id in op.get("inputs", ()):
                 insert(op_node, has_input, node(state_id))
-            for state_id in op.outputs:
+            for state_id in op.get("outputs", ()):
                 insert(op_node, has_output, node(state_id))
-        return self.graph._term(process)  # type: ignore[return-value]
+        return self.graph._term(process_node)  # type: ignore[return-value]
 
     # --- data elements ---------------------------------------------------
 
-    def add_data_element(self, owner_id: str, spec: DataElementSpec) -> Iri:
-        """Attach a data element to the state or technical resource of
-        local id ``owner_id``.
+    def add_data_element(self, owner_id: str, element: dict) -> Iri:
+        """Attach the manifest data ``element`` to the state or technical
+        resource of local id ``owner_id``.
 
         Type and instance description texts are encoded in deterministic
         node IRIs (shared per slug), keeping the emitted shape minimal.
         """
         dinen61360, insert, rdf_type = self.vocab.dinen61360, self.graph._insert, RDF.type._nt
-        element = self._node(spec.id)
-        insert(self._node(owner_id), dinen61360.hasDataElement._nt, element)
-        insert(element, rdf_type, dinen61360.DataElement._nt)
-        type_node = self._node(f"node/type/{slugify(spec.type_description)}")
-        insert(element, dinen61360.hasTypeDescription._nt, type_node)
+        element_id = element["id"]
+        element_node = self._node(element_id)
+        insert(self._node(owner_id), dinen61360.hasDataElement._nt, element_node)
+        insert(element_node, rdf_type, dinen61360.DataElement._nt)
+        type_node = self._node(f"node/type/{slugify(element['typeDescription'])}")
+        insert(element_node, dinen61360.hasTypeDescription._nt, type_node)
         insert(type_node, rdf_type, dinen61360.TypeDescription._nt)
-        for text in spec.instance_descriptions:
-            instance = self._node(f"{spec.id}/instance/{slugify(text)}")
-            insert(element, dinen61360.hasInstanceDescription._nt, instance)
+        for text in element.get("instanceDescriptions", ()):
+            instance = self._node(f"{element_id}/instance/{slugify(text)}")
+            insert(element_node, dinen61360.hasInstanceDescription._nt, instance)
             insert(instance, rdf_type, dinen61360.InstanceDescription._nt)
-        return self.graph._term(element)  # type: ignore[return-value]
+        return self.graph._term(element_node)  # type: ignore[return-value]
 
     # --- behavior --------------------------------------------------------
 

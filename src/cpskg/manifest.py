@@ -6,16 +6,16 @@ elements, equations (inline infix text or referenced OpenMath XML files),
 and optional observations. ``compile_manifest`` turns it into a graph in a
 fixed order, so identical manifests yield byte-identical N-Triples.
 
-This module is the one home of every manifest rule. ``manifest_from_dict``
-checks the schema (``MANIFEST_SCHEMA``), then walks the manifest once: at
-each object it declares the ids, checks the rules a schema cannot state
-(unique ids, references, level order, one description text per node slug,
-observation values and timestamps) and builds the spec.
-``compile_manifest`` adds the rules of each operator's scope: no variable
-declared by two data elements, and equations that read, parse, map and use
-only declared variables. Each problem names its JSON path. The
-``ModelBuilder`` it drives writes the checked specs and checks none of
-these rules again.
+A manifest's one in-memory form is the JSON object ``MANIFEST_SCHEMA``
+defines, which ``CpsManifest`` holds. This module is the one home of every
+manifest rule. ``manifest_from_dict`` checks the schema, then walks the
+manifest once, declaring the ids and checking the rules a schema cannot
+state (unique ids, references, level order, one description text per node
+slug, observation values and timestamps). ``compile_manifest`` adds the
+rules of each operator's scope: no variable declared by two data elements,
+and equations that read, parse, map and use only declared variables. Each
+problem names its JSON path. The ``ModelBuilder`` it drives reads the
+checked JSON objects and checks none of these rules again.
 
 The schema check is compiled from ``MANIFEST_SCHEMA`` at import into an
 acceptor, which a valid manifest passes without building any message, and a
@@ -33,17 +33,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .builder import (
-    DataElementSpec,
-    EquationSpec,
-    ModelBuilder,
-    ObservationSpec,
-    OperatorSpec,
-    ProcessSpec,
-    StateSpec,
-    StructureNode,
-    slugify,
-)
+from .builder import ModelBuilder, slugify
 from .errors import CpskgError
 from .infix import parse_infix
 from .mapper import om_to_rdf
@@ -63,7 +53,8 @@ _VARIABLE_PATTERN = r"^[A-Za-z_][A-Za-z0-9_]*$(?!\n)"
 _IRI_PATTERN = rf"^{_ABSOLUTE_IRI}$(?!\n)"
 _LEVEL_RANK = {"MechatronicSystem": 0, "Module": 1, "Component": 2}
 _STATE_KINDS = ("Product", "Energy", "Information")
-_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?(Z|[+-]\d{2}:\d{2})?")
+# XSD 1.1 Part 2, 3.3.7: a time zone offset is Z or at most 14:00 either way
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?(Z|[+-]((0\d|1[0-3]):[0-5]\d|14:00))?")
 
 MANIFEST_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -329,25 +320,20 @@ class ManifestError(CpskgError):
 
 
 class CpsManifest:
-    """A checked manifest, as ``manifest_from_dict`` builds it."""
+    """The JSON object ``data`` that ``MANIFEST_SCHEMA`` defines, held as
+    given, and the directory its ``xmlPath`` values are relative to."""
 
-    def __init__(
-        self, instance_base: str, lifecycle_record_id: str, information_sets: list[str], structure: StructureNode,
-        processes: list[ProcessSpec], observations: Optional[list[ObservationSpec]] = None, base_dir: Optional[Path] = None,
-    ):
-        self.instance_base = instance_base
-        self.lifecycle_record_id = lifecycle_record_id
-        self.information_sets = information_sets
-        self.structure = structure
-        self.processes = processes
-        self.observations = [] if observations is None else observations
+    def __init__(self, data: dict, base_dir: Optional[Path] = None):
+        self.data = data
         self.base_dir = base_dir
+        self.instance_base = data["instanceBase"].rstrip("/")
 
 
 def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManifest:
-    """Validate ``data`` against the schema plus referential rules and build
-    the typed manifest. Raises :class:`ManifestError` with JSON paths; the
-    schema's problems alone if there are any, sorted by path.
+    """Validate ``data`` against the schema plus referential rules and
+    return a :class:`CpsManifest` that holds ``data`` itself, not a copy, so
+    a later change to ``data`` goes unchecked. Raises :class:`ManifestError`
+    with JSON paths; the schema's problems alone if any, sorted by path.
 
     The problems come in the walk's order: the lifecycle record; each
     structure node's id, level, data elements (id, type description,
@@ -359,12 +345,11 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
     problems: list[tuple[str, str]] = []
     ids: dict[str, str] = {}
 
-    def declare(local_id: str, path: str) -> str:
+    def declare(local_id: str, path: str) -> None:
         if local_id in ids:
             problems.append((path, f"id {local_id!r} already declared at {ids[local_id]}"))
         else:
             ids[local_id] = path
-        return local_id
 
     # slug -> the first typeDescription text giving it, and that text's path
     type_slugs: dict[str, tuple[str, str]] = {}
@@ -377,22 +362,14 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
         if first_text != text:
             problems.append((path, f"{text!r} would be the node of {first_text!r} at {first_path}: both give the slug {slug!r}"))
 
-    def data_elements(owner: dict, path: str) -> tuple[DataElementSpec, ...]:
-        specs = []
+    def data_elements(owner: dict, path: str) -> None:
         for di, de in enumerate(owner.get("dataElements", ())):
             dpath = f"{path}.dataElements[{di}]"
-            spec = DataElementSpec(
-                id=declare(de["id"], f"{dpath}.id"),
-                type_description=de["typeDescription"],
-                instance_descriptions=tuple(de.get("instanceDescriptions", ())),
-                variable_name=de.get("variableName"),
-            )
-            one_text_per_slug(type_slugs, spec.type_description, f"{dpath}.typeDescription")
+            declare(de["id"], f"{dpath}.id")
+            one_text_per_slug(type_slugs, de["typeDescription"], f"{dpath}.typeDescription")
             instance_slugs: dict[str, tuple[str, str]] = {}
-            for ii, text in enumerate(spec.instance_descriptions):
+            for ii, text in enumerate(de.get("instanceDescriptions", ())):
                 one_text_per_slug(instance_slugs, text, f"{dpath}.instanceDescriptions[{ii}]")
-            specs.append(spec)
-        return tuple(specs)
 
     record = data["lifecycleRecord"]
     declare(record["id"], "$.lifecycleRecord.id")
@@ -401,32 +378,28 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
 
     resource_ids: set[str] = set()
 
-    def structure(node: dict, path: str, parent_rank: int) -> StructureNode:
+    def structure(node: dict, path: str, parent_rank: int) -> None:
         declare(node["id"], f"{path}.id")
         rank = _LEVEL_RANK[node["level"]]
         if rank < parent_rank:
             problems.append((f"{path}.level", f"{node['level']} cannot be nested inside a lower level"))
         resource_ids.add(node["id"])
-        elements = data_elements(node, path)
-        children = tuple(
-            structure(child, f"{path}.children[{ci}]", rank) for ci, child in enumerate(node.get("children", ()))
-        )
-        return StructureNode(id=node["id"], level=node["level"], children=children, data_elements=elements)
+        data_elements(node, path)
+        for ci, child in enumerate(node.get("children", ())):
+            structure(child, f"{path}.children[{ci}]", rank)
 
-    root = structure(data["structure"], "$.structure", min(_LEVEL_RANK.values()))
+    structure(data["structure"], "$.structure", min(_LEVEL_RANK.values()))
 
-    processes: list[ProcessSpec] = []
     equation_ids: dict[str, str] = {}
     for pi, proc in enumerate(data["processes"]):
         ppath = f"$.processes[{pi}]"
         declare(proc["id"], f"{ppath}.id")
-        states: list[StateSpec] = []
+        state_ids: set[str] = set()
         for si, st in enumerate(proc.get("states", ())):
             spath = f"{ppath}.states[{si}]"
             declare(st["id"], f"{spath}.id")
-            states.append(StateSpec(id=st["id"], kind=st["kind"], data_elements=data_elements(st, spath)))
-        state_ids = {state.id for state in states}
-        operators: list[OperatorSpec] = []
+            data_elements(st, spath)
+            state_ids.add(st["id"])
         for oi, op in enumerate(proc["operators"]):
             opath = f"{ppath}.operators[{oi}]"
             declare(op["id"], f"{opath}.id")
@@ -436,7 +409,6 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
                 for ii, ref in enumerate(op.get(key, ())):
                     if ref not in state_ids:
                         problems.append((f"{opath}.{key}[{ii}]", f"unknown state {ref!r}"))
-            equations: list[EquationSpec] = []
             for ei, eq in enumerate(op.get("equations", ())):
                 epath = f"{opath}.equations[{ei}]"
                 if eq["id"] in equation_ids:
@@ -446,14 +418,7 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
                 xml_path = eq.get("xmlPath")
                 if xml_path is not None and base_dir is not None and not (base_dir / xml_path).is_file():
                     problems.append((f"{epath}.xmlPath", f"file not found: {xml_path!r}"))
-                equations.append(EquationSpec(id=eq["id"], infix=eq.get("infix"), xml_path=xml_path))
-            operators.append(OperatorSpec(
-                id=op["id"], assigned_resource=op["assignedResource"], inputs=tuple(op.get("inputs", ())),
-                outputs=tuple(op.get("outputs", ())), equations=tuple(equations),
-            ))
-        processes.append(ProcessSpec(id=proc["id"], operators=tuple(operators), states=tuple(states)))
 
-    observations: list[ObservationSpec] = []
     for bi, obs in enumerate(data.get("observations", ())):
         if obs["feature"] not in ids:
             problems.append((f"$.observations[{bi}].feature", f"unknown instance id {obs['feature']!r}"))
@@ -461,19 +426,10 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
             problems.append((f"$.observations[{bi}].value", problem))
         if problem := _timestamp_problem(obs["timestamp"]):
             problems.append((f"$.observations[{bi}].timestamp", problem))
-        observations.append(ObservationSpec(feature=obs["feature"], value=obs["value"], timestamp=obs["timestamp"]))
 
     if problems:
         raise ManifestError(problems)
-    return CpsManifest(
-        instance_base=data["instanceBase"].rstrip("/"),
-        lifecycle_record_id=record["id"],
-        information_sets=list(record["informationSets"]),
-        structure=root,
-        processes=processes,
-        observations=observations,
-        base_dir=base_dir,
-    )
+    return CpsManifest(data, base_dir)
 
 
 def _value_problem(value: float) -> Optional[str]:
@@ -537,41 +493,45 @@ def compile_manifest(
     that names it, so each reports its own problem. Nothing is kept
     between calls.
     """
+    data = manifest.data
     builder = ModelBuilder(manifest.instance_base, vocab)
-    builder.add_lifecycle_record(manifest.lifecycle_record_id, manifest.information_sets)
-    builder.add_structure(manifest.structure)
+    record = data["lifecycleRecord"]
+    builder.add_lifecycle_record(record["id"], record["informationSets"])
+    builder.add_structure(data["structure"])
     # each structure node's data elements scope the variables of the operators assigned to it
-    resource_elements: dict[str, Sequence[DataElementSpec]] = {}
-    nodes = [manifest.structure]
+    resource_elements: dict[str, Sequence[dict]] = {}
+    nodes = [data["structure"]]
     while nodes:
         node = nodes.pop()
-        resource_elements[node.id] = node.data_elements
-        nodes.extend(node.children)
+        resource_elements[node["id"]] = node.get("dataElements", ())
+        nodes.extend(node.get("children", ()))
     problems: list[tuple[str, str]] = []
     # each equation source's tree, once it has been read and parsed; trees are immutable
-    parsed: dict[tuple[str, Optional[str]], OMExpression] = {}
-    for pi, proc in enumerate(manifest.processes):
+    parsed: dict[tuple[str, str], OMExpression] = {}
+    for pi, proc in enumerate(data["processes"]):
         builder.add_process(proc)
-        state_elements = {state.id: state.data_elements for state in proc.states}
-        for oi, op in enumerate(proc.operators):
+        state_elements = {state["id"]: state.get("dataElements", ()) for state in proc.get("states", ())}
+        for oi, op in enumerate(proc["operators"]):
             opath = f"$.processes[{pi}].operators[{oi}]"
             scope: dict[str, str] = {}
-            scoped = list(resource_elements.get(op.assigned_resource, ()))
-            for state_id in (*op.inputs, *op.outputs):
+            scoped = list(resource_elements.get(op["assignedResource"], ()))
+            for state_id in (*op.get("inputs", ()), *op.get("outputs", ())):
                 scoped.extend(state_elements.get(state_id, ()))
             for de in scoped:
-                if de.variable_name is None:
+                name = de.get("variableName")
+                if name is None:
                     continue
-                if de.variable_name in scope and scope[de.variable_name] != de.id:
-                    problems.append((opath, f"variable {de.variable_name!r} is declared by both {scope[de.variable_name]!r} and {de.id!r}"))
-                scope[de.variable_name] = de.id
-            for ei, eq in enumerate(op.equations):
+                if name in scope and scope[name] != de["id"]:
+                    problems.append((opath, f"variable {name!r} is declared by both {scope[name]!r} and {de['id']!r}"))
+                scope[name] = de["id"]
+            for ei, eq in enumerate(op.get("equations", ())):
                 epath = f"{opath}.equations[{ei}]"
-                source = ("infix", eq.infix) if eq.infix is not None else ("xml", eq.xml_path)
+                infix = eq.get("infix")
+                source = ("infix", infix) if infix is not None else ("xml", eq["xmlPath"])
                 expr = parsed.get(source)
-                if expr is None and eq.infix is None:
+                if expr is None and infix is None:
                     try:
-                        xml = ((manifest.base_dir or Path(".")) / (eq.xml_path or "")).read_bytes()
+                        xml = ((manifest.base_dir or Path(".")) / eq["xmlPath"]).read_bytes()
                     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in xmlPath
                         problems.append((epath, f"cannot read equation file: {exc}"))
                         continue
@@ -580,11 +540,11 @@ def compile_manifest(
                 try:
                     if expr is None:
                         expr = parsed[source] = (
-                            parse_infix(eq.infix, registry=registry, strict=strict)
-                            if eq.infix is not None
+                            parse_infix(infix, registry=registry, strict=strict)
+                            if infix is not None
                             else parse_openmath_xml(xml, strict=strict)
                         )
-                    result = om_to_rdf(expr, manifest.instance_base, eq.id, vocab=vocab, graph=builder.graph)
+                    result = om_to_rdf(expr, manifest.instance_base, eq["id"], vocab=vocab, graph=builder.graph)
                 except CpskgError as exc:
                     problems.append((epath, str(exc)))
                     continue
@@ -593,12 +553,12 @@ def compile_manifest(
                     for name in missing:
                         problems.append((epath, f"variable {name!r} is not declared by any data element in scope"))
                     continue
-                builder.attach_behavior_model(op.id, result.object_node)
+                builder.attach_behavior_model(op["id"], result.object_node)
                 for name in sorted(result.variables):
                     builder.link_variable_to_data_element(result.variables[name], scope[name])
     if problems:
         raise ManifestError(problems)
 
-    for obs in manifest.observations:
-        builder.add_observation(obs.feature, obs.value, obs.timestamp)
+    for obs in data.get("observations", ()):
+        builder.add_observation(obs["feature"], obs["value"], obs["timestamp"])
     return builder.graph

@@ -115,6 +115,28 @@ class Application(Value):
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "arguments", tuple(arguments))
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, as ``Value`` defines it, walked with a stack:
+        nested tuples compare with more frames per level than the parser
+        spends on one."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs: list = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not Application or b.__class__ is not Application:
+                if a != b:
+                    return False
+            elif len(a.arguments) != len(b.arguments):
+                return False
+            else:
+                pairs += ((a.operator, b.operator), *zip(a.arguments, b.arguments))
+        return True
+
+    __hash__ = Value.__hash__
+
 
 def app(operator: OMExpression, *arguments: OMExpression) -> Application:
     """Convenience constructor: ``app(PLUS, x, y)``."""

@@ -66,15 +66,16 @@ def eq1_tree():
 @pytest.fixture
 def run_cli():
     """Run the installed CLI in a subprocess with src/ on the import path;
-    ``env`` adds variables to the inherited environment."""
+    ``env`` adds variables to the inherited environment, and ``text=False``
+    gives the output as bytes."""
 
-    def run(*args: str, env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
+    def run(*args: str, env: dict[str, str] | None = None, text: bool = True, **kwargs) -> subprocess.CompletedProcess:
         env = dict(os.environ, **(env or {}))
         env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
             [sys.executable, "-m", "cpskg", *args],
             capture_output=True,
-            text=True,
+            text=text,
             env=env,
             **kwargs,
         )

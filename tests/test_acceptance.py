@@ -147,13 +147,13 @@ def test_criterion_1_mapping_conformance(tree_corpus):
 @criterion(2, "round-trip identity on the corpus and the shipped equations")
 def test_criterion_2_round_trips(tree_corpus, ehsa_manifest):
     shipped = []
-    for proc in ehsa_manifest.processes:
-        for op in proc.operators:
-            for eq in op.equations:
-                if eq.infix is not None:
-                    shipped.append(parse_infix(eq.infix))
+    for proc in ehsa_manifest.data["processes"]:
+        for op in proc["operators"]:
+            for eq in op.get("equations", ()):
+                if "infix" in eq:
+                    shipped.append(parse_infix(eq["infix"]))
                 else:
-                    shipped.append(parse_openmath_xml((ehsa_manifest.base_dir / eq.xml_path).read_bytes()))
+                    shipped.append(parse_openmath_xml((ehsa_manifest.base_dir / eq["xmlPath"]).read_bytes()))
     assert len(shipped) == 2
     failures = 0
     for index, tree in enumerate(tree_corpus + shipped):

@@ -2,16 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from cpskg.builder import (
-    DataElementSpec,
-    ModelBuilder,
-    OperatorSpec,
-    ProcessSpec,
-    StateSpec,
-    StructureNode,
-    UnresolvedReferenceError,
-    slugify,
-)
+from cpskg.builder import ModelBuilder, UnresolvedReferenceError, slugify
 from cpskg.manifest import compile_manifest, load_manifest
 from cpskg.mapper import om_to_rdf
 from cpskg.om.tree import Symbol, Variable, app
@@ -28,9 +19,12 @@ def builder() -> ModelBuilder:
     return ModelBuilder(BASE)
 
 
-def ehsa_structure() -> StructureNode:
+RAM = {"id": "Ram", "level": "Component"}
+
+
+def ehsa_structure() -> dict:
     components = ["EHSV", "MSV", "EV1", "EV2", "Accumulator", "ActuatorMainRam"]
-    return StructureNode("EHSA", "Module", children=[StructureNode(c, "Component") for c in components])
+    return {"id": "EHSA", "level": "Module", "children": [{"id": c, "level": "Component"} for c in components]}
 
 
 def test_lifecycle_record_one_set_is_four_triples(builder):
@@ -56,20 +50,20 @@ def test_structure_counts_for_module_with_six_components(builder):
 
 
 def test_structure_single_component_is_one_triple(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
+    builder.add_structure(RAM)
     assert len(builder.graph) == 1
 
 
-def active_mode() -> ProcessSpec:
-    return ProcessSpec(
-        id="ActiveMode",
-        states=[StateSpec("Flow", "Energy"), StateSpec("Signal", "Information")],
-        operators=[
-            OperatorSpec("HydraulicControl", "EHSV", inputs=["Signal"], outputs=["Flow"]),
-            OperatorSpec("LinearMotionExecution", "ActuatorMainRam", inputs=["Flow"], outputs=["Signal"]),
-            OperatorSpec("PressureStabilization", "Accumulator", inputs=["Flow"], outputs=["Signal"]),
+def active_mode() -> dict:
+    return {
+        "id": "ActiveMode",
+        "states": [{"id": "Flow", "kind": "Energy"}, {"id": "Signal", "kind": "Information"}],
+        "operators": [
+            {"id": "HydraulicControl", "assignedResource": "EHSV", "inputs": ["Signal"], "outputs": ["Flow"]},
+            {"id": "LinearMotionExecution", "assignedResource": "ActuatorMainRam", "inputs": ["Flow"], "outputs": ["Signal"]},
+            {"id": "PressureStabilization", "assignedResource": "Accumulator", "inputs": ["Flow"], "outputs": ["Signal"]},
         ],
-    )
+    }
 
 
 def test_process_operator_assignment_pairs(builder):
@@ -85,8 +79,8 @@ def test_process_operator_assignment_pairs(builder):
 
 
 def test_process_operator_without_states(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    builder.add_process(ProcessSpec("P", operators=[OperatorSpec("Op", "Ram")]))
+    builder.add_structure(RAM)
+    builder.add_process({"id": "P", "operators": [{"id": "Op", "assignedResource": "Ram"}]})
     op = builder.iri("Op")
     assert Triple(op, RDF.type, V.vdi3682.ProcessOperator) in builder.graph
     assert Triple(builder.iri("P"), V.vdi3682.consistsOf, op) in builder.graph
@@ -96,12 +90,12 @@ def test_process_operator_without_states(builder):
 
 
 def test_data_element_six_triples(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    builder.add_process(ProcessSpec("P", states=[StateSpec("Flow", "Energy")], operators=[]))
+    builder.add_structure(RAM)
+    builder.add_process({"id": "P", "states": [{"id": "Flow", "kind": "Energy"}], "operators": []})
     before = len(builder.graph)
     element = builder.add_data_element(
         "Flow",
-        DataElementSpec("Q1_DE", "Volume flow into chamber 1", instance_descriptions=["unit m^3/s"]),
+        {"id": "Q1_DE", "typeDescription": "Volume flow into chamber 1", "instanceDescriptions": ["unit m^3/s"]},
     )
     assert len(builder.graph) - before == 6
     type_nodes = builder.graph.objects(element, V.dinen61360.hasTypeDescription)
@@ -109,17 +103,17 @@ def test_data_element_six_triples(builder):
 
 
 def test_data_element_two_instance_descriptions(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
+    builder.add_structure(RAM)
     element = builder.add_data_element(
         "Ram",
-        DataElementSpec("D", "some quantity", instance_descriptions=["unit one", "sampled at 1 kHz"]),
+        {"id": "D", "typeDescription": "some quantity", "instanceDescriptions": ["unit one", "sampled at 1 kHz"]},
     )
     assert len(builder.graph.objects(element, V.dinen61360.hasInstanceDescription)) == 2
 
 
 def test_attach_behavior_model_three_then_one_triples(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    builder.add_process(ProcessSpec("P", operators=[OperatorSpec("Op", "Ram")]))
+    builder.add_structure(RAM)
+    builder.add_process({"id": "P", "operators": [{"id": "Op", "assignedResource": "Ram"}]})
     first = om_to_rdf(app(Symbol("arith1", "plus"), Variable("x"), Variable("y")), BASE, "e1", vocab=V, graph=builder.graph)
     second = om_to_rdf(Variable("z"), BASE, "e2", vocab=V, graph=builder.graph)
 
@@ -134,8 +128,8 @@ def test_attach_behavior_model_three_then_one_triples(builder):
 
 
 def test_link_variable_to_data_element(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    element = builder.add_data_element("Ram", DataElementSpec("Q1_DE", "volume flow"))
+    builder.add_structure(RAM)
+    element = builder.add_data_element("Ram", {"id": "Q1_DE", "typeDescription": "volume flow"})
     result = om_to_rdf(Variable("Q1"), BASE, "e", vocab=V, graph=builder.graph)
     var_node = result.variables["Q1"]
 
@@ -148,8 +142,8 @@ def test_link_variable_to_data_element(builder):
 
 
 def test_observation_four_triples(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    feature = builder.add_data_element("Ram", DataElementSpec("Q1_DE", "volume flow"))
+    builder.add_structure(RAM)
+    feature = builder.add_data_element("Ram", {"id": "Q1_DE", "typeDescription": "volume flow"})
     before = len(builder.graph)
     obs = builder.add_observation("Q1_DE", 2.0, "2024-01-01T00:00:00Z")
     assert len(builder.graph) - before == 4
@@ -159,7 +153,7 @@ def test_observation_four_triples(builder):
 def test_observation_of_a_feature_not_in_the_graph_is_rejected(builder):
     """Only direct builder use reaches this check: the manifest check already
     requires an observation's feature to be a declared id."""
-    builder.add_structure(StructureNode("Ram", "Component"))
+    builder.add_structure(RAM)
     before = len(builder.graph)
     with pytest.raises(UnresolvedReferenceError, match="Missing_DE"):
         builder.add_observation("Missing_DE", 2.0, "2024-01-01T00:00:00Z")
@@ -167,8 +161,8 @@ def test_observation_of_a_feature_not_in_the_graph_is_rejected(builder):
 
 
 def test_two_observations_get_distinct_nodes(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    builder.add_data_element("Ram", DataElementSpec("D", "quantity"))
+    builder.add_structure(RAM)
+    builder.add_data_element("Ram", {"id": "D", "typeDescription": "quantity"})
     a = builder.add_observation("D", 1.0, "2024-01-01T00:00:00Z")
     b = builder.add_observation("D", 2.0, "2024-01-01T00:00:01Z")
     assert a != b
@@ -204,11 +198,14 @@ def test_type_index_built_between_two_processes_matches_a_scan(builder):
     builder.add_structure(ehsa_structure())
     builder.add_process(active_mode())
     assert len(builder.graph.subjects(RDF.type, V.vdi3682.ProcessOperator)) == 3  # builds the rdf:type index
-    builder.add_process(ProcessSpec(
-        "PassiveMode",
-        states=[StateSpec("Leak", "Energy", data_elements=[DataElementSpec("Leak_DE", "leak flow", ["unit m^3/s"])])],
-        operators=[OperatorSpec("Damping", "ActuatorMainRam", inputs=["Leak"], outputs=["Leak"])],
-    ))
+    builder.add_process({
+        "id": "PassiveMode",
+        "states": [{
+            "id": "Leak", "kind": "Energy",
+            "dataElements": [{"id": "Leak_DE", "typeDescription": "leak flow", "instanceDescriptions": ["unit m^3/s"]}],
+        }],
+        "operators": [{"id": "Damping", "assignedResource": "ActuatorMainRam", "inputs": ["Leak"], "outputs": ["Leak"]}],
+    })
     graph = builder.graph
     typed = [triple for triple in graph if triple.predicate == RDF.type]
     for cls in {triple.object for triple in typed}:
@@ -228,15 +225,15 @@ def test_every_returned_node_is_the_graphs_own_term(builder):
     own(builder.add_lifecycle_record("Record", ["ModelSet"]))
     own(builder.add_structure(ehsa_structure()))
     own(builder.add_process(active_mode()))
-    own(builder.add_data_element("EHSV", DataElementSpec("D", "quantity", ["unit one"])))
+    own(builder.add_data_element("EHSV", {"id": "D", "typeDescription": "quantity", "instanceDescriptions": ["unit one"]}))
     wrapper = om_to_rdf(Variable("x"), BASE, "e", vocab=V, graph=graph).object_node
     own(builder.attach_behavior_model("HydraulicControl", wrapper))
     own(builder.add_observation("D", 1.0, "2024-01-01T00:00:00Z"))
 
 
 def test_a_callers_term_gets_the_rule_graph_add_applies(builder):
-    builder.add_structure(StructureNode("Ram", "Component"))
-    builder.add_data_element("Ram", DataElementSpec("D", "quantity"))
+    builder.add_structure(RAM)
+    builder.add_data_element("Ram", {"id": "D", "typeDescription": "quantity"})
     before = to_ntriples(builder.graph)
     with pytest.raises(InvalidTripleError, match="subject cannot be a literal"):
         builder.link_variable_to_data_element(Literal("x"), "D")

@@ -179,3 +179,28 @@ def test_print_reaches_every_depth_the_parser_accepts():
             low = mid
     tree = parse_infix(nest(low))
     assert parse_infix(print_infix(tree)) == tree
+
+
+def test_trees_compare_at_every_depth_the_parser_accepts():
+    """Application.__eq__ walks with a stack, so two trees the parser built
+    from the same frame compare, and agree with their hashes, at any depth."""
+
+    def nest(n: int, leaf: str = "x") -> str:
+        return "(x + " * n + leaf + ")" * n
+
+    low, high = 1, sys.getrecursionlimit()
+    while low < high:  # the largest depth parse_infix accepts from this frame
+        mid = (low + high + 1) // 2
+        try:
+            parse_infix(nest(mid))
+        except RecursionError:
+            high = mid - 1
+        else:
+            low = mid
+    tree = parse_infix(nest(low))
+    round_tripped = parse_infix(print_infix(tree))
+    assert round_tripped is not tree
+    assert round_tripped == tree and hash(round_tripped) == hash(tree)
+    other_leaf = parse_infix(nest(low, "y"))
+    assert other_leaf != tree
+    assert not other_leaf == tree

@@ -25,11 +25,11 @@ from cpskg.manifest import (
     load_manifest,
     manifest_from_dict,
 )
-from cpskg.builder import OperatorSpec, ProcessSpec
 from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
-from cpskg.rdf import InvalidIriError, to_ntriples
+from cpskg.rdf import InvalidIriError, from_ntriples, to_ntriples
 from cpskg.validator import validate
 from conftest import FIXTURES, REPO, perfbench_inputs
+from strategies import manifests
 
 
 def minimal_manifest() -> dict:
@@ -228,13 +228,32 @@ def test_observation_feature_must_resolve():
     assert "$.observations[0].feature" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("timestamp", ["2024-13-40T99:00:00Z", "yesterday"])
+_BAD_TIMESTAMPS = {
+    "2024-13-40T99:00:00Z": "not a valid timestamp",
+    "yesterday": "not an xsd:dateTime value",
+    # XSD 1.1 Part 2, 3.3.7: an offset is Z or at most 14:00 either way
+    "2024-01-01T00:00:00+15:00": "not an xsd:dateTime value",
+    "2024-01-01T00:00:00+14:01": "not an xsd:dateTime value",
+    "2024-01-01T00:00:00-23:59": "not an xsd:dateTime value",
+}
+
+
+@pytest.mark.parametrize("timestamp", list(_BAD_TIMESTAMPS))
 def test_observation_timestamp_problem_names_its_path(timestamp):
+    message = _BAD_TIMESTAMPS[timestamp]
     data = minimal_manifest()
     data["observations"] = [{"feature": "Plant", "value": 1.0, "timestamp": timestamp}]
     with pytest.raises(ManifestError) as excinfo:
         manifest_from_dict(data)
-    assert [path for path, _ in excinfo.value.problems] == ["$.observations[0].timestamp"]
+    assert excinfo.value.problems == [("$.observations[0].timestamp", f"{message}: {timestamp!r}")]
+
+
+@pytest.mark.parametrize("offset", ["+14:00", "-14:00", "+13:59", "-00:00"])
+def test_observation_timestamp_offset_up_to_14_hours_is_accepted(offset):
+    data = minimal_manifest()
+    data["observations"] = [{"feature": "Plant", "value": 1.0, "timestamp": f"2024-01-01T00:00:00{offset}"}]
+    graph = compile_manifest(manifest_from_dict(data))
+    assert f'"2024-01-01T00:00:00{offset}"^^<http://www.w3.org/2001/XMLSchema#dateTime>' in to_ntriples(graph)
 
 
 @pytest.mark.parametrize("fraction", [".1", ".1234567", ".123456789"], ids=["1-digit", "7-digit", "9-digit"])
@@ -251,7 +270,7 @@ def test_observation_timestamp_fraction_may_have_any_length(fraction):
         ("$.observations[1].timestamp", f"not a valid timestamp: '2024-02-30T00:00:00{fraction}+01:00'")
     ]
     del data["observations"][1]
-    assert manifest_from_dict(data).observations[0].timestamp == f"2024-01-01T00:00:00{fraction}Z"
+    assert manifest_from_dict(data).data["observations"][0]["timestamp"] == f"2024-01-01T00:00:00{fraction}Z"
 
 
 def test_observation_timestamp_ending_in_a_newline_is_not_an_xsd_datetime():
@@ -346,8 +365,7 @@ def test_ehsa_manifest_loads_and_compiles(ehsa_graph):
 
 
 def test_manifest_built_by_its_constructor_compiles_to_golden(ehsa_manifest, golden_text):
-    m = ehsa_manifest
-    rebuilt = CpsManifest(m.instance_base, m.lifecycle_record_id, m.information_sets, m.structure, m.processes, m.observations, m.base_dir)
+    rebuilt = CpsManifest(json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8")), ehsa_manifest.base_dir)
     assert to_ntriples(compile_manifest(rebuilt)) == golden_text
 
 
@@ -359,13 +377,13 @@ def test_registry_closure_on_ehsa_equations(ehsa_manifest):
     from cpskg.om.xmlio import parse_openmath_xml
     from strategies import walk
 
-    for proc in ehsa_manifest.processes:
-        for op in proc.operators:
-            for eq in op.equations:
-                if eq.infix is not None:
-                    tree = parse_infix(eq.infix)
+    for proc in ehsa_manifest.data["processes"]:
+        for op in proc["operators"]:
+            for eq in op.get("equations", ()):
+                if "infix" in eq:
+                    tree = parse_infix(eq["infix"])
                 else:
-                    tree = parse_openmath_xml((ehsa_manifest.base_dir / eq.xml_path).read_bytes())
+                    tree = parse_openmath_xml((ehsa_manifest.base_dir / eq["xmlPath"]).read_bytes())
                 for symbol in {node for node in walk(tree) if isinstance(node, Symbol)}:
                     assert (symbol.cd, symbol.name) in DEFAULT_REGISTRY, symbol
 
@@ -752,30 +770,21 @@ def test_state_that_is_both_input_and_output_declares_its_variables_once():
 # --- the builder checks each node IRI that a constructed manifest names ------
 
 
-def _rebuilt(manifest: CpsManifest, instance_base: str, processes=None) -> CpsManifest:
-    return CpsManifest(
-        instance_base, manifest.lifecycle_record_id, manifest.information_sets, manifest.structure,
-        manifest.processes if processes is None else processes, manifest.observations, manifest.base_dir,
-    )
-
-
 def test_constructed_manifest_with_an_operator_id_that_is_no_iri_segment_is_rejected():
     # manifest_from_dict rejects the id "a b"; a manifest built by its
     # constructor reaches the builder, which must still check the IRI.
-    manifest = manifest_from_dict(minimal_manifest())
-    proc = manifest.processes[0]
-    op = proc.operators[0]
-    renamed = OperatorSpec("a b", op.assigned_resource, op.inputs, op.outputs, op.equations)
-    processes = [ProcessSpec(proc.id, [renamed], proc.states)]
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["id"] = "a b"
     with pytest.raises(InvalidIriError) as excinfo:
-        compile_manifest(_rebuilt(manifest, manifest.instance_base, processes))
+        compile_manifest(CpsManifest(data))
     assert str(excinfo.value) == "IRI contains forbidden characters: 'http://example.org/mini/a b'"
 
 
 def test_constructed_manifest_with_a_relative_instance_base_fails_at_its_first_iri():
-    manifest = manifest_from_dict(minimal_manifest())
+    data = minimal_manifest()
+    data["instanceBase"] = "example.org/mini"
     with pytest.raises(InvalidIriError) as excinfo:
-        compile_manifest(_rebuilt(manifest, "example.org/mini"))
+        compile_manifest(CpsManifest(data))
     assert str(excinfo.value) == "IRI must be absolute: 'example.org/mini/Record'"
 
 
@@ -913,3 +922,29 @@ def test_equations_that_share_a_file_map_as_if_each_had_its_own(tmp_path):
     assert copies == 3
     built = to_ntriples(compile_manifest(load_manifest(shared)))
     assert built == to_ntriples(compile_manifest(load_manifest(own))) == inputs.reference_ntriples(fixture, 3)
+
+
+# --- generated manifests: shapes the EHSA fixture never builds ------------------
+
+_REFERENCE = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
+
+
+@settings(max_examples=100, deadline=None)
+@given(manifests())
+def test_acceptor_agrees_with_jsonschema_on_generated_manifests(data):
+    assert _accepts_manifest(data) is _REFERENCE.is_valid(data) is True
+
+
+@settings(max_examples=80, deadline=None)
+@given(manifests())
+def test_generated_manifest_compiles_to_the_same_bytes_twice_and_reads_back(data):
+    graph = compile_manifest(manifest_from_dict(data))
+    text = to_ntriples(graph)
+    assert to_ntriples(compile_manifest(manifest_from_dict(copy.deepcopy(data)))) == text
+    assert from_ntriples(text) == graph
+
+
+@settings(max_examples=80, deadline=None)
+@given(manifests())
+def test_generated_manifest_compiles_to_a_graph_with_no_error_finding(data):
+    assert validate(compile_manifest(manifest_from_dict(data))).errors == []

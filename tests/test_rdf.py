@@ -1126,7 +1126,7 @@ def test_writes_and_subject_lookups_build_no_index(ehsa_manifest, golden_text):
     """Building the EHSA graph, whose observations each ask the graph
     whether their feature exists, and reading a parsed graph by subject
     leave the predicate index unbuilt."""
-    assert ehsa_manifest.observations
+    assert ehsa_manifest.data["observations"]
     graph = compile_manifest(ehsa_manifest)
     assert graph._pos is None
     parsed = from_ntriples(golden_text)
