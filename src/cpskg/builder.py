@@ -180,12 +180,13 @@ class ModelBuilder:
         (fan-out for further equations); a further equation re-adds the
         model's two triples, which changes nothing."""
         cpsmod, insert = self.vocab.cpsmod, self.graph._insert
-        model = self.iri(f"{operator_id}/model")
-        _check_triple(model, cpsmod.hasOMObject, object_node)  # the caller's term, as an object
-        insert(model._nt, RDF.type._nt, self.vocab.vdi2206.MathematicalModel._nt)
-        insert(self._node(operator_id), cpsmod.processOperatorBehaviorModel._nt, model._nt)
-        insert(model._nt, cpsmod.hasOMObject._nt, object_node._nt)
-        return self.graph._term(model._nt)  # type: ignore[return-value]
+        model = self._node(f"{operator_id}/model")
+        term = self.graph._term(model)
+        _check_triple(term, cpsmod.hasOMObject, object_node)  # the caller's term, as an object
+        insert(model, RDF.type._nt, self.vocab.vdi2206.MathematicalModel._nt)
+        insert(self._node(operator_id), cpsmod.processOperatorBehaviorModel._nt, model)
+        insert(model, cpsmod.hasOMObject._nt, object_node._nt)
+        return term  # type: ignore[return-value]
 
     def link_variable_to_data_element(self, variable_node: NodeRef, data_element_id: str) -> None:
         is_data_for = self.vocab.cpsmod.isDataFor

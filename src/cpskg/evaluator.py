@@ -88,7 +88,7 @@ def load_bindings(path: Union[str, Path]) -> dict[str, float]:
     """Read a JSON object mapping variable names to numbers."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, or nesting too deep to read
         raise EvaluationError(f"invalid JSON in bindings file: {exc}") from exc
     if not isinstance(data, dict):
         raise EvaluationError("bindings file must contain a JSON object")

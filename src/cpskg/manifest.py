@@ -17,6 +17,13 @@ and equations that read, parse, map and use only declared variables. Each
 problem names its JSON path. The ``ModelBuilder`` it drives reads the
 checked JSON objects and checks none of these rules again.
 
+Before the schema check, ``manifest_from_dict`` rejects a manifest whose
+arrays and objects nest more than 256 levels deep, the manifest itself being
+level 1, and names the first path too deep. A structure node takes two
+levels, so a structure tree may be 128 nodes deep. The check walks with lists
+of its own; the schema check and the walks after it recurse, and at this
+limit they stay well inside Python's default recursion limit.
+
 The schema check is compiled from ``MANIFEST_SCHEMA`` at import into an
 acceptor, which a valid manifest passes without building any message, and a
 reporter, run only on a manifest the acceptor rejects. The reporter gives
@@ -36,9 +43,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .builder import ModelBuilder, slugify
 from .errors import CpskgError
 from .infix import parse_infix
-from .mapper import om_to_rdf
+from .mapper import MappingResult, _instantiator, om_to_rdf
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
-from .om.tree import OMExpression
 from .om.xmlio import parse_openmath_xml
 from .rdf import _ABSOLUTE_IRI, Graph
 from .vocab import DEFAULT_VOCAB, CpsVocabulary
@@ -309,6 +315,40 @@ def _compile_schema(root: dict) -> tuple[Acceptor, Reporter]:
 # Whether a manifest is valid, and the problems of one that is not.
 _accepts_manifest, _report_manifest = _compile_schema(MANIFEST_SCHEMA)
 
+# The deepest a manifest's arrays and objects may nest, the manifest itself
+# being level 1. The schema check and the walks recurse about three frames a
+# level, so a manifest at the limit needs about 770 of Python's default 1000.
+_MAX_NESTING = 256
+
+
+def _nesting_problem(data: object) -> Optional[tuple[str, str]]:
+    """The JSON path of the first array or object, in document order, nested
+    deeper than ``_MAX_NESTING`` levels, and its problem; ``None`` if there is
+    none. It walks level by level in lists of its own, so no depth exhausts
+    the recursion limit, and keeps each array or object once a level, so a
+    value shared or containing itself costs no more than one written out."""
+    levels = [[value for value in (data,) if isinstance(value, (dict, list))]]
+    while levels[-1] and len(levels) <= _MAX_NESTING:
+        below = {
+            id(child): child
+            for value in levels[-1]
+            for child in (value.values() if isinstance(value, dict) else value)
+            if type(child) is not str and isinstance(child, (dict, list))  # most values are texts
+        }
+        levels.append(list(below.values()))
+    if not levels[-1]:
+        return None
+    steps, node = [], levels[-1][0]
+    for above in reversed(levels[:-1]):
+        node, key = next(
+            (parent, key)
+            for parent in above
+            for key, child in (parent.items() if isinstance(parent, dict) else enumerate(parent))
+            if child is node
+        )
+        steps.append(f".{key}" if isinstance(node, dict) else f"[{key}]")
+    return "$" + "".join(reversed(steps)), f"nested deeper than {_MAX_NESTING} levels of arrays and objects"
+
 
 class ManifestError(CpskgError):
     """One or more manifest problems, each tagged with its JSON path."""
@@ -339,6 +379,8 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
     structure node's id, level, data elements (id, type description,
     instance descriptions), then children; each process's id, states, then
     operators (inputs before outputs); the observations."""
+    if problem := _nesting_problem(data):
+        raise ManifestError([problem])
     if not _accepts_manifest(data):
         raise ManifestError(sorted(_report_manifest(data, "$"), key=lambda problem: problem[0]))
 
@@ -464,7 +506,7 @@ def load_manifest(path: Union[str, Path]) -> CpsManifest:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, or nesting too deep to read
         raise ManifestError([("$", f"invalid JSON: {exc}")]) from exc
     if not isinstance(data, dict):
         raise ManifestError([("$", "manifest must be a JSON object")])
@@ -482,16 +524,20 @@ def compile_manifest(
 
     Fixed order: lifecycle record, structure (with characteristics), then
     each process with its states and data elements followed by its
-    equations (parsed, mapped straight into the model graph, attached,
+    equations (parsed, mapped, written into the model graph, attached,
     variables linked), observations. Scope and equation problems are
     aggregated into one :class:`ManifestError` naming each JSON path.
 
     Each distinct equation source (an infix text, or an ``xmlPath``) is
-    read and parsed once per call, however many equations name it; every
-    equation is still mapped, scope-checked and linked under its own id. A
-    source that cannot be read or parsed is tried again by each equation
-    that names it, so each reports its own problem. Nothing is kept
-    between calls.
+    read, parsed and mapped once per call, however many equations name it:
+    ``om_to_rdf`` maps it, under the id of the first equation that names
+    it, into a fragment graph of its own. Every equation, the first one
+    included, then writes that fragment into the model graph under its own
+    skolem IRIs (``mapper._instantiator``), with the triples and errors
+    ``om_to_rdf`` would give it, and is scope-checked and linked under its
+    own id. A source that cannot be read, parsed or mapped is tried again
+    by each equation that names it, so each reports its own problem.
+    Nothing is kept between calls.
     """
     data = manifest.data
     builder = ModelBuilder(manifest.instance_base, vocab)
@@ -506,8 +552,9 @@ def compile_manifest(
         resource_elements[node["id"]] = node.get("dataElements", ())
         nodes.extend(node.get("children", ()))
     problems: list[tuple[str, str]] = []
-    # each equation source's tree, once it has been read and parsed; trees are immutable
-    parsed: dict[tuple[str, str], OMExpression] = {}
+    # each equation source's fragment, once read, parsed and mapped into a graph of its own, as
+    # the function that writes it under an equation's id
+    fragments: dict[tuple[str, str], Callable[[str, str, Graph], MappingResult]] = {}
     for pi, proc in enumerate(data["processes"]):
         builder.add_process(proc)
         state_elements = {state["id"]: state.get("dataElements", ()) for state in proc.get("states", ())}
@@ -528,23 +575,23 @@ def compile_manifest(
                 epath = f"{opath}.equations[{ei}]"
                 infix = eq.get("infix")
                 source = ("infix", infix) if infix is not None else ("xml", eq["xmlPath"])
-                expr = parsed.get(source)
-                if expr is None and infix is None:
+                instantiate = fragments.get(source)
+                if instantiate is None and infix is None:
                     try:
                         xml = ((manifest.base_dir or Path(".")) / eq["xmlPath"]).read_bytes()
                     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in xmlPath
                         problems.append((epath, f"cannot read equation file: {exc}"))
                         continue
-                # A failed equation may leave part of its fragment in the
-                # graph; that graph is discarded, as any problem is raised.
                 try:
-                    if expr is None:
-                        expr = parsed[source] = (
+                    if instantiate is None:
+                        expr = (
                             parse_infix(infix, registry=registry, strict=strict)
                             if infix is not None
                             else parse_openmath_xml(xml, strict=strict)
                         )
-                    result = om_to_rdf(expr, manifest.instance_base, eq["id"], vocab=vocab, graph=builder.graph)
+                        # mapped under this equation's id, so a failure is the one om_to_rdf gives it
+                        instantiate = fragments[source] = _instantiator(om_to_rdf(expr, manifest.instance_base, eq["id"], vocab=vocab))
+                    result = instantiate(manifest.instance_base, eq["id"], builder.graph)
                 except CpskgError as exc:
                     problems.append((epath, str(exc)))
                     continue

@@ -18,6 +18,13 @@ order, so identical inputs produce byte-identical fragments. A wrapper node
 ``{instanceBase}/expr/{equationId}`` typed ``om:Object`` points at the root
 via ``om:root`` and is the attachment point for behavior links.
 
+A fragment that :func:`om_to_rdf` mapped into a graph of its own can be
+written again under any equation id by the function ``_instantiator``
+makes of it, which renames its nodes to that equation's skolem IRIs and
+gives the triples, result and errors :func:`om_to_rdf` would.
+``manifest.compile_manifest`` maps each distinct equation source once and
+instantiates it for every equation that names it.
+
 The backward direction reconstructs the tree and rejects malformed shapes:
 cyclic or dangling argument lists, applications without exactly one
 operator and argument list, nodes with ambiguous typing, and (in strict
@@ -36,7 +43,7 @@ fragment itself, and both reach an operator's equations only through
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import CpskgError
 from .om.tree import Application, FloatLiteral, IntLiteral, OMExpression, Symbol, Variable
@@ -201,6 +208,42 @@ def om_to_rdf(
     insert(wrapper, om.root._nt, root)
     term = graph._term
     return MappingResult(graph, term(wrapper), term(root), {name: term(node) for name, node in variables.items()})  # type: ignore[arg-type]
+
+
+def _instantiator(fragment: MappingResult) -> Callable[[str, str, Graph], MappingResult]:
+    """A function ``instantiate(instance_base, equation_id, graph)`` that
+    writes ``fragment``, what :func:`om_to_rdf` mapped into a graph of its
+    own, into ``graph`` under ``equation_id``: the same triples, result and
+    error as :func:`om_to_rdf` of the same expression under that id into
+    ``graph``. It renames the fragment's nodes, the subjects of its graph,
+    to the equation's skolem IRIs and keeps every other term. The fragment's
+    rows are read here, once; each call checks the first node's IRI, then
+    the wrapper's, as :func:`om_to_rdf` checks them, names its nodes and
+    inserts the rows. The fragment's graph must not change afterwards."""
+    rows = fragment.graph._select(None, None, None)
+    root, wrapper = fragment.root._nt, fragment.object_node._nt
+    # each node's text is the wrapper's less its ">", then "/n{i}>" or ">"
+    cut = len(wrapper) - 1
+    suffixes = {node: node[cut:] for node in fragment.graph._spo}
+    # every other text names itself; a symbol root is the object of the wrapper's om:root
+    kept = {o: o for _, _, o in rows if o not in suffixes}
+    variables = [(name, node._nt) for name, node in fragment.variables.items()]
+
+    def instantiate(instance_base: str, equation_id: str, graph: Graph) -> MappingResult:
+        base = f"{instance_base}/expr/{equation_id}"
+        if root in suffixes:
+            Iri(f"{base}/n0")
+        prefix = Iri(base)._nt[:-1]
+        names = kept.copy()
+        for node, suffix in suffixes.items():
+            names[node] = prefix + suffix
+        insert = graph._insert
+        for s, p, o in rows:
+            insert(names[s], p, names[o])
+        term = graph._term
+        return MappingResult(graph, term(names[wrapper]), term(names[root]), {name: term(names[node]) for name, node in variables})  # type: ignore[arg-type]
+
+    return instantiate
 
 
 # --- inverse ------------------------------------------------------------------

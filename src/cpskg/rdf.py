@@ -16,8 +16,8 @@ text -> predicate text -> object text(s). Once made, a graph only grows.
 ``Graph.add(subject, predicate, object)`` is the one checked public write:
 it applies the rule :class:`Triple` applies and stores the three texts
 through ``Graph._insert``, the store's one insert, which
-:func:`cpskg.mapper.om_to_rdf` and :class:`cpskg.builder.ModelBuilder` also
-call with texts they have checked. :class:`Triple` is the read type, which
+the writers of :mod:`cpskg.mapper` and :class:`cpskg.builder.ModelBuilder`
+also call with texts they have checked. :class:`Triple` is the read type, which
 iteration and lookups hand out. ``Graph._term`` is the one maker of a
 graph's term objects: it makes a text's object on its first hand-out and
 keeps it, so each text has one object. ``Graph._objects`` is the store's
@@ -299,7 +299,7 @@ class Graph:
     three terms by the rule :class:`Triple` checks, and raises the same
     :class:`InvalidTripleError`, but makes no :class:`Triple`: that is the
     type reads hand out. It stores their texts through :meth:`_insert`, the
-    store's one insert, which :func:`cpskg.mapper.om_to_rdf` and
+    store's one insert, which the writers of :mod:`cpskg.mapper` and
     :class:`cpskg.builder.ModelBuilder` also call with texts they have
     checked. A graph is built by one writer and then
     read, and an edited graph is a new graph made from the old one's
@@ -348,7 +348,7 @@ class Graph:
     def _insert(self, s: str, p: str, o: str) -> None:
         """Store the triple whose terms have the N-Triples texts ``s``,
         ``p`` and ``o``, terms already checked; the store's one insert,
-        which :meth:`add`, :func:`cpskg.mapper.om_to_rdf` and
+        which :meth:`add`, the writers of :mod:`cpskg.mapper` and
         :class:`cpskg.builder.ModelBuilder` call. A triple the graph holds
         already changes nothing; a literal's text must be its canonical
         one, which :func:`nt_term` gives. It keeps the count and any built

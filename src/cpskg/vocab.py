@@ -116,7 +116,7 @@ def load_config(path: Union[str, Path, None]) -> ToolConfig:
         return ToolConfig()
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, or nesting too deep to read
         raise ConfigError(f"invalid JSON in configuration file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("configuration file must contain a JSON object")

@@ -487,6 +487,24 @@ def test_om2rdf_deep_chain_exits_1(run_cli, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("build", "--manifest", "{deep}"),
+        ("--config", "{deep}", "build", "--manifest", MANIFEST),
+        ("eval", "--in", GOLDEN, "--root", f"{EHSA_BASE}/expr/chamber1_pressure_rate", "--bindings", "{deep}"),
+    ],
+)
+def test_json_nested_too_deep_to_read_exits_1(run_cli, tmp_path, args):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    result = run_cli(*(arg.format(deep=deep) for arg in args))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert sum(line.startswith("error: ") for line in result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
 def test_query_malformed_pattern_exits_1(run_cli):
     result = run_cli("query", "--in", GOLDEN, "--pattern", "?x only-two-terms")
     assert result.returncode == 1

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 import cpskg.manifest
 from cpskg.errors import CpskgError
+from cpskg.evaluator import EvaluationError, load_bindings
 from cpskg.infix import parse_infix
 from cpskg.manifest import (
     MANIFEST_SCHEMA,
     CpsManifest,
     ManifestError,
+    _MAX_NESTING,
     _accepts_manifest,
     _compile_schema,
     _report_manifest,
@@ -25,9 +27,11 @@ from cpskg.manifest import (
     load_manifest,
     manifest_from_dict,
 )
+from cpskg.mapper import om_to_rdf
 from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
 from cpskg.rdf import InvalidIriError, from_ntriples, to_ntriples
 from cpskg.validator import validate
+from cpskg.vocab import ConfigError, load_config
 from conftest import FIXTURES, REPO, perfbench_inputs
 from strategies import manifests
 
@@ -358,6 +362,77 @@ def test_load_manifest_rejects_bad_json(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ManifestError):
         load_manifest(bad)
+
+
+@pytest.mark.parametrize(
+    "load, error, message",
+    [
+        (load_manifest, ManifestError, "manifest invalid:\n  $: invalid JSON: "),
+        (load_config, ConfigError, "invalid JSON in configuration file: "),
+        (load_bindings, EvaluationError, "invalid JSON in bindings file: "),
+    ],
+)
+def test_json_nested_too_deep_to_read_is_the_readers_own_error(tmp_path, load, error, message):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(error) as excinfo:
+        load(path)
+    assert str(excinfo.value).startswith(message)
+
+
+def _structure_chain(nodes: int) -> dict:
+    """The minimal manifest with a structure of ``nodes`` nested nodes, each
+    the only child of the one before: the last node's object sits 2 * nodes
+    levels deep."""
+    data = minimal_manifest()
+    node = data["structure"]
+    for i in range(1, nodes):
+        node["children"] = [{"id": f"Part{i}", "level": "Component"}]
+        node = node["children"][0]
+    return data
+
+
+def _children_path(levels: int) -> str:
+    return "$.structure" + ".children[0]" * levels
+
+
+def test_a_structure_100_nodes_deep_builds():
+    data = _structure_chain(100)
+    text = to_ntriples(compile_manifest(manifest_from_dict(data)))
+    assert text == to_ntriples(compile_manifest(CpsManifest(data)))
+    assert text.count("consistsOf> <http://example.org/mini/Part") == 99
+
+
+def test_a_manifest_at_the_nesting_limit_is_checked_and_builds():
+    data = _structure_chain(_MAX_NESTING // 2)
+    assert validate(compile_manifest(manifest_from_dict(data)), strict=True).ok()
+    # the schema's reporter reaches a problem at the deepest level
+    data = _structure_chain(_MAX_NESTING // 2)
+    node = data["structure"]
+    while "children" in node:
+        node = node["children"][0]
+    node["level"] = 7
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert excinfo.value.problems == [(f"{_children_path(_MAX_NESTING // 2 - 1)}.level", "7 is not one of ['MechatronicSystem', 'Module', 'Component']")]
+
+
+@pytest.mark.parametrize("nodes", [_MAX_NESTING // 2 + 1, 5_000])
+def test_a_manifest_nested_past_the_limit_names_its_first_path_too_deep(nodes):
+    # the children array of the node at level 256 is the first value at level 257
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(_structure_chain(nodes))
+    assert excinfo.value.problems == [(f"{_children_path(_MAX_NESTING // 2 - 1)}.children", "nested deeper than 256 levels of arrays and objects")]
+
+
+def test_a_manifest_that_contains_itself_is_too_deep():
+    data = minimal_manifest()
+    data["processes"][0]["states"] = [data, data]
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    ((path, message),) = excinfo.value.problems
+    assert path == "$" + ".processes[0].states[0]" * 64  # four levels each
+    assert message == "nested deeper than 256 levels of arrays and objects"
 
 
 def test_ehsa_manifest_loads_and_compiles(ehsa_graph):
@@ -832,10 +907,11 @@ def test_a_description_text_used_again_is_one_node_and_no_problem():
 # --- each distinct equation source is read and parsed once per call ------------
 
 
-def _count_parses(monkeypatch) -> Counter:
-    """Count the calls compile_manifest makes through its module's parser names."""
+def _count_calls(monkeypatch) -> Counter:
+    """Count the calls compile_manifest makes through its module's parser
+    and mapper names."""
     counts: Counter = Counter()
-    for name in ("parse_infix", "parse_openmath_xml"):
+    for name in ("parse_infix", "parse_openmath_xml", "om_to_rdf"):
 
         def counted(*args, _name=name, _parse=getattr(cpskg.manifest, name), **kwargs):
             counts[_name] += 1
@@ -849,11 +925,11 @@ def test_each_equation_source_is_parsed_once_per_call(monkeypatch, tmp_path):
     inputs = perfbench_inputs()
     fixture = inputs.load_fixture(FIXTURES)
     manifest = load_manifest(inputs.write_scaled_model(fixture, 4, tmp_path))
-    counts = _count_parses(monkeypatch)
+    counts = _count_calls(monkeypatch)
     built = to_ntriples(compile_manifest(manifest))
-    assert counts == {"parse_infix": 1, "parse_openmath_xml": 1}
+    assert counts == {"parse_infix": 1, "parse_openmath_xml": 1, "om_to_rdf": 2}
     compile_manifest(manifest)
-    assert counts == {"parse_infix": 2, "parse_openmath_xml": 2}
+    assert counts == {"parse_infix": 2, "parse_openmath_xml": 2, "om_to_rdf": 4}
     assert built == inputs.reference_ntriples(fixture, 4)
 
 
@@ -877,6 +953,21 @@ def test_a_shared_source_that_fails_is_reported_at_each_equation_that_names_it(t
         compile_manifest(load_manifest(path))
     assert len(expected) == 6
     assert excinfo.value.problems == expected
+
+
+@pytest.mark.parametrize("source", ["infix", "a symbol in a file"])
+def test_a_later_equation_of_a_shared_source_with_an_id_that_is_no_iri_reports_what_om_to_rdf_raises(tmp_path, source):
+    # a lone symbol mints no node, so the wrapper is the first IRI checked
+    (tmp_path / "pi.om.xml").write_text('<OMOBJ><OMS cd="nums1" name="pi"/></OMOBJ>', encoding="utf-8")
+    equation = {"infix": "y = 2*x"} if source == "infix" else {"xmlPath": "pi.om.xml"}
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["equations"] = [{"id": "first", **equation}, {"id": "a b", **equation}]
+    tree = parse_infix("y = 2*x") if source == "infix" else parse_openmath_xml((tmp_path / "pi.om.xml").read_bytes())
+    with pytest.raises(InvalidIriError) as expected:
+        om_to_rdf(tree, data["instanceBase"], "a b")
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(CpsManifest(data, tmp_path))
+    assert excinfo.value.problems == [("$.processes[0].operators[0].equations[1]", str(expected.value))]
 
 
 def test_a_shared_infix_text_is_checked_against_each_operators_scope():

@@ -5,12 +5,14 @@ import sys
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cpskg.mapper import (
     MalformedListError,
     MalformedNodeError,
     RootNotInGraphError,
     UnknownSymbolIriError,
+    _instantiator,
     om_to_rdf,
     parse_symbol_iri,
     rdf_to_om,
@@ -21,7 +23,7 @@ from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variabl
 from cpskg.rdf import RDF, XSD, Graph, InvalidIriError, Iri, Literal, Triple, to_ntriples
 from cpskg.vocab import DEFAULT_VOCAB
 from conftest import edited
-from strategies import trees, trees_any_operator, walk
+from strategies import float_literals, int_literals, symbols, trees, trees_any_operator, walk
 
 BASE = "http://example.org/m"
 PLUS = Symbol("arith1", "plus")
@@ -401,6 +403,21 @@ def test_written_graph_is_the_graph_add_builds(tree):
     assert result.root is graph.objects(result.object_node, OM.root)[0]
     for name, node in result.variables.items():
         assert graph.subjects(OM.name, Literal(name))[0] is node
+
+
+def _prefilled() -> Graph:
+    """A graph that already holds an equation under the id "b"."""
+    return om_to_rdf(app(PLUS, Variable("z"), FloatLiteral(2.5)), BASE, "b").graph
+
+
+@given(st.one_of(trees(), symbols, int_literals, float_literals, st.just(app(PLUS, X, app(PLUS, X, Y)))), st.sampled_from([Graph, _prefilled]))
+def test_an_instantiated_fragment_is_what_om_to_rdf_maps_under_the_new_id(tree, start):
+    fragment = om_to_rdf(tree, BASE, "a")
+    expected = om_to_rdf(tree, BASE, "b", graph=start())
+    got = _instantiator(fragment)(BASE, "b", start())
+    assert got.graph._spo == expected.graph._spo
+    assert len(got.graph) == len(expected.graph)
+    assert (got.object_node, got.root, got.variables) == (expected.object_node, expected.root, expected.variables)
 
 
 def _sin_chain(depth: int) -> str:
