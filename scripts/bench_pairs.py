@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating pairs: a base revision against the working tree.
 
-    python3 scripts/bench_pairs.py [--base REV] [--pairs N] [--seed N]
+    python3 scripts/bench_pairs.py --base REV [--pairs N] [--seed N]
                                    [--seconds S] [--workload NAME ...]
 
-Run it from a git checkout. It exports the base revision (default HEAD)
-with ``git archive`` into a temporary directory, then, for each pair, runs
+Run it from a git checkout. It refuses a base revision whose files are the
+working tree's, tracked and untracked, as that run would measure nothing.
+It exports the base revision with ``git archive`` into a temporary
+directory, then, for each pair, runs
 ``perfbench/run.py`` once from that export and once from the working tree,
 one after the other; even pairs run the base first and odd pairs the
 working tree first. ``--seconds`` defaults to ``run_seconds`` in
@@ -22,7 +24,8 @@ and two verdicts:
               of the base's median.
 It also prints the failed operations of each side. The temporary
 directory is removed when it ends. It needs only the standard library and
-git.
+git; before Python 3.10.12 it extracts the export without ``tarfile``'s
+``data`` filter, which those releases lack.
 """
 
 from __future__ import annotations
@@ -73,19 +76,33 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def export(revision: str, into: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", revision], capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
+
+
+def is_working_tree(revision: str) -> bool:
+    """Whether ``revision`` holds the working tree's files: no tracked file
+    differs from it and no untracked file is left unignored."""
+    git = ["git", "-C", str(ROOT)]
+    same = subprocess.run([*git, "diff", "--quiet", revision, "--"], check=False).returncode == 0
+    untracked = subprocess.run([*git, "ls-files", "--others", "--exclude-standard"], capture_output=True, text=True, check=True).stdout
+    return same and not untracked
 
 
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [workload["name"] for workload in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD", help="the git revision to compare against (default HEAD)")
+    parser.add_argument("--base", required=True, help="the git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--workload", action="append", choices=names, help="repeat to pick several (default: all)")
     args = parser.parse_args(argv)
+    if is_working_tree(args.base):
+        parser.error(f"the working tree's files are those of {args.base}; there is nothing to compare")
     metrics = benchmark["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as temp:
         base_tree = Path(temp)

@@ -20,9 +20,12 @@ checked JSON objects and checks none of these rules again.
 Before the schema check, ``manifest_from_dict`` rejects a manifest whose
 arrays and objects nest more than 256 levels deep, the manifest itself being
 level 1, and names the first path too deep. A structure node takes two
-levels, so a structure tree may be 128 nodes deep. The check walks with lists
-of its own; the schema check and the walks after it recurse, and at this
-limit they stay well inside Python's default recursion limit.
+levels, so a structure tree may be 128 nodes deep. The check walks on stacks
+of its own; the schema check and the walks after it recurse, six frames a
+structure node, so a manifest at the limit needs 770 of Python's default
+1000 frames and leaves 230 to its caller. This refuses structure trees 129
+to 165 nodes deep, which fit under the default limit only when the caller
+was fewer than about ten frames deep.
 
 The schema check is compiled from ``MANIFEST_SCHEMA`` at import into an
 acceptor, which a valid manifest passes without building any message, and a
@@ -36,7 +39,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -316,38 +321,37 @@ def _compile_schema(root: dict) -> tuple[Acceptor, Reporter]:
 _accepts_manifest, _report_manifest = _compile_schema(MANIFEST_SCHEMA)
 
 # The deepest a manifest's arrays and objects may nest, the manifest itself
-# being level 1. The schema check and the walks recurse about three frames a
-# level, so a manifest at the limit needs about 770 of Python's default 1000.
+# being level 1. The schema check and the walks recurse three frames a level,
+# so a manifest at the limit needs 770 of Python's default 1000 frames and
+# leaves 230 to the caller (the module docstring says what this refuses).
 _MAX_NESTING = 256
 
 
 def _nesting_problem(data: object) -> Optional[tuple[str, str]]:
     """The JSON path of the first array or object, in document order, nested
     deeper than ``_MAX_NESTING`` levels, and its problem; ``None`` if there is
-    none. It walks level by level in lists of its own, so no depth exhausts
-    the recursion limit, and keeps each array or object once a level, so a
-    value shared or containing itself costs no more than one written out."""
-    levels = [[value for value in (data,) if isinstance(value, (dict, list))]]
-    while levels[-1] and len(levels) <= _MAX_NESTING:
-        below = {
-            id(child): child
-            for value in levels[-1]
-            for child in (value.values() if isinstance(value, dict) else value)
-            if type(child) is not str and isinstance(child, (dict, list))  # most values are texts
-        }
-        levels.append(list(below.values()))
-    if not levels[-1]:
+    none. It walks depth first on stacks of its own, so no depth exhausts the
+    recursion limit, and stops at the first value too deep, so a value that
+    contains itself ends the walk within ``_MAX_NESTING`` levels."""
+    if not isinstance(data, (dict, list)):
         return None
-    steps, node = [], levels[-1][0]
-    for above in reversed(levels[:-1]):
-        node, key = next(
-            (parent, key)
-            for parent in above
-            for key, child in (parent.items() if isinstance(parent, dict) else enumerate(parent))
-            if child is node
-        )
-        steps.append(f".{key}" if isinstance(node, dict) else f"[{key}]")
-    return "$" + "".join(reversed(steps)), f"nested deeper than {_MAX_NESTING} levels of arrays and objects"
+    # the items each array or object on the path to the value walked has left to walk, and the
+    # key of each in the one before (None for the manifest's own)
+    walks, keys = [iter(data.items()) if isinstance(data, dict) else enumerate(data)], [None]
+    while walks:
+        for key, child in walks[-1]:
+            if type(child) is not str and isinstance(child, (dict, list)):  # most values are texts
+                if len(walks) == _MAX_NESTING:
+                    # an array's items are walked by an enumerate, an object's by its items iterator
+                    steps = (f"[{k}]" if type(walk) is enumerate else f".{k}" for walk, k in zip(walks, [*keys[1:], key]))
+                    return "$" + "".join(steps), f"nested deeper than {_MAX_NESTING} levels of arrays and objects"
+                walks.append(iter(child.items()) if isinstance(child, dict) else enumerate(child))
+                keys.append(key)
+                break
+        else:
+            walks.pop()
+            keys.pop()
+    return None
 
 
 class ManifestError(CpskgError):
@@ -513,6 +517,20 @@ def load_manifest(path: Union[str, Path]) -> CpsManifest:
     return manifest_from_dict(data, base_dir=path.parent)
 
 
+# The fewest equations naming one source for which compile_manifest maps it once and writes the
+# fragment per equation. Writing a mapped fragment costs about two thirds of mapping it into the
+# model graph, and mapping it into a graph of its own and reading that once cost about one and
+# a quarter mappings more (in process, on the EHSA model's two equations), so it pays from
+# about four equations on.
+_SHARED_SOURCE = 4
+
+
+def _equation_source(eq: dict) -> tuple[str, str]:
+    """What an equation's fragment is made from: its infix text or its ``xmlPath``."""
+    infix = eq.get("infix")
+    return ("infix", infix) if infix is not None else ("xml", eq["xmlPath"])
+
+
 def compile_manifest(
     manifest: CpsManifest,
     *,
@@ -529,12 +547,14 @@ def compile_manifest(
     aggregated into one :class:`ManifestError` naming each JSON path.
 
     Each distinct equation source (an infix text, or an ``xmlPath``) is
-    read, parsed and mapped once per call, however many equations name it:
-    ``om_to_rdf`` maps it, under the id of the first equation that names
-    it, into a fragment graph of its own. Every equation, the first one
-    included, then writes that fragment into the model graph under its own
-    skolem IRIs (``mapper._instantiator``), with the triples and errors
-    ``om_to_rdf`` would give it, and is scope-checked and linked under its
+    read, parsed and mapped once per call, however many equations name it.
+    A source that ``_SHARED_SOURCE`` or more equations name is mapped,
+    under the id of the first of them, into a fragment graph of its own;
+    every one of them, the first included, then writes that fragment into
+    the model graph under its own skolem IRIs (``mapper._instantiator``),
+    with the triples and errors ``om_to_rdf`` would give it. A source that
+    fewer name is mapped by ``om_to_rdf`` straight into the model graph
+    for each of them. Each equation is scope-checked and linked under its
     own id. A source that cannot be read, parsed or mapped is tried again
     by each equation that names it, so each reports its own problem.
     Nothing is kept between calls.
@@ -552,9 +572,13 @@ def compile_manifest(
         resource_elements[node["id"]] = node.get("dataElements", ())
         nodes.extend(node.get("children", ()))
     problems: list[tuple[str, str]] = []
-    # each equation source's fragment, once read, parsed and mapped into a graph of its own, as
-    # the function that writes it under an equation's id
-    fragments: dict[tuple[str, str], Callable[[str, str, Graph], MappingResult]] = {}
+    # how many equations name each source
+    uses = Counter(
+        _equation_source(eq) for proc in data["processes"] for op in proc["operators"] for eq in op.get("equations", ())
+    )
+    # each equation source, once read and parsed, as the function that writes its fragment under
+    # an equation's id: om_to_rdf of its tree, or the instantiator of the fragment it maps to
+    writers: dict[tuple[str, str], Callable[..., MappingResult]] = {}
     for pi, proc in enumerate(data["processes"]):
         builder.add_process(proc)
         state_elements = {state["id"]: state.get("dataElements", ()) for state in proc.get("states", ())}
@@ -574,24 +598,30 @@ def compile_manifest(
             for ei, eq in enumerate(op.get("equations", ())):
                 epath = f"{opath}.equations[{ei}]"
                 infix = eq.get("infix")
-                source = ("infix", infix) if infix is not None else ("xml", eq["xmlPath"])
-                instantiate = fragments.get(source)
-                if instantiate is None and infix is None:
+                source = _equation_source(eq)
+                write = writers.get(source)
+                if write is None and infix is None:
                     try:
                         xml = ((manifest.base_dir or Path(".")) / eq["xmlPath"]).read_bytes()
                     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in xmlPath
                         problems.append((epath, f"cannot read equation file: {exc}"))
                         continue
+                # A failed equation may leave part of its fragment in the
+                # graph; that graph is discarded, as any problem is raised.
                 try:
-                    if instantiate is None:
+                    if write is None:
                         expr = (
                             parse_infix(infix, registry=registry, strict=strict)
                             if infix is not None
                             else parse_openmath_xml(xml, strict=strict)
                         )
-                        # mapped under this equation's id, so a failure is the one om_to_rdf gives it
-                        instantiate = fragments[source] = _instantiator(om_to_rdf(expr, manifest.instance_base, eq["id"], vocab=vocab))
-                    result = instantiate(manifest.instance_base, eq["id"], builder.graph)
+                        if uses[source] < _SHARED_SOURCE:
+                            write = partial(om_to_rdf, expr, vocab=vocab)
+                        else:
+                            # mapped under this equation's id, so a failure is the one om_to_rdf gives it
+                            write = _instantiator(om_to_rdf(expr, manifest.instance_base, eq["id"], vocab=vocab))
+                        writers[source] = write
+                    result = write(manifest.instance_base, eq["id"], graph=builder.graph)
                 except CpskgError as exc:
                     problems.append((epath, str(exc)))
                     continue

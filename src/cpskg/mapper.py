@@ -22,8 +22,8 @@ A fragment that :func:`om_to_rdf` mapped into a graph of its own can be
 written again under any equation id by the function ``_instantiator``
 makes of it, which renames its nodes to that equation's skolem IRIs and
 gives the triples, result and errors :func:`om_to_rdf` would.
-``manifest.compile_manifest`` maps each distinct equation source once and
-instantiates it for every equation that names it.
+``manifest.compile_manifest`` maps an equation source that four or more
+equations name once and instantiates it for each of them.
 
 The backward direction reconstructs the tree and rejects malformed shapes:
 cyclic or dangling argument lists, applications without exactly one

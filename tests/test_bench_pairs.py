@@ -55,3 +55,10 @@ def test_a_regression_is_a_median_worse_by_more_than_the_bound_as_a_fraction():
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError):
         bench_pairs.summarize(BASE, BASE[:-1], "lower", 0.25)
+
+
+def test_the_base_revision_must_be_named(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main(["--pairs", "2"])
+    assert excinfo.value.code == 2
+    assert "--base" in capsys.readouterr().err

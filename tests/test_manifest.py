@@ -20,6 +20,7 @@ from cpskg.manifest import (
     CpsManifest,
     ManifestError,
     _MAX_NESTING,
+    _SHARED_SOURCE,
     _accepts_manifest,
     _compile_schema,
     _report_manifest,
@@ -933,6 +934,17 @@ def test_each_equation_source_is_parsed_once_per_call(monkeypatch, tmp_path):
     assert built == inputs.reference_ntriples(fixture, 4)
 
 
+@pytest.mark.parametrize("copies", [1, _SHARED_SOURCE - 1, _SHARED_SOURCE])
+def test_a_source_is_mapped_once_only_when_enough_equations_name_it(monkeypatch, tmp_path, copies):
+    # each copy of the model names each of its two sources once
+    inputs = perfbench_inputs()
+    fixture = inputs.load_fixture(FIXTURES)
+    manifest = load_manifest(inputs.write_scaled_model(fixture, copies, tmp_path))
+    counts = _count_calls(monkeypatch)
+    assert to_ntriples(compile_manifest(manifest)) == inputs.reference_ntriples(fixture, copies)
+    assert counts == {"parse_infix": 1, "parse_openmath_xml": 1, "om_to_rdf": 2 if copies >= _SHARED_SOURCE else 2 * copies}
+
+
 def test_a_shared_source_that_fails_is_reported_at_each_equation_that_names_it(tmp_path):
     inputs = perfbench_inputs()
     path = inputs.write_scaled_model(inputs.load_fixture(FIXTURES), 3, tmp_path)
@@ -955,13 +967,15 @@ def test_a_shared_source_that_fails_is_reported_at_each_equation_that_names_it(t
     assert excinfo.value.problems == expected
 
 
+@pytest.mark.parametrize("named", [2, _SHARED_SOURCE])
 @pytest.mark.parametrize("source", ["infix", "a symbol in a file"])
-def test_a_later_equation_of_a_shared_source_with_an_id_that_is_no_iri_reports_what_om_to_rdf_raises(tmp_path, source):
+def test_a_later_equation_of_a_shared_source_with_an_id_that_is_no_iri_reports_what_om_to_rdf_raises(tmp_path, source, named):
     # a lone symbol mints no node, so the wrapper is the first IRI checked
     (tmp_path / "pi.om.xml").write_text('<OMOBJ><OMS cd="nums1" name="pi"/></OMOBJ>', encoding="utf-8")
     equation = {"infix": "y = 2*x"} if source == "infix" else {"xmlPath": "pi.om.xml"}
     data = minimal_manifest()
-    data["processes"][0]["operators"][0]["equations"] = [{"id": "first", **equation}, {"id": "a b", **equation}]
+    ids = ["first", "a b", *(f"more{i}" for i in range(named - 2))]
+    data["processes"][0]["operators"][0]["equations"] = [{"id": id_, **equation} for id_ in ids]
     tree = parse_infix("y = 2*x") if source == "infix" else parse_openmath_xml((tmp_path / "pi.om.xml").read_bytes())
     with pytest.raises(InvalidIriError) as expected:
         om_to_rdf(tree, data["instanceBase"], "a b")
