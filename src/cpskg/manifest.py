@@ -39,9 +39,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from datetime import datetime
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -517,20 +515,6 @@ def load_manifest(path: Union[str, Path]) -> CpsManifest:
     return manifest_from_dict(data, base_dir=path.parent)
 
 
-# The fewest equations naming one source for which compile_manifest maps it once and writes the
-# fragment per equation. Writing a mapped fragment costs about two thirds of mapping it into the
-# model graph, and mapping it into a graph of its own and reading that once cost about one and
-# a quarter mappings more (in process, on the EHSA model's two equations), so it pays from
-# about four equations on.
-_SHARED_SOURCE = 4
-
-
-def _equation_source(eq: dict) -> tuple[str, str]:
-    """What an equation's fragment is made from: its infix text or its ``xmlPath``."""
-    infix = eq.get("infix")
-    return ("infix", infix) if infix is not None else ("xml", eq["xmlPath"])
-
-
 def compile_manifest(
     manifest: CpsManifest,
     *,
@@ -547,14 +531,12 @@ def compile_manifest(
     aggregated into one :class:`ManifestError` naming each JSON path.
 
     Each distinct equation source (an infix text, or an ``xmlPath``) is
-    read, parsed and mapped once per call, however many equations name it.
-    A source that ``_SHARED_SOURCE`` or more equations name is mapped,
-    under the id of the first of them, into a fragment graph of its own;
-    every one of them, the first included, then writes that fragment into
-    the model graph under its own skolem IRIs (``mapper._instantiator``),
-    with the triples and errors ``om_to_rdf`` would give it. A source that
-    fewer name is mapped by ``om_to_rdf`` straight into the model graph
-    for each of them. Each equation is scope-checked and linked under its
+    read, parsed and mapped once per call, however many equations name it:
+    ``om_to_rdf`` maps it, under the id of the first equation that names
+    it, into a fragment graph of its own. Every equation, the first one
+    included, then writes that fragment into the model graph under its own
+    skolem IRIs (``mapper._instantiator``), with the triples and errors
+    ``om_to_rdf`` would give it, and is scope-checked and linked under its
     own id. A source that cannot be read, parsed or mapped is tried again
     by each equation that names it, so each reports its own problem.
     Nothing is kept between calls.
@@ -572,13 +554,9 @@ def compile_manifest(
         resource_elements[node["id"]] = node.get("dataElements", ())
         nodes.extend(node.get("children", ()))
     problems: list[tuple[str, str]] = []
-    # how many equations name each source
-    uses = Counter(
-        _equation_source(eq) for proc in data["processes"] for op in proc["operators"] for eq in op.get("equations", ())
-    )
-    # each equation source, once read and parsed, as the function that writes its fragment under
-    # an equation's id: om_to_rdf of its tree, or the instantiator of the fragment it maps to
-    writers: dict[tuple[str, str], Callable[..., MappingResult]] = {}
+    # each equation source's fragment, once read, parsed and mapped into a graph of its own, as
+    # the function that writes it under an equation's id
+    fragments: dict[tuple[str, str], Callable[[str, str, Graph], MappingResult]] = {}
     for pi, proc in enumerate(data["processes"]):
         builder.add_process(proc)
         state_elements = {state["id"]: state.get("dataElements", ()) for state in proc.get("states", ())}
@@ -598,9 +576,9 @@ def compile_manifest(
             for ei, eq in enumerate(op.get("equations", ())):
                 epath = f"{opath}.equations[{ei}]"
                 infix = eq.get("infix")
-                source = _equation_source(eq)
-                write = writers.get(source)
-                if write is None and infix is None:
+                source = ("infix", infix) if infix is not None else ("xml", eq["xmlPath"])
+                instantiate = fragments.get(source)
+                if instantiate is None and infix is None:
                     try:
                         xml = ((manifest.base_dir or Path(".")) / eq["xmlPath"]).read_bytes()
                     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in xmlPath
@@ -609,19 +587,15 @@ def compile_manifest(
                 # A failed equation may leave part of its fragment in the
                 # graph; that graph is discarded, as any problem is raised.
                 try:
-                    if write is None:
+                    if instantiate is None:
                         expr = (
                             parse_infix(infix, registry=registry, strict=strict)
                             if infix is not None
                             else parse_openmath_xml(xml, strict=strict)
                         )
-                        if uses[source] < _SHARED_SOURCE:
-                            write = partial(om_to_rdf, expr, vocab=vocab)
-                        else:
-                            # mapped under this equation's id, so a failure is the one om_to_rdf gives it
-                            write = _instantiator(om_to_rdf(expr, manifest.instance_base, eq["id"], vocab=vocab))
-                        writers[source] = write
-                    result = write(manifest.instance_base, eq["id"], graph=builder.graph)
+                        # mapped under this equation's id, so a failure is the one om_to_rdf gives it
+                        instantiate = fragments[source] = _instantiator(om_to_rdf(expr, manifest.instance_base, eq["id"], vocab=vocab))
+                    result = instantiate(manifest.instance_base, eq["id"], builder.graph)
                 except CpskgError as exc:
                     problems.append((epath, str(exc)))
                     continue

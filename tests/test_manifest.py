@@ -20,7 +20,6 @@ from cpskg.manifest import (
     CpsManifest,
     ManifestError,
     _MAX_NESTING,
-    _SHARED_SOURCE,
     _accepts_manifest,
     _compile_schema,
     _report_manifest,
@@ -934,15 +933,15 @@ def test_each_equation_source_is_parsed_once_per_call(monkeypatch, tmp_path):
     assert built == inputs.reference_ntriples(fixture, 4)
 
 
-@pytest.mark.parametrize("copies", [1, _SHARED_SOURCE - 1, _SHARED_SOURCE])
-def test_a_source_is_mapped_once_only_when_enough_equations_name_it(monkeypatch, tmp_path, copies):
+@pytest.mark.parametrize("copies", [1, 2, 3, 4])
+def test_each_source_is_mapped_once(monkeypatch, tmp_path, copies):
     # each copy of the model names each of its two sources once
     inputs = perfbench_inputs()
     fixture = inputs.load_fixture(FIXTURES)
     manifest = load_manifest(inputs.write_scaled_model(fixture, copies, tmp_path))
     counts = _count_calls(monkeypatch)
     assert to_ntriples(compile_manifest(manifest)) == inputs.reference_ntriples(fixture, copies)
-    assert counts == {"parse_infix": 1, "parse_openmath_xml": 1, "om_to_rdf": 2 if copies >= _SHARED_SOURCE else 2 * copies}
+    assert counts == {"parse_infix": 1, "parse_openmath_xml": 1, "om_to_rdf": 2}
 
 
 def test_a_shared_source_that_fails_is_reported_at_each_equation_that_names_it(tmp_path):
@@ -967,7 +966,7 @@ def test_a_shared_source_that_fails_is_reported_at_each_equation_that_names_it(t
     assert excinfo.value.problems == expected
 
 
-@pytest.mark.parametrize("named", [2, _SHARED_SOURCE])
+@pytest.mark.parametrize("named", [2, 4])
 @pytest.mark.parametrize("source", ["infix", "a symbol in a file"])
 def test_a_later_equation_of_a_shared_source_with_an_id_that_is_no_iri_reports_what_om_to_rdf_raises(tmp_path, source, named):
     # a lone symbol mints no node, so the wrapper is the first IRI checked
