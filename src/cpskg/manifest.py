@@ -11,7 +11,8 @@ defines, which ``CpsManifest`` holds. This module is the one home of every
 manifest rule. ``manifest_from_dict`` checks the schema, then walks the
 manifest once, declaring the ids and checking the rules a schema cannot
 state (unique ids, references, level order, one description text per node
-slug, observation values and timestamps). ``compile_manifest`` adds the
+slug, no node that both the builder and an equation's mapping mint,
+observation values and timestamps). ``compile_manifest`` adds the
 rules of each operator's scope: no variable declared by two data elements,
 and equations that read, parse, map and use only declared variables. Each
 problem names its JSON path. The ``ModelBuilder`` it drives reads the
@@ -397,6 +398,21 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
 
     # slug -> the first typeDescription text giving it, and that text's path
     type_slugs: dict[str, tuple[str, str]] = {}
+    equation_ids: dict[str, str] = {}
+    # The builder mints two nodes under {base}/expr/, where the mapper mints an equation's:
+    # operator "expr"'s behavior model is the wrapper of an equation "model", and an instance
+    # node of data element "expr" whose slug is n and digits may be a numbered node of an
+    # equation "instance". That equation's id -> the first such node, what gives it, its path.
+    expr_nodes: dict[str, tuple[str, str, str]] = {}
+    base = data["instanceBase"].rstrip("/")
+
+    def under_expr(equation_id: str, node: str, what: str, path: str) -> None:
+        """Report ``what`` at ``path`` if the equation ``equation_id``, declared
+        earlier, could mint its ``node``; keep it for a later one otherwise."""
+        if equation_id in equation_ids:
+            problems.append((path, f"{what} would share the node <{node}> with equation {equation_id!r} at {equation_ids[equation_id]}"))
+        else:
+            expr_nodes.setdefault(equation_id, (node, what, path))
 
     def one_text_per_slug(slugs: dict[str, tuple[str, str]], text: str, path: str) -> None:
         """Report ``text`` at ``path`` if an earlier, different text in
@@ -413,7 +429,11 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
             one_text_per_slug(type_slugs, de["typeDescription"], f"{dpath}.typeDescription")
             instance_slugs: dict[str, tuple[str, str]] = {}
             for ii, text in enumerate(de.get("instanceDescriptions", ())):
-                one_text_per_slug(instance_slugs, text, f"{dpath}.instanceDescriptions[{ii}]")
+                ipath = f"{dpath}.instanceDescriptions[{ii}]"
+                one_text_per_slug(instance_slugs, text, ipath)
+                slug = slugify(text)
+                if de["id"] == "expr" and re.fullmatch("n[0-9]+", slug):
+                    under_expr("instance", f"{base}/expr/instance/{slug}", f"instance description {text!r}", ipath)
 
     record = data["lifecycleRecord"]
     declare(record["id"], "$.lifecycleRecord.id")
@@ -434,7 +454,6 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
 
     structure(data["structure"], "$.structure", min(_LEVEL_RANK.values()))
 
-    equation_ids: dict[str, str] = {}
     for pi, proc in enumerate(data["processes"]):
         ppath = f"$.processes[{pi}]"
         declare(proc["id"], f"{ppath}.id")
@@ -447,6 +466,8 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
         for oi, op in enumerate(proc["operators"]):
             opath = f"{ppath}.operators[{oi}]"
             declare(op["id"], f"{opath}.id")
+            if op["id"] == "expr":
+                under_expr("model", f"{base}/expr/model", "the behavior model of operator 'expr'", f"{opath}.id")
             if op["assignedResource"] not in resource_ids:
                 problems.append((f"{opath}.assignedResource", f"unknown structure node {op['assignedResource']!r}"))
             for key in ("inputs", "outputs"):
@@ -459,6 +480,9 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
                     problems.append((f"{epath}.id", f"equation id {eq['id']!r} already declared at {equation_ids[eq['id']]}"))
                 else:
                     equation_ids[eq["id"]] = f"{epath}.id"
+                    if eq["id"] in expr_nodes:
+                        node, what, first_path = expr_nodes[eq["id"]]
+                        problems.append((f"{epath}.id", f"equation {eq['id']!r} would share the node <{node}> with {what} at {first_path}"))
                 xml_path = eq.get("xmlPath")
                 if xml_path is not None and base_dir is not None and not (base_dir / xml_path).is_file():
                     problems.append((f"{epath}.xmlPath", f"file not found: {xml_path!r}"))
@@ -598,6 +622,9 @@ def compile_manifest(
                     result = instantiate(manifest.instance_base, eq["id"], builder.graph)
                 except CpskgError as exc:
                     problems.append((epath, str(exc)))
+                    continue
+                except RecursionError:  # the parsers and om_to_rdf recurse once a nesting level
+                    problems.append((epath, "equation nested too deep: parsing or mapping it exceeds Python's recursion limit"))
                     continue
                 missing = sorted(result.variables.keys() - scope.keys())
                 if missing:

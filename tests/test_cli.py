@@ -321,6 +321,20 @@ def test_build_id_ending_in_a_newline_exits_1(run_cli, tmp_path):
     assert not (tmp_path / "g.nt").exists()
 
 
+def test_build_of_an_equation_too_deep_to_parse_names_its_path_and_exits_1(run_cli, tmp_path):
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["equations"][0]["infix"] = "y = " + "sin(" * 300 + "x" + ")" * 300
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("build", "--manifest", str(bad), "--check-only")
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "error: manifest invalid:",
+        "  $.processes[0].operators[0].equations[0]: equation nested too deep: parsing or mapping it exceeds Python's recursion limit",
+    ]
+    assert "Traceback" not in result.stderr
+
+
 def test_build_instance_base_that_cannot_prefix_an_iri_exits_1(run_cli, tmp_path):
     data = minimal_manifest()
     data["instanceBase"] = "http://example.org/a b"

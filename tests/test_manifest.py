@@ -904,6 +904,107 @@ def test_a_description_text_used_again_is_one_node_and_no_problem():
     assert validate(graph, strict=True).ok()
 
 
+# --- no node is minted by both the builder and an equation's mapping ------------
+
+
+def _operator_expr_and_equation_model(operator_first: bool) -> dict:
+    # operator "expr"'s behavior model and equation "model"'s wrapper are both {base}/expr/model
+    data = minimal_manifest()
+    operators = data["processes"][0]["operators"]
+    operators.append({"id": "expr", "assignedResource": "Plant", "inputs": ["In"], "outputs": ["Out"]})
+    operators[0 if operator_first else 1]["equations"] = [{"id": "model", "infix": "y = 2*x"}]
+    return data
+
+
+def test_an_equation_model_and_an_operator_expr_that_would_share_a_node_are_reported():
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(_operator_expr_and_equation_model(operator_first=False))
+    assert excinfo.value.problems == [(
+        "$.processes[0].operators[1].equations[0].id",
+        "equation 'model' would share the node <http://example.org/mini/expr/model> with the behavior model of "
+        "operator 'expr' at $.processes[0].operators[1].id",
+    )]
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(_operator_expr_and_equation_model(operator_first=True))
+    assert excinfo.value.problems == [(
+        "$.processes[0].operators[1].id",
+        "the behavior model of operator 'expr' would share the node <http://example.org/mini/expr/model> with "
+        "equation 'model' at $.processes[0].operators[0].equations[0].id",
+    )]
+
+
+@pytest.mark.parametrize("text", ["n1", "N1", "n012"])
+def test_an_instance_description_of_element_expr_that_an_equation_instance_could_mint_is_reported(text):
+    # {base}/expr/instance/n{i} is a node of equation "instance" for some i, whatever its number
+    data = minimal_manifest()
+    data["processes"][0]["states"][1]["dataElements"][0].update(id="expr", instanceDescriptions=["unit", text])
+    data["processes"][0]["operators"][0]["equations"][0]["id"] = "instance"
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    assert excinfo.value.problems == [(
+        "$.processes[0].operators[0].equations[0].id",
+        f"equation 'instance' would share the node <http://example.org/mini/expr/instance/{text.lower()}> "
+        f"with instance description {text!r} at $.processes[0].states[1].dataElements[0].instanceDescriptions[1]",
+    )]
+
+
+def test_an_instance_description_after_the_equation_instance_is_reported_at_its_own_path():
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["equations"][0]["id"] = "instance"
+    data["processes"].append({
+        "id": "Later",
+        "states": [{"id": "Held", "kind": "Information", "dataElements": [
+            {"id": "expr", "typeDescription": "held value", "instanceDescriptions": ["n3", "n4"]},
+        ]}],
+        "operators": [],
+    })
+    with pytest.raises(ManifestError) as excinfo:
+        manifest_from_dict(data)
+    path = "$.processes[1].states[0].dataElements[0].instanceDescriptions"
+    assert excinfo.value.problems == [
+        (f"{path}[{i}]", f"instance description 'n{i + 3}' would share the node <http://example.org/mini/expr/instance/n{i + 3}> "
+         "with equation 'instance' at $.processes[0].operators[0].equations[0].id")
+        for i in (0, 1)
+    ]
+
+
+def test_an_operator_expr_without_an_equation_model_builds():
+    data = _operator_expr_and_equation_model(operator_first=False)
+    data["processes"][0]["operators"][1]["equations"][0]["id"] = "modelled"
+    graph = compile_manifest(manifest_from_dict(data))
+    assert validate(graph, strict=True).ok()
+    assert "<http://example.org/mini/expr/model> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> " in to_ntriples(graph)
+
+
+@pytest.mark.parametrize(("texts", "equation"), [(["n", "n1a", "no 1", "1"], "instance"), (["n1"], "doubling")])
+def test_an_element_expr_whose_instance_nodes_no_equation_could_mint_builds(texts, equation):
+    data = minimal_manifest()
+    data["processes"][0]["states"][1]["dataElements"][0].update(id="expr", instanceDescriptions=texts)
+    data["processes"][0]["operators"][0]["equations"][0]["id"] = equation
+    assert validate(compile_manifest(manifest_from_dict(data)), strict=True).ok()
+
+
+# --- an equation too deep to parse or map is that equation's problem -----------
+
+
+@pytest.mark.parametrize("source", ["infix", "xml"])
+def test_an_equation_too_deep_to_read_is_reported_at_its_path(tmp_path, source):
+    # parse_infix reaches Python's recursion limit at about 247 nested calls, parse_openmath_xml
+    # at about 1,000 nested applications
+    (tmp_path / "deep.om.xml").write_text(
+        "<OMOBJ>" + '<OMA><OMS cd="transc1" name="sin"/>' * 1200 + '<OMV name="x"/>' + "</OMA>" * 1200 + "</OMOBJ>",
+        encoding="utf-8",
+    )
+    equation = {"infix": "y = " + "sin(" * 300 + "x" + ")" * 300} if source == "infix" else {"xmlPath": "deep.om.xml"}
+    data = minimal_manifest()
+    data["processes"][0]["operators"][0]["equations"] = [{"id": "deep", **equation}, {"id": "shallow", "infix": "y = x"}]
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(manifest_from_dict(data, tmp_path))
+    assert excinfo.value.problems == [
+        ("$.processes[0].operators[0].equations[0]", "equation nested too deep: parsing or mapping it exceeds Python's recursion limit"),
+    ]
+
+
 # --- each distinct equation source is read and parsed once per call ------------
 
 
