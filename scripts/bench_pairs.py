@@ -3,6 +3,7 @@
 
     python3 scripts/bench_pairs.py --base REV [--pairs N] [--seed N]
                                    [--seconds S] [--workload NAME ...]
+    python3 scripts/bench_pairs.py --base REV [--pairs N] --cli "ARGS"
 
 Run it from a git checkout. It refuses a base revision whose files are the
 working tree's, tracked and untracked, as that run would measure nothing.
@@ -22,10 +23,23 @@ and two verdicts:
   regression  the working tree's median is worse than the base's by more
               than the metric's bound in BENCHMARK.json, read as a fraction
               of the base's median.
-It also prints the failed operations of each side. The temporary
-directory is removed when it ends. It needs only the standard library and
-git; before Python 3.10.12 it extracts the export without ``tarfile``'s
-``data`` filter, which those releases lack.
+It also prints the failed operations of each side.
+
+With ``--cli``, each pair instead times one fresh ``python -m cpskg ARGS``
+process on each side (ARGS split as a shell would; write ``--cli="--config
+c.json build ..."`` when ARGS starts with a dash). Each side runs with its
+tree's root as the working directory, ``PYTHONPATH`` at its tree's
+``src`` and a bytecode cache of its own under the temporary directory
+(``PYTHONPYCACHEPREFIX``), with ``PYTHONDONTWRITEBYTECODE`` unset for these
+processes only. One untimed run per side first fills its cache, so the
+size of the source does not bias the timings. It prints the wall time's
+medians, quartiles, wins and verdicts, the regression verdict using the
+bound of ``job_s``. A run that exits non-zero stops it, naming its side.
+``--cli`` cannot be combined with ``--workload``.
+
+The temporary directory is removed when it ends. It needs only the
+standard library and git; before Python 3.10.12 it extracts the export
+without ``tarfile``'s ``data`` filter, which those releases lack.
 """
 
 from __future__ import annotations
@@ -33,11 +47,14 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shlex
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +90,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def cli_sides(base_tree: Path, temp: Path) -> list[tuple[str, Path, dict[str, str]]]:
+    """Each side of a ``--cli`` pair: its name, its tree and the environment
+    of its processes, which run from that tree's ``src`` and keep their
+    bytecode in a directory of their own under ``temp``."""
+    inherited = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    return [
+        (side, tree, {**inherited, "PYTHONPATH": str(tree / "src"), "PYTHONPYCACHEPREFIX": str(temp / f"pycache-{side}")})
+        for side, tree in (("base", base_tree), ("change", ROOT))
+    ]
+
+
+def time_cli(side: str, tree: Path, env: dict[str, str], args: list[str]) -> float:
+    """The wall time in seconds of one ``python -m cpskg ARGS`` run in ``tree``."""
+    command = [sys.executable, "-m", "cpskg", *args]
+    start = time.perf_counter()
+    done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=False)
+    elapsed = time.perf_counter() - start
+    if done.returncode != 0:
+        raise RuntimeError(f"{side}: {shlex.join(command)} in {tree} exited {done.returncode}: {done.stderr.strip()}")
+    return elapsed
+
+
 def export(revision: str, into: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", revision], capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -100,13 +139,38 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--workload", action="append", choices=names, help="repeat to pick several (default: all)")
+    parser.add_argument("--cli", metavar="ARGS", help="time fresh `python -m cpskg ARGS` processes instead of the workloads")
     args = parser.parse_args(argv)
+    if args.cli is not None and args.workload:
+        parser.error("--cli cannot be combined with --workload")
     if is_working_tree(args.base):
         parser.error(f"the working tree's files are those of {args.base}; there is nothing to compare")
     metrics = benchmark["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as temp:
-        base_tree = Path(temp)
+        base_tree = Path(temp) / "base"
         export(args.base, base_tree)
+        if args.cli is not None:
+            cli_args = shlex.split(args.cli)
+            sides = cli_sides(base_tree, Path(temp))
+            for side, tree, env in sides:
+                time_cli(side, tree, env, cli_args)  # fills the side's bytecode cache
+            times: dict[str, list[float]] = {"base": [], "change": []}
+            for pair in range(args.pairs):
+                for side, tree, env in sides if pair % 2 == 0 else sides[::-1]:
+                    times[side].append(time_cli(side, tree, env, cli_args))
+            bound = next(metric["bound"] for metric in metrics if metric["name"] == "job_s")
+            s = summarize(times["base"], times["change"], "lower", bound)
+            b, c = s["base"], s["change"]
+            print(f"python -m cpskg {args.cli}: {args.pairs} pairs, base {args.base} against the working tree")
+            print(
+                f"  wall (s): base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
+                f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+                f"  ratio {c['median'] / b['median']:.4f}  wins {s['wins']}/{s['pairs']}"
+                f"  gain {'yes' if s['gain'] else 'no'}  regression {'yes' if s['regression'] else 'no'}"
+            )
+            for side, values in times.items():
+                print(f"    {side} {' '.join(f'{v:.6g}' for v in values)}")
+            return 0
         for workload in args.workload or names:
             results: dict[str, list[dict]] = {"base": [], "change": []}
             for pair in range(args.pairs):

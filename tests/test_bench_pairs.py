@@ -62,3 +62,32 @@ def test_the_base_revision_must_be_named(capsys):
         bench_pairs.main(["--pairs", "2"])
     assert excinfo.value.code == 2
     assert "--base" in capsys.readouterr().err
+
+
+def test_cli_cannot_be_combined_with_a_workload(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main(["--base", "HEAD", "--cli", "validate --in g.nt", "--workload", "build_scaled"])
+    assert excinfo.value.code == 2
+    assert "--cli cannot be combined with --workload" in capsys.readouterr().err
+
+
+def test_each_cli_side_runs_its_own_tree_with_a_bytecode_cache_of_its_own(monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPATH", "/elsewhere")
+    base_tree = tmp_path / "base"
+    sides = bench_pairs.cli_sides(base_tree, tmp_path)
+    assert [(side, tree) for side, tree, _ in sides] == [("base", base_tree), ("change", REPO)]
+    for side, tree, env in sides:
+        assert env["PYTHONPATH"] == str(tree / "src")
+        assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / f"pycache-{side}")
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+    # only the children's environment changes
+    assert bench_pairs.os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_a_cli_run_that_fails_names_its_side(tmp_path):
+    (_, tree, env), = [side for side in bench_pairs.cli_sides(tmp_path, tmp_path) if side[0] == "change"]
+    with pytest.raises(RuntimeError) as excinfo:
+        bench_pairs.time_cli("change", tree, env, ["validate", "--in", str(tmp_path / "missing.nt")])
+    assert str(excinfo.value).startswith("change: ")
+    assert " exited 2: " in str(excinfo.value)
