@@ -80,6 +80,20 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def report(label: str, values: dict[str, list[float]], better: str, bound: float) -> None:
+    """Print the summary of one metric's paired ``values`` of each side, then the values."""
+    s = summarize(values["base"], values["change"], better, bound)
+    b, c = s["base"], s["change"]
+    print(
+        f"  {label}: base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
+        f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+        f"  ratio {c['median'] / b['median']:.4f}  wins {s['wins']}/{s['pairs']}"
+        f"  gain {'yes' if s['gain'] else 'no'}  regression {'yes' if s['regression'] else 'no'}"
+    )
+    for side, runs in values.items():
+        print(f"    {side} {' '.join(f'{v:.6g}' for v in runs)}")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``: its result line."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
@@ -158,18 +172,8 @@ def main(argv: list[str] | None = None) -> int:
             for pair in range(args.pairs):
                 for side, tree, env in sides if pair % 2 == 0 else sides[::-1]:
                     times[side].append(time_cli(side, tree, env, cli_args))
-            bound = next(metric["bound"] for metric in metrics if metric["name"] == "job_s")
-            s = summarize(times["base"], times["change"], "lower", bound)
-            b, c = s["base"], s["change"]
             print(f"python -m cpskg {args.cli}: {args.pairs} pairs, base {args.base} against the working tree")
-            print(
-                f"  wall (s): base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
-                f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
-                f"  ratio {c['median'] / b['median']:.4f}  wins {s['wins']}/{s['pairs']}"
-                f"  gain {'yes' if s['gain'] else 'no'}  regression {'yes' if s['regression'] else 'no'}"
-            )
-            for side, values in times.items():
-                print(f"    {side} {' '.join(f'{v:.6g}' for v in values)}")
+            report("wall (s)", times, "lower", next(metric["bound"] for metric in metrics if metric["name"] == "job_s"))
             return 0
         for workload in args.workload or names:
             results: dict[str, list[dict]] = {"base": [], "change": []}
@@ -183,16 +187,7 @@ def main(argv: list[str] | None = None) -> int:
             for metric in metrics:
                 name = metric["name"]
                 values = {side: [run["metrics"][name]["value"] for run in runs] for side, runs in results.items()}
-                s = summarize(values["base"], values["change"], metric["better"], metric["bound"])
-                b, c = s["base"], s["change"]
-                print(
-                    f"  {name} ({metric['unit']}): base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
-                    f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
-                    f"  ratio {c['median'] / b['median']:.4f}  wins {s['wins']}/{s['pairs']}"
-                    f"  gain {'yes' if s['gain'] else 'no'}  regression {'yes' if s['regression'] else 'no'}"
-                )
-                print(f"    base {' '.join(f'{v:.6g}' for v in values['base'])}")
-                print(f"    change {' '.join(f'{v:.6g}' for v in values['change'])}")
+                report(f"{name} ({metric['unit']})", values, metric["better"], metric["bound"])
             sys.stdout.flush()
     return 0
 

@@ -431,8 +431,7 @@ def manifest_from_dict(data: dict, base_dir: Optional[Path] = None) -> CpsManife
             for ii, text in enumerate(de.get("instanceDescriptions", ())):
                 ipath = f"{dpath}.instanceDescriptions[{ii}]"
                 one_text_per_slug(instance_slugs, text, ipath)
-                slug = slugify(text)
-                if de["id"] == "expr" and re.fullmatch("n[0-9]+", slug):
+                if de["id"] == "expr" and re.fullmatch("n[0-9]+", slug := slugify(text)):
                     under_expr("instance", f"{base}/expr/instance/{slug}", f"instance description {text!r}", ipath)
 
     record = data["lifecycleRecord"]
