@@ -18,7 +18,7 @@ sys.path.insert(0, str(REPO / "src"))
 from cpskg.infix import print_infix  # noqa: E402
 from cpskg.manifest import compile_manifest, load_manifest  # noqa: E402
 from cpskg.mapper import behavior_objects, rdf_to_om  # noqa: E402
-from cpskg.rdf import RDF, Iri, PatternQuery, Var, match, to_ntriples, to_turtle  # noqa: E402
+from cpskg.rdf import RDF, Iri, PatternQuery, Var, match, ntriples_chunks, to_turtle  # noqa: E402
 from cpskg.validator import validate  # noqa: E402
 from cpskg.vocab import DEFAULT_VOCAB  # noqa: E402
 
@@ -34,7 +34,8 @@ def main() -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ehsa.nt").write_text(to_ntriples(graph), encoding="utf-8", newline="\n")
+    with (out_dir / "ehsa.nt").open("w", encoding="utf-8", newline="\n") as out:
+        out.writelines(ntriples_chunks(graph))
     (out_dir / "ehsa.ttl").write_text(to_turtle(graph, vocab.prefixes(manifest.instance_base)), encoding="utf-8", newline="\n")
 
     report = validate(graph, strict=True)

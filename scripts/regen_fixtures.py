@@ -19,7 +19,7 @@ sys.path.insert(0, str(REPO / "src"))
 from cpskg.infix import parse_infix  # noqa: E402
 from cpskg.manifest import MANIFEST_SCHEMA, compile_manifest, load_manifest  # noqa: E402
 from cpskg.om.xmlio import serialize_openmath_xml  # noqa: E402
-from cpskg.rdf import to_ntriples  # noqa: E402
+from cpskg.rdf import ntriples_chunks  # noqa: E402
 
 EQ1 = "partialdiff(p1, t) = beta*(Q1 - Qle1 - Qli - (xR_dot - xC_dot)*A)/(V0 + xR*A)"
 
@@ -34,7 +34,8 @@ def main() -> int:
         serialize_openmath_xml(tree.arguments[1]), encoding="utf-8", newline="\n"
     )
     graph = compile_manifest(load_manifest(fixtures / "manifest.json"))
-    (fixtures / "golden.nt").write_text(to_ntriples(graph), encoding="utf-8", newline="\n")
+    with (fixtures / "golden.nt").open("w", encoding="utf-8", newline="\n") as out:
+        out.writelines(ntriples_chunks(graph))
     (REPO / "docs" / "manifest.schema.json").write_text(
         json.dumps(MANIFEST_SCHEMA, indent=2) + "\n", encoding="utf-8", newline="\n"
     )

@@ -4,7 +4,10 @@ Subcommands: om2rdf, rdf2om, build, validate, query, export, eval.
 Exit codes: 0 success, 1 domain error (parse/validation/evaluation),
 2 I/O error or usage error (argparse exits 2 on a command line it rejects).
 Results go to stdout, diagnostics to stderr; all outputs are deterministic.
-Each run builds the argument parser of its own command only.
+Each run builds the argument parser of its own command only. ``build`` and
+``om2rdf --format ntriples`` write each chunk of :func:`rdf.ntriples_chunks`
+as it comes, a run of subjects' lines, so they never hold the whole
+document; Turtle and XML outputs are written as their one text.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CpskgError
 from .evaluator import evaluate, load_bindings
@@ -31,6 +34,7 @@ from .rdf import (
     display_term,
     from_ntriples,
     match,
+    ntriples_chunks,
     parse_literal,
     serialize,
 )
@@ -46,11 +50,21 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(chunks: Iterable[str], path: Optional[str]) -> None:
+    """Write the text ``chunks`` to the file ``path`` (UTF-8, LF line ends)
+    or to stdout when it is ``None`` or ``-``, each chunk as it comes, so
+    that no more than one chunk is held."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            out.writelines(chunks)
+
+
+def _graph_chunks(graph: Graph, fmt: str, prefixes: dict[str, str]) -> Iterable[str]:
+    """``graph`` in ``fmt`` as text chunks: N-Triples a run of subjects at
+    a time, Turtle as its one text."""
+    return ntriples_chunks(graph) if fmt == "ntriples" else (serialize(graph, fmt, prefixes),)
 
 
 def _load_graph(path: str) -> Graph:
@@ -73,14 +87,14 @@ def _term_iri(raw: str) -> Iri:
 def cmd_om2rdf(args: argparse.Namespace, cfg: ToolConfig) -> int:
     expr = parse_openmath_xml(Path(args.in_path).read_bytes(), strict=cfg.strict)
     result = om_to_rdf(expr, args.base.rstrip("/"), args.id, vocab=cfg.vocab)
-    _write_output(serialize(result.graph, args.format, cfg.vocab.prefixes(args.base)), args.out)
+    _write_output(_graph_chunks(result.graph, args.format, cfg.vocab.prefixes(args.base)), args.out)
     return EXIT_OK
 
 
 def cmd_rdf2om(args: argparse.Namespace, cfg: ToolConfig) -> int:
     graph = _load_graph(args.in_path)
     expr = rdf_to_om(graph, _term_iri(args.root), vocab=cfg.vocab, strict=cfg.strict)
-    _write_output(serialize_openmath_xml(expr), args.out)
+    _write_output((serialize_openmath_xml(expr),), args.out)
     return EXIT_OK
 
 
@@ -90,7 +104,7 @@ def cmd_build(args: argparse.Namespace, cfg: ToolConfig) -> int:
     if args.check_only:
         print(f"manifest OK: {len(graph)} triples", file=sys.stderr)
         return EXIT_OK
-    _write_output(serialize(graph, args.format, cfg.vocab.prefixes(manifest.instance_base)), args.out)
+    _write_output(_graph_chunks(graph, args.format, cfg.vocab.prefixes(manifest.instance_base)), args.out)
     return EXIT_OK
 
 

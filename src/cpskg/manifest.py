@@ -22,11 +22,11 @@ Before the schema check, ``manifest_from_dict`` rejects a manifest whose
 arrays and objects nest more than 256 levels deep, the manifest itself being
 level 1, and names the first path too deep. A structure node takes two
 levels, so a structure tree may be 128 nodes deep. The check walks on stacks
-of its own; the schema check and the walks after it recurse, six frames a
-structure node, so a manifest at the limit needs 770 of Python's default
-1000 frames and leaves 230 to its caller. This refuses structure trees 129
-to 165 nodes deep, which fit under the default limit only when the caller
-was fewer than about ten frames deep.
+of its own; the schema check and the walks after it recurse, five frames a
+structure node, so a manifest at the limit needs 643 of Python's default
+1000 frames and leaves 357 to its caller. This refuses structure trees 129
+to 199 nodes deep, which would fit under the default limit only while the
+caller was at most 352 (129 nodes) down to 2 (199 nodes) frames deep.
 
 The schema check is compiled from ``MANIFEST_SCHEMA`` at import into an
 acceptor, which a valid manifest passes without building any message, and a
@@ -199,28 +199,32 @@ def _compile_schema(root: dict) -> tuple[Acceptor, Reporter]:
     ``ValueError`` on any other keyword, type name, reference or a property
     name that a JSON path cannot give after a dot, so a schema edit cannot
     quietly widen what it accepts. A keyword that constrains one type passes
-    values of every other type.
+    values of every other type. A definition may refer to itself only as the
+    ``items`` of an array, whose acceptor then calls the items' acceptor
+    directly, with no forwarding frame between one level and the next.
     """
     defs = root.get("$defs", {})
-    compiled: dict[str, Acceptor] = {}
-    reports: dict[str, Reporter] = {}
+    # name -> [acceptor, reporter] of a definition, both None while it compiles
+    compiled: dict[str, list] = {}
 
-    def reference(target: str) -> tuple[Acceptor, Reporter]:
+    def reference(target: str) -> list:
         name = target.removeprefix("#/$defs/")
         if name == target or name not in defs:
             raise ValueError(f"cannot compile the reference {target!r}")
-        if name not in compiled:
-            # what a recursive reference sees
-            compiled[name] = lambda value: compiled[name](value)
-            reports[name] = lambda value, path: reports[name](value, path)
-            compiled[name], reports[name] = schema_check(defs[name])
-        return compiled[name], reports[name]
+        cell = compiled.get(name)
+        if cell is None:
+            cell = compiled[name] = [None, None]
+            cell[:] = schema_check(defs[name])
+        return cell
 
     def keyword_check(keyword: str, arg, schema: dict) -> tuple[Acceptor, Reporter]:
         if keyword == "type" and isinstance(arg, str) and arg in _TYPES:
             return _TYPES[arg], lambda value, path: [(path, f"{value!r} is not of type {arg!r}")]
         if keyword == "$ref":
-            return reference(arg)
+            accept, report = reference(arg)
+            if accept is None:
+                raise ValueError(f"cannot compile the recursive reference {arg!r} except as an array's items")
+            return accept, report
         if keyword == "properties" and all(re.fullmatch("[a-zA-Z][a-zA-Z0-9_]*", name) for name in arg):
             compiled_properties = {name: schema_check(sub) for name, sub in arg.items()}
             checks = {name: accept for name, (accept, _) in compiled_properties.items()}
@@ -254,14 +258,17 @@ def _compile_schema(root: dict) -> tuple[Acceptor, Reporter]:
                 lambda value, path: [(path, f"{name!r} is a required property") for name in arg if name not in value],
             )
         if keyword == "items":
-            item_check, item_report = schema_check(arg)
+            # read once per array, as a recursive reference's cell is filled
+            # after its items compile; the items' acceptor is called directly
+            cell = reference(arg["$ref"]) if isinstance(arg, dict) and arg.keys() == {"$ref"} else schema_check(arg)
 
             def report_items(value: list, path: str):
+                item_check, item_report = cell
                 for i, item in enumerate(value):
                     if not item_check(item):
                         yield from item_report(item, f"{path}[{i}]")
 
-            return lambda value: not isinstance(value, list) or all(map(item_check, value)), report_items
+            return lambda value: not isinstance(value, list) or all(map(cell[0], value)), report_items
         if keyword == "enum" and all(isinstance(member, str) for member in arg):
             members = frozenset(arg)
             return (
@@ -320,9 +327,10 @@ def _compile_schema(root: dict) -> tuple[Acceptor, Reporter]:
 _accepts_manifest, _report_manifest = _compile_schema(MANIFEST_SCHEMA)
 
 # The deepest a manifest's arrays and objects may nest, the manifest itself
-# being level 1. The schema check and the walks recurse three frames a level,
-# so a manifest at the limit needs 770 of Python's default 1000 frames and
-# leaves 230 to the caller (the module docstring says what this refuses).
+# being level 1. The schema check and the walks recurse five frames a
+# structure node, which is two levels, so a manifest at the limit needs 643 of
+# Python's default 1000 frames and leaves 357 to the caller (the module
+# docstring says what this refuses).
 _MAX_NESTING = 256
 
 

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from cpskg import cli
 from cpskg.infix import parse_infix
 from cpskg.mapper import om_to_rdf
 from cpskg.om.xmlio import parse_openmath_xml, serialize_openmath_xml
-from cpskg.rdf import RDF, Graph, Iri, Literal, Triple, from_ntriples, to_ntriples
+from cpskg.rdf import RDF, Graph, Iri, Literal, Triple, from_ntriples, ntriples_chunks, to_ntriples
 from cpskg.validator import validate
 from conftest import EHSA_BASE, FIXTURES, REPO, edited
 from test_manifest import minimal_manifest
@@ -164,6 +165,32 @@ def test_om2rdf_ntriples_round_trips(run_cli, tmp_path, eq1_tree):
     assert back.returncode == 0, back.stderr
     assert parse_openmath_xml(back.stdout) == eq1_tree
     assert len(graph) == 101
+
+
+def test_ntriples_output_is_written_without_the_whole_document(tmp_path):
+    """The CLI writer holds one run of subjects' lines at a time: writing a
+    graph of 2·10⁴ triples, 5,000 observation-like subjects of four each,
+    traces less than a quarter of the document's size (a whole-document
+    copy alone is all of it), and the file holds to_ntriples' bytes."""
+    graph = Graph()
+    base = "http://example.org/big"
+    for i in range(5_000):
+        node = Iri(f"{base}/observation/{i}")
+        graph.add(node, RDF.type, Iri("http://www.w3.org/ns/sosa/Observation"))
+        graph.add(node, Iri("http://www.w3.org/ns/sosa/hasFeatureOfInterest"), Iri(f"{base}/feature/{i % 7}"))
+        graph.add(node, Iri("http://www.w3.org/ns/sosa/hasSimpleResult"), Literal(f"{i}.5", Iri("http://www.w3.org/2001/XMLSchema#double")))
+        graph.add(node, Iri("http://www.w3.org/ns/sosa/resultTime"), Literal(f"2024-01-01T00:00:{i % 60:02d}Z"))
+    out = tmp_path / "big.nt"
+    tracemalloc.start()
+    try:
+        cli._write_output(ntriples_chunks(graph), str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    document = to_ntriples(graph)
+    assert len(graph) == 20_000
+    assert peak < len(document) / 4
+    assert out.read_bytes() == document.encode("utf-8")
 
 
 def _probe(code: str) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -417,6 +418,45 @@ def test_a_manifest_at_the_nesting_limit_is_checked_and_builds():
     assert excinfo.value.problems == [(f"{_children_path(_MAX_NESTING // 2 - 1)}.level", "7 is not one of ['MechatronicSystem', 'Module', 'Component']")]
 
 
+def _frames_left() -> int:
+    """How many more nested calls the recursion limit allows here."""
+    frames = 0
+
+    def down() -> None:
+        nonlocal frames
+        frames += 1
+        down()
+
+    try:
+        down()
+    except RecursionError:
+        pass
+    return frames
+
+
+def test_a_manifest_at_the_nesting_limit_needs_five_frames_a_structure_node():
+    """The schema check calls the acceptor of ``children``' items directly,
+    with no forwarding frame for the recursive reference, so checking,
+    reporting on and building a chain at the nesting limit fits in five
+    frames a structure node (six before) plus a few for the calls."""
+    nodes = _MAX_NESTING // 2
+    data, bad = _structure_chain(nodes), _structure_chain(nodes)
+    node = bad["structure"]
+    while "children" in node:
+        node = node["children"][0]
+    node["level"] = 7
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - _frames_left() + 5 * nodes + 10)
+    try:
+        graph = compile_manifest(manifest_from_dict(data))
+        with pytest.raises(ManifestError) as excinfo:
+            manifest_from_dict(bad)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(graph) == len(compile_manifest(CpsManifest(data)))
+    assert excinfo.value.problems == [(f"{_children_path(nodes - 1)}.level", "7 is not one of ['MechatronicSystem', 'Module', 'Component']")]
+
+
 @pytest.mark.parametrize("nodes", [_MAX_NESTING // 2 + 1, 5_000])
 def test_a_manifest_nested_past_the_limit_names_its_first_path_too_deep(nodes):
     # the children array of the node at level 256 is the first value at level 257
@@ -732,10 +772,11 @@ def test_acceptor_keeps_the_2020_12_meanings():
         {"additionalProperties": {"type": "string"}},
         {"items": True},
         {"properties": {"a b": {"type": "string"}}},
+        {"$defs": {"node": {"properties": {"next": {"$ref": "#/$defs/node"}}}}, "$ref": "#/$defs/node"},
     ],
     ids=[
         "keyword", "type-name", "type-list", "missing-def", "remote-ref", "non-string-enum", "schema-additional", "boolean-schema",
-        "bracketed-path-name",
+        "bracketed-path-name", "recursive-ref-outside-items",
     ],
 )
 def test_acceptor_refuses_to_compile_what_it_does_not_know(schema):

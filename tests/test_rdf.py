@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -769,6 +770,39 @@ def test_serialization_ignores_insertion_order(triples, rnd):
         g2.add(*x)
     assert to_ntriples(g1) == to_ntriples(g2)
     assert to_turtle(g1) == to_turtle(g2)
+
+
+# IRIs one of which is a prefix of another, and literals of one lexical form
+# with and without a language tag or datatype.
+_prefixed_iris = st.sampled_from([Iri(f"http://a/b{x}") for x in ("", "/c", "/n1", "/n10", "/n2", "c", "/")])
+_one_lexical = st.sampled_from(
+    [Literal("1"), Literal("1", lang="en"), Literal("1", lang="en-GB"), Literal("1", XSD.integer), Literal("1", Iri("http://a/b"))]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_prefixed_iris, _prefixed_iris, st.one_of(_prefixed_iris, _one_lexical)), max_size=30),
+    st.integers(0, 2 * rdf._RUN),
+    st.sampled_from([1, 2, 3, rdf._RUN]),
+    st.randoms(),
+)
+def test_ntriples_chunks_join_to_the_sorted_lines(triples, fillers, run, rnd):
+    """Sorting the subjects and then each run's lines gives all lines
+    sorted, for runs of any size, with subjects over more than one run of
+    the real size; each chunk holds the lines of at most one run."""
+    rows = [*triples, *((Iri(f"http://a/b/n{i}"), Iri("http://a/b/c"), Literal(str(i))) for i in range(fillers))]
+    rnd.shuffle(rows)
+    graph = Graph()
+    for row in rows:
+        graph.add(*row)
+    oracle = "".join(sorted(f"{s} {p} {o} .\n" for s, p, o in graph._select(None, None, None)))
+    with mock.patch.object(rdf, "_RUN", run):
+        chunks = list(rdf.ntriples_chunks(graph))
+        assert to_ntriples(graph) == oracle
+    assert "".join(chunks) == oracle
+    assert len(chunks) == max(1, -(-len(graph._spo) // run))  # a graph of one run, even an empty one, is one chunk
+    assert all(len({line.split(" ", 1)[0] for line in chunk.splitlines()}) <= run for chunk in chunks)
 
 
 def _escape_reference(text: str) -> str:
