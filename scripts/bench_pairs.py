@@ -155,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", choices=names, help="repeat to pick several (default: all)")
     parser.add_argument("--cli", metavar="ARGS", help="time fresh `python -m cpskg ARGS` processes instead of the workloads")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2, as each verdict compares quartiles of paired runs: {args.pairs}")
     if args.cli is not None and args.workload:
         parser.error("--cli cannot be combined with --workload")
     if is_working_tree(args.base):

@@ -93,18 +93,28 @@ def run_child(args: list[str]) -> tuple[float, float]:
     return seconds, float(done.stdout.split()[-1])
 
 
+def observation_counts(text: str) -> list[int]:
+    """The counts of ``--counts``; argparse reports the ``ValueError`` of
+    an entry that is not an integer."""
+    counts = [int(n) for n in text.split(",")]
+    if min(counts) < 0:
+        raise argparse.ArgumentTypeError(f"an observation count cannot be negative: {text!r}")
+    return counts
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--counts", default="0,1000,10000,50000", help="comma-separated observation counts")
+    parser.add_argument("--counts", type=observation_counts, default="0,1000,10000,50000", help="comma-separated observation counts")
     parser.add_argument("--runs", type=int, default=3, help="fresh processes of each kind per count")
     args = parser.parse_args(argv)
-    counts = [int(n) for n in args.counts.split(",")]
+    if args.runs < 1:
+        parser.error(f"--runs must be at least 1: {args.runs}")
 
     print("| n | triples | build --out s | build --out peak MB | --check-only peak MB | sha256 |")
     print("|---|---|---|---|---|---|")
     with tempfile.TemporaryDirectory() as temp:
         manifest, out = Path(temp) / "manifest.json", Path(temp) / "g.nt"
-        for n in counts:
+        for n in args.counts:
             manifest.write_text(json.dumps(manifest_with_observations(n)), encoding="utf-8")
             seconds, peaks, checked, digests = [], [], [], set()
             for _ in range(args.runs):

@@ -13,14 +13,14 @@ manifest's own JSON objects, as ``manifest.MANIFEST_SCHEMA`` defines them.
 Every operation trusts its input: the manifest check
 (``manifest.manifest_from_dict``) is the one home of every manifest rule,
 and the builder checks none of them again. It writes N-Triples texts
-through ``Graph._insert``, as ``mapper.om_to_rdf`` does. Each operation
-takes the local ids of the nodes it links, and the builder mints their
-IRIs: it checks the IRI it makes of each distinct id, slug, and level or
-kind name once, when it first makes it, and keeps the text, as a
-``CpsManifest`` built by its constructor carries ids that the schema never
-saw. The only terms a caller passes in are the equation wrappers and
-variable nodes that ``mapper.om_to_rdf`` made; they get the rule
-``Graph.add`` applies. Each node returned is the graph's own term.
+through ``Graph._insert``, as ``mapper.om_to_rdf`` does, makes no term
+object and returns nothing. Each operation takes the local ids of the
+nodes it links, and the builder mints their IRIs: it checks the IRI it
+makes of each distinct id, slug, and level or kind name once, when it
+first makes it, and keeps the text, as a ``CpsManifest`` built by its
+constructor carries ids that the schema never saw. The only texts a
+caller passes in are the equation wrappers and variable nodes that
+``mapper._instantiator`` writes, checked where it minted them.
 ``add_observation`` alone asks the graph whether its feature exists, which
 only direct use of the builder can fail: the manifest check requires a
 feature to be a declared id.
@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import CpskgError
-from .rdf import RDF, XSD, Graph, Iri, Literal, Namespace, NodeRef, _check_triple
+from .rdf import RDF, XSD, Graph, Iri, Namespace, _escape_literal
 from .vocab import DEFAULT_VOCAB, CpsVocabulary
 
 __all__ = [
@@ -89,7 +89,7 @@ class ModelBuilder:
 
     # --- lifecycle -------------------------------------------------------
 
-    def add_lifecycle_record(self, record_id: str, information_set_ids: Sequence[str]) -> Iri:
+    def add_lifecycle_record(self, record_id: str, information_set_ids: Sequence[str]) -> None:
         """Create the record and its information sets; the first set doubles
         as the system-model node."""
         din77005, insert, rdf_type = self.vocab.din77005, self.graph._insert, RDF.type._nt
@@ -101,11 +101,10 @@ class ModelBuilder:
             insert(record, din77005.hasInformationSet._nt, info_set)
             if index == 0:
                 insert(info_set, rdf_type, self.vocab.cpsmod.SystemModel._nt)
-        return self.graph._term(record)  # type: ignore[return-value]
 
     # --- structure -------------------------------------------------------
 
-    def add_structure(self, root: dict) -> Iri:
+    def add_structure(self, root: dict) -> None:
         """Type every node of the ``structure`` tree ``root`` per its level
         and link parents to children via ``vdi2206:consistsOf``; declared
         data elements are added as well."""
@@ -121,11 +120,11 @@ class ModelBuilder:
                 insert(text, consists_of, visit(child))
             return text
 
-        return self.graph._term(visit(root))  # type: ignore[return-value]
+        visit(root)
 
     # --- processes -------------------------------------------------------
 
-    def add_process(self, process: dict) -> Iri:
+    def add_process(self, process: dict) -> None:
         """Add a manifest ``process`` with its states and operators.
         Operator equations, if any, are not compiled here; see
         ``manifest.compile_manifest``."""
@@ -147,11 +146,10 @@ class ModelBuilder:
                 insert(op_node, has_input, node(state_id))
             for state_id in op.get("outputs", ()):
                 insert(op_node, has_output, node(state_id))
-        return self.graph._term(process_node)  # type: ignore[return-value]
 
     # --- data elements ---------------------------------------------------
 
-    def add_data_element(self, owner_id: str, element: dict) -> Iri:
+    def add_data_element(self, owner_id: str, element: dict) -> None:
         """Attach the manifest data ``element`` to the state or technical
         resource of local id ``owner_id``.
 
@@ -170,32 +168,28 @@ class ModelBuilder:
             instance = self._node(f"{element_id}/instance/{slugify(text)}")
             insert(element_node, dinen61360.hasInstanceDescription._nt, instance)
             insert(instance, rdf_type, dinen61360.InstanceDescription._nt)
-        return self.graph._term(element_node)  # type: ignore[return-value]
 
     # --- behavior --------------------------------------------------------
 
-    def attach_behavior_model(self, operator_id: str, object_node: Iri) -> Iri:
-        """Link an equation wrapper to the operator of local id
-        ``operator_id`` through one mathematical-model node per operator
-        (fan-out for further equations); a further equation re-adds the
-        model's two triples, which changes nothing."""
+    def attach_behavior_model(self, operator_id: str, wrapper: str) -> None:
+        """Link the equation wrapper ``wrapper``, an N-Triples text, to the
+        operator of local id ``operator_id`` through one mathematical-model
+        node per operator (fan-out for further equations); a further
+        equation re-adds the model's two triples, which changes nothing."""
         cpsmod, insert = self.vocab.cpsmod, self.graph._insert
         model = self._node(f"{operator_id}/model")
-        term = self.graph._term(model)
-        _check_triple(term, cpsmod.hasOMObject, object_node)  # the caller's term, as an object
         insert(model, RDF.type._nt, self.vocab.vdi2206.MathematicalModel._nt)
         insert(self._node(operator_id), cpsmod.processOperatorBehaviorModel._nt, model)
-        insert(model, cpsmod.hasOMObject._nt, object_node._nt)
-        return term  # type: ignore[return-value]
+        insert(model, cpsmod.hasOMObject._nt, wrapper)
 
-    def link_variable_to_data_element(self, variable_node: NodeRef, data_element_id: str) -> None:
-        is_data_for = self.vocab.cpsmod.isDataFor
-        _check_triple(variable_node, is_data_for, variable_node)  # the caller's term, as a subject
-        self.graph._insert(variable_node._nt, is_data_for._nt, self._node(data_element_id))
+    def link_variable_to_data_element(self, variable: str, data_element_id: str) -> None:
+        """Link the variable node ``variable``, an N-Triples text, to the
+        data element of local id ``data_element_id``."""
+        self.graph._insert(variable, self.vocab.cpsmod.isDataFor._nt, self._node(data_element_id))
 
     # --- observations ----------------------------------------------------
 
-    def add_observation(self, feature_id: str, value: float, timestamp: str) -> Iri:
+    def add_observation(self, feature_id: str, value: float, timestamp: str) -> None:
         """Record a timestamped observation on the feature of interest of
         local id ``feature_id``; the simple result is a plain xsd:double."""
         feature = self.iri(feature_id)
@@ -207,6 +201,5 @@ class ModelBuilder:
         self._observation_count += 1
         insert(observation, RDF.type._nt, sosa.Observation._nt)
         insert(observation, sosa.hasFeatureOfInterest._nt, feature._nt)
-        insert(observation, sosa.hasSimpleResult._nt, Literal(repr(float(value)), XSD.double)._nt)
-        insert(observation, sosa.resultTime._nt, Literal(timestamp, XSD.dateTime)._nt)
-        return self.graph._term(observation)  # type: ignore[return-value]
+        insert(observation, sosa.hasSimpleResult._nt, '"%r"^^%s' % (float(value), XSD.double._nt))
+        insert(observation, sosa.resultTime._nt, f'"{_escape_literal(timestamp)}"^^{XSD.dateTime._nt}')

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .builder import ModelBuilder, slugify
 from .errors import CpskgError
 from .infix import parse_infix
-from .mapper import MappingResult, _instantiator, om_to_rdf
+from .mapper import _instantiator, om_to_rdf
 from .om.registry import DEFAULT_REGISTRY, SymbolRegistry
 from .om.xmlio import parse_openmath_xml
 from .rdf import _ABSOLUTE_IRI, Graph
@@ -568,9 +568,11 @@ def compile_manifest(
     included, then writes that fragment into the model graph under its own
     skolem IRIs (``mapper._instantiator``), with the triples and errors
     ``om_to_rdf`` would give it, and is scope-checked and linked under its
-    own id. A source that cannot be read, parsed or mapped is tried again
-    by each equation that names it, so each reports its own problem.
-    Nothing is kept between calls.
+    own id: the builder takes the N-Triples texts of its wrapper and
+    variable nodes, and no term object is made for them. A source that
+    cannot be read, parsed or mapped is tried again by each equation that
+    names it, so each reports its own problem. Nothing is kept between
+    calls.
     """
     data = manifest.data
     builder = ModelBuilder(manifest.instance_base, vocab)
@@ -587,7 +589,7 @@ def compile_manifest(
     problems: list[tuple[str, str]] = []
     # each equation source's fragment, once read, parsed and mapped into a graph of its own, as
     # the function that writes it under an equation's id
-    fragments: dict[tuple[str, str], Callable[[str, str, Graph], MappingResult]] = {}
+    fragments: dict[tuple[str, str], Callable[[str, str, Graph], tuple[str, dict[str, str]]]] = {}
     for pi, proc in enumerate(data["processes"]):
         builder.add_process(proc)
         state_elements = {state["id"]: state.get("dataElements", ()) for state in proc.get("states", ())}
@@ -626,21 +628,21 @@ def compile_manifest(
                         )
                         # mapped under this equation's id, so a failure is the one om_to_rdf gives it
                         instantiate = fragments[source] = _instantiator(om_to_rdf(expr, manifest.instance_base, eq["id"], vocab=vocab))
-                    result = instantiate(manifest.instance_base, eq["id"], builder.graph)
+                    wrapper, variables = instantiate(manifest.instance_base, eq["id"], builder.graph)
                 except CpskgError as exc:
                     problems.append((epath, str(exc)))
                     continue
                 except RecursionError:  # the parsers and om_to_rdf recurse once a nesting level
                     problems.append((epath, "equation nested too deep: parsing or mapping it exceeds Python's recursion limit"))
                     continue
-                missing = sorted(result.variables.keys() - scope.keys())
+                missing = sorted(variables.keys() - scope.keys())
                 if missing:
                     for name in missing:
                         problems.append((epath, f"variable {name!r} is not declared by any data element in scope"))
                     continue
-                builder.attach_behavior_model(op["id"], result.object_node)
-                for name in sorted(result.variables):
-                    builder.link_variable_to_data_element(result.variables[name], scope[name])
+                builder.attach_behavior_model(op["id"], wrapper)
+                for name in sorted(variables):
+                    builder.link_variable_to_data_element(variables[name], scope[name])
     if problems:
         raise ManifestError(problems)
 

@@ -20,8 +20,9 @@ via ``om:root`` and is the attachment point for behavior links.
 
 A fragment that :func:`om_to_rdf` mapped into a graph of its own can be
 written again under any equation id by the function ``_instantiator``
-makes of it, which renames its nodes to that equation's skolem IRIs and
-gives the triples, result and errors :func:`om_to_rdf` would.
+makes of it, which renames its nodes to that equation's skolem IRIs,
+gives the triples and errors :func:`om_to_rdf` would, and returns the
+texts of the wrapper and the variable nodes.
 ``manifest.compile_manifest`` maps each equation source once and
 instantiates it for every equation that names it.
 
@@ -210,13 +211,15 @@ def om_to_rdf(
     return MappingResult(graph, term(wrapper), term(root), {name: term(node) for name, node in variables.items()})  # type: ignore[arg-type]
 
 
-def _instantiator(fragment: MappingResult) -> Callable[[str, str, Graph], MappingResult]:
+def _instantiator(fragment: MappingResult) -> Callable[[str, str, Graph], tuple[str, dict[str, str]]]:
     """A function ``instantiate(instance_base, equation_id, graph)`` that
     writes ``fragment``, what :func:`om_to_rdf` mapped into a graph of its
-    own, into ``graph`` under ``equation_id``: the same triples, result and
-    error as :func:`om_to_rdf` of the same expression under that id into
-    ``graph``. It renames the fragment's nodes, the subjects of its graph,
-    to the equation's skolem IRIs and keeps every other term. The fragment's
+    own, into ``graph`` under ``equation_id``: the same triples and error as
+    :func:`om_to_rdf` of the same expression under that id into ``graph``.
+    It renames the fragment's nodes, the subjects of its graph, to the
+    equation's skolem IRIs and keeps every other term, and returns the
+    N-Triples texts of the wrapper and of each variable name's node, as
+    ``(wrapper, {name: node})``; it makes no term object. The fragment's
     rows are read here, once; each call checks the first node's IRI, then
     the wrapper's, as :func:`om_to_rdf` checks them, names its nodes and
     inserts the rows. The fragment's graph must not change afterwards."""
@@ -229,7 +232,7 @@ def _instantiator(fragment: MappingResult) -> Callable[[str, str, Graph], Mappin
     kept = {o: o for _, _, o in rows if o not in suffixes}
     variables = [(name, node._nt) for name, node in fragment.variables.items()]
 
-    def instantiate(instance_base: str, equation_id: str, graph: Graph) -> MappingResult:
+    def instantiate(instance_base: str, equation_id: str, graph: Graph) -> tuple[str, dict[str, str]]:
         base = f"{instance_base}/expr/{equation_id}"
         if root in suffixes:
             Iri(f"{base}/n0")
@@ -240,8 +243,7 @@ def _instantiator(fragment: MappingResult) -> Callable[[str, str, Graph], Mappin
         insert = graph._insert
         for s, p, o in rows:
             insert(names[s], p, names[o])
-        term = graph._term
-        return MappingResult(graph, term(names[wrapper]), term(names[root]), {name: term(names[node]) for name, node in variables})  # type: ignore[arg-type]
+        return names[wrapper], {name: names[node] for name, node in variables}
 
     return instantiate
 

@@ -22,7 +22,8 @@ text -> predicate text -> object text(s). Once made, a graph only grows.
 it applies the rule :class:`Triple` applies and stores the three texts
 through ``Graph._insert``, the store's one insert, which
 the writers of :mod:`cpskg.mapper` and :class:`cpskg.builder.ModelBuilder`
-also call with texts they have checked. :class:`Triple` is the read type, which
+also call with texts they have checked; ModelBuilder and the fragment
+instantiator pass texts and make no term object. :class:`Triple` is the read type, which
 iteration and lookups hand out. ``Graph._term`` is the one maker of a
 graph's term objects: it makes a text's object on its first hand-out and
 keeps it, so each text has one object. ``Graph._objects`` is the store's

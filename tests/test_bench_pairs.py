@@ -6,9 +6,16 @@ import pytest
 
 from conftest import REPO
 
-_spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "scripts" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _script("bench_pairs")
+sweep_observations = _script("sweep_observations")
 
 # ten pairs; the base's quartiles are 10.75 and 13.25 (exclusive method), so its IQR is 2.5
 BASE = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
@@ -62,6 +69,43 @@ def test_the_base_revision_must_be_named(capsys):
         bench_pairs.main(["--pairs", "2"])
     assert excinfo.value.code == 2
     assert "--base" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+@pytest.mark.parametrize("mode", [["--cli=--help"], ["--workload", "build_scaled"]], ids=["cli", "workload"])
+def test_fewer_than_two_pairs_are_refused_before_anything_runs(pairs, mode, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("ran with too few pairs")
+
+    monkeypatch.setattr(bench_pairs, "export", refuse)
+    monkeypatch.setattr(bench_pairs, "is_working_tree", refuse)
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main(["--base", "HEAD", "--pairs", pairs, *mode])
+    assert excinfo.value.code == 2
+    assert f"--pairs must be at least 2, as each verdict compares quartiles of paired runs: {pairs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--runs", "0"], "--runs must be at least 1: 0"),
+        (["--runs", "-1"], "--runs must be at least 1: -1"),
+        (["--counts", "0,-5"], "an observation count cannot be negative: '0,-5'"),
+        (["--counts", "1.5"], "invalid observation_counts value: '1.5'"),
+        (["--counts", "10,x"], "invalid observation_counts value: '10,x'"),
+        (["--counts", ""], "invalid observation_counts value: ''"),
+    ],
+)
+def test_the_sweep_refuses_no_runs_and_counts_that_are_no_observation_count(argv, message, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("ran a child")
+
+    monkeypatch.setattr(sweep_observations, "run_child", refuse)
+    with pytest.raises(SystemExit) as excinfo:
+        sweep_observations.main(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
 
 
 def test_cli_cannot_be_combined_with_a_workload(capsys):

@@ -6,7 +6,7 @@ from cpskg.builder import ModelBuilder, UnresolvedReferenceError, slugify
 from cpskg.manifest import compile_manifest, load_manifest
 from cpskg.mapper import om_to_rdf
 from cpskg.om.tree import Symbol, Variable, app
-from cpskg.rdf import RDF, Graph, InvalidTripleError, Literal, PatternQuery, Triple, Var, match, nt_term, to_ntriples
+from cpskg.rdf import RDF, XSD, Graph, Iri, Literal, PatternQuery, Triple, Var, match, nt_term, to_ntriples
 from cpskg.vocab import DEFAULT_VOCAB
 from conftest import FIXTURES, perfbench_inputs
 
@@ -93,22 +93,22 @@ def test_data_element_six_triples(builder):
     builder.add_structure(RAM)
     builder.add_process({"id": "P", "states": [{"id": "Flow", "kind": "Energy"}], "operators": []})
     before = len(builder.graph)
-    element = builder.add_data_element(
+    builder.add_data_element(
         "Flow",
         {"id": "Q1_DE", "typeDescription": "Volume flow into chamber 1", "instanceDescriptions": ["unit m^3/s"]},
     )
     assert len(builder.graph) - before == 6
-    type_nodes = builder.graph.objects(element, V.dinen61360.hasTypeDescription)
+    type_nodes = builder.graph.objects(builder.iri("Q1_DE"), V.dinen61360.hasTypeDescription)
     assert type_nodes == [builder.iri(f"node/type/{slugify('Volume flow into chamber 1')}")]
 
 
 def test_data_element_two_instance_descriptions(builder):
     builder.add_structure(RAM)
-    element = builder.add_data_element(
+    builder.add_data_element(
         "Ram",
         {"id": "D", "typeDescription": "some quantity", "instanceDescriptions": ["unit one", "sampled at 1 kHz"]},
     )
-    assert len(builder.graph.objects(element, V.dinen61360.hasInstanceDescription)) == 2
+    assert len(builder.graph.objects(builder.iri("D"), V.dinen61360.hasInstanceDescription)) == 2
 
 
 def test_attach_behavior_model_three_then_one_triples(builder):
@@ -118,36 +118,42 @@ def test_attach_behavior_model_three_then_one_triples(builder):
     second = om_to_rdf(Variable("z"), BASE, "e2", vocab=V, graph=builder.graph)
 
     before = len(builder.graph)
-    model = builder.attach_behavior_model("Op", first.object_node)
+    builder.attach_behavior_model("Op", nt_term(first.object_node))
     assert len(builder.graph) - before == 3
+    model = builder.iri("Op/model")
     assert Triple(model, RDF.type, V.vdi2206.MathematicalModel) in builder.graph
+    assert Triple(builder.iri("Op"), V.cpsmod.processOperatorBehaviorModel, model) in builder.graph
 
     before = len(builder.graph)
-    assert builder.attach_behavior_model("Op", second.object_node) == model
+    builder.attach_behavior_model("Op", nt_term(second.object_node))
     assert len(builder.graph) - before == 1  # model node reused, one more hasOMObject
+    assert builder.graph.objects(model, V.cpsmod.hasOMObject) == sorted([first.object_node, second.object_node], key=nt_term)
 
 
 def test_link_variable_to_data_element(builder):
     builder.add_structure(RAM)
-    element = builder.add_data_element("Ram", {"id": "Q1_DE", "typeDescription": "volume flow"})
+    builder.add_data_element("Ram", {"id": "Q1_DE", "typeDescription": "volume flow"})
     result = om_to_rdf(Variable("Q1"), BASE, "e", vocab=V, graph=builder.graph)
     var_node = result.variables["Q1"]
 
     before = len(builder.graph)
-    builder.link_variable_to_data_element(var_node, "Q1_DE")
+    builder.link_variable_to_data_element(nt_term(var_node), "Q1_DE")
     assert len(builder.graph) - before == 1
-    assert Triple(var_node, V.cpsmod.isDataFor, element) in builder.graph
-    builder.link_variable_to_data_element(var_node, "Q1_DE")
+    assert Triple(var_node, V.cpsmod.isDataFor, builder.iri("Q1_DE")) in builder.graph
+    builder.link_variable_to_data_element(nt_term(var_node), "Q1_DE")
     assert len(builder.graph) - before == 1  # idempotent
 
 
 def test_observation_four_triples(builder):
     builder.add_structure(RAM)
-    feature = builder.add_data_element("Ram", {"id": "Q1_DE", "typeDescription": "volume flow"})
+    builder.add_data_element("Ram", {"id": "Q1_DE", "typeDescription": "volume flow"})
     before = len(builder.graph)
-    obs = builder.add_observation("Q1_DE", 2.0, "2024-01-01T00:00:00Z")
+    builder.add_observation("Q1_DE", 2.0, "2024-01-01T00:00:00Z")
     assert len(builder.graph) - before == 4
-    assert Triple(obs, V.sosa.hasFeatureOfInterest, feature) in builder.graph
+    obs = builder.iri("node/obs/0")
+    assert Triple(obs, V.sosa.hasFeatureOfInterest, builder.iri("Q1_DE")) in builder.graph
+    assert Triple(obs, V.sosa.hasSimpleResult, Literal("2.0", XSD.double)) in builder.graph
+    assert Triple(obs, V.sosa.resultTime, Literal("2024-01-01T00:00:00Z", XSD.dateTime)) in builder.graph
 
 
 def test_observation_of_a_feature_not_in_the_graph_is_rejected(builder):
@@ -163,9 +169,9 @@ def test_observation_of_a_feature_not_in_the_graph_is_rejected(builder):
 def test_two_observations_get_distinct_nodes(builder):
     builder.add_structure(RAM)
     builder.add_data_element("Ram", {"id": "D", "typeDescription": "quantity"})
-    a = builder.add_observation("D", 1.0, "2024-01-01T00:00:00Z")
-    b = builder.add_observation("D", 2.0, "2024-01-01T00:00:01Z")
-    assert a != b
+    builder.add_observation("D", 1.0, "2024-01-01T00:00:00Z")
+    builder.add_observation("D", 2.0, "2024-01-01T00:00:01Z")
+    assert builder.graph.subjects(RDF.type, V.sosa.Observation) == [builder.iri("node/obs/0"), builder.iri("node/obs/1")]
 
 
 def test_slugify():
@@ -214,29 +220,14 @@ def test_type_index_built_between_two_processes_matches_a_scan(builder):
     assert len(graph.subjects(RDF.type, V.vdi3682.ProcessOperator)) == 4
 
 
-def test_every_returned_node_is_the_graphs_own_term(builder):
-    graph = builder.graph
-
-    def own(node):
-        """``node`` itself, as the graph's lookups hand it out."""
-        assert graph.triples(node)[0].subject is node
-        return node
-
-    own(builder.add_lifecycle_record("Record", ["ModelSet"]))
-    own(builder.add_structure(ehsa_structure()))
-    own(builder.add_process(active_mode()))
-    own(builder.add_data_element("EHSV", {"id": "D", "typeDescription": "quantity", "instanceDescriptions": ["unit one"]}))
-    wrapper = om_to_rdf(Variable("x"), BASE, "e", vocab=V, graph=graph).object_node
-    own(builder.attach_behavior_model("HydraulicControl", wrapper))
-    own(builder.add_observation("D", 1.0, "2024-01-01T00:00:00Z"))
-
-
-def test_a_callers_term_gets_the_rule_graph_add_applies(builder):
-    builder.add_structure(RAM)
-    builder.add_data_element("Ram", {"id": "D", "typeDescription": "quantity"})
-    before = to_ntriples(builder.graph)
-    with pytest.raises(InvalidTripleError, match="subject cannot be a literal"):
-        builder.link_variable_to_data_element(Literal("x"), "D")
-    with pytest.raises(InvalidTripleError, match="object must be an IRI or literal"):
-        builder.attach_behavior_model("Ram", "not a term")  # type: ignore[arg-type]
-    assert to_ntriples(builder.graph) == before
+@pytest.mark.parametrize("k", [1, 4], ids=["ehsa", "k4"])
+def test_a_compile_makes_no_term_but_those_of_the_feature_lookups(k, tmp_path):
+    """The write path passes N-Triples texts and returns none of its nodes,
+    so the one lookup it keeps, that of each observation's feature, makes
+    every term object a compile leaves in the graph's term table."""
+    inputs = perfbench_inputs()
+    manifest = load_manifest(inputs.write_scaled_model(inputs.load_fixture(FIXTURES), k, tmp_path))
+    graph = compile_manifest(manifest)
+    features = {Iri(f"{manifest.instance_base}/{obs['feature']}")._nt for obs in manifest.data["observations"]}
+    looked_up = {text for feature in features for row in graph._select(feature, None, None) for text in row}
+    assert set(graph._terms) <= looked_up

@@ -20,7 +20,7 @@ from cpskg.mapper import (
 )
 from cpskg.infix import parse_infix
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable, app
-from cpskg.rdf import RDF, XSD, Graph, InvalidIriError, Iri, Literal, Triple, to_ntriples
+from cpskg.rdf import RDF, XSD, Graph, InvalidIriError, Iri, Literal, Triple, nt_term, to_ntriples
 from cpskg.vocab import DEFAULT_VOCAB
 from conftest import edited
 from strategies import float_literals, int_literals, symbols, trees, trees_any_operator, walk
@@ -414,10 +414,11 @@ def _prefilled() -> Graph:
 def test_an_instantiated_fragment_is_what_om_to_rdf_maps_under_the_new_id(tree, start):
     fragment = om_to_rdf(tree, BASE, "a")
     expected = om_to_rdf(tree, BASE, "b", graph=start())
-    got = _instantiator(fragment)(BASE, "b", start())
-    assert got.graph._spo == expected.graph._spo
-    assert len(got.graph) == len(expected.graph)
-    assert (got.object_node, got.root, got.variables) == (expected.object_node, expected.root, expected.variables)
+    graph = start()
+    wrapper, variables = _instantiator(fragment)(BASE, "b", graph)
+    assert graph._spo == expected.graph._spo
+    assert len(graph) == len(expected.graph)
+    assert (wrapper, variables) == (nt_term(expected.object_node), {name: nt_term(node) for name, node in expected.variables.items()})
 
 
 def _sin_chain(depth: int) -> str:
