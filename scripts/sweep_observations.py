@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Build the EHSA model at growing observation counts, each in a fresh process.
+"""Build and read back the EHSA model at growing observation counts, each in a fresh process.
 
     python3 scripts/sweep_observations.py [--counts 0,1000,10000,50000] [--runs 3]
 
 For each count n, the shipped manifest (fixtures/ehsa/manifest.json) has
 its observations replaced by n generated ones, taking turns on the
-features of the shipped observations, one second apart. A fresh
-``python -m cpskg build --out FILE`` compiles it and writes its N-Triples,
-and a fresh ``build --check-only`` compiles it and writes nothing, so its
-peak is the peak with the graph built. Each child reads its own peak
-resident memory as it ends: ``VmHWM`` from /proc/self/status, or
-``ru_maxrss`` where /proc is missing.
+features of the shipped observations, one second apart. In each run, a
+fresh ``python -m cpskg build --out FILE`` compiles it and writes its
+N-Triples, a fresh ``build --check-only`` compiles it and writes nothing,
+so its peak is the peak with the graph built, and a fresh
+``validate --strict --in FILE`` parses and validates the written graph,
+the read path at scale. Each child reads its own peak resident memory as
+it ends: ``VmHWM`` from /proc/self/status, or ``ru_maxrss`` where /proc
+is missing.
 
 It prints one row per count: the triples, the median wall seconds of the
 ``build --out`` processes, the median peak MB of the ``build --out`` and of
-the ``--check-only`` processes, and the first 12 hex digits of the output's
+the ``--check-only`` processes, the median wall seconds and peak MB of the
+``validate`` processes, and the first 12 hex digits of the output's
 SHA-256, the same in every run or the sweep stops. It runs the cpskg of
 the tree it is in (``src/`` on ``PYTHONPATH``), needs only the standard
 library, and removes its temporary directory when it ends.
@@ -110,13 +113,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < 1:
         parser.error(f"--runs must be at least 1: {args.runs}")
 
-    print("| n | triples | build --out s | build --out peak MB | --check-only peak MB | sha256 |")
-    print("|---|---|---|---|---|---|")
+    print("| n | triples | build --out s | build --out peak MB | --check-only peak MB | validate s | validate peak MB | sha256 |")
+    print("|---|---|---|---|---|---|---|---|")
     with tempfile.TemporaryDirectory() as temp:
         manifest, out = Path(temp) / "manifest.json", Path(temp) / "g.nt"
         for n in args.counts:
             manifest.write_text(json.dumps(manifest_with_observations(n)), encoding="utf-8")
-            seconds, peaks, checked, digests = [], [], [], set()
+            seconds, peaks, checked, validated, digests = [], [], [], [], set()
             for _ in range(args.runs):
                 s, peak = run_child(["build", "--manifest", str(manifest), "--out", str(out)])
                 seconds.append(s)
@@ -124,12 +127,14 @@ def main(argv: list[str] | None = None) -> int:
                 data = out.read_bytes()
                 digests.add(hashlib.sha256(data).hexdigest()[:12])
                 checked.append(run_child(["build", "--manifest", str(manifest), "--check-only"])[1])
+                validated.append(run_child(["validate", "--strict", "--in", str(out)]))
             if len(digests) != 1:
                 raise SystemExit(f"n={n}: the runs wrote different outputs: {sorted(digests)}")
             triples = data.count(b"\n")
             print(
                 f"| {n:,} | {triples:,} | {statistics.median(seconds):.2f} | {statistics.median(peaks):.1f}"
-                f" | {statistics.median(checked):.1f} | {digests.pop()} |",
+                f" | {statistics.median(checked):.1f} | {statistics.median([s for s, _ in validated]):.2f}"
+                f" | {statistics.median([peak for _, peak in validated]):.1f} | {digests.pop()} |",
                 flush=True,
             )
     return 0

@@ -31,18 +31,18 @@ one text read: the sorted texts of a subject's (or any subject's) objects
 of a predicate, with no term object made; :meth:`Graph.objects` hands out
 their terms, and the readers of :mod:`cpskg.mapper` and
 :mod:`cpskg.validator` walk the texts themselves. :func:`from_ntriples`
-fills a fresh graph's store directly: one row pattern, one ``findall`` per
-bounded slice of the document, gives each line's three terms' texts; the
-distinct IRIs are checked together by one match, and a literal already
-written canonically is kept as written. Lookups by predicate build an
-index for the predicate they name, on the first lookup by it.
-A :class:`Namespace` keeps each attribute term it hands out.
+fills a fresh graph's store directly, in one pass that keeps no line numbers:
+one ``findall`` per bounded slice gives each line's terms' texts, the distinct
+IRIs are checked together at the end, and a rejected document is read again,
+line by line, to name its fault. Lookups by predicate build an index for the
+predicate they name, on the first lookup by it. A :class:`Namespace` keeps
+each attribute term it hands out.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Optional, Union
 
 from .errors import CpskgError
 from .value import Value
@@ -697,9 +697,10 @@ _LITERAL_RE = re.compile(rf"{_LEXICAL_PAT}(?:\^\^<([^>]*)>|@({_LANGTAG}))?")
 _SP = r"[^\S\n]"
 _OBJECT_PAT = rf"{_IRI_PAT}|{_LEXICAL_PAT}((?:\^\^{_IRI_PAT}|@{_LANGTAG})?)"
 _ROW_RE = re.compile(rf"(?m)^(?:{_SP}*({_IRI_PAT})\s*({_IRI_PAT})\s*({_OBJECT_PAT}){_SP}*\.{_SP}*(?:$|#.*$)|(.*))")
-# IRI texts, each followed by a line break: a match ends where the first
-# text that breaks the IRIREF rule starts.
-_IRIS_RE = re.compile(rf"(?:<{_ABSOLUTE_IRI}>\n)*")
+# The bytes IRIREF allows between brackets, UTF-8's multi-byte ones included,
+# and an IRI text with no scheme, after the line break before it.
+_IRIREF_BYTES = bytes(b for b in range(0x21, 0x100) if b not in b'<>"{}|^`\\')
+_RELATIVE_RE = re.compile(rb"\n<(?!%s)" % _SCHEME.encode())
 # The least number of characters one findall reads; it runs on to the end
 # of its last line. It bounds the rows held at once, about a hundred lines
 # of golden.nt; slices of 8K to 64K characters parsed the k=4 graph equally fast.
@@ -747,18 +748,23 @@ def parse_literal(text: str) -> Literal:
         raise NTriplesSyntaxError(str(exc), 1) from exc
 
 
-def _check_iris(texts: Iterable[str], lines: list[int], error: Optional[NTriplesSyntaxError] = None) -> None:
-    """Raise the error of the first of ``texts``, IRI texts with their
-    brackets, that breaks the IRIREF rule, on the line that ``lines`` gives
-    for it by position; if none does, raise ``error`` when it is given. One
-    match checks them all."""
-    joined = "\n".join([*texts, ""])
-    end = _IRIS_RE.match(joined).end()  # type: ignore[union-attr]
-    if end < len(joined):
-        text = joined[end : joined.index("\n", end)]
-        error = NTriplesSyntaxError(str(_iri_error(text[1:-1])), lines[joined.count("\n", 0, end)])
-    if error is not None:
-        raise error
+def _report(data: str) -> NoReturn:
+    """Raise the first fault of ``data``, a document :func:`from_ntriples`
+    rejected, with its line: each line's subject, predicate and object in
+    turn, a literal's escapes before its datatype."""
+    for line, text in enumerate(data.split("\n"), 1):
+        s, p, o, lexical, suffix, other = _ROW_RE.match(text).groups("")  # type: ignore[union-attr]
+        if not s:
+            if other.strip()[:1] not in ("", "#"):
+                raise NTriplesSyntaxError(f"not a valid N-Triples statement: {other!r}", line)
+            continue
+        for term in (s, p, o):
+            if term[0] == '"':
+                _unescape(lexical, line)
+                term = suffix[2:]  # the datatype, if any; a language tag holds no "<"
+            if term[:1] == "<" and not _IRI_RE.fullmatch(term, 1, len(term) - 1):
+                raise NTriplesSyntaxError(str(_iri_error(term[1:-1])), line)
+    raise AssertionError("from_ntriples rejected a document with no fault")
 
 
 def from_ntriples(data: Union[str, bytes]) -> Graph:
@@ -766,22 +772,19 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
     canonical output. Blank lines and ``#`` comment lines are skipped; a
     statement may end in a comment and need not space its terms.
 
-    One multiline ``findall`` of ``_ROW_RE`` reads each slice of the
-    document, a run of whole lines at least ``_SLICE`` characters long, and
-    gives each line's three terms' texts as written. A slice in which a row
-    ran over a line break, which only a malformed line makes it do, is read
-    again line by line with the same pattern, so that each line is read on
-    its own. A run of lines with one subject shares that subject's store
-    entry. Each distinct IRI is kept only as its text, one string object per
-    distinct text. The IRIs are checked against the IRIREF rule together,
-    by one match over their texts, at the end or before any other fault is
-    reported, so that the first bad line is reported whatever kind of fault
-    it holds. A literal written canonically (no backslash, only printable
-    characters, and no explicit ``xsd:string``) is stored as its written
-    text; any other is unescaped and escaped again to its canonical text,
-    once per distinct spelling, so ``"\\u0041"`` and ``"A"`` are one term.
-    No term object is made: the graph makes each one when a lookup first
-    hands it out. Nothing is kept between calls."""
+    One pass accepts the document and keeps no line numbers. A multiline
+    ``findall`` of ``_ROW_RE`` reads each slice, a run of whole lines at
+    least ``_SLICE`` characters long, and a slice where a row ran over a
+    line break, which only a malformed line does, line by line. One table
+    maps each text as written to the text stored: an IRI's to itself, one
+    string per distinct IRI, and a literal's to its canonical text, made
+    once per spelling unless written canonically (no backslash, only
+    printable characters, no explicit ``xsd:string``), so ``"\\u0041"`` and
+    ``"A"`` are one term. The distinct IRIs, datatypes included, are checked
+    against IRIREF together at the end. A line that is no statement, a bad
+    escape or a failed IRI check rejects the document, and :func:`_report`
+    reads it again to name its first fault. No term object is made; nothing
+    is kept between calls."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -790,10 +793,9 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             raise NTriplesSyntaxError(f"invalid UTF-8 byte 0x{data[exc.start]:02X}", line) from exc
     graph = Graph()
     spo = graph._spo
-    count = lineno = 0
-    iris: dict[str, str] = {}  # IRI text -> its first copy, in the order first seen
-    first_lines: list[int] = []  # the line each of them was first seen on
-    literals: dict[str, str] = {}  # literal as written -> its canonical text
+    count = 0  # rows read, less the lines that hold no statement and the duplicates
+    terms: dict[str, str] = {}  # text as written -> text stored
+    iris: list[str] = []  # the distinct IRI texts, in the order first seen
     subject: Optional[str] = None  # the subject of the run of lines being read
     by_predicate: dict[str, _Leaf]
 
@@ -805,47 +807,44 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
         rows = _ROW_RE.findall(data, start, stop)
         if len(rows) <= data.count("\n", start, stop):  # a row ran over a line break
             rows = [_ROW_RE.match(line).groups("") for line in data[start:stop].split("\n")]  # type: ignore[union-attr]
+        count += len(rows)
         for s, p, o, lexical, suffix, other in rows:
-            lineno += 1
             if s != subject:
                 if not s:
-                    line = other.strip()
-                    if not line or line[0] == "#":
-                        continue
-                    _check_iris(iris, first_lines, NTriplesSyntaxError(f"not a valid N-Triples statement: {other!r}", lineno))
-                subject = iris.get(s)
+                    if other.strip()[:1] not in ("", "#"):
+                        _report(data)
+                    count -= 1
+                    continue
+                subject = terms.get(s)
                 if subject is None:
-                    subject = iris[s] = s
-                    first_lines.append(lineno)
+                    subject = terms[s] = s
+                    iris.append(s)
                 by_predicate = spo.get(subject)  # type: ignore[assignment]
                 if by_predicate is None:
                     by_predicate = spo[subject] = {}
-            predicate = iris.get(p)
+            predicate = terms.get(p)
             if predicate is None:
-                predicate = iris[p] = p
-                first_lines.append(lineno)
-            if o[0] == "<":
-                obj = iris.get(o)
-                if obj is None:
-                    obj = iris[o] = o
-                    first_lines.append(lineno)
-            else:
-                obj = literals.get(o)
-                if obj is None:
-                    obj = o
+                predicate = terms[p] = p
+                iris.append(p)
+            obj = terms.get(o)
+            if obj is None:
+                obj = o
+                if o[0] == "<":
+                    iris.append(o)
+                else:
                     # as written it holds no quote; without escapes, raw control
                     # characters and an explicit xsd:string, it is canonical
                     if "\\" in lexical or not lexical.isprintable() or suffix == _XSD_STRING_SUFFIX:
                         try:
-                            body = _escape_literal(_unescape(lexical, lineno))
-                        except NTriplesSyntaxError as exc:
-                            _check_iris(iris, first_lines, exc)
+                            body = _escape_literal(_unescape(lexical, 0))
+                        except NTriplesSyntaxError:
+                            _report(data)
                         obj = f'"{body}"' if suffix == _XSD_STRING_SUFFIX else f'"{body}"{suffix}'
-                    literals[o] = obj
-                    datatype = suffix[2:] if suffix[:1] == "^" else None
-                    if datatype and datatype not in iris:  # checked with the other IRIs, after the escapes
-                        iris[datatype] = datatype
-                        first_lines.append(lineno)
+                    datatype = suffix[2:]
+                    if datatype[:1] == "<" and datatype not in terms:
+                        terms[datatype] = datatype
+                        iris.append(datatype)
+                terms[o] = obj
             # Graph._insert, inline: a call per line made a 1,329-line graph's
             # parse 4-6% slower (p10 2.73 -> 2.89 ms over 600 interleaved calls,
             # CPython 3.11.7 on 2 shared vCPUs), and every read command parses
@@ -853,16 +852,15 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             found = by_predicate.get(predicate)
             if found is None:
                 by_predicate[predicate] = obj
+            elif found == obj or type(found) is set and obj in found:  # a duplicate
+                count -= 1
             elif type(found) is str:
-                if found == obj:
-                    continue
                 by_predicate[predicate] = {found, obj}
-            elif obj in found:
-                continue
             else:
                 found.add(obj)
-            count += 1
         start = stop + 1
-    _check_iris(iris, first_lines)
+    raw = "\n".join(["", *iris]).encode("utf-8", "surrogatepass")
+    if raw.translate(None, _IRIREF_BYTES) != b"\n<>" * len(iris) or _RELATIVE_RE.search(raw):
+        _report(data)
     graph._count = count
     return graph

@@ -108,6 +108,34 @@ def test_the_sweep_refuses_no_runs_and_counts_that_are_no_observation_count(argv
     assert message in err and out == ""
 
 
+def test_the_sweep_validates_the_graph_each_build_wrote(monkeypatch, capsys):
+    """Each run adds a fresh validate of the file its build wrote, and the
+    row gives the median wall seconds and peak MB of those processes."""
+    calls = []
+
+    def child(args):
+        calls.append(args)
+        if args[0] == "validate":
+            assert args[:3] == ["validate", "--strict", "--in"]
+            path = args[3]
+            assert path == calls[-3][calls[-3].index("--out") + 1]
+            assert open(path, "rb").read() == b"<a> <b> <c> .\n"
+            return 0.5 * len(calls), 7.0 + len(calls)
+        if "--out" in args:
+            with open(args[args.index("--out") + 1], "wb") as out:
+                out.write(b"<a> <b> <c> .\n")
+            return 2.0, 30.0
+        return 3.0, 40.0
+
+    monkeypatch.setattr(sweep_observations, "run_child", child)
+    assert sweep_observations.main(["--counts", "0", "--runs", "3"]) == 0
+    assert [args[0] for args in calls] == ["build", "build", "validate"] * 3
+    header, _, row = capsys.readouterr().out.splitlines()
+    assert header.split(" | ")[5:7] == ["validate s", "validate peak MB"]
+    # validate runs are the 3rd, 6th and 9th children: medians 3.0 s and 13.0 MB
+    assert row.split(" | ")[1:7] == ["1", "2.00", "30.0", "40.0", "3.00", "13.0"]
+
+
 def test_cli_cannot_be_combined_with_a_workload(capsys):
     with pytest.raises(SystemExit) as excinfo:
         bench_pairs.main(["--base", "HEAD", "--cli", "validate --in g.nt", "--workload", "build_scaled"])

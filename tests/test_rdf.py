@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import pickle
@@ -16,7 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from cpskg import rdf
 from cpskg.errors import CpskgError
-from cpskg.manifest import compile_manifest
+from cpskg.manifest import compile_manifest, manifest_from_dict
 from cpskg.mapper import om_to_rdf, rdf_to_om
 from cpskg.om.tree import Application, FloatLiteral, IntLiteral, Symbol, Variable
 from cpskg.rdf import (
@@ -45,7 +46,7 @@ from cpskg.rdf import (
 from cpskg.rdf import _literal
 from cpskg.vocab import DEFAULT_VOCAB
 
-from conftest import EHSA_BASE, FIXTURES, REPO
+from conftest import EHSA_BASE, FIXTURES, REPO, perfbench_inputs
 from strategies import trees
 
 EX = Namespace("http://example.org/")
@@ -427,35 +428,42 @@ def _parse_outcome(parse, data: bytes) -> tuple:
 
 _GOLDEN_LINES = (FIXTURES / "golden.nt").read_text(encoding="utf-8").splitlines()
 _BRACKETED = re.compile(r"<[^<>]*>")
+# Characters IRIREF forbids between the brackets: a sample of the controls, then the rest.
+_IRIREF_FORBIDS = ["\x00", "\x1f", " ", "<", '"', "{", "}", "|", "^", "`", "\\"]
 
 
 @st.composite
 def _mutated_golden(draw) -> bytes:
     """A run of golden.nt lines, so IRIs repeat across lines, with one to
-    three edits: a character put inside a bracketed IRI, an unclosed or an
-    empty one, another separator or line ending, whitespace before or after
-    a statement (a Unicode space that ``str.strip`` removes included), a
-    comment or blank line, or one literal written escaped and plain."""
+    three edits: a character put inside a bracketed IRI (each one IRIREF
+    forbids, and characters of two to four UTF-8 bytes that it allows), an
+    unclosed or an empty one, one whose scheme lost its ":", another
+    separator or line ending, whitespace before or after a statement (a
+    Unicode space that ``str.strip`` removes included), a comment or blank
+    line, or one literal written escaped and plain."""
     start = draw(st.integers(0, len(_GOLDEN_LINES) - 10))
     lines = _GOLDEN_LINES[start : start + 10]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         line = lines[i]
         spans = [m.span() for m in _BRACKETED.finditer(line)]
-        kinds = ["inside", "unclosed", "empty", "separator", "crlf", "indent", "trailing", "unicode_space",
-                 "comment", "blank", "escaped_twice"]
+        kinds = ["inside", "unclosed", "empty", "no_scheme", "separator", "crlf", "indent", "trailing",
+                 "unicode_space", "comment", "blank", "escaped_twice"]
         kind = draw(st.sampled_from(kinds))
-        if kind in ("inside", "unclosed", "empty") and spans:
+        if kind in ("inside", "unclosed", "empty", "no_scheme") and spans:
             a, b = draw(st.sampled_from(spans))
             if kind == "inside":
                 at = draw(st.integers(a + 1, b - 1))
-                char = draw(st.sampled_from([" ", '"', "{", "\x00", "\xa0"]))
+                char = draw(st.sampled_from([*_IRIREF_FORBIDS, "\xa0", "\xe9", "\u3000", "\U0001F600"]))
                 replace = draw(st.booleans()) and at < b - 1
                 lines[i] = line[:at] + char + line[at + replace :]
             elif kind == "unclosed":
                 lines[i] = line[: b - 1] + line[b:]
-            else:
+            elif kind == "empty":
                 lines[i] = line[:a] + "<>" + line[b:]
+            elif ":" in line[a:b]:  # an earlier edit may have left this IRI without one
+                colon = line.index(":", a)
+                lines[i] = line[:colon] + line[colon + 1 :]
         elif kind == "separator" and " " in line:
             at = draw(st.sampled_from([k for k, c in enumerate(line) if c == " "]))
             lines[i] = line[:at] + draw(st.sampled_from(["\t", "\x0b", " \t "])) + line[at + 1 :]
@@ -485,8 +493,41 @@ def _mutated_golden(draw) -> bytes:
 def test_parse_agrees_with_the_strict_per_line_parser(data):
     """Checking each distinct IRI once, after finding it by its brackets,
     accepts and rejects exactly the documents the per-occurrence check did,
-    names the same line, and reads the same graph."""
-    assert _parse_outcome(lambda d: to_ntriples(from_ntriples(d)), data) == _parse_outcome(reference_parse, data)
+    names the same line, and reads the same graph, whether a slice holds
+    the whole document or a line or two."""
+    expected = _parse_outcome(reference_parse, data)
+    assert _parse_outcome(lambda d: to_ntriples(from_ntriples(d)), data) == expected
+    with mock.patch.object(rdf, "_SLICE", 64):
+        assert _parse_outcome(lambda d: to_ntriples(from_ntriples(d)), data) == expected
+
+
+def test_parse_accepts_a_lone_surrogate_inside_an_iri():
+    """A str document may hold a lone surrogate, which no UTF-8 writes;
+    IRIREF does not forbid it, so it reads back as part of its IRI."""
+    g = from_ntriples("<http://example.org/\ud800> <http://example.org/p> <http://example.org/o> .\n")
+    assert [t.subject.value for t in g] == ["http://example.org/\ud800"]
+
+
+def test_a_valid_document_never_reaches_the_reporter(monkeypatch, golden_text, ehsa_manifest):
+    """Only a rejected document is read again to name its fault: golden.nt,
+    the k=16 graph and a graph of 10^3 observations are accepted by the
+    one pass alone."""
+    data = copy.deepcopy(ehsa_manifest.data)
+    shipped = data["observations"]
+    data["observations"] = [
+        {**shipped[i % len(shipped)], "value": i * 0.5, "timestamp": f"2024-01-01T00:{i // 60:02d}:{i % 60:02d}Z"}
+        for i in range(1000)
+    ]
+    observed = to_ntriples(compile_manifest(manifest_from_dict(data, base_dir=FIXTURES)))
+    inputs = perfbench_inputs()
+    scaled = inputs.reference_ntriples(inputs.load_fixture(FIXTURES), 16)
+
+    def report(text: str):
+        raise AssertionError("a valid document reached the reporter")
+
+    monkeypatch.setattr(rdf, "_report", report)
+    for text in (golden_text, scaled, observed):
+        assert to_ntriples(from_ntriples(text)) == text
 
 
 # --- one term object per text -----------------------------------------------
