@@ -774,17 +774,17 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
 
     One pass accepts the document and keeps no line numbers. A multiline
     ``findall`` of ``_ROW_RE`` reads each slice, a run of whole lines at
-    least ``_SLICE`` characters long, and a slice where a row ran over a
-    line break, which only a malformed line does, line by line. One table
-    maps each text as written to the text stored: an IRI's to itself, one
-    string per distinct IRI, and a literal's to its canonical text, made
-    once per spelling unless written canonically (no backslash, only
-    printable characters, no explicit ``xsd:string``), so ``"\\u0041"`` and
-    ``"A"`` are one term. The distinct IRIs, datatypes included, are checked
-    against IRIREF together at the end. A line that is no statement, a bad
-    escape or a failed IRI check rejects the document, and :func:`_report`
-    reads it again to name its first fault. No term object is made; nothing
-    is kept between calls."""
+    least ``_SLICE`` characters long. One table maps each text as written
+    to the text stored: an IRI's to itself, one string per distinct IRI,
+    and a literal's to its canonical text, made once per spelling unless
+    written canonically (no backslash, only printable characters, no
+    explicit ``xsd:string``), so ``"\\u0041"`` and ``"A"`` are one term. The
+    distinct IRIs, datatypes included, are checked against IRIREF together
+    at the end. A line that is no statement, a row that runs over a line
+    break (whose first line is then no whole statement), a bad escape or a
+    failed IRI check rejects the document, and :func:`_report` reads it
+    again to name its first fault. No term object is made; nothing is kept
+    between calls."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -806,7 +806,7 @@ def from_ntriples(data: Union[str, bytes]) -> Graph:
             stop = end
         rows = _ROW_RE.findall(data, start, stop)
         if len(rows) <= data.count("\n", start, stop):  # a row ran over a line break
-            rows = [_ROW_RE.match(line).groups("") for line in data[start:stop].split("\n")]  # type: ignore[union-attr]
+            _report(data)
         count += len(rows)
         for s, p, o, lexical, suffix, other in rows:
             if s != subject:
